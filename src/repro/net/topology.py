@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-import networkx as nx
-
 from repro.net.latency import LatencyModel
 from repro.net.link import Link
 from repro.net.node import Node, NodeKind
@@ -203,20 +201,6 @@ class Topology:
                 link.name, link.src, link.dst, new_trace, link.delay
             )
         return clone
-
-    # ------------------------------------------------------------------ #
-    # analysis helpers
-    # ------------------------------------------------------------------ #
-    def to_graph(self) -> nx.DiGraph:
-        """Export as a networkx digraph (nodes + WAN edges, access as attrs)."""
-        g = nx.DiGraph()
-        for node in self._nodes.values():
-            access = self._links.get(access_link_name(node.name))
-            g.add_node(node.name, kind=node.kind.value, region=node.region, access=access)
-        for link in self._links.values():
-            if link.src != link.dst:  # WAN segments only
-                g.add_edge(link.src, link.dst, link=link, delay=link.delay)
-        return g
 
     def validate(self) -> None:
         """Check that every node has an access link; raise ValueError if not."""

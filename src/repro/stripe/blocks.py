@@ -29,6 +29,7 @@ same scenario, same seed, same block->path assignment, byte for byte.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import heapq
 import math
@@ -267,10 +268,18 @@ def synthetic_bytes(resource: str, first: int, last: int) -> bytes:
 def content_digest(resource: str, size: int) -> str:
     """Digest of a single-path fetch of the whole ``size``-byte resource."""
     check_positive(size, "size")
-    return _digest_ranges(resource, [(0, size - 1)])
+    return _digest_ranges(resource, ((0, size - 1),))
 
 
-def _digest_ranges(resource: str, ranges: List[Tuple[int, int]]) -> str:
+@functools.lru_cache(maxsize=1024)
+def _digest_ranges(resource: str, ranges: Tuple[Tuple[int, int], ...]) -> str:
+    """BLAKE2b-128 over the synthetic bytes of ``ranges``, concatenated.
+
+    A pure function of its arguments, so it is memoised per process on the
+    exact ``(resource, ranges)`` key: the first time a process sees a
+    resource under a given partition it hashes the real bytes, and every
+    later striped session with the same partition reuses that digest.
+    """
     hasher = hashlib.blake2b(digest_size=16)
     for first, last in ranges:
         hasher.update(synthetic_bytes(resource, first, last))
@@ -355,7 +364,7 @@ class ReassemblyBuffer:
             raise StripeIntegrityError(
                 f"object has {len(holes)} uncovered range(s), first {holes[0]}"
             )
-        return _digest_ranges(self._resource, self._ranges)
+        return _digest_ranges(self._resource, tuple(self._ranges))
 
     def verify(self) -> str:
         """Prove byte identity with a single-path fetch; returns the digest."""

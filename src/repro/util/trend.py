@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = ["TrendResult", "mann_kendall", "theil_sen_slope"]
 
@@ -104,7 +103,8 @@ def mann_kendall(
         z = (s + 1) / math.sqrt(var_s)
     else:
         z = 0.0
-    p = 2.0 * (1.0 - sps.norm.cdf(abs(z)))
+    # Two-sided normal tail, 2 * (1 - Phi(|z|)), without cancellation.
+    p = math.erfc(abs(z) / math.sqrt(2.0))
 
     slope = theil_sen_slope(arr, t)
     if p < alpha:

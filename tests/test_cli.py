@@ -1,7 +1,13 @@
 """CLI tests: argument handling, campaign runs, artefact rendering."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -18,6 +24,24 @@ class TestParser:
     def test_report_artifact_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["report", "s.jsonl", "--artifact", "fig99"])
+
+
+class TestImportDiet:
+    def test_cli_import_pulls_no_scipy_or_networkx(self):
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCatalog:

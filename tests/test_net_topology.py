@@ -1,6 +1,5 @@
 """Node, link, latency and topology tests."""
 
-import networkx as nx
 import pytest
 
 from repro.net.latency import LatencyModel
@@ -168,14 +167,6 @@ class TestTopology:
 
     def test_validate_ok(self):
         self.build().validate()
-
-    def test_to_graph(self):
-        g = self.build().to_graph()
-        assert isinstance(g, nx.DiGraph)
-        assert g.number_of_nodes() == 3
-        assert g.number_of_edges() == 3  # WAN links only
-        assert g.nodes["C"]["kind"] == "client"
-        assert nx.has_path(g, "S", "C")
 
     def test_has_wan_link(self):
         topo = self.build()

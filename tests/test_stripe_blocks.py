@@ -6,11 +6,15 @@ block->path assignment) is checked here structurally, against seeded random
 operation sequences - independently of the fluid engine.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.stripe import blocks
 from repro.stripe.blocks import (
     DEFAULT_BLOCK_BYTES,
     BlockScheduler,
@@ -258,3 +262,84 @@ class TestReassemblyBuffer:
         buf = ReassemblyBuffer("/g", 1_000)
         buf.commit(0, 999)
         assert buf.digest() != content_digest("/f", 1_000)
+
+
+# --------------------------------------------------------------------------- #
+# memoised digests
+# --------------------------------------------------------------------------- #
+def uncached_content_digest(resource, size):
+    """The single-path digest recomputed from scratch, bypassing the memo."""
+    hasher = hashlib.blake2b(digest_size=16)
+    hasher.update(synthetic_bytes(resource, 0, size - 1))
+    return hasher.hexdigest()
+
+
+def reassemble(resource, size, edges, order=None):
+    """A buffer holding the tiling of ``[0, size)`` cut at ``edges``."""
+    ranges = [(a, b - 1) for a, b in zip(edges, edges[1:])]
+    buf = ReassemblyBuffer(resource, size)
+    for i in order if order is not None else range(len(ranges)):
+        buf.commit(*ranges[i])
+    return buf
+
+
+@st.composite
+def partitions(draw):
+    """(size, edges, commit order) for a random tiling of ``[0, size)``."""
+    size = draw(st.integers(min_value=1, max_value=40_000))
+    cuts = draw(st.sets(st.integers(min_value=1, max_value=max(1, size - 1)), max_size=12))
+    edges = [0] + sorted(c for c in cuts if c < size) + [size]
+    order = draw(st.permutations(range(len(edges) - 1)))
+    return size, edges, order
+
+
+@pytest.fixture
+def cold_digest_cache():
+    """Start and leave each test with an empty digest memo."""
+    blocks._digest_ranges.cache_clear()
+    yield
+    blocks._digest_ranges.cache_clear()
+
+
+@pytest.mark.usefixtures("cold_digest_cache")
+class TestMemoisedDigests:
+    @settings(max_examples=60, deadline=None)
+    @given(partitions())
+    def test_cold_and_warm_verify_match_uncached_digest(self, part):
+        size, edges, order = part
+        want = uncached_content_digest("/memo", size)
+        blocks._digest_ranges.cache_clear()
+        assert reassemble("/memo", size, edges, order).verify() == want  # cold
+        hits = blocks._digest_ranges.cache_info().hits
+        assert reassemble("/memo", size, edges, order).verify() == want  # warm
+        assert blocks._digest_ranges.cache_info().hits == hits + 2
+        assert content_digest("/memo", size) == want
+
+    def test_warm_cache_keeps_resource_and_size_apart(self):
+        size = 20_000
+        edges = [0, 4_096, 9_000, 15_000, size]
+        warm = reassemble("/f", size, edges).verify()
+        assert reassemble("/f", size, edges).verify() == warm
+        other_resource = reassemble("/g", size, edges).verify()
+        shorter = reassemble("/f", size - 1, edges[:-1] + [size - 1]).verify()
+        assert other_resource == uncached_content_digest("/g", size)
+        assert shorter == uncached_content_digest("/f", size - 1)
+        assert len({warm, other_resource, shorter}) == 3
+
+    def test_miss_hashes_real_bytes(self, monkeypatch):
+        """A corrupted sub-range fails verify() once the memo is cleared."""
+        size = 20_000
+        edges = [0, 5_000, 12_000, size]
+        reassemble("/f", size, edges).verify()  # warm with correct content
+        real = blocks.synthetic_bytes
+
+        def corrupted(resource, first, last):
+            data = real(resource, first, last)
+            if (first, last) == (5_000, 11_999):
+                data = bytes([data[0] ^ 0xFF]) + data[1:]
+            return data
+
+        monkeypatch.setattr(blocks, "synthetic_bytes", corrupted)
+        blocks._digest_ranges.cache_clear()
+        with pytest.raises(StripeIntegrityError, match="single-path digest"):
+            reassemble("/f", size, edges).verify()

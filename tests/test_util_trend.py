@@ -1,5 +1,7 @@
 """Mann-Kendall / Theil-Sen trend detection tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,22 @@ class TestMannKendall:
         xs = 0.02 * np.arange(40) + rng.normal(size=40)
         strict = mann_kendall(xs, alpha=1e-9)
         assert strict.trend == "none"
+
+    @pytest.mark.parametrize("drift", [0.0, 0.01, 0.03, 0.05, 0.1])
+    def test_p_value_is_two_sided_normal_tail(self, drift):
+        rng = np.random.default_rng(5)
+        r = mann_kendall(drift * np.arange(60) + rng.normal(size=60))
+
+        def phi(x):
+            return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+        assert abs(r.p_value - 2.0 * (1.0 - phi(abs(r.z_score)))) <= 1e-12
+
+    def test_p_value_positive_for_large_z(self):
+        r = mann_kendall(np.arange(200.0))
+        assert r.z_score > 20.0
+        assert 0.0 < r.p_value < 1e-50
+        assert r.trend == "increasing"
 
 
 class TestTheilSen:

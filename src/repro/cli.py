@@ -7,6 +7,9 @@ Usage (also available as ``python -m repro``):
     repro section2 --reps 30 --out s2.jsonl            # the §2-3 campaign
     repro section4 --reps 40 --set-sizes 1,4,10,35 --out s4.jsonl
     repro failures --quick --out fail.jsonl             # availability study
+    repro mhttp --quick --out mhttp.jsonl               # select-one vs striping
+    repro chaos --quick --out chaos.jsonl               # fault-injection grid
+    repro scale --clients 300 --waves 2 --out scale.jsonl  # population waves
     repro section2 --reps 30 --out s2.jsonl --obs       # + obs trace
     repro obs summarize s2.jsonl.obs.jsonl              # span/counter summary
     repro obs chrome s2.jsonl.obs.jsonl                 # Perfetto-loadable JSON
@@ -28,7 +31,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis import (
     full_report,
@@ -53,8 +56,6 @@ from repro.analysis import (
     total_utilization_stats,
     utilization_vs_improvement,
 )
-from repro.analysis.availability import render_availability
-from repro.chaos.faults import FAULT_FAMILIES, FAULT_INTENSITIES
 from repro.qa.lint import iter_python_files, lint_paths
 from repro.qa.rules import INVARIANTS, RULES
 from repro.runner import (
@@ -65,16 +66,17 @@ from repro.runner import (
 )
 from repro.trace.store import TraceStore
 from repro.util.tables import render_table
-from repro.workloads.experiment import Section2Study, Section4Study
 from repro.workloads.planetlab import (
     CLIENT_CATALOG,
+    DEFAULT_SITE,
     SECTION4_RELAY_CATALOG,
     RELAY_CATALOG,
     SITES,
 )
-from repro.workloads.scenario import Scenario, ScenarioSpec
+from repro.workloads.scenario import Scenario
+from repro.workloads.studies import STUDIES, Study, get_study
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "plan_study"]
 
 #: Artefact name -> renderer over a loaded store.
 _ARTIFACTS = (
@@ -92,8 +94,14 @@ _ARTIFACTS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Construct the argument parser (exposed for testing and docs)."""
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """Construct the argument parser (exposed for testing and docs).
+
+    Every registered study (:mod:`repro.workloads.studies`) gets a
+    subcommand.  Its flags come from the study's entry, whose module is
+    imported only when ``command`` names that study or is ``None`` (the
+    full parser), so a run loads no study module it does not run.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -104,195 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s2 = sub.add_parser("section2", help="run the §2-3 campaign (22 clients)")
-    s2.add_argument("--reps", type=int, default=30, help="transfers per client")
-    s2.add_argument("--seed", type=int, default=2007)
-    s2.add_argument(
-        "--sites", default="eBay", help="comma-separated sites (default: eBay)"
-    )
-    s2.add_argument("--clients", default=None, help="comma-separated client subset")
-    s2.add_argument("--out", required=True, help="output JSONL path")
-    _add_runner_args(s2)
-
-    s4 = sub.add_parser("section4", help="run the §4 random-set sweep")
-    s4.add_argument("--reps", type=int, default=40, help="transfers per set size")
-    s4.add_argument("--seed", type=int, default=2007)
-    s4.add_argument(
-        "--set-sizes",
-        default="1,2,4,6,10,16,24,35",
-        help="comma-separated random-set sizes",
-    )
-    s4.add_argument("--out", required=True, help="output JSONL path")
-    _add_runner_args(s4)
-
-    fl = sub.add_parser(
-        "failures",
-        help="run the availability study (resilient protocol under outages)",
-    )
-    fl.add_argument(
-        "--reps",
-        type=int,
-        default=16,
-        help="transfers per client (cycling healthy/link/node/both injection)",
-    )
-    fl.add_argument("--seed", type=int, default=2007)
-    fl.add_argument("--site", default="eBay", help="target site (default: eBay)")
-    fl.add_argument("--clients", default=None, help="comma-separated client subset")
-    fl.add_argument(
-        "--interval",
-        type=float,
-        default=360.0,
-        help="seconds between a client's transfer starts (default 360)",
-    )
-    fl.add_argument(
-        "--link-mtbf", type=float, default=900.0,
-        help="mean time between direct-link flaps, seconds (default 900)",
-    )
-    fl.add_argument(
-        "--link-duration", type=float, default=150.0,
-        help="mean link-flap length, seconds (default 150)",
-    )
-    fl.add_argument(
-        "--node-mtbf", type=float, default=1800.0,
-        help="mean time between relay crashes, seconds (default 1800)",
-    )
-    fl.add_argument(
-        "--node-duration", type=float, default=240.0,
-        help="mean relay-crash length, seconds (default 240)",
-    )
-    fl.add_argument(
-        "--quick",
-        action="store_true",
-        help="tiny deterministic campaign (2 clients x 8 reps) for smoke runs",
-    )
-    fl.add_argument("--out", required=True, help="output JSONL path")
-    _add_runner_args(fl)
-
-    mh = sub.add_parser(
-        "mhttp",
-        help="run the mHTTP striping study (select-one vs stripe-k)",
-    )
-    mh.add_argument(
-        "--reps",
-        type=int,
-        default=8,
-        help="repetition slots per client (cycling healthy/node-crash injection)",
-    )
-    mh.add_argument("--seed", type=int, default=2007)
-    mh.add_argument("--site", default="eBay", help="target site (default: eBay)")
-    mh.add_argument("--clients", default=None, help="comma-separated client subset")
-    mh.add_argument(
-        "--ks",
-        default="2,3,4",
-        help="comma-separated stripe widths, paths including direct (default 2,3,4)",
-    )
-    mh.add_argument(
-        "--interval",
-        type=float,
-        default=360.0,
-        help="seconds between a client's repetition slots (default 360)",
-    )
-    mh.add_argument(
-        "--block-kb", type=float, default=512.0,
-        help="stripe block size in kB (default 512)",
-    )
-    mh.add_argument(
-        "--window", type=int, default=2,
-        help="per-path in-flight block window (default 2)",
-    )
-    mh.add_argument(
-        "--crash-duration", type=float, default=240.0,
-        help="node-mode relay outage length, seconds (default 240)",
-    )
-    mh.add_argument(
-        "--quick",
-        action="store_true",
-        help="tiny deterministic campaign (2 clients x 2 reps, k=2) for smoke runs",
-    )
-    mh.add_argument("--out", required=True, help="output JSONL path")
-    _add_runner_args(mh)
-
-    ch = sub.add_parser(
-        "chaos",
-        help="run the chaos resilience study (fault injection x mechanism)",
-    )
-    ch.add_argument(
-        "--reps",
-        type=int,
-        default=6,
-        help="repetition slots per client (each runs the full fault grid)",
-    )
-    ch.add_argument("--seed", type=int, default=2007)
-    ch.add_argument("--site", default="eBay", help="target site (default: eBay)")
-    ch.add_argument("--clients", default=None, help="comma-separated client subset")
-    ch.add_argument(
-        "--k",
-        type=int,
-        default=3,
-        help="paths per session including direct (default 3)",
-    )
-    ch.add_argument(
-        "--interval",
-        type=float,
-        default=360.0,
-        help="seconds between a client's repetition slots (default 360)",
-    )
-    ch.add_argument(
-        "--families",
-        default=",".join(FAULT_FAMILIES),
-        help="comma-separated fault families to inject "
-        f"(default {','.join(FAULT_FAMILIES)})",
-    )
-    ch.add_argument(
-        "--intensities",
-        default=",".join(FAULT_INTENSITIES),
-        help="comma-separated fault intensities "
-        f"(default {','.join(FAULT_INTENSITIES)})",
-    )
-    ch.add_argument(
-        "--quick",
-        action="store_true",
-        help="tiny deterministic campaign (2 clients x 1 rep, gray+correlated "
-        "at severe) for smoke runs",
-    )
-    ch.add_argument("--out", required=True, help="output JSONL path")
-    _add_runner_args(ch)
-
-    sc = sub.add_parser(
-        "scale",
-        help="run the population-scale study (100k clients racing probes)",
-    )
-    sc.add_argument(
-        "--clients",
-        type=int,
-        default=100_000,
-        help="concurrent clients per wave (default 100000)",
-    )
-    sc.add_argument(
-        "--waves",
-        type=int,
-        default=1,
-        help="independent waves, each its own simulation (default 1)",
-    )
-    sc.add_argument("--seed", type=int, default=2007)
-    sc.add_argument("--site", default="eBay", help="target site (default: eBay)")
-    sc.add_argument(
-        "--relays", type=int, default=4, help="deployed relays (default 4)"
-    )
-    sc.add_argument(
-        "--engine",
-        choices=("vector", "classic"),
-        default="vector",
-        help="population engine: vectorized SoA core or the per-object "
-        "oracle (classic is quadratic; cross-checks only)",
-    )
-    sc.add_argument(
-        "--quick",
-        action="store_true",
-        help="cap the population at 10k clients for smoke runs",
-    )
-    sc.add_argument("--out", required=True, help="output JSONL path")
-    _add_runner_args(sc)
+    for name, (_entry, help_text) in STUDIES.items():
+        study_parser = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            _add_study_args(study_parser, get_study(name))
 
     rep = sub.add_parser("report", help="render artefacts from a saved store")
     rep.add_argument("store", help="JSONL store written by section2/section4")
@@ -553,8 +376,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_study_args(parser: argparse.ArgumentParser, study: Study) -> None:
+    """A study's own flags, then the flags every study shares."""
+    study.arguments(parser)
+    parser.add_argument("--seed", type=int, default=2007)
+    if study.site_flag == "sites":
+        parser.add_argument(
+            "--sites", default=DEFAULT_SITE, help="comma-separated sites (default: eBay)"
+        )
+    elif study.site_flag == "site":
+        parser.add_argument(
+            "--site", default=DEFAULT_SITE, help="target site (default: eBay)"
+        )
+    if study.client_subset:
+        parser.add_argument("--clients", default=None, help="comma-separated client subset")
+    if study.quick is not None:
+        parser.add_argument("--quick", action="store_true", help=study.quick_help)
+    parser.add_argument("--out", required=True, help="output JSONL path")
+    _add_runner_args(parser)
+
+
 def _add_runner_args(parser: argparse.ArgumentParser) -> None:
-    """Campaign-runner flags shared by the section2/section4 subcommands."""
+    """Campaign-runner and obs flags shared by every study subcommand."""
     group = parser.add_argument_group("execution")
     group.add_argument(
         "--jobs",
@@ -610,32 +453,31 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _split_csv(value: Optional[str]) -> Optional[List[str]]:
+def _csv(dest: str, value: Optional[str], cast: Callable[[str], Any] = str) -> Optional[List[Any]]:
+    """Split the comma-separated flag ``dest`` into typed, distinct items.
+
+    Blank items are skipped; ``None`` stands for an absent or empty list.
+    A duplicate would silently repeat work (a twice-listed client runs every
+    paired measurement twice and double-counts it in every figure), so
+    duplicates are dropped, keeping first-seen order, with one warning.
+    """
     if value is None:
         return None
-    items = [v.strip() for v in value.split(",") if v.strip()]
-    return items or None
-
-
-def _dedupe(kind: str, items: Optional[List[str]]) -> Optional[List[str]]:
-    """Drop duplicate entries preserving first-seen order, warning on stderr.
-
-    Duplicates in ``--sites``/``--clients`` would silently run every paired
-    measurement for the duplicated name twice (and double-count it in every
-    figure downstream).
-    """
-    if not items:
-        return items
-    seen = dict.fromkeys(items)
-    if len(seen) != len(items):
-        dropped = len(items) - len(seen)
+    flag = "--" + dest.replace("_", "-")
+    try:
+        items = [cast(v.strip()) for v in value.split(",") if v.strip()]
+    except ValueError:
+        raise _UsageError(f"{flag} must be a comma-separated list of {cast.__name__}")
+    distinct = list(dict.fromkeys(items))
+    dropped = len(items) - len(distinct)
+    if dropped:
         print(
-            f"warning: ignoring {dropped} duplicate {kind} entr"
-            f"{'y' if dropped == 1 else 'ies'} in --{kind} "
+            f"warning: ignoring {dropped} duplicate {flag[2:]} entr"
+            f"{'y' if dropped == 1 else 'ies'} in {flag} "
             f"(kept first occurrence, order preserved)",
             file=sys.stderr,
         )
-    return list(seen)
+    return distinct or None
 
 
 def _runner_kwargs(args) -> dict:
@@ -730,282 +572,60 @@ def _write_obs_trace(observer, out: str, shard_dir: str) -> None:
     )
 
 
-def _cmd_section2(args) -> int:
-    sites = _dedupe("sites", _split_csv(args.sites)) or ["eBay"]
+def plan_study(study: Study, args: argparse.Namespace) -> Tuple[Scenario, Any]:
+    """Validate a parsed study invocation and plan it, running nothing.
+
+    Every study goes through here: list flags are split and deduplicated,
+    sites and clients validated, the ``--quick`` preset applied, and a
+    ``ValueError`` from the study's planner becomes a usage error.
+    """
+    lists = dict(study.lists)
+    if study.site_flag == "sites":
+        lists["sites"] = str
+    if study.client_subset:
+        lists["clients"] = str
+    for dest, cast in lists.items():
+        setattr(args, dest, _csv(dest, getattr(args, dest), cast))
+    sites: List[str] = []
+    if study.site_flag == "sites":
+        args.sites = args.sites or [DEFAULT_SITE]
+        sites = args.sites
+    elif study.site_flag == "site":
+        sites = [args.site]
     unknown = [s for s in sites if s not in SITES]
     if unknown:
-        print(f"error: unknown sites {unknown}; choose from {list(SITES)}",
-              file=sys.stderr)
-        return 2
-    scenario = Scenario.build(
-        ScenarioSpec.section2(sites=tuple(sites)), seed=args.seed
-    )
-    clients = _dedupe("clients", _split_csv(args.clients))
-    if clients:
-        missing = [c for c in clients if c not in scenario.client_names]
+        raise _UsageError(f"unknown sites {unknown}; choose from {list(SITES)}")
+    scenario = Scenario.build(study.spec(tuple(sites)), seed=args.seed)
+    if study.client_subset and args.clients:
+        missing = [c for c in args.clients if c not in scenario.client_names]
         if missing:
-            print(f"error: unknown clients {missing}", file=sys.stderr)
-            return 2
-    study = Section2Study(scenario, repetitions=args.reps)
-    with _obs_capture(args):
-        store = study.run(sites=sites, clients=clients, **_runner_kwargs(args))
-    store.save_jsonl(args.out)
-    print(f"wrote {len(store)} records to {args.out}")
-    return 0
-
-
-def _cmd_section4(args) -> int:
+            raise _UsageError(f"unknown clients {missing}")
+    if study.quick is not None and args.quick:
+        if study.client_subset:
+            args.clients = args.clients or scenario.client_names[:2]
+        study.quick(args)
     try:
-        set_sizes = [int(v) for v in args.set_sizes.split(",") if v.strip()]
-    except ValueError:
-        print("error: --set-sizes must be comma-separated integers", file=sys.stderr)
-        return 2
-    if not set_sizes or any(k < 1 for k in set_sizes):
-        print("error: set sizes must be positive", file=sys.stderr)
-        return 2
-    scenario = Scenario.build(ScenarioSpec.section4(), seed=args.seed)
-    study = Section4Study(scenario, repetitions=args.reps)
-    with _obs_capture(args):
-        store = study.run_random_set_sweep(set_sizes, **_runner_kwargs(args))
-    store.save_jsonl(args.out)
-    print(f"wrote {len(store)} records to {args.out}")
-    return 0
-
-
-def _cmd_failures(args) -> int:
-    from repro.workloads.failures import (
-        FAILURES_SESSION_CONFIG,
-        FailureStudyParams,
-        plan_failures,
-    )
-
-    if args.site not in SITES:
-        print(
-            f"error: unknown site {args.site!r}; choose from {list(SITES)}",
-            file=sys.stderr,
-        )
-        return 2
-    scenario = Scenario.build(
-        ScenarioSpec.section2(sites=(args.site,)), seed=args.seed
-    )
-    clients = _dedupe("clients", _split_csv(args.clients))
-    if clients:
-        missing = [c for c in clients if c not in scenario.client_names]
-        if missing:
-            print(f"error: unknown clients {missing}", file=sys.stderr)
-            return 2
-    reps = args.reps
-    if args.quick:
-        # A fixed tiny campaign: deterministic, covers every injection mode
-        # twice per client, finishes in seconds.
-        reps = 8
-        clients = clients or scenario.client_names[:2]
-    params = FailureStudyParams(
-        link_mtbf=args.link_mtbf,
-        link_mean_duration=args.link_duration,
-        node_mtbf=args.node_mtbf,
-        node_mean_duration=args.node_duration,
-    )
-    plan = plan_failures(
-        scenario,
-        repetitions=reps,
-        interval=args.interval,
-        config=FAILURES_SESSION_CONFIG,
-        params=params,
-        site=args.site,
-        clients=clients,
-    )
-    with _obs_capture(args):
-        result = execute_plan(plan, scenario=scenario, **_runner_kwargs(args))
-    store = result.store
-    if store is None:  # pragma: no cover - max_units is not exposed here
-        print("campaign incomplete; resume with --checkpoint/--resume")
-        return 1
-    store.save_jsonl(args.out)
-    print(f"wrote {len(store)} records to {args.out}")
-    print()
-    print(render_availability(store.records))
-    return 0
-
-
-def _cmd_mhttp(args) -> int:
-    from repro.analysis.mhttp import render_mhttp
-    from repro.util.units import kb
-    from repro.workloads.mhttp import (
-        MHTTP_SESSION_CONFIG,
-        MhttpStudyParams,
-        plan_mhttp,
-    )
-
-    if args.site not in SITES:
-        print(
-            f"error: unknown site {args.site!r}; choose from {list(SITES)}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        ks = [int(v) for v in args.ks.split(",") if v.strip()]
-    except ValueError:
-        print("error: --ks must be comma-separated integers", file=sys.stderr)
-        return 2
-    if not ks or any(k < 2 for k in ks):
-        print("error: stripe widths must be >= 2", file=sys.stderr)
-        return 2
-    scenario = Scenario.build(
-        ScenarioSpec.section2(sites=(args.site,)), seed=args.seed
-    )
-    clients = _dedupe("clients", _split_csv(args.clients))
-    if clients:
-        missing = [c for c in clients if c not in scenario.client_names]
-        if missing:
-            print(f"error: unknown clients {missing}", file=sys.stderr)
-            return 2
-    reps = args.reps
-    if args.quick:
-        # A fixed tiny campaign: both mechanisms and both injection modes
-        # once per client at k=2, finishes in seconds.
-        reps = 2
-        ks = [2]
-        clients = clients or scenario.client_names[:2]
-    params = MhttpStudyParams(
-        block_bytes=kb(args.block_kb),
-        window=args.window,
-        crash_duration=args.crash_duration,
-    )
-    plan = plan_mhttp(
-        scenario,
-        repetitions=reps,
-        interval=args.interval,
-        ks=ks,
-        config=MHTTP_SESSION_CONFIG,
-        params=params,
-        site=args.site,
-        clients=clients,
-    )
-    with _obs_capture(args):
-        result = execute_plan(plan, scenario=scenario, **_runner_kwargs(args))
-    store = result.store
-    if store is None:  # pragma: no cover - max_units is not exposed here
-        print("campaign incomplete; resume with --checkpoint/--resume")
-        return 1
-    store.save_jsonl(args.out)
-    print(f"wrote {len(store)} records to {args.out}")
-    print()
-    print(render_mhttp(store.records))
-    return 0
-
-
-def _cmd_chaos(args) -> int:
-    from repro.analysis.chaos import render_chaos
-    from repro.workloads.chaos import (
-        CHAOS_SESSION_CONFIG,
-        ChaosStudyParams,
-        plan_chaos,
-    )
-
-    if args.site not in SITES:
-        print(
-            f"error: unknown site {args.site!r}; choose from {list(SITES)}",
-            file=sys.stderr,
-        )
-        return 2
-    families = _split_csv(args.families) or list(FAULT_FAMILIES)
-    intensities = _split_csv(args.intensities) or list(FAULT_INTENSITIES)
-    scenario = Scenario.build(
-        ScenarioSpec.section2(sites=(args.site,)), seed=args.seed
-    )
-    clients = _dedupe("clients", _split_csv(args.clients))
-    if clients:
-        missing = [c for c in clients if c not in scenario.client_names]
-        if missing:
-            print(f"error: unknown clients {missing}", file=sys.stderr)
-            return 2
-    reps = args.reps
-    if args.quick:
-        # A fixed tiny campaign: the two acceptance families at one
-        # intensity, every mechanism arm, finishes in seconds.
-        reps = 1
-        families = ["none", "gray", "correlated"]
-        intensities = ["severe"]
-        clients = clients or scenario.client_names[:2]
-    try:
-        plan = plan_chaos(
-            scenario,
-            repetitions=reps,
-            interval=args.interval,
-            k=args.k,
-            families=families,
-            intensities=intensities,
-            config=CHAOS_SESSION_CONFIG,
-            params=ChaosStudyParams(),
-            site=args.site,
-            clients=clients,
-        )
+        return scenario, study.plan(scenario, args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(exc))
+
+
+def _run_study(args: argparse.Namespace) -> int:
+    """The one driver for every registered study: plan, execute, save, render."""
+    study = get_study(args.command)
+    runner_kwargs = _runner_kwargs(args)
+    scenario, plan = plan_study(study, args)
     with _obs_capture(args):
-        result = execute_plan(plan, scenario=scenario, **_runner_kwargs(args))
+        result = execute_plan(plan, scenario=scenario, **runner_kwargs)
     store = result.store
     if store is None:  # pragma: no cover - max_units is not exposed here
         print("campaign incomplete; resume with --checkpoint/--resume")
         return 1
     store.save_jsonl(args.out)
     print(f"wrote {len(store)} records to {args.out}")
-    print()
-    print(render_chaos(store.records))
-    return 0
-
-
-def _cmd_scale(args) -> int:
-    from repro.analysis.scale import render_scale
-    from repro.workloads.scale import (
-        SCALE_SESSION_CONFIG,
-        ScaleStudyParams,
-        plan_scale,
-    )
-
-    if args.site not in SITES:
-        print(
-            f"error: unknown site {args.site!r}; choose from {list(SITES)}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.waves < 1:
-        print("error: --waves must be >= 1", file=sys.stderr)
-        return 2
-    clients = args.clients
-    if args.quick:
-        clients = min(clients, 10_000)
-    try:
-        params = ScaleStudyParams(
-            clients_per_wave=clients,
-            n_relays=args.relays,
-            engine=args.engine,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    scenario = Scenario.build(
-        ScenarioSpec.section2(sites=(args.site,)), seed=args.seed
-    )
-    plan = plan_scale(
-        scenario,
-        waves=args.waves,
-        config=SCALE_SESSION_CONFIG,
-        params=params,
-        site=args.site,
-    )
-    with _obs_capture(args):
-        result = execute_plan(plan, scenario=scenario, **_runner_kwargs(args))
-    store = result.store
-    if store is None:  # pragma: no cover - max_units is not exposed here
-        print("campaign incomplete; resume with --checkpoint/--resume")
-        return 1
-    store.save_jsonl(args.out)
-    print(f"wrote {len(store)} records to {args.out}")
-    print()
-    print(render_scale(store.records))
+    if study.render is not None:
+        print()
+        print(study.render(store.records))
     return 0
 
 
@@ -1213,7 +833,7 @@ def _cmd_perf(args) -> int:
         seed_missing_baselines,
     )
 
-    names = _split_csv(args.only)
+    names = _csv("only", args.only)
     if names:
         unknown = [n for n in names if n not in BENCHES]
         if unknown:
@@ -1415,14 +1035,10 @@ def _cmd_selfcheck(_args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     handlers = {
-        "section2": _cmd_section2,
-        "section4": _cmd_section4,
-        "failures": _cmd_failures,
-        "mhttp": _cmd_mhttp,
-        "chaos": _cmd_chaos,
-        "scale": _cmd_scale,
+        **{name: _run_study for name in STUDIES},
         "report": _cmd_report,
         "catalog": _cmd_catalog,
         "lint": _cmd_lint,
@@ -1433,10 +1049,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CheckpointError as exc:
+    except (_UsageError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnitExecutionError as exc:

@@ -257,12 +257,14 @@ class Project:
         """Study/CLI entry points for reachability filters.
 
         CLI command handlers, ``main`` functions, study ``run*`` methods,
-        the campaign executor and worker bootstraps.  When the analyzed
-        tree contains none of these (e.g. a test fixture package), every
-        module-level function is treated as an entry point so the passes
-        still have a root set.
+        the campaign executor, worker bootstraps, and every function a
+        study registry entry names (a module-level ``Study(...)``: the CLI
+        and the runner reach its planner and unit runner only through the
+        registry).  When the analyzed tree contains none of these (e.g. a
+        test fixture package), every module-level function is treated as
+        an entry point so the passes still have a root set.
         """
-        entries: List[str] = []
+        entries: List[str] = list(self._registered_functions())
         for info in self.functions.values():
             base = info.name
             mod_tail = info.module.rsplit(".", 1)[-1]
@@ -283,6 +285,21 @@ class Project:
                 if info.cls is None and not info.nested
             ]
         return tuple(sorted(set(entries)))
+
+    def _registered_functions(self) -> Iterable[str]:
+        """Functions passed by keyword to a module-level ``Study(...)``."""
+        for module in self.modules.values():
+            for stmt in module.tree.body:
+                if not (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call)):
+                    continue
+                written = dotted_name(stmt.value.func)
+                if written is None or written.rsplit(".", 1)[-1] != "Study":
+                    continue
+                for keyword in stmt.value.keywords:
+                    if isinstance(keyword.value, ast.Name):
+                        target = self.resolve_in_module(module, keyword.value.id)
+                        if target in self.functions:
+                            yield target
 
 
 # --------------------------------------------------------------------------- #

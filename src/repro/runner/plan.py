@@ -95,9 +95,9 @@ class WorkUnit:
     #: Study-specific discriminator (e.g. the failure study's injection
     #: mode); ``None`` for the classic §2/§4 campaigns.
     variant: Optional[str] = None
-    #: Unit-runner selector for studies with their own execution function
-    #: (e.g. ``"mhttp"`` for the striping study); ``None`` routes through
-    #: the legacy paired-transfer / failure-study dispatch.
+    #: Registry name of the study that executes the unit (e.g. ``"mhttp"``);
+    #: ``None`` dispatches by ``study`` instead (see
+    #: :func:`repro.workloads.studies.unit_runner`).
     runner: Optional[str] = None
 
     @property

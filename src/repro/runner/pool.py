@@ -40,7 +40,7 @@ import signal
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, TextIO, Tuple
 
 from repro.core.session import SessionConfig
@@ -51,6 +51,7 @@ from repro.runner.progress import ProgressReporter, RunSummary
 from repro.trace.records import TransferRecord
 from repro.trace.store import TraceStore
 from repro.workloads.scenario import Scenario
+from repro.workloads.studies import unit_runner
 
 __all__ = [
     "DEFAULT_CHECKPOINT_EVERY",
@@ -124,44 +125,11 @@ def run_unit(
 ) -> TransferRecord:
     """Execute one work unit (the default unit runner, used by workers).
 
-    Units carrying a ``runner`` name dispatch to that study's execution
-    function; units carrying only a ``variant`` belong to the failure
-    study.  Both receive the plan's ``extra`` parameters.  Plain units run
-    the classic paired transfer.
+    The study registry names the function that runs the unit
+    (:func:`repro.workloads.studies.unit_runner`); it receives the plan's
+    ``extra`` parameters.
     """
-    if unit.runner is not None:
-        if unit.runner == "mhttp":
-            from repro.workloads.mhttp import run_mhttp_unit
-
-            return run_mhttp_unit(scenario, config, unit, extra)
-        if unit.runner == "scale":
-            from repro.workloads.scale import run_scale_unit
-
-            return run_scale_unit(scenario, config, unit, extra)
-        if unit.runner == "chaos":
-            from repro.workloads.chaos import run_chaos_unit
-
-            return run_chaos_unit(scenario, config, unit, extra)
-        raise ValueError(f"unknown unit runner {unit.runner!r}")
-    if unit.variant is not None:
-        from repro.workloads.failures import run_failure_unit
-
-        return run_failure_unit(scenario, config, unit, extra)
-    from repro.workloads.experiment import run_paired_transfer
-
-    record = run_paired_transfer(
-        scenario,
-        study=unit.study,
-        client=unit.client,
-        site=unit.site,
-        repetition=unit.repetition,
-        start_time=unit.start_time,
-        offered=list(unit.offered),
-        config=config,
-    )
-    if unit.set_size_label is not None:
-        record = replace(record, set_size=unit.set_size_label)
-    return record
+    return unit_runner(unit)(scenario, config, unit, extra)
 
 
 # --------------------------------------------------------------------------- #

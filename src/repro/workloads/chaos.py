@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.faults import (
     FAULT_FAMILIES,
@@ -41,8 +41,10 @@ from repro.stripe.blocks import DEFAULT_BLOCK_BYTES, StripeConfig
 from repro.trace.records import ChaosRecord
 from repro.workloads.experiment import STUDY_SESSION_CONFIG
 from repro.workloads.scenario import Scenario, Universe
+from repro.workloads.studies import Study
 
 __all__ = [
+    "STUDY",
     "CHAOS_MECHANISMS",
     "CHAOS_RESILIENCE",
     "CHAOS_SESSION_CONFIG",
@@ -211,6 +213,8 @@ def plan_chaos(
 
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if interval <= 0.0:
+        raise ValueError(f"interval must be positive, got {interval}")
     if k < 2:
         raise ValueError(f"k must be >= 2 (direct plus >= 1 relay), got {k}")
     if k - 1 > len(scenario.relay_names):
@@ -411,3 +415,75 @@ def run_chaos_unit(
         recovery_events=events,
         **mech_fields,
     )
+
+
+def _arguments(parser: Any) -> None:
+    parser.add_argument(
+        "--reps",
+        type=int,
+        default=6,
+        help="repetition slots per client (each runs the full fault grid)",
+    )
+    parser.add_argument(
+        "--k",
+        type=int,
+        default=3,
+        help="paths per session including direct (default 3)",
+    )
+    parser.add_argument(
+        "--interval",
+        type=float,
+        default=360.0,
+        help="seconds between a client's repetition slots (default 360)",
+    )
+    parser.add_argument(
+        "--families",
+        default=",".join(FAULT_FAMILIES),
+        help="comma-separated fault families to inject "
+        f"(default {','.join(FAULT_FAMILIES)})",
+    )
+    parser.add_argument(
+        "--intensities",
+        default=",".join(FAULT_INTENSITIES),
+        help="comma-separated fault intensities "
+        f"(default {','.join(FAULT_INTENSITIES)})",
+    )
+
+
+def _quick(args: Any) -> None:
+    # A fixed tiny campaign: the two acceptance families at one
+    # intensity, every mechanism arm, finishes in seconds.
+    args.reps = 1
+    args.families = ["none", "gray", "correlated"]
+    args.intensities = ["severe"]
+
+
+def _plan(scenario: Scenario, args: Any) -> Any:
+    return plan_chaos(
+        scenario,
+        repetitions=args.reps,
+        interval=args.interval,
+        k=args.k,
+        families=args.families or FAULT_FAMILIES,
+        intensities=args.intensities or FAULT_INTENSITIES,
+        site=args.site,
+        clients=args.clients,
+    )
+
+
+def _render(records: Sequence[Any]) -> str:
+    from repro.analysis.chaos import render_chaos
+
+    return render_chaos(records)
+
+
+STUDY = Study(
+    plan=_plan,
+    run_unit=run_chaos_unit,
+    arguments=_arguments,
+    lists={"families": str, "intensities": str},
+    quick=_quick,
+    quick_help="tiny deterministic campaign (2 clients x 1 rep, gray+correlated "
+    "at severe) for smoke runs",
+    render=_render,
+)

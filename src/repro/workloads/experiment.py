@@ -19,8 +19,8 @@ network conditions without interfering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Iterable, List, Optional, Sequence
 
 from repro.core.policy import SelectionPolicy
 from repro.core.probe import ProbeMode
@@ -29,12 +29,16 @@ from repro.http.transfer import TcpParams
 from repro.trace.records import TransferRecord
 from repro.trace.store import TraceStore
 from repro.util.units import MINUTE
-from repro.workloads.scenario import Scenario
+from repro.workloads.scenario import Scenario, ScenarioSpec
+from repro.workloads.studies import Study
 
 __all__ = [
+    "SECTION2_STUDY",
+    "SECTION4_STUDY",
     "Section2Study",
     "Section4Study",
     "run_paired_transfer",
+    "run_paired_unit",
     "run_interfering_pair",
     "STUDY_SESSION_CONFIG",
     "SECTION4_SESSION_CONFIG",
@@ -166,6 +170,30 @@ def run_interfering_pair(
     )
 
 
+def _execute(
+    plan: Any,
+    scenario: Scenario,
+    *,
+    checkpoint_every: Optional[int] = None,
+    max_retries: Optional[int] = None,
+    **kwargs: Any,
+) -> TraceStore:
+    """Run a whole plan through the campaign runner (``None`` = its default)."""
+    from repro import runner
+
+    result = runner.execute_plan(
+        plan,
+        scenario=scenario,
+        checkpoint_every=(
+            runner.DEFAULT_CHECKPOINT_EVERY if checkpoint_every is None else checkpoint_every
+        ),
+        max_retries=runner.DEFAULT_MAX_RETRIES if max_retries is None else max_retries,
+        **kwargs,
+    )
+    assert result.store is not None  # full plan: merge cannot be partial
+    return result.store
+
+
 @dataclass
 class Section2Study:
     """The §2-3 campaign: one rotating candidate relay per transfer.
@@ -244,27 +272,17 @@ class Section2Study:
         byte-identical output.  ``checkpoint``/``resume`` enable incremental
         shard persistence (see :mod:`repro.runner.checkpoint`).
         """
-        from repro import runner
-
-        result = runner.execute_plan(
+        return _execute(
             self.plan(sites=sites, clients=clients),
-            scenario=self.scenario,
+            self.scenario,
             jobs=jobs,
             checkpoint=checkpoint,
             resume=resume,
-            checkpoint_every=(
-                checkpoint_every
-                if checkpoint_every is not None
-                else runner.DEFAULT_CHECKPOINT_EVERY
-            ),
+            checkpoint_every=checkpoint_every,
             progress=progress,
             unit_timeout=unit_timeout,
-            max_retries=(
-                max_retries if max_retries is not None else runner.DEFAULT_MAX_RETRIES
-            ),
+            max_retries=max_retries,
         )
-        assert result.store is not None  # full plan: merge cannot be partial
-        return result.store
 
 
 @dataclass
@@ -325,8 +343,6 @@ class Section4Study:
         from repro.runner.plan import plan_section4_policy, policy_is_stateless
 
         if policy_is_stateless(policy):
-            from repro.runner.pool import execute_plan
-
             plan = plan_section4_policy(
                 self.scenario,
                 policy,
@@ -338,9 +354,7 @@ class Section4Study:
                 clients=clients,
                 set_size_label=set_size_label,
             )
-            result = execute_plan(plan, scenario=self.scenario, jobs=jobs)
-            assert result.store is not None
-            return result.store
+            return _execute(plan, self.scenario, jobs=jobs)
         if jobs != 1:
             raise ValueError(
                 f"policy {policy.name!r} adapts to feedback; its campaign is "
@@ -420,24 +434,87 @@ class Section4Study:
         planner with the serial draw order, so output is byte-identical for
         every ``jobs`` value.
         """
-        from repro import runner
-
-        result = runner.execute_plan(
+        return _execute(
             self.plan_random_set_sweep(k_values, site=site, clients=clients),
-            scenario=self.scenario,
+            self.scenario,
             jobs=jobs,
             checkpoint=checkpoint,
             resume=resume,
-            checkpoint_every=(
-                checkpoint_every
-                if checkpoint_every is not None
-                else runner.DEFAULT_CHECKPOINT_EVERY
-            ),
+            checkpoint_every=checkpoint_every,
             progress=progress,
             unit_timeout=unit_timeout,
-            max_retries=(
-                max_retries if max_retries is not None else runner.DEFAULT_MAX_RETRIES
-            ),
+            max_retries=max_retries,
         )
-        assert result.store is not None
-        return result.store
+
+
+# --------------------------------------------------------------------------- #
+# registry entries (repro.workloads.studies)
+# --------------------------------------------------------------------------- #
+def run_paired_unit(
+    scenario: Scenario, config: SessionConfig, unit: Any, extra: Optional[Any] = None
+) -> TransferRecord:
+    """Execute one §2/§4 work unit: a paired transfer.
+
+    A policy run that overrides the recorded set size carries it as the
+    unit's ``set_size_label``.  The §2/§4 plans have no ``extra``.
+    """
+    record = run_paired_transfer(
+        scenario,
+        study=unit.study,
+        client=unit.client,
+        site=unit.site,
+        repetition=unit.repetition,
+        start_time=unit.start_time,
+        offered=list(unit.offered),
+        config=config,
+    )
+    if unit.set_size_label is not None:
+        record = replace(record, set_size=unit.set_size_label)
+    return record
+
+
+def _section2_arguments(parser: Any) -> None:
+    parser.add_argument("--reps", type=int, default=30, help="transfers per client")
+
+
+def _plan_section2(scenario: Scenario, args: Any) -> Any:
+    study = Section2Study(scenario, repetitions=args.reps)
+    return study.plan(sites=args.sites, clients=args.clients)
+
+
+def _section4_arguments(parser: Any) -> None:
+    parser.add_argument("--reps", type=int, default=40, help="transfers per set size")
+    parser.add_argument(
+        "--set-sizes",
+        default="1,2,4,6,10,16,24,35",
+        help="comma-separated random-set sizes",
+    )
+
+
+def _plan_section4(scenario: Scenario, args: Any) -> Any:
+    if not args.set_sizes:
+        raise ValueError("--set-sizes needs at least one size")
+    study = Section4Study(scenario, repetitions=args.reps)
+    return study.plan_random_set_sweep(args.set_sizes)
+
+
+def _section4_spec(sites: Any) -> ScenarioSpec:
+    return ScenarioSpec.section4()
+
+
+SECTION2_STUDY = Study(
+    plan=_plan_section2,
+    run_unit=run_paired_unit,
+    arguments=_section2_arguments,
+    site_flag="sites",
+)
+
+SECTION4_STUDY = Study(
+    plan=_plan_section4,
+    run_unit=run_paired_unit,
+    arguments=_section4_arguments,
+    lists={"set_sizes": int},
+    site_flag=None,
+    client_subset=False,
+    spec=_section4_spec,
+)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import math
 
@@ -48,8 +48,10 @@ from repro.net.topology import wan_link_name
 from repro.trace.records import FailureRecord
 from repro.workloads.experiment import STUDY_SESSION_CONFIG
 from repro.workloads.scenario import Scenario
+from repro.workloads.studies import Study
 
 __all__ = [
+    "STUDY",
     "FailureTransferRecord",
     "FailureStudy",
     "MaskingStats",
@@ -312,6 +314,8 @@ def plan_failures(
 
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if interval <= 0.0:
+        raise ValueError(f"interval must be positive, got {interval}")
     client_list = list(clients) if clients is not None else scenario.client_names
     units = []
     for client in client_list:
@@ -415,3 +419,73 @@ def run_failure_unit(
         outage_overlap=overlap,
         recovery_events=events,
     )
+
+
+def _arguments(parser: Any) -> None:
+    parser.add_argument(
+        "--reps",
+        type=int,
+        default=16,
+        help="transfers per client (cycling healthy/link/node/both injection)",
+    )
+    parser.add_argument(
+        "--interval",
+        type=float,
+        default=360.0,
+        help="seconds between a client's transfer starts (default 360)",
+    )
+    parser.add_argument(
+        "--link-mtbf", type=float, default=900.0,
+        help="mean time between direct-link flaps, seconds (default 900)",
+    )
+    parser.add_argument(
+        "--link-duration", type=float, default=150.0,
+        help="mean link-flap length, seconds (default 150)",
+    )
+    parser.add_argument(
+        "--node-mtbf", type=float, default=1800.0,
+        help="mean time between relay crashes, seconds (default 1800)",
+    )
+    parser.add_argument(
+        "--node-duration", type=float, default=240.0,
+        help="mean relay-crash length, seconds (default 240)",
+    )
+
+
+def _quick(args: Any) -> None:
+    # A fixed tiny campaign: deterministic, covers every injection mode
+    # twice per client, finishes in seconds.
+    args.reps = 8
+
+
+def _plan(scenario: Scenario, args: Any) -> Any:
+    params = FailureStudyParams(
+        link_mtbf=args.link_mtbf,
+        link_mean_duration=args.link_duration,
+        node_mtbf=args.node_mtbf,
+        node_mean_duration=args.node_duration,
+    )
+    return plan_failures(
+        scenario,
+        repetitions=args.reps,
+        interval=args.interval,
+        params=params,
+        site=args.site,
+        clients=args.clients,
+    )
+
+
+def _render(records: Sequence[Any]) -> str:
+    from repro.analysis.availability import render_availability
+
+    return render_availability(records)
+
+
+STUDY = Study(
+    plan=_plan,
+    run_unit=run_failure_unit,
+    arguments=_arguments,
+    quick=_quick,
+    quick_help="tiny deterministic campaign (2 clients x 8 reps) for smoke runs",
+    render=_render,
+)

@@ -25,17 +25,20 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.resilience import ResilienceConfig
 from repro.core.session import SessionConfig
 from repro.net.failures import Outage, node_outage_plan
 from repro.stripe.blocks import DEFAULT_BLOCK_BYTES, StripeConfig
 from repro.trace.records import StripeRecord
+from repro.util.units import kb
 from repro.workloads.experiment import STUDY_SESSION_CONFIG
 from repro.workloads.scenario import Scenario
+from repro.workloads.studies import Study
 
 __all__ = [
+    "STUDY",
     "MHTTP_MODES",
     "MHTTP_MECHANISMS",
     "MHTTP_RESILIENCE",
@@ -183,6 +186,8 @@ def plan_mhttp(
 
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if interval <= 0.0:
+        raise ValueError(f"interval must be positive, got {interval}")
     k_list = sorted(set(int(k) for k in ks))
     if not k_list or k_list[0] < 2:
         raise ValueError(f"ks must be integers >= 2, got {list(ks)}")
@@ -339,3 +344,76 @@ def run_mhttp_unit(
         recovery_events=events,
         **mech_fields,
     )
+
+
+def _arguments(parser: Any) -> None:
+    parser.add_argument(
+        "--reps",
+        type=int,
+        default=8,
+        help="repetition slots per client (cycling healthy/node-crash injection)",
+    )
+    parser.add_argument(
+        "--ks",
+        default="2,3,4",
+        help="comma-separated stripe widths, paths including direct (default 2,3,4)",
+    )
+    parser.add_argument(
+        "--interval",
+        type=float,
+        default=360.0,
+        help="seconds between a client's repetition slots (default 360)",
+    )
+    parser.add_argument(
+        "--block-kb", type=float, default=512.0,
+        help="stripe block size in kB (default 512)",
+    )
+    parser.add_argument(
+        "--window", type=int, default=2,
+        help="per-path in-flight block window (default 2)",
+    )
+    parser.add_argument(
+        "--crash-duration", type=float, default=240.0,
+        help="node-mode relay outage length, seconds (default 240)",
+    )
+
+
+def _quick(args: Any) -> None:
+    # A fixed tiny campaign: both mechanisms and both injection modes
+    # once per client at k=2, finishes in seconds.
+    args.reps = 2
+    args.ks = [2]
+
+
+def _plan(scenario: Scenario, args: Any) -> Any:
+    params = MhttpStudyParams(
+        block_bytes=kb(args.block_kb),
+        window=args.window,
+        crash_duration=args.crash_duration,
+    )
+    return plan_mhttp(
+        scenario,
+        repetitions=args.reps,
+        interval=args.interval,
+        ks=args.ks or (),
+        params=params,
+        site=args.site,
+        clients=args.clients,
+    )
+
+
+def _render(records: Sequence[Any]) -> str:
+    from repro.analysis.mhttp import render_mhttp
+
+    return render_mhttp(records)
+
+
+STUDY = Study(
+    plan=_plan,
+    run_unit=run_mhttp_unit,
+    arguments=_arguments,
+    lists={"ks": int},
+    quick=_quick,
+    quick_help="tiny deterministic campaign (2 clients x 2 reps, k=2) for smoke runs",
+    render=_render,
+)

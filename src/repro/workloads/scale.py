@@ -34,7 +34,7 @@ and the wave timeline appears as spans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,8 +50,10 @@ from repro.trace.records import ScaleRecord
 from repro.util.units import mb, mbps_to_bytes_per_s
 from repro.workloads.experiment import STUDY_SESSION_CONFIG
 from repro.workloads.scenario import Scenario
+from repro.workloads.studies import Study
 
 __all__ = [
+    "STUDY",
     "SCALE_SESSION_CONFIG",
     "ScaleStudyParams",
     "plan_scale",
@@ -425,3 +427,60 @@ def run_scale_unit(
         latency_p99=q(lat, 0.99),
         latency_max=float(lat.max()),
     )
+
+
+def _arguments(parser: Any) -> None:
+    parser.add_argument(
+        "--clients",
+        type=int,
+        default=100_000,
+        help="concurrent clients per wave (default 100000)",
+    )
+    parser.add_argument(
+        "--waves",
+        type=int,
+        default=1,
+        help="independent waves, each its own simulation (default 1)",
+    )
+    parser.add_argument(
+        "--relays", type=int, default=4, help="deployed relays (default 4)"
+    )
+    parser.add_argument(
+        "--engine",
+        choices=("vector", "classic"),
+        default="vector",
+        help="population engine: vectorized SoA core or the per-object "
+        "oracle (classic is quadratic; cross-checks only)",
+    )
+
+
+def _quick(args: Any) -> None:
+    args.clients = min(args.clients, 10_000)
+
+
+def _plan(scenario: Scenario, args: Any) -> Any:
+    if args.waves < 1:
+        raise ValueError("--waves must be >= 1")
+    params = ScaleStudyParams(
+        clients_per_wave=args.clients,
+        n_relays=args.relays,
+        engine=args.engine,
+    )
+    return plan_scale(scenario, waves=args.waves, params=params, site=args.site)
+
+
+def _render(records: Sequence[Any]) -> str:
+    from repro.analysis.scale import render_scale
+
+    return render_scale(records)
+
+
+STUDY = Study(
+    plan=_plan,
+    run_unit=run_scale_unit,
+    arguments=_arguments,
+    client_subset=False,
+    quick=_quick,
+    quick_help="cap the population at 10k clients for smoke runs",
+    render=_render,
+)

@@ -391,6 +391,19 @@ class TestRealTree:
             q.endswith("execute_plan") for q in project.entry_points()
         )
 
+    def test_registered_unit_runners_are_reachable(self):
+        """Runners dispatched through the study registry stay analyzed."""
+        project = build_project([str(REPO_ROOT / "src")])
+        reachable = project.reachable_from(project.entry_points())
+        for qualname in (
+            "repro.workloads.experiment.run_paired_transfer",
+            "repro.workloads.failures.run_failure_unit",
+            "repro.workloads.mhttp.run_mhttp_unit",
+            "repro.workloads.chaos.run_chaos_unit",
+            "repro.workloads.scale.run_scale_unit",
+        ):
+            assert qualname in reachable, qualname
+
 
 class TestCheckCli:
     def test_exit_one_on_findings_and_zero_with_baseline(

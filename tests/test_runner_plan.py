@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.cli import build_parser, plan_study
 from repro.core.history import HistoryRankedPolicy
 from repro.core.random_set import UniformRandomSetPolicy
 from repro.runner.plan import (
@@ -21,6 +22,7 @@ from repro.workloads.experiment import (
     Section2Study,
     Section4Study,
 )
+from repro.workloads.studies import get_study
 
 CLIENTS = ["Italy", "Sweden", "Taiwan"]
 
@@ -227,3 +229,47 @@ class TestWorkUnitShape:
         )
         assert unit.set_size_label is None
         assert unit.sort_key == 0
+
+
+#: Fingerprints of each study's ``--quick`` plan and of the section2/section4
+#: (and small scale) plans the CI runs, as the CLI plans them.  Checkpoints of
+#: these campaigns must stay resumable, so none of these may ever change.
+PINNED_PLANS = [
+    (
+        ["section2", "--reps", "4", "--clients", "Italy,Sweden,Taiwan"],
+        "a0f1b718ea8b2f36e332102a8061f2e93e20e64377ff323507725de21f9f7abf",
+    ),
+    (
+        ["section4", "--reps", "4", "--set-sizes", "1,4,10"],
+        "3cca60d1a9b9d2a447d6ce5382bd5560ec7c949dfcb4a14f73026cf47090770a",
+    ),
+    (
+        ["failures", "--quick"],
+        "a37f78558fa559feedda097ac6eb125c98d93cfd45abd02a60f2d086dd8a2677",
+    ),
+    (
+        ["mhttp", "--quick"],
+        "4422be6caf447a303e421ea97e21243663d5ff42f6f7f128f14d16a0512ab01a",
+    ),
+    (
+        ["chaos", "--quick"],
+        "57422e544f30372457fd17872feda8ff3a35a8622deffe3eb0fa27ebb54841c5",
+    ),
+    (
+        ["scale", "--quick"],
+        "e423b9d72eaa4f38084450bda95412d8f3152e270a864e1c3d1c24c01320a80b",
+    ),
+    (
+        ["scale", "--clients", "300", "--waves", "2"],
+        "4549d7e2eafdb813dd8912fc033278b8a502d19b30cbddf0148007ced088df5b",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,fingerprint", PINNED_PLANS, ids=[" ".join(a) for a, _ in PINNED_PLANS]
+)
+def test_cli_plan_fingerprint_is_pinned(argv, fingerprint):
+    args = build_parser(argv[0]).parse_args([*argv, "--out", "unused.jsonl"])
+    _scenario, plan = plan_study(get_study(argv[0]), args)
+    assert plan.fingerprint() == fingerprint

@@ -1,0 +1,129 @@
+"""Study registry tests: CLI driver, usage errors, unit dispatch, CI matrix."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.cli import main
+from repro.runner.plan import WorkUnit
+from repro.runner.pool import run_unit
+from repro.workloads.experiment import run_paired_unit
+from repro.workloads.studies import STUDIES, get_study, unit_runner
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: A bad invocation per study; every registered study needs at least one.
+BAD_ARGS = [
+    ("section2", ["--reps", "0", "--clients", "Beirut"]),
+    ("section4", ["--reps", "0"]),
+    ("failures", ["--reps", "0"]),
+    ("failures", ["--quick", "--interval", "-5"]),
+    ("mhttp", ["--reps", "0"]),
+    ("mhttp", ["--quick", "--interval", "-5"]),
+    ("mhttp", ["--quick", "--crash-duration", "0"]),
+    ("mhttp", ["--ks", "2,x"]),
+    ("chaos", ["--reps", "0"]),
+    ("chaos", ["--quick", "--interval", "-5"]),
+    ("scale", ["--waves", "0"]),
+]
+
+
+def test_every_study_has_a_bad_argument_case():
+    assert {name for name, _ in BAD_ARGS} == set(STUDIES)
+
+
+@pytest.mark.parametrize(
+    "study,bad", BAD_ARGS, ids=[f"{n}:{' '.join(a)}" for n, a in BAD_ARGS]
+)
+def test_bad_argument_is_a_usage_error(study, bad, tmp_path, capsys):
+    """Exit 2 with one ``error:`` line, before any unit runs or file is written."""
+    out = tmp_path / "out.jsonl"
+    assert main([study, *bad, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_duplicate_set_sizes_warn_and_run_once(tmp_path, capsys):
+    single, dup = tmp_path / "single.jsonl", tmp_path / "dup.jsonl"
+    assert main(["section4", "--reps", "1", "--set-sizes", "2", "--out", str(single)]) == 0
+    capsys.readouterr()
+    assert main(["section4", "--reps", "1", "--set-sizes", "2,2", "--out", str(dup)]) == 0
+    assert "ignoring 1 duplicate set-sizes entry in --set-sizes" in capsys.readouterr().err
+    assert dup.read_bytes() == single.read_bytes()
+
+
+class TestRegistry:
+    def test_unknown_study_rejected(self):
+        with pytest.raises(ValueError, match="unknown study"):
+            get_study("teleport")
+
+    def test_unregistered_study_units_run_the_paired_transfer(self):
+        unit = WorkUnit(
+            index=0, study="history", client="Duke", site="eBay", repetition=0,
+            start_time=0.0, offered=("MIT",),
+        )
+        assert unit_runner(unit) is run_paired_unit
+
+    def test_failure_units_dispatch_by_study_name(self):
+        from repro.workloads.failures import run_failure_unit
+
+        unit = WorkUnit(
+            index=0, study="failures", client="Italy", site="eBay", repetition=0,
+            start_time=0.0, offered=("MIT",), variant="link",
+        )
+        assert unit_runner(unit) is run_failure_unit
+
+    def test_run_unit_delegates_to_the_registry(self, section2_scenario):
+        from repro.workloads.experiment import STUDY_SESSION_CONFIG
+
+        unit = WorkUnit(
+            index=0, study="section2", client="Italy", site="eBay", repetition=0,
+            start_time=0.0, offered=(section2_scenario.relay_names[0],),
+        )
+        assert run_unit(section2_scenario, STUDY_SESSION_CONFIG, unit) == run_paired_unit(
+            section2_scenario, STUDY_SESSION_CONFIG, unit
+        )
+
+
+def _fresh_modules(code):
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+class TestLazyStudyImports:
+    LATE = ("repro.workloads.mhttp", "repro.workloads.chaos", "repro.workloads.scale")
+
+    def test_cli_import_loads_no_late_study(self):
+        loaded = _fresh_modules(
+            "import sys, repro.cli; "
+            f"print(*[m for m in {self.LATE!r} if m in sys.modules])"
+        )
+        assert loaded == []
+
+    def test_one_study_parser_loads_only_that_study(self):
+        loaded = _fresh_modules(
+            "import sys, repro.cli; repro.cli.build_parser('chaos'); "
+            f"print(*[m for m in {self.LATE!r} if m in sys.modules])"
+        )
+        assert loaded == ["repro.workloads.chaos"]
+
+
+def test_ci_matrix_lists_every_registered_study():
+    """The study-determinism job has one matrix row per registered study."""
+    text = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    job = re.search(r"^  study-determinism:\n(.*?)(?=^  \S)", text, re.M | re.S)
+    assert job is not None, "ci.yml has no study-determinism job"
+    rows = re.findall(r"^\s+- study: (\S+)$", job.group(1), re.M)
+    assert rows == list(STUDIES)

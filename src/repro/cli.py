@@ -22,7 +22,7 @@ Usage (also available as ``python -m repro``):
     repro check src --sarif findings.sarif              # SARIF 2.1 output
     repro selfcheck                                     # sanitizer battery
     repro perf --out BENCH_engine.json                  # engine benchmarks
-    repro perf --quick --baseline BENCH_engine.json     # regression check
+    repro perf --baseline BENCH_engine.json --out new.json  # regression check
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="run engine hot-path benchmarks (optimised vs seed engine path)",
+        help="run engine hot-path benchmarks (vs reference implementations)",
     )
     perf.add_argument(
         "--quick",
@@ -830,7 +830,6 @@ def _cmd_perf(args) -> int:
         format_comparison,
         format_report,
         load_report,
-        seed_missing_baselines,
     )
 
     names = _csv("only", args.only)
@@ -854,6 +853,15 @@ def _cmd_perf(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        if stored.quick != args.quick:
+            # Quick and full workloads differ in size: their ratio means nothing.
+            mode = "quick" if stored.quick else "full"
+            print(
+                f"error: baseline {args.baseline!r} is a {mode}-mode report; "
+                f"rerun {'with' if stored.quick else 'without'} --quick",
+                file=sys.stderr,
+            )
+            return 2
 
     def progress(name: str) -> None:
         print(f"running {name} ...", file=sys.stderr)
@@ -873,17 +881,6 @@ def _cmd_perf(args) -> int:
     else:
         results = run_benches(names, quick=args.quick, progress=progress)
     report = BenchReport.from_results(results, quick=args.quick)
-    # Benches with no seed-path toggle get a recorded yardstick: inherit it
-    # from the report being overwritten (same mode only — quick and full
-    # workloads are not comparable), else record this run as the first.
-    prior = None
-    try:
-        prior = load_report(args.out)
-    except (FileNotFoundError, ValueError):
-        prior = None
-    if prior is not None and prior.quick != args.quick:
-        prior = None
-    seed_missing_baselines(report, prior)
     print(format_report(report))
     report.save(args.out)
     print(f"wrote {args.out}")

@@ -2,11 +2,12 @@
 
 ``repro.perf`` is the measurement layer behind the ``repro perf`` CLI
 subcommand: deterministic microbenchmarks for the engine's hot paths
-(allocation, trace queries, event queue, the fluid tick) plus an end-to-end
-mini-campaign timer.  Every engine-level bench runs in both engine modes —
-the optimised incremental path and the ``REPRO_ENGINE_BASELINE`` seed path —
-so ``BENCH_engine.json`` records before/after numbers and the speedup each
-PR claims is reproducible from the artefact itself.
+(allocation, trace queries, event queue, the fluid tick, the vector epoch)
+plus end-to-end campaign timers.  Where a kernel has a live reference
+implementation (``searchsorted`` trace lookups, the reference allocator,
+the classic engine under the vector one) the bench times it too, as the
+``baseline`` column.  ``repro perf --baseline`` compares a run against the
+previous recording in ``BENCH_engine.json``.
 
 Wall-clock access lives only here (and at the CLI edge): the simulation
 core stays wall-clock-free per QA-D004.
@@ -20,7 +21,6 @@ from repro.perf.report import (
     format_comparison,
     format_report,
     load_report,
-    seed_missing_baselines,
 )
 
 __all__ = [
@@ -34,5 +34,4 @@ __all__ = [
     "format_comparison",
     "format_report",
     "load_report",
-    "seed_missing_baselines",
 ]

@@ -1,14 +1,14 @@
 """Deterministic microbenchmarks for the simulation kernel's hot paths.
 
 Each bench measures one kernel (scalar trace queries, max-min allocation,
-event-queue churn, the fluid tick) or the end-to-end mini-campaign, and —
-where the optimisation can be toggled — runs the same deterministic workload
-in both engine modes:
-
-* **optimised** — the incremental engine (alloc-state cache, trace cursors,
-  allocator fast paths);
-* **baseline** — the seed engine path (``REPRO_ENGINE_BASELINE``:
-  rebuild-every-tick, ``searchsorted`` scalar queries, reference allocator).
+event-queue churn, the fluid tick, the vector engine's epoch) or an
+end-to-end run.  The **optimised** number is the code the studies run.  A
+bench also reports a **baseline** where a live reference implementation of
+the same kernel exists and the tests hold the two equal: the
+``searchsorted`` trace lookups (``CapacityTrace.value_at``), the reference
+allocator (``maxmin_allocate(fast=False)``) and the classic engine under
+the vector one.  Every other bench reports ``baseline: null``; drift over
+time is ``repro perf --baseline``'s job.
 
 Workloads are seeded and fixed-size, so successive runs (and successive
 PRs) measure identical work.  Results are plain dicts; the ``repro perf``
@@ -17,7 +17,6 @@ CLI assembles them into ``BENCH_engine.json`` via :mod:`repro.perf.report`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -39,8 +38,6 @@ __all__ = ["BenchSpec", "BENCHES", "run_benches"]
 #: Root seed for every bench workload (fixed: benches must measure
 #: identical work across runs and PRs).
 _BENCH_SEED = 1894
-
-_BASELINE_ENV_VAR = "REPRO_ENGINE_BASELINE"
 
 
 @dataclass(frozen=True)
@@ -71,6 +68,30 @@ class BenchSpec:
 
 def _measurement_fields(m: Measurement) -> Dict[str, Any]:
     return {"ops": m.ops, "rounds": m.rounds}
+
+
+def _measure_counted(run: Callable[[], int], *, rounds: int) -> Measurement:
+    """Time ``run`` per op, where each call returns the ops it performed.
+
+    A first warm-up-plus-one call learns the op count (its wall time is
+    added to ``elapsed_s``); the timed rounds then normalise by it.
+    """
+    ops = 0
+
+    def call() -> None:
+        nonlocal ops
+        ops = run()
+
+    first = measure(call, ops=1, rounds=1, warmup=1)
+    if ops <= 0:  # pragma: no cover - defensive
+        raise RuntimeError("bench workload performed no operations")
+    m = measure(call, ops=ops, rounds=rounds, warmup=0)
+    return Measurement(
+        ns_per_op=m.ns_per_op,
+        ops=m.ops,
+        rounds=m.rounds,
+        elapsed_s=m.elapsed_s + first.elapsed_s,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -225,9 +246,7 @@ def _bench_alloc_shared(quick: bool) -> Dict[str, Any]:
 # --------------------------------------------------------------------------- #
 # fluid tick: capacity-breakpoint ticks over a stable flow set
 # --------------------------------------------------------------------------- #
-def _breakpoint_network(
-    n_flows: int, n_pieces: int, incremental: bool
-) -> Tuple[Simulator, FluidNetwork, float]:
+def _breakpoint_network(n_flows: int, n_pieces: int) -> Tuple[Simulator, float]:
     """Disjoint long-lived flows over breakpoint-heavy traces.
 
     Every trace breakpoint wakes the engine while the flow set stays
@@ -235,7 +254,7 @@ def _breakpoint_network(
     """
     rng = np.random.default_rng(derive_seed(_BENCH_SEED, "tick-breakpoint"))
     sim = Simulator(sanitize=False)
-    network = FluidNetwork(sim, incremental=incremental)
+    network = FluidNetwork(sim)
     piece_s = 0.25
     horizon = n_pieces * piece_s
     times = np.arange(n_pieces) * piece_s
@@ -246,7 +265,7 @@ def _breakpoint_network(
         route = Route([link])
         # Big enough to stay active through every breakpoint.
         network.start_flow(route, 100.0 * MB, name=f"bulk{i}", activation_delay=0.0)
-    return sim, network, horizon
+    return sim, horizon
 
 
 def _bench_tick_breakpoint(quick: bool) -> Dict[str, Any]:
@@ -254,33 +273,13 @@ def _bench_tick_breakpoint(quick: bool) -> Dict[str, Any]:
     n_pieces = 200 if quick else 1_000
     rounds = 3 if quick else 5
 
-    def run_mode(incremental: bool) -> Measurement:
-        ticks = 0
+    def run() -> int:
+        sim, horizon = _breakpoint_network(n_flows, n_pieces)
+        sim.run(until=horizon)
+        return sim.events_processed
 
-        def run() -> None:
-            nonlocal ticks
-            sim, _net, horizon = _breakpoint_network(n_flows, n_pieces, incremental)
-            sim.run(until=horizon)
-            ticks = sim.events_processed
-
-        first = measure(run, ops=1, rounds=1, warmup=1)
-        if ticks <= 0:  # pragma: no cover - defensive
-            raise RuntimeError("tick bench produced no events")
-        m = measure(run, ops=ticks, rounds=rounds, warmup=0)
-        return Measurement(
-            ns_per_op=m.ns_per_op,
-            ops=m.ops,
-            rounds=m.rounds,
-            elapsed_s=m.elapsed_s + first.elapsed_s,
-        )
-
-    opt = run_mode(True)
-    base = run_mode(False)
-    return {
-        "optimised": opt.ns_per_op,
-        "baseline": base.ns_per_op,
-        **_measurement_fields(opt),
-    }
+    m = _measure_counted(run, rounds=rounds)
+    return {"optimised": m.ns_per_op, "baseline": None, **_measurement_fields(m)}
 
 
 # --------------------------------------------------------------------------- #
@@ -336,24 +335,12 @@ def _bench_vec_epoch(quick: bool) -> Dict[str, Any]:
     rounds = 3 if quick else 5
 
     def run_mode(vector: bool) -> Measurement:
-        epochs = 0
-
-        def run() -> None:
-            nonlocal epochs
+        def run() -> int:
             sim = _vec_epoch_population(n_flows, vector)
             sim.run()
-            epochs = sim.events_processed
+            return sim.events_processed
 
-        first = measure(run, ops=1, rounds=1, warmup=1)
-        if epochs <= 0:  # pragma: no cover - defensive
-            raise RuntimeError("vec_epoch bench produced no events")
-        m = measure(run, ops=epochs, rounds=rounds, warmup=0)
-        return Measurement(
-            ns_per_op=m.ns_per_op,
-            ops=m.ops,
-            rounds=m.rounds,
-            elapsed_s=m.elapsed_s + first.elapsed_s,
-        )
+        return _measure_counted(run, rounds=rounds)
 
     opt = run_mode(True)
     base = run_mode(False)
@@ -395,7 +382,7 @@ def _bench_scale_campaign(quick: bool) -> Dict[str, Any]:
 
     # No classic-engine baseline: the per-object oracle is quadratic in the
     # population and unrunnable at this scale, which is the point of the
-    # vector engine.  The report seeds a recorded first-run yardstick.
+    # vector engine.
     m = measure(run_wave, ops=1, rounds=rounds, warmup=0)
     return {
         "optimised": m.seconds_per_op,
@@ -428,28 +415,14 @@ def _bench_campaign_mini(quick: bool) -> Dict[str, Any]:
         store = study.run(sites=["eBay"], clients=clients, jobs=1)
         n_records = len(store)
 
-    def run_mode(baseline_mode: bool) -> Measurement:
-        previous = os.environ.get(_BASELINE_ENV_VAR)
-        os.environ[_BASELINE_ENV_VAR] = "1" if baseline_mode else "0"
-        try:
-            return measure(run_campaign, ops=1, rounds=rounds)
-        finally:
-            if previous is None:
-                del os.environ[_BASELINE_ENV_VAR]
-            else:
-                os.environ[_BASELINE_ENV_VAR] = previous
-
-    opt = run_mode(False)
-    base = run_mode(True)
-    result = {
-        "optimised": opt.seconds_per_op,
-        "baseline": base.seconds_per_op,
+    m = measure(run_campaign, ops=1, rounds=rounds)
+    return {
+        "optimised": m.seconds_per_op,
+        "baseline": None,
         "records": n_records,
-        "transfers_per_sec": float(n_records) / opt.seconds_per_op,
-        "transfers_per_sec_baseline": float(n_records) / base.seconds_per_op,
-        **_measurement_fields(opt),
+        "transfers_per_sec": float(n_records) / m.seconds_per_op,
+        **_measurement_fields(m),
     }
-    return result
 
 
 # --------------------------------------------------------------------------- #
@@ -470,43 +443,19 @@ def _bench_stripe_session(quick: bool) -> Dict[str, Any]:
     relays = scenario.relay_names[:2]
     stripe = StripeConfig(block_bytes=kb(block_kb), window=2)
 
-    n_blocks = 0
-
-    def run_session() -> None:
-        nonlocal n_blocks
+    def run_session() -> int:
         universe = scenario.universe(0.0)
         result = universe.session.download_striped(
             "Taiwan", "eBay", scenario.resource, relays, stripe=stripe
         )
-        n_blocks = result.n_blocks
+        return result.n_blocks
 
-    def run_mode(baseline_mode: bool) -> Measurement:
-        previous = os.environ.get(_BASELINE_ENV_VAR)
-        os.environ[_BASELINE_ENV_VAR] = "1" if baseline_mode else "0"
-        try:
-            first = measure(run_session, ops=1, rounds=1, warmup=1)
-            if n_blocks <= 0:  # pragma: no cover - defensive
-                raise RuntimeError("stripe bench committed no blocks")
-            m = measure(run_session, ops=n_blocks, rounds=rounds, warmup=0)
-            return Measurement(
-                ns_per_op=m.ns_per_op,
-                ops=m.ops,
-                rounds=m.rounds,
-                elapsed_s=m.elapsed_s + first.elapsed_s,
-            )
-        finally:
-            if previous is None:
-                del os.environ[_BASELINE_ENV_VAR]
-            else:
-                os.environ[_BASELINE_ENV_VAR] = previous
-
-    opt = run_mode(False)
-    base = run_mode(True)
+    m = _measure_counted(run_session, rounds=rounds)
     return {
-        "optimised": opt.ns_per_op,
-        "baseline": base.ns_per_op,
-        "blocks": n_blocks,
-        **_measurement_fields(opt),
+        "optimised": m.ns_per_op,
+        "baseline": None,
+        "blocks": m.ops,
+        **_measurement_fields(m),
     }
 
 
@@ -540,7 +489,7 @@ BENCHES: Dict[str, BenchSpec] = {
         ),
         BenchSpec(
             "tick_breakpoint",
-            "fluid tick at capacity breakpoints: incremental vs rebuild engine",
+            "fluid tick at capacity breakpoints over a stable flow set",
             "ns/op",
             _bench_tick_breakpoint,
         ),
@@ -564,7 +513,7 @@ BENCHES: Dict[str, BenchSpec] = {
         ),
         BenchSpec(
             "campaign_mini",
-            "end-to-end Section2 mini-campaign: optimised vs baseline engine",
+            "end-to-end Section2 mini-campaign (wall seconds)",
             "s",
             _bench_campaign_mini,
         ),

@@ -1,11 +1,10 @@
 """Machine-readable bench reports (``BENCH_engine.json``) and comparison.
 
-A report records, per bench, the optimised-engine number, the
-seed-engine-path (baseline-mode) number where the optimisation is
-toggleable, and their ratio — so the perf trajectory committed at the repo
-root carries its own before/after evidence.  ``compare_reports`` diffs two
-reports' *optimised* numbers (current run vs a stored baseline file), which
-is how ``repro perf --baseline`` detects regressions across PRs.
+A report records, per bench, the optimised number, the number of the
+bench's reference implementation where one exists, and their ratio
+(``baseline``/``speedup`` are null otherwise).  ``compare_reports`` diffs
+two reports' *optimised* numbers (current run vs a stored report), which is
+how ``repro perf --baseline`` detects drift against the previous recording.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "compare_reports",
     "format_report",
     "format_comparison",
-    "seed_missing_baselines",
 ]
 
 SCHEMA = "repro-perf/1"
@@ -191,43 +189,6 @@ def compare_reports(
     return out
 
 
-def seed_missing_baselines(
-    report: BenchReport, prior: Optional[BenchReport] = None
-) -> None:
-    """Give baseline-less benches a recorded yardstick, in place.
-
-    Benches without a toggleable seed path (e.g. ``event_queue``) measure
-    nothing to divide by, so their ``baseline``/``speedup`` would stay null
-    forever.  Instead, the first run records the bench's own optimised
-    number as its baseline (tagged ``"baseline_source": "first-run"``);
-    later runs inherit the stored number (``"recorded"``), so the speedup
-    column tracks drift against the first recording.
-
-    ``prior`` is the previously saved report (usually the ``--out`` file
-    about to be overwritten).  Pass ``None`` — and get first-run seeding —
-    when there is no prior report or its mode (quick vs full) differs,
-    since quick and full workloads are not comparable.
-    """
-    for name, result in report.benches.items():
-        if result.get("baseline") is not None:
-            continue
-        opt = _as_positive_float(result.get("optimised"))
-        inherited = None
-        if prior is not None:
-            prev = prior.benches.get(name)
-            if prev is not None:
-                inherited = _as_positive_float(prev.get("baseline"))
-        if inherited is not None:
-            result["baseline"] = inherited
-            result["baseline_source"] = "recorded"
-        elif opt is not None:
-            result["baseline"] = opt
-            result["baseline_source"] = "first-run"
-        else:
-            continue
-        result["speedup"] = result["baseline"] / opt if opt else None
-
-
 def _as_positive_float(value: Any) -> Optional[float]:
     if isinstance(value, (int, float)) and float(value) > 0.0:
         return float(value)
@@ -246,7 +207,7 @@ def format_report(report: BenchReport) -> str:
     """Human-readable rendering of a report (the CLI's stdout view)."""
     lines = [
         f"engine benchmarks ({'quick' if report.quick else 'full'} mode, "
-        "best-of-N per kernel; baseline = seed engine path)"
+        "best-of-N per kernel; baseline = reference implementation)"
     ]
     header = f"  {'bench':<18} {'optimised':>14} {'baseline':>14} {'speedup':>8}"
     lines.append(header)
@@ -264,15 +225,6 @@ def format_report(report: BenchReport) -> str:
         tps = _as_positive_float(result.get("transfers_per_sec"))
         if tps is not None:
             lines.append(f"  {'':<18} {tps:,.1f} transfers/sec (optimised)")
-        src = result.get("baseline_source")
-        if src == "first-run":
-            lines.append(
-                f"  {'':<18} baseline recorded this run (no seed-path toggle)"
-            )
-        elif src == "recorded":
-            lines.append(
-                f"  {'':<18} baseline inherited from first recording"
-            )
     return "\n".join(lines)
 
 

@@ -23,12 +23,6 @@ completes or aborts; per-tick work reduces to refreshing the capacity and
 cap vectors in preallocated buffers and re-running the allocator.  Scalar
 trace queries go through per-link :class:`~repro.net.trace.TraceCursor`
 objects, which are amortised O(1) because event times never decrease.
-
-Setting ``REPRO_ENGINE_BASELINE=1`` (or constructing with
-``incremental=False``) disables the caches and fast paths and restores the
-seed engine's rebuild-every-tick path.  Both modes produce byte-identical
-results; the flag exists so ``repro perf`` can measure the speedup and CI
-can diff campaign artefacts across the two paths.
 """
 
 from __future__ import annotations
@@ -49,21 +43,15 @@ from repro.tcp.flow import FlowState, FluidFlow
 from repro.tcp.maxmin import maxmin_allocate
 from repro.tcp.model import SlowStartRamp
 
-__all__ = ["FluidNetwork", "baseline_engine_from_env", "vector_engine_from_env"]
+__all__ = ["FluidNetwork", "vector_engine_from_env"]
 
 #: Bytes of slack when deciding a flow has finished (float-precision guard).
 _COMPLETION_SLACK = 1e-3
 #: Relative completion-time safety margin (schedule exactly, detect with slack).
 _TIME_EPS = 1e-12
 
-_BASELINE_ENV_VAR = "REPRO_ENGINE_BASELINE"
 _VECTOR_ENV_VAR = "REPRO_ENGINE_VECTOR"
 _TRUTHY = {"1", "true", "yes", "on"}
-
-
-def baseline_engine_from_env() -> bool:
-    """True when ``REPRO_ENGINE_BASELINE`` requests the seed engine path."""
-    return os.environ.get(_BASELINE_ENV_VAR, "").strip().lower() in _TRUTHY
 
 
 def vector_engine_from_env(default: bool = False) -> bool:
@@ -136,19 +124,14 @@ class FluidNetwork:
         When :meth:`start_flow` is not given an explicit activation delay,
         the flow activates after ``route.rtt`` (one RTT covers the request
         and the first payload byte's propagation) scaled by this factor.
-    incremental:
-        Use the incremental allocation-state cache and allocator fast paths
-        (default).  ``False`` restores the seed engine's rebuild-every-tick
-        path; ``None`` reads ``REPRO_ENGINE_BASELINE`` from the environment.
-        Both modes are byte-identical in output.
     vector:
         Delegate ticks to the struct-of-arrays population engine
         (:class:`repro.vec.engine.VectorCore`).  ``None`` reads
         ``REPRO_ENGINE_VECTOR`` from the environment (default off).  The
-        vector engine requires the incremental path and is disabled under
-        the runtime sanitizer (whose per-flow invariant hooks assume the
-        per-object tick); artefacts are byte-identical to the classic
-        engine at populations the pinning suite covers (see DESIGN.md §12).
+        vector engine is disabled under the runtime sanitizer (whose
+        per-flow invariant hooks assume the per-object tick); artefacts are
+        byte-identical to the classic engine at populations the pinning
+        suite covers (see DESIGN.md §12).
     """
 
     def __init__(
@@ -156,7 +139,6 @@ class FluidNetwork:
         sim: Simulator,
         *,
         default_request_latency: float = 1.0,
-        incremental: Optional[bool] = None,
         vector: Optional[bool] = None,
         coalesce_activations: bool = False,
     ):
@@ -173,13 +155,10 @@ class FluidNetwork:
         #: session studies may observe.
         self._coalesce = bool(coalesce_activations)
         self._pending_activations: Dict[float, List[FluidFlow]] = {}
-        if incremental is None:
-            incremental = not baseline_engine_from_env()
-        self._incremental = bool(incremental)
         if vector is None:
             vector = vector_engine_from_env()
         self._vec = None
-        if vector and self._incremental and sim.sanitizer is None:
+        if vector and sim.sanitizer is None:
             from repro.vec.engine import VectorCore  # deferred: import cycle
 
             self._vec = VectorCore(self)
@@ -204,11 +183,6 @@ class FluidNetwork:
     def sim(self) -> Simulator:
         """The simulator this network schedules on."""
         return self._sim
-
-    @property
-    def incremental(self) -> bool:
-        """True when the incremental hot path is enabled (default)."""
-        return self._incremental
 
     @property
     def vector(self) -> bool:
@@ -415,104 +389,61 @@ class FluidNetwork:
             return
 
         # 3. Re-solve the allocation over the current active set.
-        if self._incremental:
-            state = self._alloc_state
-            if state is None:
-                state = self._alloc_state = self._build_alloc_state(
-                    list(self._active.values())
-                )
-                if obs is not None:
-                    obs.count("alloc.cache_rebuild")
-            flows = state.flows
-            cursors = state.cursors
-            capv = [cursor.value_at(now) for cursor in cursors]
-            if obs is not None:
-                obs.span(
-                    "alloc", "solve", now, now,
-                    flows=len(flows), links=len(state.links),
-                    disjoint=state.disjoint,
-                )
-            if state.disjoint and sanitizer is None:
-                # No link is shared, so no sharing to arbitrate: each flow
-                # gets min(bottleneck, cap) in plain floats, skipping numpy
-                # entirely.  Identical values to maxmin_allocate's disjoint
-                # fast path (same candidates, same exact min).
-                for flow, idxs in zip(flows, state.flow_links):
-                    bottleneck = capv[idxs[0]]
-                    for i in idxs:
-                        v = capv[i]
-                        if v < bottleneck:
-                            bottleneck = v
-                    cap = flow.cap_at(now)
-                    flow._rate = bottleneck if bottleneck < cap else cap
-                if obs is not None:
-                    obs.count("alloc.solve_disjoint_scalar")
-            else:
-                capacities = state.capacities
-                for i, value in enumerate(capv):
-                    capacities[i] = value
-                caps = state.caps
-                for j, flow in enumerate(flows):
-                    caps[j] = flow.cap_at(now)
-                rates = maxmin_allocate(
-                    capacities, state.incidence, caps,
-                    validate=False, fast=state.disjoint, observer=obs,
-                )
-                if sanitizer is not None:
-                    sanitizer.check_allocation(
-                        now, capacities, state.incidence, caps, rates, state.link_names
-                    )
-                for flow, rate in zip(flows, rates):
-                    flow._rate = float(rate)
-            next_time = float("inf")
-            for flow in flows:
-                if flow._rate > 0.0:
-                    next_time = min(next_time, now + flow.remaining / flow._rate)
-                next_time = min(next_time, flow.next_cap_increase(now))
-            for cursor in cursors:
-                next_time = min(next_time, cursor.next_change_after(now))
-        else:
-            # Seed engine path: rebuild every structure from scratch at every
-            # tick.  Kept verbatim as the perf yardstick (REPRO_ENGINE_BASELINE)
-            # and as executable documentation of the semantics the incremental
-            # path must reproduce byte-for-byte.
-            flows = list(self._active.values())
-            links = []
-            link_index: Dict[str, int] = {}
-            for flow in flows:
-                for link in flow.route.links:
-                    idx = link_index.get(link.name)
-                    if idx is None:
-                        link_index[link.name] = len(links)
-                        links.append(link)
-                    else:
-                        self._check_link_merge(links[idx], link)
-            n_links, n_flows = len(links), len(flows)
-            capacities = np.fromiter(
-                (link.trace.value_at(now) for link in links), dtype=np.float64, count=n_links
+        state = self._alloc_state
+        if state is None:
+            state = self._alloc_state = self._build_alloc_state(
+                list(self._active.values())
             )
-            incidence = np.zeros((n_links, n_flows), dtype=bool)
-            for j, flow in enumerate(flows):
-                for link in flow.route.links:
-                    incidence[link_index[link.name], j] = True
-            caps = np.fromiter((f.cap_at(now) for f in flows), dtype=np.float64, count=n_flows)
             if obs is not None:
-                obs.span("alloc", "solve", now, now, flows=n_flows, links=n_links)
-            rates = maxmin_allocate(capacities, incidence, caps, fast=False, observer=obs)
+                obs.count("alloc.cache_rebuild")
+        flows = state.flows
+        cursors = state.cursors
+        capv = [cursor.value_at(now) for cursor in cursors]
+        if obs is not None:
+            obs.span(
+                "alloc", "solve", now, now,
+                flows=len(flows), links=len(state.links),
+                disjoint=state.disjoint,
+            )
+        if state.disjoint and sanitizer is None:
+            # No link is shared, so no sharing to arbitrate: each flow
+            # gets min(bottleneck, cap) in plain floats, skipping numpy
+            # entirely.  Identical values to maxmin_allocate's disjoint
+            # fast path (same candidates, same exact min).
+            for flow, idxs in zip(flows, state.flow_links):
+                bottleneck = capv[idxs[0]]
+                for i in idxs:
+                    v = capv[i]
+                    if v < bottleneck:
+                        bottleneck = v
+                cap = flow.cap_at(now)
+                flow._rate = bottleneck if bottleneck < cap else cap
+            if obs is not None:
+                obs.count("alloc.solve_disjoint_scalar")
+        else:
+            capacities = state.capacities
+            for i, value in enumerate(capv):
+                capacities[i] = value
+            caps = state.caps
+            for j, flow in enumerate(flows):
+                caps[j] = flow.cap_at(now)
+            rates = maxmin_allocate(
+                capacities, state.incidence, caps,
+                validate=False, fast=state.disjoint, observer=obs,
+            )
             if sanitizer is not None:
                 sanitizer.check_allocation(
-                    now, capacities, incidence, caps, rates,
-                    [link.name for link in links],
+                    now, capacities, state.incidence, caps, rates, state.link_names
                 )
             for flow, rate in zip(flows, rates):
                 flow._rate = float(rate)
-            next_time = float("inf")
-            for flow in flows:
-                if flow._rate > 0.0:
-                    next_time = min(next_time, now + flow.remaining / flow._rate)
-                next_time = min(next_time, flow.next_cap_increase(now))
-            for link in links:
-                next_time = min(next_time, link.trace.next_change_after(now))
+        next_time = float("inf")
+        for flow in flows:
+            if flow._rate > 0.0:
+                next_time = min(next_time, now + flow.remaining / flow._rate)
+            next_time = min(next_time, flow.next_cap_increase(now))
+        for cursor in cursors:
+            next_time = min(next_time, cursor.next_change_after(now))
 
         # 4. Schedule the next moment any rate could change.
         if math.isinf(next_time):

@@ -68,10 +68,9 @@ def maxmin_allocate(
         ones raise.  Shape mismatches always raise.
     fast:
         Enable the vectorised link-disjoint fast path.  ``fast=False``
-        forces the progressive-filling reference loop (used by the
-        property-based suite and the ``REPRO_ENGINE_BASELINE`` perf
-        yardstick); the single-flow path predates this flag and is always
-        on, as in the seed engine.
+        forces the progressive-filling reference loop: the test oracle the
+        engine's fast paths are checked against, and the ``alloc_*``
+        benches' baseline.  The single-flow path is always on.
     observer:
         Optional :class:`repro.obs.core.Observer`; when given, counts which
         solver path ran (``maxmin.single_flow`` / ``maxmin.disjoint_fast`` /

@@ -1,7 +1,7 @@
 """Fast-path equivalence and engine-cache regression tests.
 
-The PR that introduced the incremental engine claims every fast path is
-*exactly* equivalent to the seed semantics.  This suite holds it to that:
+The fluid engine's fast paths claim to be *exactly* equivalent to the
+reference semantics.  This suite holds them to that:
 
 * the disjoint allocator fast path vs the progressive-filling reference
   loop, bit-for-bit, on random disjoint topologies (plus ``verify_maxmin``);
@@ -11,8 +11,13 @@ The PR that introduced the incremental engine claims every fast path is
   lookups on random traces and random (including backward) query sequences;
 * the link-name-collision guard: two distinct :class:`Link` objects sharing
   a name with *different* capacity traces must raise instead of silently
-  merging into one constraint (regression test for the seed's silent merge).
+  merging into one constraint (regression test for an old silent merge);
+* the allocation-state cache vs a from-scratch reference solve, under
+  random flow churn over shared links;
+* the classic, vector and sanitized engines, bit-for-bit on one workload.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +31,7 @@ from repro.sim.errors import TransferError
 from repro.sim.simulator import Simulator
 from repro.tcp.fluid import FluidNetwork
 from repro.tcp.maxmin import maxmin_allocate, verify_maxmin
+from repro.tcp.model import SlowStartRamp
 
 
 def _well_separated(values):
@@ -232,30 +238,30 @@ class TestLinkNameCollision:
     constraint would be dropped — the engine must raise.
     """
 
-    def _run_pair(self, link_a, link_b, *, incremental):
+    def _run_pair(self, link_a, link_b, *, vector=False):
         sim = Simulator()
-        net = FluidNetwork(sim, incremental=incremental)
+        net = FluidNetwork(sim, vector=vector)
         net.start_flow(Route([link_a]), 1000.0, activation_delay=0.0)
         net.start_flow(Route([link_b]), 1000.0, activation_delay=0.0)
         sim.run()
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_conflicting_traces_raise(self, incremental):
+    @pytest.mark.parametrize("vector", [True, False])
+    def test_conflicting_traces_raise(self, vector):
         link_a = Link("shared", "a", "b", CapacityTrace.constant(100.0))
         link_b = Link("shared", "a", "b", CapacityTrace.constant(200.0))
         with pytest.raises(TransferError, match="shared"):
-            self._run_pair(link_a, link_b, incremental=incremental)
+            self._run_pair(link_a, link_b, vector=vector)
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_equal_traces_allowed(self, incremental):
+    @pytest.mark.parametrize("vector", [True, False])
+    def test_equal_traces_allowed(self, vector):
         # Distinct objects, equal traces: legitimate sharing, no error.
         link_a = Link("shared", "a", "b", CapacityTrace.constant(100.0))
         link_b = Link("shared", "a", "b", CapacityTrace.constant(100.0))
-        self._run_pair(link_a, link_b, incremental=incremental)
+        self._run_pair(link_a, link_b, vector=vector)
 
     def test_same_object_always_allowed(self):
         link = Link("shared", "a", "b", CapacityTrace.constant(100.0))
-        self._run_pair(link, link, incremental=True)
+        self._run_pair(link, link)
 
     def test_conflict_detected_mid_run(self):
         # The second flow activates later, after the first alloc state was
@@ -271,11 +277,16 @@ class TestLinkNameCollision:
 
 
 class TestEngineModeEquivalence:
-    """Incremental and baseline engines must be byte-identical in output."""
+    """Classic, vector and sanitized engines must be byte-identical in output.
 
-    def _transfer_times(self, *, incremental):
-        sim = Simulator()
-        net = FluidNetwork(sim, incremental=incremental)
+    The sanitized leg skips the disjoint scalar fast path and runs every
+    solve through ``maxmin_allocate`` plus the max-min certificate.
+    """
+
+    def _transfer_times(self, *, vector=False, sanitize=False):
+        sim = Simulator(sanitize=sanitize)
+        net = FluidNetwork(sim, vector=vector)
+        assert net.vector is (vector and not sanitize)
         shared = Link(
             "shared",
             "a",
@@ -297,14 +308,103 @@ class TestEngineModeEquivalence:
         return [f.completed_at for f in flows]
 
     def test_byte_identical_completion_times(self):
-        fast = self._transfer_times(incremental=True)
-        seed = self._transfer_times(incremental=False)
-        assert fast == seed  # exact float equality, not approx
+        classic = self._transfer_times()
+        # Exact float equality, not approx.
+        assert self._transfer_times(vector=True) == classic
+        assert self._transfer_times(sanitize=True) == classic
 
-    def test_env_var_selects_baseline(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_BASELINE", "1")
-        net = FluidNetwork(Simulator())
-        assert net.incremental is False
-        monkeypatch.setenv("REPRO_ENGINE_BASELINE", "")
-        net = FluidNetwork(Simulator())
-        assert net.incremental is True
+
+#: Links of the churn oracle test: integer capacity steps on a whole-second
+#: grid, so distinct fair shares are far apart (see ``_well_separated``).
+_CHURN_LINKS = 4
+_CHURN_HORIZON = 8
+
+
+@st.composite
+def churn_workloads(draw):
+    """Step traces on a few links plus flows that start, abort and finish."""
+    traces = [
+        CapacityTrace.from_steps(
+            [
+                (float(t), 100.0 * draw(st.integers(min_value=1, max_value=40)))
+                for t in range(_CHURN_HORIZON)
+            ]
+        )
+        for _ in range(_CHURN_LINKS)
+    ]
+    flows = draw(
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.integers(min_value=0, max_value=_CHURN_LINKS - 1),
+                    min_size=1,
+                    max_size=3,
+                    unique=True,
+                ),
+                st.integers(min_value=1, max_value=40),  # size, kB
+                st.integers(min_value=0, max_value=2 * _CHURN_HORIZON),  # start, half-s
+                st.none() | st.integers(min_value=0, max_value=2 * _CHURN_HORIZON),
+                st.booleans(),  # slow-start ramp
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return traces, flows
+
+
+class TestAllocCacheOracle:
+    """The cached allocation state never drifts from a from-scratch solve.
+
+    Flows activate, abort and complete over shared links with stepped
+    capacities.  At sampled instants, strictly between engine events, every
+    active flow's rate must equal the reference progressive-filling loop
+    run on freshly built inputs: links in first-use order, capacities from
+    ``CapacityTrace.value_at`` and caps from each flow's ramp.
+    """
+
+    @staticmethod
+    def _reference_rates(flows, now):
+        links, index = [], {}
+        for flow in flows:
+            for link in flow.route.links:
+                if link.name not in index:
+                    index[link.name] = len(links)
+                    links.append(link)
+        incidence = np.zeros((len(links), len(flows)), dtype=bool)
+        for j, flow in enumerate(flows):
+            for link in flow.route.links:
+                incidence[index[link.name], j] = True
+        capacities = np.array([link.trace.value_at(now) for link in links])
+        caps = np.array([flow.cap_at(now) for flow in flows])
+        return maxmin_allocate(capacities, incidence, caps, fast=False)
+
+    @pytest.mark.parametrize("vector", [False, True])
+    @given(workload=churn_workloads())
+    @settings(max_examples=40, deadline=None)
+    def test_rates_match_reference_solve(self, vector, workload):
+        traces, specs = workload
+        sim = Simulator()
+        net = FluidNetwork(sim, vector=vector)
+        links = [Link(f"l{i}", "a", "b", trace) for i, trace in enumerate(traces)]
+        for route_idx, size_kb, start, abort, ramped in specs:
+            flow = net.start_flow(
+                Route([links[i] for i in route_idx]),
+                1000.0 * size_kb,
+                ramp=SlowStartRamp(rtt=0.2) if ramped else None,
+                activation_delay=0.5 * start,
+            )
+            if abort is not None:
+                # Quarter-second offsets: never the instant of a start.
+                sim.schedule_at(0.5 * abort + 0.25, lambda f=flow: net.abort_flow(f))
+
+        def check():
+            active = net.active_flows
+            if active:
+                expected = self._reference_rates(active, sim.now)
+                assert [f.rate for f in active] == expected.tolist()
+
+        # Irrational offsets keep every sample strictly between engine events.
+        for i in range(40):
+            sim.schedule_at(0.1 + i / math.pi * 0.8, check)
+        sim.run()

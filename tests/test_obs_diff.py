@@ -21,7 +21,7 @@ def _run_world(world):
     """One observed download; returns the isolated trace."""
     obs = Observer()
     sim = Simulator(observer=obs)
-    net = FluidNetwork(sim, incremental=True)
+    net = FluidNetwork(sim)
     session = TransferSession(net, world.builder, CONFIG)
     session.download("C", "S", "/f", ["R1"])
     return ObsTrace.from_observer(obs)

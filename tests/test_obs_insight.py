@@ -41,7 +41,7 @@ def _observed_session(world, relays):
     """Run one resilient download under a private observer; return its trace."""
     obs = Observer()
     sim = Simulator(observer=obs)
-    net = FluidNetwork(sim, incremental=True)
+    net = FluidNetwork(sim)
     session = TransferSession(net, world.builder, CONFIG)
     result = session.download("C", "S", "/f", relays)
     return result, ObsTrace.from_observer(obs)

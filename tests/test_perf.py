@@ -89,6 +89,12 @@ class TestBenchRegistry:
             result["baseline"] / result["optimised"]
         )
 
+    def test_bench_without_reference_has_null_baseline(self):
+        result = run_benches(["tick_breakpoint"], quick=True)["tick_breakpoint"]
+        assert result["optimised"] > 0.0
+        assert result["baseline"] is None
+        assert result["speedup"] is None
+
     def test_progress_callback_invoked(self):
         seen = []
         run_benches(["event_queue"], quick=True, progress=seen.append)
@@ -197,6 +203,27 @@ class TestPerfCli:
         )
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stored_quick", [False, True])
+    def test_baseline_mode_mismatch_is_usage_error(self, capsys, tmp_path, stored_quick):
+        # Quick and full workloads differ in size, so their ratio is
+        # meaningless: refuse before any bench runs or the report is written.
+        stored = tmp_path / "stored.json"
+        BenchReport(
+            benches={"event_queue": {"unit": "ns/op", "optimised": 1.0}},
+            quick=stored_quick,
+        ).save(str(stored))
+        out = tmp_path / "b.json"
+        argv = ["perf", "--only", "event_queue", "--out", str(out),
+                "--baseline", str(stored)]
+        if not stored_quick:
+            argv.append("--quick")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert ("quick" if stored_quick else "full") + "-mode report" in captured.err
+        assert "running" not in captured.err
+        assert not out.exists()
 
     def test_quick_run_writes_report(self, capsys, tmp_path):
         out = str(tmp_path / "bench.json")

@@ -16,13 +16,13 @@ FAST_TCP = TcpParams(max_window=262_144.0)
 DEAD = CapacityTrace.constant(0.0)
 
 MODES = [ProbeMode.CONCURRENT, ProbeMode.SEQUENTIAL]
-ENGINES = [True, False]  # incremental / REPRO_ENGINE_BASELINE-equivalent
+ENGINES = [False, True]  # FluidNetwork(vector=...): classic / vector engine
 
 
-def _race(world, *, incremental, mode, deadline):
+def _race(world, *, vector, mode, deadline, sanitize=False):
     """Run one direct-vs-R1 probe race; returns (sim, outcome-or-timeout)."""
-    sim = Simulator()
-    net = FluidNetwork(sim, incremental=incremental)
+    sim = Simulator(sanitize=sanitize)
+    net = FluidNetwork(sim, vector=vector)
     engine = ProbeEngine(net, tcp=FAST_TCP)
     paths = [world.builder.direct("C", "S"), world.builder.indirect("C", "R1", "S")]
     try:
@@ -46,10 +46,10 @@ def _signature(sim, result):
 
 class TestDeadPathRaces:
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("incremental", ENGINES)
-    def test_dead_direct_loses(self, mini_world, mode, incremental):
+    @pytest.mark.parametrize("vector", ENGINES)
+    def test_dead_direct_loses(self, mini_world, mode, vector):
         w = mini_world(direct_trace=DEAD, relay_mbps={"R1": 4.0})
-        sim, out = _race(w, incremental=incremental, mode=mode, deadline=60.0)
+        sim, out = _race(w, vector=vector, mode=mode, deadline=60.0)
         assert not isinstance(out, ProbeTimeout)
         assert out.winner.via == "R1"
         dead = next(p for p in out.probes if p.label == "direct")
@@ -57,20 +57,20 @@ class TestDeadPathRaces:
         assert dead.transfer.flow.delivered == 0.0
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("incremental", ENGINES)
-    def test_dead_relay_loses(self, mini_world, mode, incremental):
+    @pytest.mark.parametrize("vector", ENGINES)
+    def test_dead_relay_loses(self, mini_world, mode, vector):
         w = mini_world(direct_mbps=1.0, relay_traces={"R1": DEAD})
-        sim, out = _race(w, incremental=incremental, mode=mode, deadline=60.0)
+        sim, out = _race(w, vector=vector, mode=mode, deadline=60.0)
         assert not isinstance(out, ProbeTimeout)
         assert out.winner.via is None
         dead = next(p for p in out.probes if p.label == "R1")
         assert not dead.won
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("incremental", ENGINES)
-    def test_all_paths_dead_times_out(self, mini_world, mode, incremental):
+    @pytest.mark.parametrize("vector", ENGINES)
+    def test_all_paths_dead_times_out(self, mini_world, mode, vector):
         w = mini_world(direct_trace=DEAD, relay_traces={"R1": DEAD})
-        sim, out = _race(w, incremental=incremental, mode=mode, deadline=30.0)
+        sim, out = _race(w, vector=vector, mode=mode, deadline=30.0)
         assert isinstance(out, ProbeTimeout)
         assert out.deadline == 30.0
         assert out.started_at <= out.timed_out_at <= out.started_at + 30.0
@@ -78,15 +78,15 @@ class TestDeadPathRaces:
         assert all(not p.won for p in out.probes)
         assert {p.label for p in out.probes} == {"direct", "R1"}
 
-    @pytest.mark.parametrize("incremental", ENGINES)
-    def test_dying_paths_time_out_at_the_deadline(self, mini_world, incremental):
+    @pytest.mark.parametrize("vector", ENGINES)
+    def test_dying_paths_time_out_at_the_deadline(self, mini_world, vector):
         # Paths that die mid-race but revive far later never freeze the
         # engine, so the race must idle exactly to the deadline.
         rate = mbps_to_bytes_per_s(8.0)
         dying = CapacityTrace([0.0, 0.01, 5000.0], [rate, 0.0, rate])
         w = mini_world(direct_trace=dying, relay_traces={"R1": dying})
         sim, out = _race(
-            w, incremental=incremental, mode=ProbeMode.CONCURRENT, deadline=10.0
+            w, vector=vector, mode=ProbeMode.CONCURRENT, deadline=10.0
         )
         assert isinstance(out, ProbeTimeout)
         assert out.timed_out_at == pytest.approx(out.started_at + 10.0)
@@ -108,51 +108,46 @@ class TestDeadPathRaces:
             engine.run([w.builder.direct("C", "S")], "/f", deadline=0.0)
 
 
+#: Engine legs of the identity tests: classic, vector, and classic under the
+#: sanitizer (no disjoint scalar fast path; every solve certified).
+IDENTITY_LEGS = [
+    {"vector": False},
+    {"vector": True},
+    {"vector": False, "sanitize": True},
+]
+
+
 class TestEngineModeIdentity:
-    """The same race must be byte-identical on both engine paths."""
+    """The same race must be byte-identical on every engine leg."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_dead_direct_identical(self, mini_world, mode):
         sigs = []
-        for incremental in ENGINES:
+        for leg in IDENTITY_LEGS:
             w = mini_world(direct_trace=DEAD, relay_mbps={"R1": 4.0})
-            sigs.append(_signature(*_race(w, incremental=incremental, mode=mode, deadline=60.0)))
-        assert sigs[0] == sigs[1]
+            sigs.append(_signature(*_race(w, mode=mode, deadline=60.0, **leg)))
+        assert sigs[1:] == sigs[:1] * 2
 
     @pytest.mark.parametrize("mode", MODES)
     def test_dead_relay_identical(self, mini_world, mode):
         sigs = []
-        for incremental in ENGINES:
+        for leg in IDENTITY_LEGS:
             w = mini_world(direct_mbps=1.0, relay_traces={"R1": DEAD})
-            sigs.append(_signature(*_race(w, incremental=incremental, mode=mode, deadline=60.0)))
-        assert sigs[0] == sigs[1]
+            sigs.append(_signature(*_race(w, mode=mode, deadline=60.0, **leg)))
+        assert sigs[1:] == sigs[:1] * 2
 
     @pytest.mark.parametrize("mode", MODES)
     def test_all_dead_timeout_identical(self, mini_world, mode):
         sigs = []
-        for incremental in ENGINES:
+        for leg in IDENTITY_LEGS:
             w = mini_world(direct_trace=DEAD, relay_traces={"R1": DEAD})
-            sigs.append(_signature(*_race(w, incremental=incremental, mode=mode, deadline=30.0)))
-        assert sigs[0] == sigs[1]
-
-    def test_baseline_env_var_matches_explicit_flag(self, mini_world, monkeypatch):
-        w = mini_world(direct_trace=DEAD, relay_mbps={"R1": 4.0})
-        explicit = _signature(
-            *_race(w, incremental=False, mode=ProbeMode.CONCURRENT, deadline=60.0)
-        )
-        monkeypatch.setenv("REPRO_ENGINE_BASELINE", "1")
-        w2 = mini_world(direct_trace=DEAD, relay_mbps={"R1": 4.0})
-        sim = Simulator()
-        net = FluidNetwork(sim)  # mode read from the environment
-        engine = ProbeEngine(net, tcp=FAST_TCP)
-        paths = [w2.builder.direct("C", "S"), w2.builder.indirect("C", "R1", "S")]
-        out = engine.run(paths, "/f", deadline=60.0)
-        assert _signature(sim, out) == explicit
+            sigs.append(_signature(*_race(w, mode=mode, deadline=30.0, **leg)))
+        assert sigs[1:] == sigs[:1] * 2
 
 
 class TestSessionProbeTimeout:
-    @pytest.mark.parametrize("incremental", ENGINES)
-    def test_all_dead_session_aborts(self, mini_world, incremental):
+    @pytest.mark.parametrize("vector", ENGINES)
+    def test_all_dead_session_aborts(self, mini_world, vector):
         from repro.core.resilience import ResilienceConfig, SessionOutcome
 
         w = mini_world(direct_trace=DEAD, relay_traces={"R1": DEAD})
@@ -160,7 +155,7 @@ class TestSessionProbeTimeout:
             tcp=FAST_TCP, resilience=ResilienceConfig(probe_deadline=10.0)
         )
         sim = Simulator()
-        net = FluidNetwork(sim, incremental=incremental)
+        net = FluidNetwork(sim, vector=vector)
         session = TransferSession(net, w.builder, config)
         result = session.download("C", "S", "/f", ["R1"])
         assert result.outcome is SessionOutcome.ABORTED

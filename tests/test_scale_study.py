@@ -1,4 +1,4 @@
-"""Scale study tests: records, planner, runner, analysis, CLI, perf seeding."""
+"""Scale study tests: records, planner, runner, analysis, CLI, perf report."""
 
 import json
 import math
@@ -10,7 +10,7 @@ import pytest
 from repro.analysis.scale import render_scale, scale_totals
 from repro.cli import main
 from repro.obs.core import OBS_DIR_ENV_VAR, OBS_ENV_VAR, reset_global_observer
-from repro.perf import BENCHES, BenchReport, format_report, seed_missing_baselines
+from repro.perf import BENCHES, BenchReport, BenchSpec, format_report
 from repro.trace.records import ScaleRecord, TransferRecord
 from repro.trace.store import TraceStore
 from repro.workloads.scale import ScaleStudyParams, plan_scale, relay_names
@@ -334,62 +334,22 @@ class TestAnalysis:
 
 
 class TestBaselineSeeding:
-    def _report(self, benches, *, quick=False):
-        return BenchReport(benches=benches, quick=quick)
-
-    def test_first_run_records_own_number(self):
-        report = self._report(
-            {"event_queue": {"optimised": 1500.0, "baseline": None, "unit": "ns/op"}}
-        )
-        seed_missing_baselines(report, None)
-        bench = report.benches["event_queue"]
-        assert bench["baseline"] == 1500.0
-        assert bench["baseline_source"] == "first-run"
-        assert bench["speedup"] == 1.0
-
-    def test_later_runs_inherit_recorded_baseline(self):
-        prior = self._report(
-            {"event_queue": {"optimised": 1500.0, "baseline": 1500.0}}
-        )
-        report = self._report(
-            {"event_queue": {"optimised": 1200.0, "baseline": None}}
-        )
-        seed_missing_baselines(report, prior)
-        bench = report.benches["event_queue"]
-        assert bench["baseline"] == 1500.0
-        assert bench["baseline_source"] == "recorded"
-        assert bench["speedup"] == pytest.approx(1.25)
-
-    def test_toggleable_benches_are_untouched(self):
-        report = self._report(
-            {"tick": {"optimised": 10.0, "baseline": 120.0, "speedup": 12.0}}
-        )
-        seed_missing_baselines(report, None)
-        assert report.benches["tick"] == {
-            "optimised": 10.0,
-            "baseline": 120.0,
-            "speedup": 12.0,
-        }
+    """Benches without a reference implementation report a null baseline."""
 
     def test_unmeasured_bench_stays_null(self):
-        report = self._report({"broken": {"optimised": None, "baseline": None}})
-        seed_missing_baselines(report, None)
-        assert report.benches["broken"]["baseline"] is None
+        spec = BenchSpec("x", "no reference", "s", lambda quick: {
+            "optimised": 1.5, "baseline": None,
+        })
+        result = spec.run(quick=True)
+        assert result["baseline"] is None
+        assert result["speedup"] is None
 
-    def test_format_report_renders_na_and_footnote(self):
-        report = self._report(
-            {
-                "a": {"optimised": 100.0, "baseline": None, "unit": "ns/op"},
-                "b": {"optimised": 100.0, "baseline": None, "unit": "ns/op"},
-            }
+    def test_format_report_renders_na(self):
+        report = BenchReport(
+            benches={"a": {"optimised": 100.0, "baseline": None, "unit": "ns/op"}}
         )
-        prior = self._report({"b": {"optimised": 90.0, "baseline": 90.0}})
-        text_before = format_report(report)
-        assert "n/a" in text_before
-        seed_missing_baselines(report, prior)
-        text = format_report(report)
-        assert "baseline recorded this run" in text
-        assert "baseline inherited from first recording" in text
+        line = next(ln for ln in format_report(report).splitlines() if " a " in ln)
+        assert "n/a" in line and line.rstrip().endswith("-")
 
     def test_new_benches_are_registered(self):
         assert "vec_epoch" in BENCHES

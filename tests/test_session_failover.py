@@ -28,9 +28,9 @@ def _dies_at(t, mbps=8.0):
     return CapacityTrace([0.0, t], [mbps_to_bytes_per_s(mbps), 0.0])
 
 
-def _universe(world, config=CONFIG, *, incremental=True, sanitize=False, start_time=0.0):
+def _universe(world, config=CONFIG, *, vector=False, sanitize=False, start_time=0.0):
     sim = Simulator(start_time=start_time, sanitize=sanitize)
-    net = FluidNetwork(sim, incremental=incremental)
+    net = FluidNetwork(sim, vector=vector)
     return sim, TransferSession(net, world.builder, config)
 
 
@@ -205,13 +205,13 @@ class TestFailoverDeterminism:
 
     def test_engine_modes_identical(self, mini_world):
         sigs = []
-        for incremental in (True, False):
+        for vector in (False, True):
             w = mini_world(
                 direct_mbps=1.0,
                 relay_mbps={"R1": 8.0, "R2": 2.0},
                 relay_traces={"R1": _dies_at(2.0)},
             )
-            _, session = _universe(w, incremental=incremental)
+            _, session = _universe(w, vector=vector)
             sigs.append(self._signature(session.download("C", "S", "/f", ["R1", "R2"])))
         assert sigs[0] == sigs[1]
 

@@ -127,3 +127,33 @@ def test_ci_matrix_lists_every_registered_study():
     assert job is not None, "ci.yml has no study-determinism job"
     rows = re.findall(r"^\s+- study: (\S+)$", job.group(1), re.M)
     assert rows == list(STUDIES)
+
+
+#: The smallest plan each registered study accepts, for the engine check.
+SMALLEST_PLAN = {
+    "section2": ["--reps", "1", "--clients", "Italy"],
+    "section4": ["--reps", "1", "--set-sizes", "2"],
+    "failures": ["--reps", "1", "--clients", "Italy"],
+    "mhttp": ["--reps", "1", "--ks", "2", "--clients", "Italy"],
+    "chaos": ["--reps", "1", "--families", "none", "--intensities", "severe",
+              "--clients", "Italy"],
+    "scale": ["--clients", "50"],
+}
+
+
+@pytest.mark.parametrize("study", list(STUDIES))
+def test_engines_write_byte_identical_artefacts(study, tmp_path, monkeypatch):
+    """Classic and vector engine runs of every study write the same bytes."""
+    assert study in SMALLEST_PLAN, f"add {study!r} to SMALLEST_PLAN"
+    artefacts = []
+    for engine in ("classic", "vector"):
+        out = tmp_path / f"{engine}.jsonl"
+        argv = [study, *SMALLEST_PLAN[study], "--out", str(out)]
+        if study == "scale":  # scale picks its engine by flag, not environment
+            argv += ["--engine", engine]
+        else:
+            monkeypatch.setenv("REPRO_ENGINE_VECTOR", "1" if engine == "vector" else "0")
+        assert main(argv) == 0
+        artefacts.append(out.read_bytes())
+    assert artefacts[0], "the smallest plan wrote no records"
+    assert artefacts[0] == artefacts[1]

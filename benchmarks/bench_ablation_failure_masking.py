@@ -7,29 +7,33 @@ out the outage.  MONET (paper ref [12]) reports avoiding 60-94% of observed
 failures; this bench measures the comparable masking rate here.
 """
 
-from repro.net.failures import OutageGenerator
+from repro.analysis.availability import masking_stats
 from repro.util import render_kv
-from repro.workloads.failures import FailureStudy
+from repro.workloads.experiment import STUDY_SESSION_CONFIG
+from repro.workloads.failures import FailureStudyParams, plan_failures, run_failure_unit
 
 CLIENTS = ("Italy", "Sweden", "Korea", "Brazil", "Greece")
 REPS = 12
 
 
 def _run(scenario):
-    study = FailureStudy(
+    plan = plan_failures(
         scenario,
-        generator=OutageGenerator(mtbf=600.0, mean_duration=150.0),
         repetitions=REPS,
+        interval=360.0,
+        config=STUDY_SESSION_CONFIG,
+        params=FailureStudyParams(link_mtbf=600.0, link_mean_duration=150.0),
+        clients=CLIENTS,
+        modes=("link",),
     )
-    records = study.run(clients=list(CLIENTS))
-    return study, records
+    return [run_failure_unit(scenario, plan.config, u, plan.extra) for u in plan.units]
 
 
 def test_ablation_failure_masking(benchmark, s2_scenario, save_artifact):
-    study, records = benchmark.pedantic(
+    records = benchmark.pedantic(
         _run, args=(s2_scenario,), rounds=1, iterations=1
     )
-    stats = study.masking_stats(records)
+    stats = masking_stats(records)
 
     assert stats.n_transfers == len(CLIENTS) * REPS
     assert stats.n_affected >= 5, "outage regime too light to measure masking"

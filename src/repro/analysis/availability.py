@@ -11,7 +11,9 @@ module computes the comparable numbers for our resilient protocol from
 * **time-to-recover** - the distribution of seconds between a stall being
   detected and the recovery action that answered it;
 * **goodput under failure** - what throughput outage-affected sessions
-  actually achieved, including the zeros of aborted sessions.
+  actually achieved, including the zeros of aborted sessions;
+* **failure masking** - how often the selecting client escaped an outage
+  its direct-only control sat through (MONET's "failures avoided").
 
 Every statistic is defined for empty inputs (NaN for undefined ratios,
 never a ``ZeroDivisionError``) so partial or failure-free campaigns render
@@ -38,6 +40,9 @@ __all__ = [
     "byte_unavailability",
     "duplicate_waste_fraction",
     "render_availability",
+    "MASKED_FRACTION",
+    "MaskingStats",
+    "masking_stats",
     "StripeDegradationStats",
     "stripe_degradation_stats",
     "stripe_degradation_by_k",
@@ -251,6 +256,54 @@ def render_availability(records: Sequence[FailureRecord]) -> str:
             f"{stats.n_aborted:>8}"
         )
     return "\n".join(lines)
+
+
+# --------------------------------------------------------------------------- #
+# failure masking
+# --------------------------------------------------------------------------- #
+#: An outage-affected transfer counts as *masked* when the selecting client
+#: finished in at most this fraction of its direct-only control's time.
+MASKED_FRACTION = 0.7
+
+
+@dataclass(frozen=True)
+class MaskingStats:
+    """Aggregate failure-masking outcome."""
+
+    n_transfers: int
+    n_affected: int
+    n_masked: int
+    mean_affected_speedup: float
+
+    @property
+    def masking_rate(self) -> float:
+        """Fraction of outage-affected transfers that were masked.
+
+        MONET reports avoiding 60-94% of observed failures; this is the
+        comparable number for our mechanism.  NaN with none affected.
+        """
+        if self.n_affected == 0:
+            return math.nan
+        return self.n_masked / self.n_affected
+
+
+def masking_stats(records: Sequence[FailureRecord]) -> MaskingStats:
+    """Summarise how often outage pain was avoided (empty input is legal).
+
+    A record is *affected* when its control session overlapped an outage;
+    the mean speedup skips affected records whose
+    :attr:`~repro.trace.records.FailureRecord.speedup` is NaN.
+    """
+    affected = [r for r in records if r.outage_overlap]
+    masked = [
+        r for r in affected if r.selected_duration <= MASKED_FRACTION * r.direct_duration
+    ]
+    return MaskingStats(
+        n_transfers=len(records),
+        n_affected=len(affected),
+        n_masked=len(masked),
+        mean_affected_speedup=_mean([r.speedup for r in affected]),
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -1,6 +1,5 @@
 """The paper's contribution: probe-based indirect path selection."""
 
-from repro.core.adaptive import AdaptiveConfig, AdaptiveResult, AdaptiveTransferSession
 from repro.core.history import HistoryRankedPolicy
 from repro.core.oracle import OracleBestRelayPolicy
 from repro.core.policy import (
@@ -61,7 +60,4 @@ __all__ = [
     "SessionConfig",
     "SessionResult",
     "TransferSession",
-    "AdaptiveConfig",
-    "AdaptiveResult",
-    "AdaptiveTransferSession",
 ]

@@ -15,9 +15,8 @@ protocol, and this module provides the shared vocabulary for that layer:
     The protocol knobs: probe deadline, failover enablement, stall detection
     parameters, retry budgets and the deterministic exponential backoff.
 :class:`StallWatchdog`
-    The shared stall detector used by both :class:`~repro.core.session.
-    TransferSession` failover and :class:`~repro.core.adaptive.
-    AdaptiveTransferSession` switching.  It plants explicit wake-up events
+    The stall detector behind :class:`~repro.core.session.TransferSession`
+    failover.  It plants explicit wake-up events
     (the fluid engine only generates events at rate changes), samples the
     flow's delivered bytes, and declares a stall when recent throughput
     drops below ``stall_threshold x expected`` - or, independently of any
@@ -150,10 +149,10 @@ class ResilienceConfig:
         remaining bytes are re-requested over the probe runner-up (direct
         as last resort), then via backoff + re-probe.
     stall_threshold / check_interval / grace_period:
-        Watchdog parameters, as in :class:`~repro.core.adaptive.
-        AdaptiveConfig`: sample every ``check_interval`` seconds after a
-        ``grace_period`` warm-up; stall when recent throughput drops below
-        ``stall_threshold x expected`` (or when progress stops entirely).
+        :class:`StallWatchdog` parameters: sample every ``check_interval``
+        seconds after a ``grace_period`` warm-up; stall when recent
+        throughput drops below ``stall_threshold x expected`` (the winner's
+        probe throughput), or when progress stops entirely.
     max_failovers:
         Path switches allowed per session before it aborts.
     max_reprobes:

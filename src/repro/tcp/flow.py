@@ -182,8 +182,8 @@ class FluidFlow:
     def delivered_at(self, now: float) -> float:
         """Bytes delivered by time ``now``, interpolating within the current
         constant-rate segment (the engine only materialises ``delivered`` at
-        tick events; observers like the adaptive watchdog sample between
-        them)."""
+        tick events; observers like the session's stall watchdog sample
+        between them)."""
         delivered = self.delivered
         if self.state is FlowState.ACTIVE and now > self._last_update:
             return min(self.size, delivered + self._rate * (now - self._last_update))

@@ -15,10 +15,7 @@ from repro.workloads.failures import (
     FAILURE_MODES,
     FAILURES_RESILIENCE,
     FAILURES_SESSION_CONFIG,
-    FailureStudy,
     FailureStudyParams,
-    FailureTransferRecord,
-    MaskingStats,
     failure_outage_plan,
     plan_failures,
     run_failure_unit,
@@ -79,9 +76,6 @@ __all__ = [
     "CounterfactualRecord",
     "run_counterfactual_transfer",
     "run_counterfactual_study",
-    "FailureStudy",
-    "FailureTransferRecord",
-    "MaskingStats",
     "FAILURE_MODES",
     "FAILURES_RESILIENCE",
     "FAILURES_SESSION_CONFIG",

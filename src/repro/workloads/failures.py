@@ -1,26 +1,19 @@
-"""Failure-masking study: indirect routing under direct-path outages.
+"""Failure study: indirect routing under injected path and relay outages.
 
 The related work the paper builds on (RON, one-hop source routing, MONET)
 is about *availability*: a one-hop detour recovers from most path failures.
 The paper's throughput-probe mechanism masks failures for free - a dead
-direct path cannot win (or even finish) the probe race - so this study
-quantifies that inherited property on our substrate:
+direct path cannot win (or even finish) the probe race - and the resilient
+protocol (probe deadline, mid-transfer failover, transfer deadline) extends
+that to paths that die after selection.  This module is the runner-integrated
+study (`repro failures`) that measures both:
 
-* inject Poisson outages on each studied client's direct WAN segment;
-* run the paired control/selector schedule over the degraded scenario;
-* compare transfer durations on outage-affected transfers.
-
-A transfer is *affected* when its control (direct-only) execution overlaps
-an outage; it is *masked* when the selecting client finished in at most
-``masked_fraction`` of the control's time.
-
-The second half of the module is the runner-integrated **availability
-study** (`repro failures`): :func:`plan_failures` decomposes it into
-fingerprinted :class:`~repro.runner.plan.WorkUnit`\\ s cycling through the
-injection modes (healthy, direct-link flap, relay crash, both) and
-:func:`run_failure_unit` executes one unit with the *resilient* protocol
-(probe deadline, mid-transfer failover, transfer deadline) enabled, emitting
-:class:`~repro.trace.records.FailureRecord` rows for
+:func:`plan_failures` decomposes the study into fingerprinted
+:class:`~repro.runner.plan.WorkUnit`\\ s cycling through the injection modes
+(healthy, direct-link flap, relay crash, both - or any subset of them), and
+:func:`run_failure_unit` executes one unit: a direct-only control and a
+selecting client on the same degraded scenario, emitting one
+:class:`~repro.trace.records.FailureRecord` for
 :mod:`repro.analysis.availability`.  Every random draw is derived from
 per-unit seed-bank labels, so the study is byte-identical for any worker
 count or execution order.
@@ -32,10 +25,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-import math
-
-import numpy as np
-
 from repro.core.resilience import ResilienceConfig, recovery_time_of
 from repro.core.session import SessionConfig
 from repro.net.failures import (
@@ -46,15 +35,13 @@ from repro.net.failures import (
 )
 from repro.net.topology import wan_link_name
 from repro.trace.records import FailureRecord
+from repro.util.validation import check_positive
 from repro.workloads.experiment import STUDY_SESSION_CONFIG
 from repro.workloads.scenario import Scenario
 from repro.workloads.studies import Study
 
 __all__ = [
     "STUDY",
-    "FailureTransferRecord",
-    "FailureStudy",
-    "MaskingStats",
     "FAILURE_MODES",
     "FAILURES_RESILIENCE",
     "FAILURES_SESSION_CONFIG",
@@ -65,153 +52,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FailureTransferRecord:
-    """One paired measurement on an outage-injected scenario."""
-
-    client: str
-    site: str
-    repetition: int
-    start_time: float
-    relay: str
-    selected_via: Optional[str]
-    direct_duration: float
-    selected_duration: float
-    outage_overlap: bool
-
-    @property
-    def speedup(self) -> float:
-        """Control duration / selector duration (>1 = selector faster).
-
-        NaN when either duration is non-positive (a degenerate zero-time
-        transfer has no meaningful ratio) - never raises.
-        """
-        if self.selected_duration <= 0.0 or self.direct_duration <= 0.0:
-            return math.nan
-        return self.direct_duration / self.selected_duration
-
-
-@dataclass(frozen=True)
-class MaskingStats:
-    """Aggregate failure-masking outcome."""
-
-    n_transfers: int
-    n_affected: int
-    n_masked: int
-    mean_affected_speedup: float
-
-    @property
-    def masking_rate(self) -> float:
-        """Fraction of outage-affected transfers that were masked.
-
-        MONET reports avoiding 60-94% of observed failures; this is the
-        comparable number for our mechanism.
-        """
-        if self.n_affected == 0:
-            return float("nan")
-        return self.n_masked / self.n_affected
-
-
-@dataclass
-class FailureStudy:
-    """Outage injection + paired schedule for a set of clients.
-
-    Parameters
-    ----------
-    scenario:
-        The healthy scenario (it is never mutated).
-    generator:
-        Outage process applied to each studied client's direct WAN link.
-    repetitions / interval:
-        The per-client transfer schedule.
-    masked_fraction:
-        A transfer counts as masked when the selector finished in at most
-        this fraction of the control's duration.
-    """
-
-    scenario: Scenario
-    generator: OutageGenerator = OutageGenerator(mtbf=1200.0, mean_duration=120.0)
-    repetitions: int = 20
-    interval: float = 360.0
-    config: SessionConfig = STUDY_SESSION_CONFIG
-    masked_fraction: float = 0.7
-
-    def outages_for(self, client: str, site: str) -> List[Outage]:
-        """The seeded outage schedule for one direct path."""
-        rng = self.scenario.bank.generator("outages", client, site)
-        return self.generator.sample(self.scenario.spec.horizon, rng)
-
-    def run(
-        self,
-        *,
-        clients: Optional[Sequence[str]] = None,
-        site: str = "eBay",
-    ) -> List[FailureTransferRecord]:
-        """Run the study; returns one record per paired transfer."""
-        clients = list(clients) if clients is not None else self.scenario.client_names
-        records: List[FailureTransferRecord] = []
-        for client in clients:
-            outages = self.outages_for(client, site)
-            degraded = self.scenario.with_outages(
-                {wan_link_name(site, client): outages}
-            )
-            rotation = list(degraded.relay_names)
-            rng = degraded.bank.generator("failure-rotation", client)
-            rng.shuffle(rotation)
-            for j in range(self.repetitions):
-                start = j * self.interval
-                relay = rotation[j % len(rotation)]
-
-                control = degraded.universe(start, config=self.config)
-                ctrl = control.session.download_direct(client, site, degraded.resource)
-
-                selector = degraded.universe(
-                    start,
-                    config=self.config,
-                    noise_labels=("failures", client, site, j),
-                )
-                sel = selector.session.download(
-                    client, site, degraded.resource, [relay]
-                )
-
-                overlap = any(
-                    o.overlaps(ctrl.requested_at, ctrl.completed_at) for o in outages
-                )
-                records.append(
-                    FailureTransferRecord(
-                        client=client,
-                        site=site,
-                        repetition=j,
-                        start_time=start,
-                        relay=relay,
-                        selected_via=sel.selected_via,
-                        direct_duration=ctrl.duration,
-                        selected_duration=sel.duration,
-                        outage_overlap=overlap,
-                    )
-                )
-        return records
-
-    def masking_stats(self, records: Sequence[FailureTransferRecord]) -> MaskingStats:
-        """Summarise how often outage pain was avoided."""
-        affected = [r for r in records if r.outage_overlap]
-        masked = [
-            r
-            for r in affected
-            if r.selected_duration <= self.masked_fraction * r.direct_duration
-        ]
-        speedups = [r.speedup for r in affected if math.isfinite(r.speedup)]
-        return MaskingStats(
-            n_transfers=len(records),
-            n_affected=len(affected),
-            n_masked=len(masked),
-            mean_affected_speedup=float(np.mean(speedups)) if speedups else float("nan"),
-        )
-
-
-# --------------------------------------------------------------------------- #
-# runner-integrated availability study (`repro failures`)
-# --------------------------------------------------------------------------- #
 #: Injection modes the study cycles through, one per repetition slot.
 FAILURE_MODES = ("none", "link", "node", "both")
 
@@ -244,6 +84,12 @@ class FailureStudyParams:
     link_mean_duration: float = 150.0
     node_mtbf: float = 1800.0
     node_mean_duration: float = 240.0
+
+    def __post_init__(self) -> None:
+        check_positive(self.link_mtbf, "link_mtbf")
+        check_positive(self.link_mean_duration, "link_mean_duration")
+        check_positive(self.node_mtbf, "node_mtbf")
+        check_positive(self.node_mean_duration, "node_mean_duration")
 
     def link_generator(self) -> OutageGenerator:
         return OutageGenerator(mtbf=self.link_mtbf, mean_duration=self.link_mean_duration)
@@ -299,11 +145,13 @@ def plan_failures(
     site: str = "eBay",
     clients: Optional[Sequence[str]] = None,
     study: str = "failures",
+    modes: Sequence[str] = FAILURE_MODES,
 ):
     """Decompose the availability study into a fingerprinted campaign plan.
 
     Each client runs ``repetitions`` paired transfers at ``interval``
-    spacing, cycling through :data:`FAILURE_MODES`; the offered set is the
+    spacing, cycling through ``modes`` (a non-empty selection from
+    :data:`FAILURE_MODES`, all four by default); the offered set is the
     two adjacent relays of the client's seeded rotation (one when the
     scenario has a single relay), so failover always has a probed runner-up
     to fall back on.  The unit's injection mode rides in
@@ -316,6 +164,11 @@ def plan_failures(
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if interval <= 0.0:
         raise ValueError(f"interval must be positive, got {interval}")
+    modes = tuple(modes)
+    if not modes or not set(modes) <= set(FAILURE_MODES):
+        raise ValueError(
+            f"modes must be a non-empty selection from {FAILURE_MODES}, got {modes}"
+        )
     client_list = list(clients) if clients is not None else scenario.client_names
     units = []
     for client in client_list:
@@ -335,7 +188,7 @@ def plan_failures(
                     repetition=j,
                     start_time=j * interval,
                     offered=offered,
-                    variant=FAILURE_MODES[j % len(FAILURE_MODES)],
+                    variant=modes[j % len(modes)],
                 )
             )
     return CampaignPlan(

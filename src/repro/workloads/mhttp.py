@@ -101,6 +101,8 @@ class MhttpStudyParams:
             )
         if self.crash_duration <= 0.0:
             raise ValueError("crash_duration must be positive")
+        # Validate the stripe geometry at plan time, not inside every unit.
+        self.stripe_config()
 
     def stripe_config(self) -> StripeConfig:
         """The striped-session configuration all stripe units run with."""

@@ -62,4 +62,4 @@ class TestExamples:
         out = run_example("resilience.py", "7")
         assert "failure masking" in out
         assert "masked" in out
-        assert "adaptive session" in out
+        assert "failover session" in out

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.analysis.availability import masking_stats
 from repro.net.failures import Outage, OutageGenerator, apply_outages, total_downtime
 from repro.net.topology import wan_link_name
 from repro.net.trace import CapacityTrace
-from repro.workloads.failures import FailureStudy
+from repro.workloads.experiment import STUDY_SESSION_CONFIG
+from repro.workloads.failures import FailureStudyParams, plan_failures, run_failure_unit
 
 
 class TestOutage:
@@ -134,36 +136,41 @@ class TestScenarioWithOutages:
         assert s.duration >= h.duration + 100.0
 
 
-class TestFailureStudy:
+class TestFailureMasking:
+    """Direct-link outages only, under the paper's plain (no-failover) protocol."""
+
     @pytest.fixture(scope="class")
-    def study_results(self, section2_scenario):
-        study = FailureStudy(
+    def records(self, section2_scenario):
+        plan = plan_failures(
             section2_scenario,
-            generator=OutageGenerator(mtbf=500.0, mean_duration=150.0),
             repetitions=12,
+            interval=360.0,
+            config=STUDY_SESSION_CONFIG,
+            params=FailureStudyParams(link_mtbf=500.0, link_mean_duration=150.0),
+            clients=["Italy", "Sweden", "Korea"],
+            modes=("link",),
         )
-        records = study.run(clients=["Italy", "Sweden", "Korea"])
-        return study, records
+        return [
+            run_failure_unit(section2_scenario, plan.config, u, plan.extra)
+            for u in plan.units
+        ]
 
-    def test_record_count(self, study_results):
-        _, records = study_results
+    def test_record_count(self, records):
         assert len(records) == 36
+        assert {r.failure_mode for r in records} == {"link"}
 
-    def test_some_transfers_affected(self, study_results):
-        _, records = study_results
+    def test_some_transfers_affected(self, records):
         affected = [r for r in records if r.outage_overlap]
         assert len(affected) >= 3  # heavy outage regime must bite sometimes
 
-    def test_masking_occurs(self, study_results):
+    def test_masking_occurs(self, records):
         """The probe mechanism masks a solid share of failures (MONET-style)."""
-        study, records = study_results
-        stats = study.masking_stats(records)
+        stats = masking_stats(records)
         assert stats.n_affected >= 3
         assert stats.masking_rate >= 0.4
         assert stats.mean_affected_speedup > 1.0
 
-    def test_unaffected_transfers_not_inflated(self, study_results):
-        _, records = study_results
+    def test_unaffected_transfers_not_inflated(self, records):
         clean = [r for r in records if not r.outage_overlap]
         ratios = [r.speedup for r in clean]
         assert np.median(ratios) >= 0.5  # selector never pathologically slower

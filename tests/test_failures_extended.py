@@ -12,6 +12,7 @@ from repro.analysis.availability import (
     availability_by_mode,
     availability_stats,
     goodput_under_failure,
+    masking_stats,
     recovery_times,
     render_availability,
 )
@@ -31,7 +32,6 @@ from repro.workloads.failures import (
     FAILURE_MODES,
     FAILURES_SESSION_CONFIG,
     FailureStudyParams,
-    FailureTransferRecord,
     failure_outage_plan,
     plan_failures,
     run_failure_unit,
@@ -159,26 +159,21 @@ class TestDegenerateStats:
     """S1: degenerate divisions report NaN, never raise."""
 
     def test_speedup_nan_on_zero_durations(self):
-        base = dict(
-            client="C", site="eBay", repetition=0, start_time=0.0, relay="R1",
-            selected_via=None, outage_overlap=True,
-        )
-        zero_sel = FailureTransferRecord(
-            **base, direct_duration=10.0, selected_duration=0.0
-        )
-        zero_ctrl = FailureTransferRecord(
-            **base, direct_duration=0.0, selected_duration=10.0
-        )
+        zero_sel = _failure_record(outage_overlap=True, selected_duration=0.0)
+        zero_ctrl = _failure_record(outage_overlap=True, direct_duration=0.0)
         assert math.isnan(zero_sel.speedup)
         assert math.isnan(zero_ctrl.speedup)
+        # A NaN speedup still counts as affected but stays out of the mean.
+        stats = masking_stats([zero_sel, _failure_record(outage_overlap=True)])
+        assert (stats.n_affected, stats.n_masked) == (2, 2)
+        assert stats.mean_affected_speedup == pytest.approx(2.0)
 
     def test_masking_rate_nan_without_affected(self):
-        from repro.workloads.failures import MaskingStats
-
-        stats = MaskingStats(
-            n_transfers=5, n_affected=0, n_masked=0, mean_affected_speedup=math.nan
-        )
+        stats = masking_stats([_failure_record()])
+        assert (stats.n_transfers, stats.n_affected) == (1, 0)
         assert math.isnan(stats.masking_rate)
+        assert math.isnan(stats.mean_affected_speedup)
+        assert math.isnan(masking_stats([]).masking_rate)
 
 
 def _failure_record(**overrides):
@@ -396,6 +391,13 @@ class TestFailurePlan:
             STUDY_SESSION_CONFIG, resilience=ResilienceConfig(failover=True)
         )
         assert mk(STUDY_SESSION_CONFIG).fingerprint() != mk(resilient).fingerprint()
+
+    @pytest.mark.parametrize("modes", [(), ("link", "meteor")])
+    def test_modes_must_be_known_and_non_empty(self, section2_scenario, modes):
+        with pytest.raises(ValueError, match="modes must be a non-empty selection"):
+            plan_failures(
+                section2_scenario, repetitions=4, interval=360.0, modes=modes
+            )
 
     def test_outage_plan_is_mode_gated(self, section2_scenario):
         params = FailureStudyParams()

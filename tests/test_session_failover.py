@@ -9,6 +9,7 @@ from repro.net.trace import CapacityTrace
 from repro.sim.simulator import Simulator
 from repro.tcp.fluid import FluidNetwork
 from repro.util.units import mb, mbps_to_bytes_per_s
+from repro.workloads.failures import FAILURES_RESILIENCE
 
 FAST_TCP = TcpParams(max_window=262_144.0)
 
@@ -134,6 +135,41 @@ class TestFailover:
         assert resilient.remainder_started_at == legacy.remainder_started_at
         assert resilient.transfer_throughput == legacy.transfer_throughput
         assert resilient.selected_via == legacy.selected_via
+
+
+class TestStudyResilience:
+    """The availability study's protocol (``FAILURES_RESILIENCE``): default
+    watchdog timing, so stalls are judged over 4 s windows after a 3 s grace."""
+
+    CONFIG = SessionConfig(tcp=FAST_TCP, resilience=FAILURES_RESILIENCE)
+
+    def test_mild_dip_is_not_a_stall(self, mini_world):
+        dip = CapacityTrace(
+            [0.0, 5.0], [mbps_to_bytes_per_s(2.0), mbps_to_bytes_per_s(1.6)]
+        )
+        w = mini_world(direct_trace=dip, relay_mbps={"R1": 0.5}, file_mb=4.0)
+        _, session = _universe(w, self.CONFIG)
+        result = session.download("C", "S", "/f", ["R1"])
+        assert result.outcome is SessionOutcome.COMPLETED
+        assert result.recovery_events == ()
+
+    def test_probe_covers_tiny_file(self, mini_world):
+        w = mini_world(file_mb=0.05)
+        _, session = _universe(w, self.CONFIG)
+        result = session.download("C", "S", "/f", ["R1"])
+        assert result.outcome is SessionOutcome.COMPLETED
+        assert result.duration > 0.0
+        assert result.delivered == result.size == mb(0.05)
+
+    def test_planetlab_scenario_delivers_whole_file(self, section2_scenario):
+        config = SessionConfig(
+            tcp=TcpParams(max_window=131_072.0), resilience=FAILURES_RESILIENCE
+        )
+        session = section2_scenario.universe(0.0, config=config).session
+        relay = section2_scenario.good_static_relay("Italy")
+        result = session.download("Italy", "eBay", section2_scenario.resource, [relay])
+        assert result.outcome is not SessionOutcome.ABORTED
+        assert result.delivered == result.size == section2_scenario.spec.file_bytes
 
 
 class TestFullDownloadDeadline:

@@ -23,9 +23,15 @@ BAD_ARGS = [
     ("section4", ["--reps", "0"]),
     ("failures", ["--reps", "0"]),
     ("failures", ["--quick", "--interval", "-5"]),
+    ("failures", ["--quick", "--link-mtbf", "0"]),
+    ("failures", ["--quick", "--link-duration", "0"]),
+    ("failures", ["--quick", "--node-mtbf", "-1"]),
+    ("failures", ["--quick", "--node-duration", "0"]),
     ("mhttp", ["--reps", "0"]),
     ("mhttp", ["--quick", "--interval", "-5"]),
     ("mhttp", ["--quick", "--crash-duration", "0"]),
+    ("mhttp", ["--quick", "--block-kb", "0"]),
+    ("mhttp", ["--quick", "--window", "0"]),
     ("mhttp", ["--ks", "2,x"]),
     ("chaos", ["--reps", "0"]),
     ("chaos", ["--quick", "--interval", "-5"]),

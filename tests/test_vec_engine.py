@@ -174,10 +174,14 @@ class TestVectorOracleIdentity:
         assert run(True) == run(False)
 
     def test_env_toggle_selects_engine(self, monkeypatch):
+        # The runtime sanitizer pins the classic engine, so an ambient
+        # REPRO_SANITIZE=1 must not leak into the toggle under test.
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         monkeypatch.setenv("REPRO_ENGINE_VECTOR", "1")
         assert vector_engine_from_env() is True
         sim = Simulator()
         assert FluidNetwork(sim).vector is True
+        assert FluidNetwork(Simulator(sanitize=True)).vector is False
         monkeypatch.setenv("REPRO_ENGINE_VECTOR", "0")
         assert vector_engine_from_env() is False
         assert FluidNetwork(Simulator()).vector is False

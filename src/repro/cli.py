@@ -391,7 +391,15 @@ def _add_study_args(parser: argparse.ArgumentParser, study: Study) -> None:
     if study.client_subset:
         parser.add_argument("--clients", default=None, help="comma-separated client subset")
     if study.quick is not None:
-        parser.add_argument("--quick", action="store_true", help=study.quick_help)
+        parser.add_argument(
+            "--quick", action="store_true",
+            help=f"{study.quick_help}; flags given explicitly win",
+        )
+        # Wrap the preset's defaults so plan_study can tell a given flag
+        # (which the preset never overrides) from an absent one.
+        parser.set_defaults(
+            **{dest: _Default(parser.get_default(dest)) for dest in study.quick}
+        )
     parser.add_argument("--out", required=True, help="output JSONL path")
     _add_runner_args(parser)
 
@@ -503,6 +511,13 @@ class _UsageError(Exception):
     """Bad flag combination; rendered to stderr with exit code 2."""
 
 
+class _Default:
+    """A flag's parser default while a ``--quick`` preset may still fill it."""
+
+    def __init__(self, value: Any):
+        self.value = value
+
+
 @contextmanager
 def _obs_capture(args) -> Iterator[None]:
     """Capture an obs trace around a campaign when ``--obs``/REPRO_OBS is on.
@@ -576,9 +591,14 @@ def plan_study(study: Study, args: argparse.Namespace) -> Tuple[Scenario, Any]:
     """Validate a parsed study invocation and plan it, running nothing.
 
     Every study goes through here: list flags are split and deduplicated,
-    sites and clients validated, the ``--quick`` preset applied, and a
-    ``ValueError`` from the study's planner becomes a usage error.
+    sites and clients validated, the ``--quick`` preset applied to the flags
+    the user did not give, and a ``ValueError`` from the study's planner
+    becomes a usage error.
     """
+    for dest, preset in (study.quick or {}).items():
+        value = getattr(args, dest)
+        if isinstance(value, _Default):
+            setattr(args, dest, preset if args.quick else value.value)
     lists = dict(study.lists)
     if study.site_flag == "sites":
         lists["sites"] = str
@@ -600,10 +620,8 @@ def plan_study(study: Study, args: argparse.Namespace) -> Tuple[Scenario, Any]:
         missing = [c for c in args.clients if c not in scenario.client_names]
         if missing:
             raise _UsageError(f"unknown clients {missing}")
-    if study.quick is not None and args.quick:
-        if study.client_subset:
-            args.clients = args.clients or scenario.client_names[:2]
-        study.quick(args)
+    if study.quick is not None and args.quick and study.client_subset:
+        args.clients = args.clients or scenario.client_names[:2]
     try:
         return scenario, study.plan(scenario, args)
     except ValueError as exc:

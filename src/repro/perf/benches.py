@@ -17,6 +17,7 @@ CLI assembles them into ``BENCH_engine.json`` via :mod:`repro.perf.report`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -28,6 +29,7 @@ from repro.net.trace import CapacityTrace, TraceCursor
 from repro.perf.microbench import Measurement, measure
 from repro.sim.event_queue import Event, EventQueue
 from repro.sim.simulator import Simulator
+from repro.tcp import fluid
 from repro.tcp.fluid import FluidNetwork
 from repro.tcp.maxmin import maxmin_allocate
 from repro.util.rng import derive_seed
@@ -285,7 +287,7 @@ def _bench_tick_breakpoint(quick: bool) -> Dict[str, Any]:
 # --------------------------------------------------------------------------- #
 # vector engine: per-epoch cost over a contended population
 # --------------------------------------------------------------------------- #
-def _vec_epoch_population(n_flows: int, vector: bool) -> Simulator:
+def _vec_epoch_population(n_flows: int) -> Simulator:
     """A shared-bottleneck population in slow start (scale-study shape).
 
     Every flow crosses one site access link plus its RTT tier's WAN pipe,
@@ -297,7 +299,7 @@ def _vec_epoch_population(n_flows: int, vector: bool) -> Simulator:
 
     rng = np.random.default_rng(derive_seed(_BENCH_SEED, "vec-epoch"))
     sim = Simulator(sanitize=False)
-    network = FluidNetwork(sim, vector=vector, coalesce_activations=True)
+    network = FluidNetwork(sim)
     site = Link(
         "site", "net", "site",
         CapacityTrace.constant(mbps_to_bytes_per_s(2_000.0)), delay=0.001,
@@ -334,16 +336,23 @@ def _bench_vec_epoch(quick: bool) -> Dict[str, Any]:
     n_flows = 200 if quick else 800
     rounds = 3 if quick else 5
 
-    def run_mode(vector: bool) -> Measurement:
+    def run_mode(promote_above: float) -> Measurement:
+        # The promotion bound picks the tick: 0 runs the vector core from
+        # the first flow, inf keeps the per-object tick throughout.
         def run() -> int:
-            sim = _vec_epoch_population(n_flows, vector)
-            sim.run()
+            saved = fluid._PROMOTE_ABOVE
+            fluid._PROMOTE_ABOVE = promote_above
+            try:
+                sim = _vec_epoch_population(n_flows)
+                sim.run()
+            finally:
+                fluid._PROMOTE_ABOVE = saved
             return sim.events_processed
 
         return _measure_counted(run, rounds=rounds)
 
-    opt = run_mode(True)
-    base = run_mode(False)
+    opt = run_mode(0)
+    base = run_mode(math.inf)
     return {
         "optimised": opt.ns_per_op,
         "baseline": base.ns_per_op,
@@ -380,7 +389,7 @@ def _bench_scale_campaign(quick: bool) -> Dict[str, Any]:
         record = run_scale_unit(scenario, plan.config, plan.units[0], params)
         n_completed = record.n_completed
 
-    # No classic-engine baseline: the per-object oracle is quadratic in the
+    # No classic-engine baseline: the per-object tick is quadratic in the
     # population and unrunnable at this scale, which is the point of the
     # vector engine.
     m = measure(run_wave, ops=1, rounds=rounds, warmup=0)

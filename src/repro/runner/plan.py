@@ -316,10 +316,20 @@ def plan_section4_sweep(
 
     The sweep is the concatenation of one :class:`UniformRandomSetPolicy`
     campaign per ``k``, in the caller's ``k`` order - exactly the serial
-    :meth:`Section4Study.run_random_set_sweep` ordering.
+    :meth:`Section4Study.run_random_set_sweep` ordering.  A ``k`` above the
+    deployed relay count is refused: the policy would offer every relay,
+    so it would record a second sample of the full-set size.
     """
     from repro.core.random_set import UniformRandomSetPolicy
 
+    k_values = list(k_values)
+    n_relays = len(scenario.relay_names)
+    too_big = [k for k in k_values if k > n_relays]
+    if too_big:
+        raise ValueError(
+            f"set size k={max(too_big)} needs {max(too_big)} relays; "
+            f"scenario deploys {n_relays}"
+        )
     units: List[WorkUnit] = []
     for k in k_values:
         sub = plan_section4_policy(

@@ -23,12 +23,21 @@ completes or aborts; per-tick work reduces to refreshing the capacity and
 cap vectors in preallocated buffers and re-running the allocator.  Scalar
 trace queries go through per-link :class:`~repro.net.trace.TraceCursor`
 objects, which are amortised O(1) because event times never decrease.
+
+The population picks the tick (DESIGN.md §12).  A network starts on the
+per-object tick above, which is fastest for the handful of concurrent flows
+a paper session runs.  The first time its active population exceeds
+``_DENSE_MAX_FLOWS`` it moves its active flows into a
+:class:`repro.vec.engine.VectorCore` and delegates every later tick to it.
+Up to that size both ticks call the same dense ``maxmin_allocate``, so the
+move cannot change a byte; past it only the vector core's sparse solver
+scales.  A sanitized simulator never promotes: the sanitizer's per-flow
+hooks live in the per-object tick.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -43,29 +52,21 @@ from repro.tcp.flow import FlowState, FluidFlow
 from repro.tcp.maxmin import maxmin_allocate
 from repro.tcp.model import SlowStartRamp
 
-__all__ = ["FluidNetwork", "vector_engine_from_env"]
+__all__ = ["FluidNetwork"]
 
 #: Bytes of slack when deciding a flow has finished (float-precision guard).
 _COMPLETION_SLACK = 1e-3
 #: Relative completion-time safety margin (schedule exactly, detect with slack).
 _TIME_EPS = 1e-12
 
-_VECTOR_ENV_VAR = "REPRO_ENGINE_VECTOR"
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
-def vector_engine_from_env(default: bool = False) -> bool:
-    """Resolve ``REPRO_ENGINE_VECTOR``: unset -> ``default``, else truthiness.
-
-    ``REPRO_ENGINE_VECTOR=1`` turns the struct-of-arrays engine on globally;
-    ``REPRO_ENGINE_VECTOR=0`` forces the classic per-object path even for
-    callers (like the ``repro scale`` study) whose default is the vector
-    engine.
-    """
-    raw = os.environ.get(_VECTOR_ENV_VAR)
-    if raw is None or not raw.strip():
-        return default
-    return raw.strip().lower() in _TRUTHY
+#: Largest active population the vector core solves with the dense
+#: ``maxmin_allocate`` (the per-object tick's own solver, hence bit-identical
+#: rates); above it the vector core's sparse water-filling takes over.
+_DENSE_MAX_FLOWS = 384
+#: A network whose active population exceeds this promotes itself to a
+#: VectorCore.  Tests force an engine by patching it: 0 runs the vector core
+#: from the first flow, ``math.inf`` keeps the per-object tick throughout.
+_PROMOTE_ABOVE: float = _DENSE_MAX_FLOWS
 
 
 class _AllocState:
@@ -124,14 +125,6 @@ class FluidNetwork:
         When :meth:`start_flow` is not given an explicit activation delay,
         the flow activates after ``route.rtt`` (one RTT covers the request
         and the first payload byte's propagation) scaled by this factor.
-    vector:
-        Delegate ticks to the struct-of-arrays population engine
-        (:class:`repro.vec.engine.VectorCore`).  ``None`` reads
-        ``REPRO_ENGINE_VECTOR`` from the environment (default off).  The
-        vector engine is disabled under the runtime sanitizer (whose
-        per-flow invariant hooks assume the per-object tick); artefacts are
-        byte-identical to the classic engine at populations the pinning
-        suite covers (see DESIGN.md §12).
     """
 
     def __init__(
@@ -139,29 +132,17 @@ class FluidNetwork:
         sim: Simulator,
         *,
         default_request_latency: float = 1.0,
-        vector: Optional[bool] = None,
-        coalesce_activations: bool = False,
     ):
         self._sim = sim
         self._active: Dict[int, FluidFlow] = {}
         self._tick_event: Optional[Event] = None
         self._default_request_latency = float(default_request_latency)
-        #: Opt-in: flows sharing an activation instant share one simulator
-        #: event (population-scale workloads create thousands of flows per
-        #: instant; one heap entry each is measurable).  Off by default -
-        #: activation *order* is unchanged either way (creation order within
-        #: an instant), but coalescing does reorder activations relative to
-        #: unrelated events scheduled at the same instant, which classic
-        #: session studies may observe.
-        self._coalesce = bool(coalesce_activations)
+        #: Flows sharing an activation instant share one simulator event
+        #: (population-scale workloads create thousands of flows per
+        #: instant); they activate in creation order.
         self._pending_activations: Dict[float, List[FluidFlow]] = {}
-        if vector is None:
-            vector = vector_engine_from_env()
+        #: The VectorCore ticks run on once promoted (None: per-object tick).
         self._vec = None
-        if vector and sim.sanitizer is None:
-            from repro.vec.engine import VectorCore  # deferred: import cycle
-
-            self._vec = VectorCore(self)
         #: Cached allocation structure; None whenever the active set changed.
         self._alloc_state: Optional[_AllocState] = None
         #: Persistent per-link trace cursors (survive alloc-state rebuilds,
@@ -186,7 +167,7 @@ class FluidNetwork:
 
     @property
     def vector(self) -> bool:
-        """True when ticks run on the struct-of-arrays population engine."""
+        """True once the network has promoted itself to the vector core."""
         return self._vec is not None
 
     @property
@@ -225,21 +206,14 @@ class FluidNetwork:
             activation_delay = route.rtt * self._default_request_latency
         if activation_delay < 0.0:
             raise ValueError(f"activation_delay must be >= 0, got {activation_delay}")
-        if self._coalesce:
-            at = self._sim.now + activation_delay
-            batch = self._pending_activations.get(at)
-            if batch is None:
-                self._pending_activations[at] = batch = []
-                self._sim.schedule_at(
-                    at, lambda: self._activate_batch(at), name="activate-batch"
-                )
-            batch.append(flow)
-        else:
-            self._sim.schedule_after(
-                activation_delay,
-                lambda: self._activate(flow),
-                name=f"activate:{flow.name}",
+        at = self._sim.now + activation_delay
+        batch = self._pending_activations.get(at)
+        if batch is None:
+            self._pending_activations[at] = batch = []
+            self._sim.schedule_at(
+                at, lambda: self._activate_batch(at), name="activate-batch"
             )
+        batch.append(flow)
         return flow
 
     def abort_flow(self, flow: FluidFlow) -> None:
@@ -260,25 +234,50 @@ class FluidNetwork:
     # ------------------------------------------------------------------ #
     # engine internals
     # ------------------------------------------------------------------ #
-    def _activate(self, flow: FluidFlow) -> None:
-        if flow.state is FlowState.ABORTED:
-            return  # aborted while pending
-        flow._activate(self._sim.now)
-        self._active[flow.id] = flow
-        if self._vec is not None:
-            self._vec.add_flow(flow)
-        self._invalidate_alloc("activate")
-        self._request_tick()
-
     def _activate_batch(self, at: float) -> None:
         """Activate every flow whose activation instant is ``at``.
 
-        Flows activate in creation order - exactly the order the per-flow
-        events would have fired in (the heap breaks time ties by sequence
-        number).
+        Flows activate in creation order.  If the batch lifts the active
+        population past ``_PROMOTE_ABOVE``, the network promotes itself
+        before the batch's tick runs, so a large batch is never solved on
+        the per-object tick.
         """
+        now = self._sim.now
+        vec = self._vec
+        activated = False
         for flow in self._pending_activations.pop(at):
-            self._activate(flow)
+            if flow.state is FlowState.ABORTED:
+                continue  # aborted while pending
+            flow._activate(now)
+            self._active[flow.id] = flow
+            if vec is not None:
+                vec.add_flow(flow)
+            activated = True
+        if not activated:
+            return
+        if (
+            vec is None
+            and len(self._active) > _PROMOTE_ABOVE
+            and self._sim.sanitizer is None
+        ):
+            self._promote()
+        self._invalidate_alloc("activate")
+        self._request_tick()
+
+    def _promote(self) -> None:
+        """Move the active flows into a VectorCore; later ticks run there.
+
+        Flows are accrued to ``now`` at the rates the last per-object tick
+        chose, which is the first step that tick would take; the vector
+        core then starts from exactly that state, in activation order.
+        """
+        from repro.vec.engine import VectorCore  # deferred: import cycle
+
+        now = self._sim.now
+        vec = self._vec = VectorCore(self)
+        for flow in self._active.values():
+            flow._advance(now)
+            vec.add_flow(flow)
 
     def _invalidate_alloc(self, reason: str) -> None:
         """Drop the cached allocation structure, counting the cause."""

@@ -4,14 +4,14 @@ The vector engine holds the whole flow population in numpy arrays (rates,
 remaining bytes, CSR path->link incidence, per-link capacities), solves
 max-min fairness for the entire population per epoch and replaces per-flow
 Python bookkeeping with vectorized next-completion / next-breakpoint scans.
-The classic per-object engine in :mod:`repro.tcp.fluid` stays as the oracle;
-at small populations the vector engine routes its allocation through the
-very same :func:`repro.tcp.maxmin.maxmin_allocate` dense solver, which makes
-its artefacts byte-identical to the oracle's (pinned by the test suite).
 
-Enable with ``REPRO_ENGINE_VECTOR=1`` or ``FluidNetwork(sim, vector=True)``;
-``REPRO_ENGINE_VECTOR=0`` / ``vector=False`` restores the oracle path
-verbatim.  See DESIGN.md §12.
+Nobody selects it: a :class:`repro.tcp.fluid.FluidNetwork` promotes itself
+to a :class:`VectorCore` the first time its active population exceeds the
+dense-solver window (``repro.tcp.fluid._DENSE_MAX_FLOWS``).  Within that
+window the core routes its allocation through the very same
+:func:`repro.tcp.maxmin.maxmin_allocate` dense solver as the per-object
+tick, so promotion never changes a byte (pinned by the test suite).  See
+DESIGN.md §12.
 """
 
 from repro.vec.engine import VectorCore

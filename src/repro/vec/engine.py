@@ -1,9 +1,9 @@
 """Struct-of-arrays core driving :class:`repro.tcp.fluid.FluidNetwork`.
 
-When a ``FluidNetwork`` is constructed with ``vector=True`` (or
-``REPRO_ENGINE_VECTOR=1``), every fluid tick is delegated to a
-:class:`VectorCore`.  The core keeps the *entire* active population in numpy
-arrays:
+A ``FluidNetwork`` promotes itself to a :class:`VectorCore` the first time
+its active population exceeds ``repro.tcp.fluid._DENSE_MAX_FLOWS``, and
+delegates every later tick to it.  The core keeps the *entire* active
+population in numpy arrays:
 
 * per-flow: total/delivered bytes, current rate, activation time and the
   slow-start ramp parameters (rtt, w0, w_max, rounds-to-peak);
@@ -13,23 +13,25 @@ arrays:
   :class:`~repro.net.trace.TraceCursor` for the (few) time-varying ones,
   and an active-flow refcount.
 
-One tick then mirrors the oracle's steps with array ops: accrue bytes for
+One tick then mirrors the per-object tick's steps with array ops: accrue bytes for
 the whole population with one fused ``delivered = min(size, delivered +
 rate*dt)`` (valid because every row's last accrual time is the previous
 tick — new rows carry rate 0), detect completions with one vectorized scan,
 re-solve max-min fairness for everyone at once, and compute the next wake-up
 with vectorized next-completion / next-ramp-increase scans plus the dynamic
 trace cursors.  The simulator's event queue is only touched at epoch
-boundaries — exactly one pending ``fluid-tick`` event, as in the oracle.
+boundaries — exactly one pending ``fluid-tick`` event, as in the per-object
+tick.
 
 Byte-identity contract: rows are append-only in activation order (dead rows
 are tombstoned and compacted without reordering), so completion callbacks
-fire in the oracle's dict order and the solver sees columns in the oracle's
+fire in the per-object tick's dict order and the solver sees columns in its
 order.  At populations up to ``_DENSE_MAX_FLOWS`` the allocation is routed
 through the *same* dense :func:`repro.tcp.maxmin.maxmin_allocate` call the
-oracle makes, making artefacts bit-identical; above it the sparse
+per-object tick makes, making results bit-identical; above it the sparse
 water-filling of :mod:`repro.vec.solver` takes over (same math, reductions
-ordered by CSR position).
+ordered by CSR position).  A promotion therefore never changes a byte, and
+a population that later drains back under the bound stays on the core.
 
 Flow objects stay lazily consistent: the core installs a sync hook on each
 :class:`~repro.tcp.flow.FluidFlow` so external readers (watchdogs, stripe
@@ -48,19 +50,11 @@ from repro.net.link import Link
 from repro.net.trace import TraceCursor
 from repro.sim.errors import TransferError
 from repro.tcp.flow import FluidFlow
+from repro.tcp.fluid import _COMPLETION_SLACK, _DENSE_MAX_FLOWS
 from repro.tcp.maxmin import maxmin_allocate
 from repro.vec.solver import waterfill_sparse
 
 __all__ = ["VectorCore"]
-
-#: Population size up to which the allocation goes through the oracle's
-#: dense maxmin_allocate call (bit-identical artefacts); above it the sparse
-#: water-filling solver takes over.
-_DENSE_MAX_FLOWS = 384
-
-#: Mirrors repro.tcp.fluid._COMPLETION_SLACK (import deferred: fluid imports
-#: this module lazily, keeping the constant local avoids a cycle at runtime).
-_COMPLETION_SLACK = 1e-3
 
 #: Slow-start round mapping slack (== SlowStartRamp._ROUND_EPS).
 _ROUND_EPS = 1e-9
@@ -285,7 +279,7 @@ class VectorCore:
                 )
             return lid
         # No active flow uses the old entry: adopt the new link's trace
-        # (mirrors the oracle replacing a stale cursor after e.g. an outage
+        # (mirrors the per-object tick replacing a stale cursor after e.g. an outage
         # rebuild swapped in a modified trace under the same link name).
         self._links[lid] = link
         self._install_link(lid, link)
@@ -305,7 +299,7 @@ class VectorCore:
     # the tick
     # ------------------------------------------------------------------ #
     def tick(self) -> None:
-        """One fluid tick over the whole population (mirrors the oracle)."""
+        """One fluid tick over the whole population (mirrors the per-object tick)."""
         net = self._net
         sim = net._sim
         now = sim.now
@@ -322,7 +316,7 @@ class VectorCore:
         # live row's rate was assigned at the previous tick (rows added since
         # carry rate 0), so one global dt is exact.  Buffered activations
         # flush afterwards — their rows also enter at rate 0, before the
-        # completion scan, exactly where the oracle would see them.
+        # completion scan, exactly where the per-object tick would see them.
         n = self._n
         if n and now > self._accrued_at:
             dt = now - self._accrued_at
@@ -334,7 +328,7 @@ class VectorCore:
             n = self._n
 
         # 2. Detect and finalise completions in activation (row) order;
-        # callbacks run after removal, exactly as in the oracle.
+        # callbacks run after removal, exactly as in the per-object tick.
         finished: List[FluidFlow] = []
         if n:
             done_rows = np.flatnonzero(
@@ -343,7 +337,7 @@ class VectorCore:
             )
             if done_rows.size > 8:
                 # Batch the array-side release; the per-flow loop below
-                # keeps the oracle's removal/callback ordering.
+                # keeps the per-object tick's removal/callback ordering.
                 degd = (
                     self._indptr[done_rows + 1] - self._indptr[done_rows]
                 )
@@ -425,8 +419,8 @@ class VectorCore:
             obs.span("alloc", "solve", now, now, flows=n_flows, links=n_used)
 
         if n_flows <= _DENSE_MAX_FLOWS:
-            # Small population: run the oracle's own dense solver on the
-            # oracle's own inputs — bit-identical rates by construction.
+            # Small population: run the per-object tick's own dense solver
+            # on its own inputs — bit-identical rates by construction.
             ulinks, inv = np.unique(lids, return_inverse=True)
             incidence = np.zeros((ulinks.size, n_flows), dtype=bool)
             incidence[inv, frow] = True

@@ -11,7 +11,7 @@ Reductions use :func:`numpy.bincount`, which sums sequentially in input
 order, so results are deterministic across runs.  They can differ from the
 dense loop's BLAS matvec partial sums in the last ulp, which is why the
 vector engine only uses this path *above* the population size where it
-cross-checks against the oracle (see ``repro.vec.engine._DENSE_MAX_FLOWS``).
+shares the per-object tick's dense solver (``repro.tcp.fluid._DENSE_MAX_FLOWS``).
 """
 
 from __future__ import annotations

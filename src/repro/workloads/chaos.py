@@ -450,14 +450,6 @@ def _arguments(parser: Any) -> None:
     )
 
 
-def _quick(args: Any) -> None:
-    # A fixed tiny campaign: the two acceptance families at one
-    # intensity, every mechanism arm, finishes in seconds.
-    args.reps = 1
-    args.families = ["none", "gray", "correlated"]
-    args.intensities = ["severe"]
-
-
 def _plan(scenario: Scenario, args: Any) -> Any:
     return plan_chaos(
         scenario,
@@ -482,7 +474,9 @@ STUDY = Study(
     run_unit=run_chaos_unit,
     arguments=_arguments,
     lists={"families": str, "intensities": str},
-    quick=_quick,
+    # A fixed tiny campaign: the two acceptance families at one intensity,
+    # every mechanism arm, finishes in seconds.
+    quick={"reps": 1, "families": "none,gray,correlated", "intensities": "severe"},
     quick_help="tiny deterministic campaign (2 clients x 1 rep, gray+correlated "
     "at severe) for smoke runs",
     render=_render,

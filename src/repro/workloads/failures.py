@@ -305,12 +305,6 @@ def _arguments(parser: Any) -> None:
     )
 
 
-def _quick(args: Any) -> None:
-    # A fixed tiny campaign: deterministic, covers every injection mode
-    # twice per client, finishes in seconds.
-    args.reps = 8
-
-
 def _plan(scenario: Scenario, args: Any) -> Any:
     params = FailureStudyParams(
         link_mtbf=args.link_mtbf,
@@ -338,7 +332,9 @@ STUDY = Study(
     plan=_plan,
     run_unit=run_failure_unit,
     arguments=_arguments,
-    quick=_quick,
+    # A fixed tiny campaign: deterministic, covers every injection mode
+    # twice per client, finishes in seconds.
+    quick={"reps": 8},
     quick_help="tiny deterministic campaign (2 clients x 8 reps) for smoke runs",
     render=_render,
 )

@@ -380,13 +380,6 @@ def _arguments(parser: Any) -> None:
     )
 
 
-def _quick(args: Any) -> None:
-    # A fixed tiny campaign: both mechanisms and both injection modes
-    # once per client at k=2, finishes in seconds.
-    args.reps = 2
-    args.ks = [2]
-
-
 def _plan(scenario: Scenario, args: Any) -> Any:
     params = MhttpStudyParams(
         block_bytes=kb(args.block_kb),
@@ -415,7 +408,9 @@ STUDY = Study(
     run_unit=run_mhttp_unit,
     arguments=_arguments,
     lists={"ks": int},
-    quick=_quick,
+    # A fixed tiny campaign: both mechanisms and both injection modes once
+    # per client at k=2, finishes in seconds.
+    quick={"reps": 2, "ks": "2"},
     quick_help="tiny deterministic campaign (2 clients x 2 reps, k=2) for smoke runs",
     render=_render,
 )

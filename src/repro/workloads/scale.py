@@ -20,8 +20,9 @@ relay probe, aborts the loser, and fetches the object over the winning
 path - the paper's mechanism, driven straight against the fluid engine
 with no per-client session machinery.  Draws are quantised into discrete
 tiers/classes on purpose: clients with identical coordinates complete at
-identical instants, so the vector engine retires whole cohorts per epoch
-instead of paying one epoch per client.
+identical instants, so the vector engine (which the network promotes itself
+to once the population passes the dense-solver window) retires whole cohorts
+per epoch instead of paying one epoch per client.
 
 Each wave emits one :class:`~repro.trace.records.ScaleRecord` carrying the
 population's exact latency/throughput percentiles (computed from per-client
@@ -68,7 +69,7 @@ class ScaleStudyParams:
     """Plan-level parameters of the scale study (``CampaignPlan.extra``).
 
     Hashed into the campaign fingerprint: waves of different population
-    size, topology or engine can never share a checkpoint.
+    size or topology can never share a checkpoint.
 
     Attributes
     ----------
@@ -100,11 +101,6 @@ class ScaleStudyParams:
     max_window:
         TCP maximum window (bytes); a tier's standalone rate is
         ``max_window / rtt``.
-    engine:
-        ``"vector"`` (the struct-of-arrays population engine) or
-        ``"classic"`` (the per-object oracle).  Small populations produce
-        byte-identical records under both; the classic engine is quadratic
-        in population and only sensible for cross-checks.
     """
 
     clients_per_wave: int = 100_000
@@ -119,7 +115,6 @@ class ScaleStudyParams:
     start_slots: int = 2
     slot_spacing: float = 0.5
     max_window: float = 65_536.0
-    engine: str = "vector"
 
     def __post_init__(self) -> None:
         if self.clients_per_wave < 1:
@@ -136,8 +131,6 @@ class ScaleStudyParams:
             raise ValueError("n_relays must be >= 1")
         if self.start_slots < 1 or self.slot_spacing < 0.0:
             raise ValueError("start_slots must be >= 1, slot_spacing >= 0")
-        if self.engine not in ("vector", "classic"):
-            raise ValueError(f"engine must be 'vector' or 'classic', got {self.engine!r}")
 
 
 def relay_names(params: ScaleStudyParams) -> Tuple[str, ...]:
@@ -340,11 +333,7 @@ def run_scale_unit(
     slot_of = rng.integers(0, params.start_slots, size=n)
 
     sim = Simulator()
-    net = FluidNetwork(
-        sim,
-        vector=(params.engine == "vector"),
-        coalesce_activations=True,
-    )
+    net = FluidNetwork(sim)
     obs = sim.observer
     direct_routes, relay_routes = _build_routes(params, unit.site)
 
@@ -445,17 +434,6 @@ def _arguments(parser: Any) -> None:
     parser.add_argument(
         "--relays", type=int, default=4, help="deployed relays (default 4)"
     )
-    parser.add_argument(
-        "--engine",
-        choices=("vector", "classic"),
-        default="vector",
-        help="population engine: vectorized SoA core or the per-object "
-        "oracle (classic is quadratic; cross-checks only)",
-    )
-
-
-def _quick(args: Any) -> None:
-    args.clients = min(args.clients, 10_000)
 
 
 def _plan(scenario: Scenario, args: Any) -> Any:
@@ -464,7 +442,6 @@ def _plan(scenario: Scenario, args: Any) -> Any:
     params = ScaleStudyParams(
         clients_per_wave=args.clients,
         n_relays=args.relays,
-        engine=args.engine,
     )
     return plan_scale(scenario, waves=args.waves, params=params, site=args.site)
 
@@ -480,7 +457,7 @@ STUDY = Study(
     run_unit=run_scale_unit,
     arguments=_arguments,
     client_subset=False,
-    quick=_quick,
-    quick_help="cap the population at 10k clients for smoke runs",
+    quick={"clients": 10_000},
+    quick_help="10k clients per wave for smoke runs",
     render=_render,
 )

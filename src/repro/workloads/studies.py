@@ -87,10 +87,11 @@ class Study:
     client_subset: bool = True
     #: The scenario for the validated sites.
     spec: Callable[[Tuple[str, ...]], ScenarioSpec] = _one_site_spec
-    #: Rewrites the parsed flags into the fixed tiny ``--quick`` campaign
-    #: (the driver also narrows ``--clients`` to two); the study has no
-    #: ``--quick`` flag when ``None``.
-    quick: Optional[Callable[["argparse.Namespace"], None]] = None
+    #: The fixed tiny ``--quick`` campaign: argparse dest -> value, in
+    #: command-line form (lists comma-separated).  The preset fills only
+    #: the flags the user did not give (``plan_study`` also narrows an absent
+    #: ``--clients`` to two); the study has no ``--quick`` flag when ``None``.
+    quick: Optional[Mapping[str, Any]] = None
     quick_help: str = ""
     #: ``records -> text`` printed after the artefact is written.
     render: Optional[Callable[[Sequence[Any]], str]] = None

@@ -28,6 +28,7 @@ from repro.net.route import Route
 from repro.net.trace import CapacityTrace
 from repro.sim.simulator import Simulator
 from repro.tcp.fluid import FluidNetwork
+from tests.engines import forced_engine
 
 
 class TestFaultWindow:
@@ -250,7 +251,7 @@ def _run_engines(links, flow_specs):
     results = []
     for vector in (False, True):
         sim = Simulator()
-        net = FluidNetwork(sim, vector=vector)
+        net = FluidNetwork(sim)
         completions = {}
         handles = []
         for i, (route_idx, size, delay) in enumerate(flow_specs):
@@ -266,7 +267,8 @@ def _run_engines(links, flow_specs):
                     activation_delay=delay,
                 )
             )
-        sim.run()
+        with forced_engine(vector):
+            sim.run()
         results.append((completions, [f.delivered for f in handles]))
     return results
 

@@ -32,6 +32,7 @@ from repro.sim.simulator import Simulator
 from repro.tcp.fluid import FluidNetwork
 from repro.tcp.maxmin import maxmin_allocate, verify_maxmin
 from repro.tcp.model import SlowStartRamp
+from tests.engines import forced_engine
 
 
 def _well_separated(values):
@@ -238,26 +239,27 @@ class TestLinkNameCollision:
     constraint would be dropped — the engine must raise.
     """
 
-    def _run_pair(self, link_a, link_b, *, vector=False):
+    def _run_pair(self, link_a, link_b, vec=False):
         sim = Simulator()
-        net = FluidNetwork(sim, vector=vector)
+        net = FluidNetwork(sim)
         net.start_flow(Route([link_a]), 1000.0, activation_delay=0.0)
         net.start_flow(Route([link_b]), 1000.0, activation_delay=0.0)
-        sim.run()
+        with forced_engine(vec):
+            sim.run()
 
     @pytest.mark.parametrize("vector", [True, False])
     def test_conflicting_traces_raise(self, vector):
         link_a = Link("shared", "a", "b", CapacityTrace.constant(100.0))
         link_b = Link("shared", "a", "b", CapacityTrace.constant(200.0))
         with pytest.raises(TransferError, match="shared"):
-            self._run_pair(link_a, link_b, vector=vector)
+            self._run_pair(link_a, link_b, vector)
 
     @pytest.mark.parametrize("vector", [True, False])
     def test_equal_traces_allowed(self, vector):
         # Distinct objects, equal traces: legitimate sharing, no error.
         link_a = Link("shared", "a", "b", CapacityTrace.constant(100.0))
         link_b = Link("shared", "a", "b", CapacityTrace.constant(100.0))
-        self._run_pair(link_a, link_b, vector=vector)
+        self._run_pair(link_a, link_b, vector)
 
     def test_same_object_always_allowed(self):
         link = Link("shared", "a", "b", CapacityTrace.constant(100.0))
@@ -283,10 +285,9 @@ class TestEngineModeEquivalence:
     solve through ``maxmin_allocate`` plus the max-min certificate.
     """
 
-    def _transfer_times(self, *, vector=False, sanitize=False):
+    def _transfer_times(self, *, vec=False, sanitize=False):
         sim = Simulator(sanitize=sanitize)
-        net = FluidNetwork(sim, vector=vector)
-        assert net.vector is (vector and not sanitize)
+        net = FluidNetwork(sim)
         shared = Link(
             "shared",
             "a",
@@ -304,13 +305,15 @@ class TestEngineModeEquivalence:
             for i in range(3)
         ]
         flows.append(net.start_flow(Route([private[0]]), 2e3, activation_delay=0.1))
-        sim.run()
+        with forced_engine(vec):
+            sim.run()
+        assert net.vector is (vec and not sanitize)
         return [f.completed_at for f in flows]
 
     def test_byte_identical_completion_times(self):
         classic = self._transfer_times()
         # Exact float equality, not approx.
-        assert self._transfer_times(vector=True) == classic
+        assert self._transfer_times(vec=True) == classic
         assert self._transfer_times(sanitize=True) == classic
 
 
@@ -385,7 +388,7 @@ class TestAllocCacheOracle:
     def test_rates_match_reference_solve(self, vector, workload):
         traces, specs = workload
         sim = Simulator()
-        net = FluidNetwork(sim, vector=vector)
+        net = FluidNetwork(sim)
         links = [Link(f"l{i}", "a", "b", trace) for i, trace in enumerate(traces)]
         for route_idx, size_kb, start, abort, ramped in specs:
             flow = net.start_flow(
@@ -407,4 +410,5 @@ class TestAllocCacheOracle:
         # Irrational offsets keep every sample strictly between engine events.
         for i in range(40):
             sim.schedule_at(0.1 + i / math.pi * 0.8, check)
-        sim.run()
+        with forced_engine(vector):
+            sim.run()

@@ -10,23 +10,25 @@ from repro.sim.errors import TransferError
 from repro.sim.simulator import Simulator
 from repro.tcp.fluid import FluidNetwork
 from repro.util.units import mbps_to_bytes_per_s
+from tests.engines import forced_engine
 
 FAST_TCP = TcpParams(max_window=262_144.0)
 
 DEAD = CapacityTrace.constant(0.0)
 
 MODES = [ProbeMode.CONCURRENT, ProbeMode.SEQUENTIAL]
-ENGINES = [False, True]  # FluidNetwork(vector=...): classic / vector engine
+ENGINES = [False, True]  # forced_engine(...): per-object tick / vector core
 
 
-def _race(world, *, vector, mode, deadline, sanitize=False):
+def _race(world, vector, *, mode, deadline, sanitize=False):
     """Run one direct-vs-R1 probe race; returns (sim, outcome-or-timeout)."""
     sim = Simulator(sanitize=sanitize)
-    net = FluidNetwork(sim, vector=vector)
+    net = FluidNetwork(sim)
     engine = ProbeEngine(net, tcp=FAST_TCP)
     paths = [world.builder.direct("C", "S"), world.builder.indirect("C", "R1", "S")]
     try:
-        out = engine.run(paths, "/f", mode=mode, deadline=deadline)
+        with forced_engine(vector):
+            out = engine.run(paths, "/f", mode=mode, deadline=deadline)
     except ProbeTimeout as timeout:
         return sim, timeout
     return sim, out
@@ -49,7 +51,7 @@ class TestDeadPathRaces:
     @pytest.mark.parametrize("vector", ENGINES)
     def test_dead_direct_loses(self, mini_world, mode, vector):
         w = mini_world(direct_trace=DEAD, relay_mbps={"R1": 4.0})
-        sim, out = _race(w, vector=vector, mode=mode, deadline=60.0)
+        sim, out = _race(w, vector, mode=mode, deadline=60.0)
         assert not isinstance(out, ProbeTimeout)
         assert out.winner.via == "R1"
         dead = next(p for p in out.probes if p.label == "direct")
@@ -60,7 +62,7 @@ class TestDeadPathRaces:
     @pytest.mark.parametrize("vector", ENGINES)
     def test_dead_relay_loses(self, mini_world, mode, vector):
         w = mini_world(direct_mbps=1.0, relay_traces={"R1": DEAD})
-        sim, out = _race(w, vector=vector, mode=mode, deadline=60.0)
+        sim, out = _race(w, vector, mode=mode, deadline=60.0)
         assert not isinstance(out, ProbeTimeout)
         assert out.winner.via is None
         dead = next(p for p in out.probes if p.label == "R1")
@@ -70,7 +72,7 @@ class TestDeadPathRaces:
     @pytest.mark.parametrize("vector", ENGINES)
     def test_all_paths_dead_times_out(self, mini_world, mode, vector):
         w = mini_world(direct_trace=DEAD, relay_traces={"R1": DEAD})
-        sim, out = _race(w, vector=vector, mode=mode, deadline=30.0)
+        sim, out = _race(w, vector, mode=mode, deadline=30.0)
         assert isinstance(out, ProbeTimeout)
         assert out.deadline == 30.0
         assert out.started_at <= out.timed_out_at <= out.started_at + 30.0
@@ -85,9 +87,7 @@ class TestDeadPathRaces:
         rate = mbps_to_bytes_per_s(8.0)
         dying = CapacityTrace([0.0, 0.01, 5000.0], [rate, 0.0, rate])
         w = mini_world(direct_trace=dying, relay_traces={"R1": dying})
-        sim, out = _race(
-            w, vector=vector, mode=ProbeMode.CONCURRENT, deadline=10.0
-        )
+        sim, out = _race(w, vector, mode=ProbeMode.CONCURRENT, deadline=10.0)
         assert isinstance(out, ProbeTimeout)
         assert out.timed_out_at == pytest.approx(out.started_at + 10.0)
 
@@ -155,9 +155,10 @@ class TestSessionProbeTimeout:
             tcp=FAST_TCP, resilience=ResilienceConfig(probe_deadline=10.0)
         )
         sim = Simulator()
-        net = FluidNetwork(sim, vector=vector)
+        net = FluidNetwork(sim)
         session = TransferSession(net, w.builder, config)
-        result = session.download("C", "S", "/f", ["R1"])
+        with forced_engine(vector):
+            result = session.download("C", "S", "/f", ["R1"])
         assert result.outcome is SessionOutcome.ABORTED
         assert result.bytes_received == 0.0
         assert result.delivered == 0.0

@@ -257,11 +257,11 @@ PINNED_PLANS = [
     ),
     (
         ["scale", "--quick"],
-        "e423b9d72eaa4f38084450bda95412d8f3152e270a864e1c3d1c24c01320a80b",
+        "8a04ad61372d198844dc668963e857eb94b46d3ce5dcef9a92892daf13835b7a",
     ),
     (
         ["scale", "--clients", "300", "--waves", "2"],
-        "4549d7e2eafdb813dd8912fc033278b8a502d19b30cbddf0148007ced088df5b",
+        "66ac2f6b082a1f9f800415fb6e8661385d780bcaf6189c6a6c55eed525b19315",
     ),
 ]
 

@@ -14,6 +14,7 @@ from repro.perf import BENCHES, BenchReport, BenchSpec, format_report
 from repro.trace.records import ScaleRecord, TransferRecord
 from repro.trace.store import TraceStore
 from repro.workloads.scale import ScaleStudyParams, plan_scale, relay_names
+from tests.engines import forced_engine
 
 
 def _record(**overrides):
@@ -103,8 +104,6 @@ class TestPlanner:
         with pytest.raises(ValueError):
             ScaleStudyParams(clients_per_wave=0)
         with pytest.raises(ValueError):
-            ScaleStudyParams(engine="turbo")
-        with pytest.raises(ValueError):
             ScaleStudyParams(relay_rtt_factor=0.5)
         with pytest.raises(ValueError):
             ScaleStudyParams(size_classes=())
@@ -173,18 +172,14 @@ class TestRunnerIntegration:
     def test_classic_engine_is_byte_identical(
         self, section2_scenario, tiny_campaign
     ):
-        """Vector vs per-object oracle on the same small population."""
+        """Per-object tick vs vector core on the same small population."""
         from repro.runner.pool import execute_plan
 
-        _plan, vector_store = tiny_campaign
-        plan = plan_scale(
-            section2_scenario,
-            waves=2,
-            params=ScaleStudyParams(clients_per_wave=150, engine="classic"),
-        )
-        classic = execute_plan(plan, scenario=section2_scenario, jobs=1)
-        assert [r.to_dict() for r in classic.store.records] == [
-            r.to_dict() for r in vector_store.records
+        plan, classic_store = tiny_campaign  # 300 flows at most: never promotes
+        with forced_engine(True):
+            vector = execute_plan(plan, scenario=section2_scenario, jobs=1)
+        assert [r.to_dict() for r in vector.store.records] == [
+            r.to_dict() for r in classic_store.records
         ]
 
     def test_rows_round_trip_through_store(self, tiny_campaign, tmp_path):
@@ -254,8 +249,10 @@ class TestCli:
         assert (tmp_path / "scale.jsonl.obs.jsonl").exists()
 
     def test_classic_engine_byte_identical(self, plain_artefact, tmp_path):
+        # The plain run's 150 clients never promote; force the vector core.
         out = tmp_path / "scale.jsonl"
-        _run_cli(SCALE_ARGS + ["--out", str(out), "--engine", "classic"])
+        with forced_engine(True):
+            _run_cli(SCALE_ARGS + ["--out", str(out)])
         assert out.read_bytes() == plain_artefact
 
     def test_renders_study_table(self, tmp_path, capsys):

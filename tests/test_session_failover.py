@@ -10,6 +10,7 @@ from repro.sim.simulator import Simulator
 from repro.tcp.fluid import FluidNetwork
 from repro.util.units import mb, mbps_to_bytes_per_s
 from repro.workloads.failures import FAILURES_RESILIENCE
+from tests.engines import forced_engine
 
 FAST_TCP = TcpParams(max_window=262_144.0)
 
@@ -29,9 +30,9 @@ def _dies_at(t, mbps=8.0):
     return CapacityTrace([0.0, t], [mbps_to_bytes_per_s(mbps), 0.0])
 
 
-def _universe(world, config=CONFIG, *, vector=False, sanitize=False, start_time=0.0):
+def _universe(world, config=CONFIG, *, sanitize=False, start_time=0.0):
     sim = Simulator(start_time=start_time, sanitize=sanitize)
-    net = FluidNetwork(sim, vector=vector)
+    net = FluidNetwork(sim)
     return sim, TransferSession(net, world.builder, config)
 
 
@@ -247,8 +248,10 @@ class TestFailoverDeterminism:
                 relay_mbps={"R1": 8.0, "R2": 2.0},
                 relay_traces={"R1": _dies_at(2.0)},
             )
-            _, session = _universe(w, vector=vector)
-            sigs.append(self._signature(session.download("C", "S", "/f", ["R1", "R2"])))
+            _, session = _universe(w)
+            with forced_engine(vector):
+                result = session.download("C", "S", "/f", ["R1", "R2"])
+            sigs.append(self._signature(result))
         assert sigs[0] == sigs[1]
 
     def test_sanitizer_is_inert_and_clean(self, mini_world):

@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import main
+from repro.cli import build_parser, main, plan_study
 from repro.runner.plan import WorkUnit
 from repro.runner.pool import run_unit
 from repro.workloads.experiment import run_paired_unit
 from repro.workloads.studies import STUDIES, get_study, unit_runner
+from tests.engines import forced_engine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -21,6 +22,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BAD_ARGS = [
     ("section2", ["--reps", "0", "--clients", "Beirut"]),
     ("section4", ["--reps", "0"]),
+    ("section4", ["--reps", "1", "--set-sizes", "35,99"]),
     ("failures", ["--reps", "0"]),
     ("failures", ["--quick", "--interval", "-5"]),
     ("failures", ["--quick", "--link-mtbf", "0"]),
@@ -33,8 +35,10 @@ BAD_ARGS = [
     ("mhttp", ["--quick", "--block-kb", "0"]),
     ("mhttp", ["--quick", "--window", "0"]),
     ("mhttp", ["--ks", "2,x"]),
+    ("mhttp", ["--quick", "--ks", "0"]),
     ("chaos", ["--reps", "0"]),
     ("chaos", ["--quick", "--interval", "-5"]),
+    ("chaos", ["--quick", "--families", "bogus"]),
     ("scale", ["--waves", "0"]),
 ]
 
@@ -53,6 +57,22 @@ def test_bad_argument_is_a_usage_error(study, bad, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_quick_preset_keeps_explicit_flags():
+    """``--quick`` fills only the flags the user did not give."""
+    from collections import Counter
+
+    args = build_parser("chaos").parse_args(
+        ["chaos", "--quick", "--reps", "2", "--out", "unused.jsonl"]
+    )
+    _scenario, plan = plan_study(get_study("chaos"), args)
+    cells = Counter((u.client, u.variant) for u in plan.units)
+    assert set(cells.values()) == {2}
+    # The preset still fills the flags left out: its families, one intensity.
+    assert {v.split("+")[1] for _, v in cells} == {
+        "none:severe", "gray:severe", "correlated:severe"
+    }
 
 
 def test_duplicate_set_sizes_warn_and_run_once(tmp_path, capsys):
@@ -148,18 +168,14 @@ SMALLEST_PLAN = {
 
 
 @pytest.mark.parametrize("study", list(STUDIES))
-def test_engines_write_byte_identical_artefacts(study, tmp_path, monkeypatch):
+def test_engines_write_byte_identical_artefacts(study, tmp_path):
     """Classic and vector engine runs of every study write the same bytes."""
     assert study in SMALLEST_PLAN, f"add {study!r} to SMALLEST_PLAN"
     artefacts = []
-    for engine in ("classic", "vector"):
-        out = tmp_path / f"{engine}.jsonl"
-        argv = [study, *SMALLEST_PLAN[study], "--out", str(out)]
-        if study == "scale":  # scale picks its engine by flag, not environment
-            argv += ["--engine", engine]
-        else:
-            monkeypatch.setenv("REPRO_ENGINE_VECTOR", "1" if engine == "vector" else "0")
-        assert main(argv) == 0
+    for vector in (False, True):
+        out = tmp_path / f"{vector}.jsonl"
+        with forced_engine(vector):
+            assert main([study, *SMALLEST_PLAN[study], "--out", str(out)]) == 0
         artefacts.append(out.read_bytes())
     assert artefacts[0], "the smallest plan wrote no records"
     assert artefacts[0] == artefacts[1]

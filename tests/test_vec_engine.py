@@ -1,14 +1,16 @@
 """Pinning suite for the struct-of-arrays vector engine (DESIGN.md §12).
 
-The vector engine is an oracle-checked rewrite: on any workload the classic
-per-object engine can run, the vector path must produce *identical* floats —
+A fluid network promotes itself from the per-object tick to the vector core
+once its population passes the dense-solver window, so the two ticks must
+agree: at populations within that window they produce *identical* floats —
 completion times, delivered bytes and instantaneous rates all match
-bit-for-bit at populations within the dense-solver window.  These tests
-drive both engines over random topologies/populations (constant and
-time-varying capacity, slow-start ramps, staggered activations, aborts) and
-compare everything observable.  A separate large-population case crosses
-into the sparse water-filling solver, where identity is asserted only up to
-floating-point round-off.
+bit-for-bit.  These tests pin each tick (tests/engines.py) over random
+topologies/populations (constant and time-varying capacity, slow-start
+ramps, staggered activations, aborts) and compare everything observable.
+Large-population cases cross into the sparse water-filling solver, where
+agreement with the per-object tick is asserted only up to floating-point
+round-off, and a promoted run must equal a vector-from-the-start run
+bit-for-bit.
 """
 
 import numpy as np
@@ -20,8 +22,10 @@ from repro.net.link import Link
 from repro.net.route import Route
 from repro.net.trace import CapacityTrace
 from repro.sim.simulator import Simulator
-from repro.tcp.fluid import FluidNetwork, vector_engine_from_env
+from repro.tcp import fluid
+from repro.tcp.fluid import FluidNetwork
 from repro.tcp.model import SlowStartRamp
+from tests.engines import forced_engine
 
 
 def _random_problem(rng, *, n_links=6, n_flows=14, dynamic=False):
@@ -68,10 +72,20 @@ def _random_problem(rng, *, n_links=6, n_flows=14, dynamic=False):
     return specs
 
 
-def _run(specs, *, vector, coalesce=False, sample_times=()):
-    """Run one engine over ``specs``; return everything observable."""
+def _run(specs, vec=None, *, sample_times=(), nets=None):
+    """Run ``specs`` on one network; return everything observable.
+
+    ``vec`` pins the tick (True: vector core from the first flow, False:
+    per-object tick throughout); None leaves the choice to the population.
+    The network is appended to ``nets`` when given.
+    """
+    if vec is not None:
+        with forced_engine(vec):
+            return _run(specs, sample_times=sample_times, nets=nets)
     sim = Simulator()
-    net = FluidNetwork(sim, vector=vector, coalesce_activations=coalesce)
+    net = FluidNetwork(sim)
+    if nets is not None:
+        nets.append(net)
     completions = {}
     handles = []
     for i, spec in enumerate(specs):
@@ -109,8 +123,8 @@ class TestVectorOracleIdentity:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_population_constant_links(self, seed):
         specs = _random_problem(np.random.default_rng(seed))
-        classic = _run(specs, vector=False, sample_times=SAMPLE_TIMES)
-        vector = _run(specs, vector=True, sample_times=SAMPLE_TIMES)
+        classic = _run(specs, False, sample_times=SAMPLE_TIMES)
+        vector = _run(specs, True, sample_times=SAMPLE_TIMES)
         assert vector == classic  # exact: times, bytes and sampled rates
 
     @pytest.mark.parametrize("seed", range(4))
@@ -118,23 +132,46 @@ class TestVectorOracleIdentity:
         specs = _random_problem(
             np.random.default_rng(100 + seed), dynamic=True
         )
-        classic = _run(specs, vector=False, sample_times=SAMPLE_TIMES)
-        vector = _run(specs, vector=True, sample_times=SAMPLE_TIMES)
+        classic = _run(specs, False, sample_times=SAMPLE_TIMES)
+        vector = _run(specs, True, sample_times=SAMPLE_TIMES)
         assert vector == classic
 
     @pytest.mark.parametrize("seed", range(4))
     def test_coalesced_activation_matches_per_flow_events(self, seed):
-        """Activation coalescing is a pure scheduling change."""
+        """Coalesced activations behave like one event per flow: flows
+        sharing an activation instant activate in creation order, on
+        either tick, and both ticks then agree exactly."""
         specs = _random_problem(np.random.default_rng(200 + seed))
-        # Duplicate activation instants so coalescing actually batches.
+        # Interleave creation across three shared activation instants.
+        delays = (0.0, 0.25, 0.5)
         for i, spec in enumerate(specs):
-            spec["delay"] = 0.25 * (i % 3)
-        plain = _run(specs, vector=False, sample_times=SAMPLE_TIMES)
+            spec["delay"] = delays[i % 3]
         for vec in (False, True):
-            coalesced = _run(
-                specs, vector=vec, coalesce=True, sample_times=SAMPLE_TIMES
-            )
-            assert coalesced == plain
+            sim = Simulator()
+            net = FluidNetwork(sim)
+            for i, spec in enumerate(specs):
+                net.start_flow(
+                    Route(spec["route"]), spec["size"], ramp=spec["ramp"],
+                    name=f"f{i}", activation_delay=spec["delay"],
+                )
+            seen = {}
+            # Scheduled after every activation, before the instant's tick.
+            for t in delays:
+                sim.schedule_at(
+                    t,
+                    lambda t=t: seen.__setitem__(
+                        t, [f.name for f in net.active_flows]
+                    ),
+                    name="observe",
+                )
+            with forced_engine(vec):
+                sim.run()
+            for t in delays:
+                batch = [f"f{i}" for i, s in enumerate(specs) if s["delay"] == t]
+                assert seen[t][-len(batch):] == batch
+        assert _run(specs, True, sample_times=SAMPLE_TIMES) == _run(
+            specs, False, sample_times=SAMPLE_TIMES
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -146,8 +183,8 @@ class TestVectorOracleIdentity:
             n_flows=int(rng.integers(1, 20)),
             dynamic=bool(rng.integers(0, 2)),
         )
-        assert _run(specs, vector=True, sample_times=SAMPLE_TIMES) == _run(
-            specs, vector=False, sample_times=SAMPLE_TIMES
+        assert _run(specs, True, sample_times=SAMPLE_TIMES) == _run(
+            specs, False, sample_times=SAMPLE_TIMES
         )
 
     def test_abort_between_activation_and_first_tick(self):
@@ -155,9 +192,9 @@ class TestVectorOracleIdentity:
         pending buffer (activated, not yet materialised as a row) must
         behave exactly like the classic engine's abort."""
 
-        def run(vector):
+        def run(vec):
             sim = Simulator()
-            net = FluidNetwork(sim, vector=vector)
+            net = FluidNetwork(sim)
             link = Link("l0", "a", "b", CapacityTrace.constant(1e6), delay=0.01)
             keeper = net.start_flow(
                 Route([link]), 5e5, name="keeper", activation_delay=0.5
@@ -168,25 +205,37 @@ class TestVectorOracleIdentity:
             # Scheduled after start_flow: at t=0.5 this runs between the
             # victim's activation event and the engine's same-instant tick.
             sim.schedule_at(0.5, lambda: net.abort_flow(victim), name="abort")
-            sim.run()
+            with forced_engine(vec):
+                sim.run()
             return keeper.completed_at, keeper.delivered, victim.completed_at
 
         assert run(True) == run(False)
 
-    def test_env_toggle_selects_engine(self, monkeypatch):
-        # The runtime sanitizer pins the classic engine, so an ambient
-        # REPRO_SANITIZE=1 must not leak into the toggle under test.
+    def test_promotion_bound_selects_engine(self, monkeypatch, pytestconfig):
+        # The runtime sanitizer pins the per-object tick, so an ambient
+        # REPRO_SANITIZE=1 must not leak into the choice under test.
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        monkeypatch.setenv("REPRO_ENGINE_VECTOR", "1")
-        assert vector_engine_from_env() is True
-        sim = Simulator()
-        assert FluidNetwork(sim).vector is True
-        assert FluidNetwork(Simulator(sanitize=True)).vector is False
-        monkeypatch.setenv("REPRO_ENGINE_VECTOR", "0")
-        assert vector_engine_from_env() is False
-        assert FluidNetwork(Simulator()).vector is False
-        # Explicit argument beats the environment.
-        assert FluidNetwork(Simulator(), vector=True).vector is True
+        link = Link("l0", "a", "b", CapacityTrace.constant(1e6), delay=0.01)
+
+        def promoted(sim, n_flows=1):
+            net = FluidNetwork(sim)
+            assert net.vector is False  # every network starts per-object
+            for _ in range(n_flows):
+                net.start_flow(Route([link]), 1e4, activation_delay=0.0)
+            sim.run()
+            return net.vector
+
+        assert fluid._DENSE_MAX_FLOWS == 384
+        if not pytestconfig.getoption("--vector-engine"):
+            assert fluid._PROMOTE_ABOVE == fluid._DENSE_MAX_FLOWS
+        monkeypatch.setattr(fluid, "_PROMOTE_ABOVE", fluid._DENSE_MAX_FLOWS)
+        assert promoted(Simulator(), 384) is False
+        assert promoted(Simulator(), 385) is True
+        with forced_engine(True):
+            assert promoted(Simulator()) is True
+            assert promoted(Simulator(sanitize=True)) is False
+        with forced_engine(False):
+            assert promoted(Simulator(), 385) is False
 
 
 class TestSparseSolverWindow:
@@ -217,9 +266,66 @@ class TestSparseSolverWindow:
                     "delay": float(rng.uniform(0.0, 0.5)),
                 }
             )
-        classic = _run(specs, vector=False)
-        vector = _run(specs, vector=True)
+        classic = _run(specs, False)
+        vector = _run(specs, True)
         assert set(vector[0]) == set(classic[0])  # everyone completes
         for name, t in classic[0].items():
             assert vector[0][name] == pytest.approx(t, rel=1e-9)
         assert vector[1] == pytest.approx(classic[1], rel=1e-9)
+
+
+class TestPromotion:
+    """A network that outgrows the dense window moves to the vector core."""
+
+    def _growing_population(self):
+        """300 flows at t=0 and 220 more at t=1 on shared links: the second
+        batch lifts the population past 384, then it drains to zero."""
+        rng = np.random.default_rng(11)
+        specs = _random_problem(rng, n_links=8, n_flows=520, dynamic=True)
+        for i, spec in enumerate(specs):
+            spec["delay"] = 0.0 if i < 300 else 1.0
+        return specs
+
+    @staticmethod
+    def _population(specs, completions, t):
+        return sum(
+            1
+            for i, spec in enumerate(specs)
+            if spec["delay"] <= t < completions[f"f{i}"]
+        )
+
+    def test_promoted_run_matches_vector_and_classic_runs(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        specs = self._growing_population()
+        nets = []
+        promoted = _run(specs, sample_times=SAMPLE_TIMES, nets=nets)
+        assert nets[0].vector
+        completions = promoted[0]
+        assert len(completions) == len(specs)  # everyone completes
+        assert self._population(specs, completions, 0.5) <= 384
+        assert self._population(specs, completions, 1.0) > 384
+        last = max(completions.values())
+        assert 0 < self._population(specs, completions, 0.9 * last) <= 384
+
+        # Bit-identical to the vector core from the first flow ...
+        assert promoted == _run(specs, True, sample_times=SAMPLE_TIMES)
+        # ... and within the sparse solver's round-off of the per-object
+        # tick, which solves the whole population densely.
+        classic = _run(specs, False, sample_times=SAMPLE_TIMES)
+        assert set(classic[0]) == set(completions)
+        for name, t in classic[0].items():
+            assert completions[name] == pytest.approx(t, rel=1e-9)
+        assert promoted[1] == pytest.approx(classic[1], rel=1e-9)
+
+    def test_sanitized_simulator_never_promotes(self):
+        link = Link("l0", "a", "b", CapacityTrace.constant(1e6), delay=0.01)
+        sim = Simulator(sanitize=True)
+        net = FluidNetwork(sim)
+        flows = [
+            net.start_flow(Route([link]), 1e3, activation_delay=0.0)
+            for _ in range(400)
+        ]
+        sim.run()
+        assert not net.vector
+        assert all(f.done for f in flows)
+        assert sim.sanitizer.checks_run > 0

@@ -10,7 +10,7 @@ negative improvements) while healthy transfers pay essentially nothing.
 
 import numpy as np
 
-from repro.chaos.faults import FaultWindow
+from repro.net.failures import FaultWindow
 from repro.net.topology import wan_link_name
 from repro.util import render_table
 from repro.workloads.experiment import STUDY_SESSION_CONFIG

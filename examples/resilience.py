@@ -18,7 +18,7 @@ import sys
 
 from repro import Scenario, ScenarioSpec
 from repro.analysis.availability import masking_stats
-from repro.net.failures import Outage
+from repro.net.failures import FaultWindow
 from repro.net.topology import wan_link_name
 from repro.workloads.experiment import STUDY_SESSION_CONFIG
 from repro.workloads.failures import (
@@ -56,8 +56,8 @@ def mid_transfer_failover(scenario) -> None:
     # seconds into the transfer, for five minutes.  The stall watchdog
     # should fail over to the (slower but alive) direct path.
     relay = scenario.good_static_relay(client)
-    degraded = scenario.with_outages(
-        {wan_link_name(relay, client): [Outage(6.0, 300.0)]}
+    degraded = scenario.with_faults(
+        {wan_link_name(relay, client): [FaultWindow(6.0, 300.0)]}
     )
 
     plain = degraded.universe(0.0, config=STUDY_SESSION_CONFIG).session.download(

@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from repro.trace.records import FailureRecord, StripeRecord
+from repro.util.stats import finite_mean, finite_quantile
 from repro.util.units import mb
 
 __all__ = [
@@ -48,20 +47,6 @@ __all__ = [
     "stripe_degradation_by_k",
     "render_stripe_degradation",
 ]
-
-
-def _quantile(values: Sequence[float], q: float) -> float:
-    finite = [v for v in values if math.isfinite(v)]
-    if not finite:
-        return math.nan
-    return float(np.quantile(np.asarray(finite, dtype=np.float64), q))
-
-
-def _mean(values: Sequence[float]) -> float:
-    finite = [v for v in values if math.isfinite(v)]
-    if not finite:
-        return math.nan
-    return float(np.mean(np.asarray(finite, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -188,10 +173,10 @@ def availability_stats(records: Sequence[FailureRecord]) -> AvailabilityStats:
         n_aborted=n_aborted,
         availability=availability,
         recovery_rate=recovery_rate,
-        mean_ttr=_mean(ttrs),
-        median_ttr=_quantile(ttrs, 0.5),
-        p95_ttr=_quantile(ttrs, 0.95),
-        mean_goodput_under_failure=_mean(goodput_under_failure(records)),
+        mean_ttr=finite_mean(ttrs),
+        median_ttr=finite_quantile(ttrs, 0.5),
+        p95_ttr=finite_quantile(ttrs, 0.95),
+        mean_goodput_under_failure=finite_mean(goodput_under_failure(records)),
         byte_unavailability=byte_unavailability,
     )
 
@@ -302,7 +287,7 @@ def masking_stats(records: Sequence[FailureRecord]) -> MaskingStats:
         n_transfers=len(records),
         n_affected=len(affected),
         n_masked=len(masked),
-        mean_affected_speedup=_mean([r.speedup for r in affected]),
+        mean_affected_speedup=finite_mean([r.speedup for r in affected]),
     )
 
 
@@ -368,8 +353,8 @@ def stripe_degradation_stats(
     degraded = [r for r in rows if r.degraded]
     n_aborted = sum(1 for r in rows if r.aborted)
 
-    goodput_clean = _mean([_stripe_goodput(r) for r in clean])
-    goodput_degraded = _mean([_stripe_goodput(r) for r in degraded])
+    goodput_clean = finite_mean([_stripe_goodput(r) for r in clean])
+    goodput_degraded = finite_mean([_stripe_goodput(r) for r in degraded])
     retained = (
         goodput_degraded / goodput_clean
         if math.isfinite(goodput_clean)

@@ -24,9 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.trace.records import ChaosRecord
+from repro.util.stats import finite_mean, finite_quantile
 
 __all__ = [
     "ChaosCellStats",
@@ -35,20 +34,6 @@ __all__ = [
     "mechanism_separation",
     "render_chaos",
 ]
-
-
-def _quantile(values: Sequence[float], q: float) -> float:
-    finite = [v for v in values if math.isfinite(v)]
-    if not finite:
-        return math.nan
-    return float(np.quantile(np.asarray(finite, dtype=np.float64), q))
-
-
-def _mean(values: Sequence[float]) -> float:
-    finite = [v for v in values if math.isfinite(v)]
-    if not finite:
-        return math.nan
-    return float(np.mean(np.asarray(finite, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -101,7 +86,7 @@ def _cell(rows: Sequence[ChaosRecord], baseline_goodput: float) -> ChaosCellStat
     head = rows[0]
     finished = [r for r in rows if not r.aborted]
     ttrs = [r.time_to_recover for r in rows if math.isfinite(r.time_to_recover)]
-    goodput = _mean([r.end_to_end_throughput for r in rows])
+    goodput = finite_mean([r.end_to_end_throughput for r in rows])
     retained = (
         goodput / baseline_goodput
         if math.isfinite(goodput) and baseline_goodput > 0.0
@@ -117,16 +102,16 @@ def _cell(rows: Sequence[ChaosRecord], baseline_goodput: float) -> ChaosCellStat
         availability=(
             sum(1 for r in rows if r.available) / len(rows) if rows else math.nan
         ),
-        mean_ttr=_mean(ttrs),
-        p50_ttr=_quantile(ttrs, 0.5),
+        mean_ttr=finite_mean(ttrs),
+        p50_ttr=finite_quantile(ttrs, 0.5),
         n_recovered=len(ttrs),
         goodput_retained=retained,
-        p50_duration=_quantile([r.selected_duration for r in finished], 0.5),
-        p99_duration=_quantile([r.selected_duration for r in finished], 0.99),
-        mean_recovery_actions=_mean(
+        p50_duration=finite_quantile([r.selected_duration for r in finished], 0.5),
+        p99_duration=finite_quantile([r.selected_duration for r in finished], 0.99),
+        mean_recovery_actions=finite_mean(
             [float(r.n_failovers + r.n_path_failures) for r in rows]
         ),
-        mean_downtime=_mean([r.fault_downtime for r in rows]),
+        mean_downtime=finite_mean([r.fault_downtime for r in rows]),
     )
 
 
@@ -145,7 +130,7 @@ def chaos_cells(
     baselines: Dict[str, float] = {}
     for (family, _intensity, mechanism), rows in groups.items():
         if family == "none":
-            baselines[mechanism] = _mean([r.end_to_end_throughput for r in rows])
+            baselines[mechanism] = finite_mean([r.end_to_end_throughput for r in rows])
     return {
         key: _cell(groups[key], baselines.get(key[2], math.nan))
         for key in sorted(groups)

@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.analysis.availability import render_stripe_degradation
 from repro.trace.records import StripeRecord
+from repro.util.stats import finite_mean, finite_quantile
 from repro.util.units import mb
 
 __all__ = [
@@ -33,20 +32,6 @@ __all__ = [
     "stripe_p99_advantage",
     "render_mhttp",
 ]
-
-
-def _quantile(values: Sequence[float], q: float) -> float:
-    finite = [v for v in values if math.isfinite(v)]
-    if not finite:
-        return math.nan
-    return float(np.quantile(np.asarray(finite, dtype=np.float64), q))
-
-
-def _mean(values: Sequence[float]) -> float:
-    finite = [v for v in values if math.isfinite(v)]
-    if not finite:
-        return math.nan
-    return float(np.mean(np.asarray(finite, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -103,13 +88,13 @@ def _cell(rows: Sequence[StripeRecord]) -> MhttpCellStats:
         n=len(rows),
         n_delivered=len(delivered),
         n_aborted=sum(1 for r in rows if r.aborted),
-        mean_improvement=_mean(improvements),
-        p50_duration=_quantile(durations, 0.5),
-        p95_duration=_quantile(durations, 0.95),
-        p99_duration=_quantile(durations, 0.99),
-        mean_wasted_bytes=_mean([r.wasted_bytes for r in rows]),
-        mean_wasted_fraction=_mean([r.wasted_fraction for r in rows]),
-        mean_reissues=_mean([float(r.n_reissues) for r in rows]),
+        mean_improvement=finite_mean(improvements),
+        p50_duration=finite_quantile(durations, 0.5),
+        p95_duration=finite_quantile(durations, 0.95),
+        p99_duration=finite_quantile(durations, 0.99),
+        mean_wasted_bytes=finite_mean([r.wasted_bytes for r in rows]),
+        mean_wasted_fraction=finite_mean([r.wasted_fraction for r in rows]),
+        mean_reissues=finite_mean([float(r.n_reissues) for r in rows]),
     )
 
 

@@ -3,9 +3,9 @@
 Two layers share this package:
 
 * :mod:`repro.chaos.faults` - simulation-time faults.  Declarative
-  :class:`FaultWindow` plans (gray degradation, flapping, correlated
-  blackouts, partitions) compile into capacity-trace rewrites that both
-  transport engines consume unchanged.
+  :class:`~repro.net.failures.FaultWindow` plans (gray degradation,
+  flapping, correlated blackouts, partitions) compile into capacity-trace
+  rewrites that both transport engines consume unchanged.
 * :mod:`repro.chaos.runner` - process-level faults.  A
   :class:`RunnerFaultPlan` kills pool workers at deterministic points to
   prove the executor's crash-consistent resume.
@@ -15,9 +15,6 @@ from repro.chaos.faults import (
     FAULT_FAMILIES,
     FAULT_INTENSITIES,
     FaultIntensity,
-    FaultWindow,
-    apply_fault_windows,
-    blackout_spans,
     compile_fault_plan,
     degraded_seconds,
     flapping_windows,
@@ -30,11 +27,8 @@ __all__ = [
     "FAULT_FAMILIES",
     "FAULT_INTENSITIES",
     "FaultIntensity",
-    "FaultWindow",
     "RunnerFaultInjector",
     "RunnerFaultPlan",
-    "apply_fault_windows",
-    "blackout_spans",
     "compile_fault_plan",
     "degraded_seconds",
     "flapping_windows",

@@ -1,22 +1,19 @@
 """Deterministic fault injection: declarative plans -> trace rewrites.
 
-PR 4's failure model knows exactly one fault: a clean binary crash
-(capacity 0 for an interval).  Real failures are messier - Qazi & Moors
-and the gray-failure literature describe *partial* capacity loss, flapping
-links, and outages *correlated* across every path sharing an upstream
-segment.  This module generalises the outage machinery to that taxonomy.
-
-A :class:`FaultWindow` scales a link's capacity by ``factor`` over an
-interval: ``factor == 0`` is the familiar blackout, ``0 < factor < 1`` is
-a gray failure (the link limps, it does not die).
-:func:`apply_fault_windows` rewrites a capacity trace accordingly -
-breakpoints *inside* a window are scaled, not swallowed, so a gray window
-over a time-varying trace preserves the underlying shape at reduced
-amplitude.  Because injection happens by rewriting the immutable capacity
-traces before any engine runs, both engine paths (the classic per-object
-oracle and the vectorised SoA core) see identical fault conditions with
-no engine-specific fault code: the vector engine's dynamic-trace cursors
-carry the rewritten breakpoints exactly like the classic engine's.
+The fault primitive lives in the net layer: a
+:class:`~repro.net.failures.FaultWindow` scales a link's capacity by
+``factor`` over an interval (``factor == 0`` is a blackout, ``0 < factor
+< 1`` a gray failure), and :func:`~repro.net.failures.apply_fault_windows`
+rewrites a capacity trace accordingly.  Real failures are messier than a
+clean crash - Qazi & Moors and the gray-failure literature describe
+*partial* capacity loss, flapping links, and outages *correlated* across
+every path sharing an upstream segment - and this module compiles that
+taxonomy into window plans.  Because injection happens by rewriting the
+immutable capacity traces before any engine runs, both engine paths (the
+classic per-object oracle and the vectorised SoA core) see identical fault
+conditions with no engine-specific fault code: the vector engine's
+dynamic-trace cursors carry the rewritten breakpoints exactly like the
+classic engine's.
 
 :func:`compile_fault_plan` turns a (family, intensity) coordinate plus the
 target link names into the per-link window map scenarios consume:
@@ -40,23 +37,19 @@ a study slot regardless of worker count or execution order.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.net.trace import CapacityTrace
+from repro.net.failures import FaultWindow
 from repro.util.validation import check_non_negative
 
 __all__ = [
     "FAULT_FAMILIES",
     "FAULT_INTENSITIES",
-    "FaultWindow",
     "FaultIntensity",
     "intensity_params",
-    "apply_fault_windows",
     "flapping_windows",
     "compile_fault_plan",
-    "blackout_spans",
     "plan_spans",
     "degraded_seconds",
 ]
@@ -66,41 +59,6 @@ FAULT_FAMILIES = ("none", "gray", "flap", "correlated", "partition")
 
 #: Intensity grid every family is parameterised over.
 FAULT_INTENSITIES = ("mild", "severe")
-
-
-@dataclass(frozen=True)
-class FaultWindow:
-    """Scale a link's capacity by ``factor`` over ``[start, start+duration)``.
-
-    ``factor == 0`` is a blackout (exactly an :class:`~repro.net.failures.
-    Outage`); ``0 < factor < 1`` is a gray failure.  Zero-length windows
-    are legal degenerate no-ops, mirroring :class:`Outage`.
-    """
-
-    start: float
-    duration: float
-    factor: float = 0.0
-
-    def __post_init__(self) -> None:
-        check_non_negative(self.start, "start")
-        check_non_negative(self.duration, "duration")
-        if not 0.0 <= self.factor < 1.0:
-            raise ValueError(
-                f"factor must be in [0, 1) - 1.0 would be a no-op window - "
-                f"got {self.factor}"
-            )
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-    @property
-    def is_blackout(self) -> bool:
-        return self.factor == 0.0
-
-    def overlaps(self, t0: float, t1: float) -> bool:
-        """True when the window intersects ``[t0, t1)`` (empty never does)."""
-        return self.duration > 0.0 and self.start < t1 and t0 < self.end
 
 
 @dataclass(frozen=True)
@@ -149,93 +107,6 @@ def intensity_params(intensity: str) -> FaultIntensity:
         ) from None
 
 
-def _value_at(times: Sequence[float], values: Sequence[float], t: float) -> float:
-    """Right-continuous sample of a raw breakpoint list (no trace object)."""
-    i = bisect.bisect_right(times, t) - 1
-    return values[max(i, 0)]
-
-
-def apply_fault_windows(
-    trace: CapacityTrace, windows: Sequence[FaultWindow]
-) -> CapacityTrace:
-    """Return a copy of ``trace`` with capacity scaled inside each window.
-
-    The generalisation of :func:`~repro.net.failures.apply_outages`:
-    windows must be non-overlapping; within each window every capacity
-    value - including breakpoints the underlying trace takes *inside* the
-    window - is multiplied by the window's factor, and the underlying
-    capacity resumes at the window's end (right-continuous semantics
-    preserved).  Blackout windows (``factor == 0``) produce exactly the
-    trace :func:`apply_outages` would.  Zero-length windows are dropped;
-    back-to-back windows sharing a breakpoint coalesce cleanly because the
-    later window's entry breakpoint overwrites the earlier one's resume
-    breakpoint at the shared instant.
-    """
-    windows = [w for w in windows if w.duration > 0.0]
-    if not windows:
-        return trace
-    ordered = sorted(windows, key=lambda w: w.start)
-    for prev, nxt in zip(ordered, ordered[1:]):
-        if nxt.start < prev.end:
-            raise ValueError(
-                f"fault windows overlap: [{prev.start}, {prev.end}) and "
-                f"[{nxt.start}, {nxt.end})"
-            )
-    times = list(trace.times)
-    values = list(trace.values)
-    for w in ordered:
-        new_times: List[float] = []
-        new_values: List[float] = []
-        resumed = _value_at(times, values, w.end)
-        entry = w.factor * _value_at(times, values, w.start)
-        inserted_start = False
-        inserted_end = False
-        for t, v in zip(times, values):
-            if t < w.start:
-                new_times.append(t)
-                new_values.append(v)
-            elif t < w.end:
-                if not inserted_start:
-                    new_times.append(w.start)
-                    new_values.append(entry)
-                    inserted_start = True
-                if t > w.start:
-                    # Interior breakpoints are *scaled*, not swallowed: a
-                    # gray window preserves the trace's shape at reduced
-                    # amplitude.  (For factor 0 these all scale to 0 and
-                    # the coalesce pass below removes the repeats,
-                    # recovering apply_outages' output exactly.)
-                    new_times.append(t)
-                    new_values.append(w.factor * v)
-            else:
-                if not inserted_start:
-                    new_times.append(w.start)
-                    new_values.append(entry)
-                    inserted_start = True
-                if not inserted_end:
-                    new_times.append(w.end)
-                    new_values.append(resumed)
-                    inserted_end = True
-                if t > w.end:
-                    new_times.append(t)
-                    new_values.append(v)
-        if not inserted_start:  # window starts after the last breakpoint
-            new_times.append(w.start)
-            new_values.append(entry)
-        if not inserted_end:
-            new_times.append(w.end)
-            new_values.append(resumed)
-        times, values = new_times, new_values
-    kept_times = [times[0]]
-    kept_values = [values[0]]
-    for t, v in zip(times[1:], values[1:]):
-        if v == kept_values[-1]:
-            continue
-        kept_times.append(t)
-        kept_values.append(v)
-    return CapacityTrace(kept_times, kept_values)
-
-
 def flapping_windows(
     onset: float,
     duration: float,
@@ -249,7 +120,7 @@ def flapping_windows(
     ``duty`` fraction dark (capacity 0) and the rest up, until the episode
     ends at ``onset + duration``; the final dark window is clipped to the
     episode boundary (possibly to zero length, which
-    :func:`apply_fault_windows` then drops).
+    :func:`~repro.net.failures.apply_fault_windows` then drops).
     """
     if period <= 0.0 or not 0.0 < duty < 1.0:
         raise ValueError(f"need period > 0 and 0 < duty < 1, got {period}, {duty}")
@@ -319,22 +190,6 @@ def compile_fault_plan(
     # invisible until a committed transfer crosses a dead segment.
     targets = dict.fromkeys([direct_link, egress_links[0]])
     return {name: list(black) for name in targets}
-
-
-def blackout_spans(
-    plan: Mapping[str, Sequence[FaultWindow]],
-) -> Dict[str, List[Tuple[float, float]]]:
-    """Per-link ``(start, end)`` spans of the plan's *blackout* windows.
-
-    The shape the runtime sanitizer registers (QA-R006): only full
-    blackouts assert zero delivery, gray windows legitimately carry bytes.
-    """
-    spans: Dict[str, List[Tuple[float, float]]] = {}
-    for name, windows in plan.items():
-        black = [(w.start, w.end) for w in windows if w.is_blackout and w.duration > 0]
-        if black:
-            spans[name] = sorted(black)
-    return spans
 
 
 def plan_spans(

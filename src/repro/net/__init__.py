@@ -10,13 +10,13 @@ from repro.net.capacity import (
     TraceReplayCapacity,
 )
 from repro.net.failures import (
-    Outage,
+    FaultWindow,
     OutageGenerator,
-    apply_outages,
+    apply_fault_windows,
+    blackout_spans,
     merge_outage_plans,
     node_outage_plan,
     node_wan_links,
-    total_downtime,
 )
 from repro.net.latency import DEFAULT_ONE_WAY_DELAYS, REGIONS, LatencyModel
 from repro.net.link import Link
@@ -34,10 +34,10 @@ __all__ = [
     "CompositeCapacity",
     "DiurnalCapacity",
     "TraceReplayCapacity",
-    "Outage",
+    "FaultWindow",
+    "apply_fault_windows",
+    "blackout_spans",
     "OutageGenerator",
-    "apply_outages",
-    "total_downtime",
     "node_wan_links",
     "node_outage_plan",
     "merge_outage_plans",

@@ -1,4 +1,4 @@
-"""Path failure (outage) modelling.
+"""Path failure modelling: fault windows over capacity traces.
 
 The paper's lineage - RON [1], one-hop source routing [2], MONET [12] -
 motivates indirect routing with *failure masking*: when the default route
@@ -6,24 +6,30 @@ dies, a one-hop detour keeps the transfer alive.  The paper itself measures
 only throughput, but its mechanism inherits the masking property for free
 (a dead direct path simply loses the probe race).
 
-An :class:`Outage` zeroes a link's capacity for an interval;
-:func:`apply_outages` rewrites a capacity trace accordingly, and
-:class:`OutageGenerator` draws Poisson outage processes (exponential
-inter-failure gaps and repair times), the standard availability model.
+There is one fault primitive.  A :class:`FaultWindow` scales a link's
+capacity by ``factor`` over an interval: ``factor == 0`` is a blackout (the
+link is down), ``0 < factor < 1`` a gray failure (the link limps, as in
+Qazi & Moors' partial failures).  :func:`apply_fault_windows` rewrites a
+capacity trace accordingly, :func:`blackout_spans` extracts the intervals
+the runtime sanitizer polices (QA-R006), and :class:`OutageGenerator` draws
+Poisson blackout processes (exponential inter-failure gaps and repair
+times), the standard availability model.
 
 Failures come at two granularities.  A *link flap* kills one WAN segment; a
 *node (relay) crash* kills **every** WAN segment through that node at once -
 correlated downtime that one-hop detours through the crashed relay cannot
 mask.  :func:`node_wan_links` enumerates a node's WAN segments,
-:func:`node_outage_plan` expands node crashes into the per-link outage map
+:func:`node_outage_plan` expands node crashes into the per-link window map
 the scenario layer consumes, and :func:`merge_outage_plans` combines link-
-and node-level plans (coalescing overlaps, which `apply_outages` forbids).
+and node-level blackout plans (coalescing overlaps, which
+:func:`apply_fault_windows` forbids).
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -32,10 +38,10 @@ from repro.net.trace import CapacityTrace
 from repro.util.validation import check_non_negative, check_positive
 
 __all__ = [
-    "Outage",
-    "apply_outages",
+    "FaultWindow",
+    "apply_fault_windows",
+    "blackout_spans",
     "OutageGenerator",
-    "total_downtime",
     "node_wan_links",
     "node_outage_plan",
     "merge_outage_plans",
@@ -43,96 +49,123 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Outage:
-    """One link failure interval ``[start, start + duration)``.
+class FaultWindow:
+    """Scale a link's capacity by ``factor`` over ``[start, start+duration)``.
 
-    A zero-length outage (``duration == 0``) is a legal degenerate window:
-    it covers no time, so it must leave any trace it is applied to
-    untouched.  Generators never emit them, but fault-plan arithmetic
-    (clipping a window to a horizon, chaos duty cycles) can.
+    ``factor == 0`` (the default) is a blackout; ``0 < factor < 1`` is a
+    gray failure.  A zero-length window (``duration == 0``) is a legal
+    degenerate no-op: it covers no time, so it must leave any trace it is
+    applied to untouched.  Generators never emit them, but fault-plan
+    arithmetic (clipping a window to a horizon, chaos duty cycles) can.
     """
 
     start: float
     duration: float
+    factor: float = 0.0
 
     def __post_init__(self) -> None:
         check_non_negative(self.start, "start")
         check_non_negative(self.duration, "duration")
+        if not 0.0 <= self.factor < 1.0:
+            raise ValueError(
+                f"factor must be in [0, 1) - 1.0 would be a no-op window - "
+                f"got {self.factor}"
+            )
 
     @property
     def end(self) -> float:
         return self.start + self.duration
 
+    @property
+    def is_blackout(self) -> bool:
+        return self.factor == 0.0
+
     def overlaps(self, t0: float, t1: float) -> bool:
-        """True when the outage intersects ``[t0, t1)``."""
-        return self.start < t1 and t0 < self.end
+        """True when the window intersects ``[t0, t1)`` (empty never does)."""
+        return self.duration > 0.0 and self.start < t1 and t0 < self.end
 
 
-def apply_outages(trace: CapacityTrace, outages: Sequence[Outage]) -> CapacityTrace:
-    """Return a copy of ``trace`` with capacity forced to 0 during outages.
+def _value_at(times: Sequence[float], values: Sequence[float], t: float) -> float:
+    """Right-continuous sample of a raw breakpoint list (no trace object)."""
+    i = bisect.bisect_right(times, t) - 1
+    return values[max(i, 0)]
 
-    Outages must be non-overlapping (as produced by
-    :class:`OutageGenerator`); the underlying capacity resumes at each
-    outage's end (right-continuous semantics preserved).  Back-to-back
-    outages (``prev.end == next.start``) and outages starting at or past
-    the trace's last breakpoint are fine: the rewritten trace never carries
-    duplicate or value-repeating breakpoints, so its zero-capacity measure
-    over any window equals :func:`total_downtime` over the same window.
-    Zero-length outages cover no time and are dropped before rewriting -
-    naively inserting their start/end breakpoints would leave a duplicate
-    breakpoint time carrying two values (0 then the resumed capacity),
-    which the trace constructor resolves by *discarding the blackout*,
-    silently inverting the window's intent.
+
+def apply_fault_windows(
+    trace: CapacityTrace, windows: Sequence[FaultWindow]
+) -> CapacityTrace:
+    """Return a copy of ``trace`` with capacity scaled inside each window.
+
+    Windows must be non-overlapping; within each window every capacity
+    value - including breakpoints the underlying trace takes *inside* the
+    window - is multiplied by the window's factor, and the underlying
+    capacity resumes at the window's end (right-continuous semantics
+    preserved).  Back-to-back windows (``prev.end == next.start``) and
+    windows starting at or past the trace's last breakpoint are fine: the
+    rewritten trace never carries duplicate or value-repeating breakpoints,
+    so a blackout plan's zero-capacity measure over any window equals the
+    measure of its spans over the same window.  Zero-length windows cover
+    no time and are dropped before rewriting - naively inserting their
+    start/end breakpoints would leave a duplicate breakpoint time carrying
+    two values, which the trace constructor resolves by *discarding the
+    fault*, silently inverting the window's intent.
     """
-    outages = [o for o in outages if o.duration > 0.0]
-    if not outages:
+    windows = [w for w in windows if w.duration > 0.0]
+    if not windows:
         return trace
-    ordered = sorted(outages, key=lambda o: o.start)
+    ordered = sorted(windows, key=lambda w: w.start)
     for prev, nxt in zip(ordered, ordered[1:]):
         if nxt.start < prev.end:
             raise ValueError(
-                f"outages overlap: [{prev.start}, {prev.end}) and "
+                f"fault windows overlap: [{prev.start}, {prev.end}) and "
                 f"[{nxt.start}, {nxt.end})"
             )
     times = list(trace.times)
     values = list(trace.values)
-    for outage in ordered:
+    for w in ordered:
         new_times: List[float] = []
         new_values: List[float] = []
-        resumed_value = trace.value_at(outage.end)
+        resumed = _value_at(times, values, w.end)
+        entry = w.factor * _value_at(times, values, w.start)
         inserted_start = False
         inserted_end = False
         for t, v in zip(times, values):
-            if t < outage.start:
+            if t < w.start:
                 new_times.append(t)
                 new_values.append(v)
-            elif t < outage.end:
+            elif t < w.end:
                 if not inserted_start:
-                    new_times.append(outage.start)
-                    new_values.append(0.0)
+                    new_times.append(w.start)
+                    new_values.append(entry)
                     inserted_start = True
-                # breakpoints inside the outage are swallowed (capacity 0).
+                if t > w.start:
+                    # Interior breakpoints are *scaled*, not swallowed: a
+                    # gray window preserves the trace's shape at reduced
+                    # amplitude.  (For a blackout these all scale to 0 and
+                    # the coalesce pass below removes the repeats.)
+                    new_times.append(t)
+                    new_values.append(w.factor * v)
             else:
                 if not inserted_start:
-                    new_times.append(outage.start)
-                    new_values.append(0.0)
+                    new_times.append(w.start)
+                    new_values.append(entry)
                     inserted_start = True
                 if not inserted_end:
-                    new_times.append(outage.end)
-                    new_values.append(resumed_value)
+                    new_times.append(w.end)
+                    new_values.append(resumed)
                     inserted_end = True
-                if t > outage.end:
+                if t > w.end:
                     new_times.append(t)
                     new_values.append(v)
-        if not inserted_start:  # outage starts after the last breakpoint
-            new_times.append(outage.start)
-            new_values.append(0.0)
+        if not inserted_start:  # window starts after the last breakpoint
+            new_times.append(w.start)
+            new_values.append(entry)
         if not inserted_end:
-            new_times.append(outage.end)
-            new_values.append(resumed_value)
+            new_times.append(w.end)
+            new_values.append(resumed)
         times, values = new_times, new_values
     # Coalesce value-repeating breakpoints: rewriting around back-to-back
-    # outages leaves a redundant 0.0 -> 0.0 breakpoint at the seam (and a
+    # blackouts leaves a redundant 0.0 -> 0.0 breakpoint at the seam (and a
     # resume into an equal underlying value does the same).  They carry no
     # capacity information but would surface as spurious engine re-tick
     # points, so drop them.
@@ -144,6 +177,22 @@ def apply_outages(trace: CapacityTrace, outages: Sequence[Outage]) -> CapacityTr
         kept_times.append(t)
         kept_values.append(v)
     return CapacityTrace(kept_times, kept_values)
+
+
+def blackout_spans(
+    plan: Mapping[str, Sequence[FaultWindow]],
+) -> Dict[str, List[Tuple[float, float]]]:
+    """Per-link ``(start, end)`` spans of the plan's *blackout* windows.
+
+    The shape the runtime sanitizer registers (QA-R006): only full
+    blackouts assert zero delivery, gray windows legitimately carry bytes.
+    """
+    spans: Dict[str, List[Tuple[float, float]]] = {}
+    for name, windows in plan.items():
+        black = [(w.start, w.end) for w in windows if w.is_blackout and w.duration > 0]
+        if black:
+            spans[name] = sorted(black)
+    return spans
 
 
 @dataclass(frozen=True)
@@ -165,14 +214,14 @@ class OutageGenerator:
         check_positive(self.mtbf, "mtbf")
         check_positive(self.mean_duration, "mean_duration")
 
-    def sample(self, horizon: float, rng: np.random.Generator) -> List[Outage]:
-        """Draw the outages striking within ``[0, horizon]``."""
+    def sample(self, horizon: float, rng: np.random.Generator) -> List[FaultWindow]:
+        """Draw the blackout windows striking within ``[0, horizon]``."""
         check_non_negative(horizon, "horizon")
-        outages: List[Outage] = []
+        outages: List[FaultWindow] = []
         t = float(rng.exponential(self.mtbf))
         while t < horizon:
             duration = max(float(rng.exponential(self.mean_duration)), 1e-3)
-            outages.append(Outage(start=t, duration=duration))
+            outages.append(FaultWindow(start=t, duration=duration))
             t = t + duration + float(rng.exponential(self.mtbf))
         return outages
 
@@ -180,16 +229,6 @@ class OutageGenerator:
     def availability(self) -> float:
         """Long-run fraction of time the link is up."""
         return self.mtbf / (self.mtbf + self.mean_duration)
-
-
-def total_downtime(outages: Iterable[Outage], t0: float, t1: float) -> float:
-    """Seconds of outage overlapping ``[t0, t1]`` (outages must not overlap)."""
-    if t1 < t0:
-        raise ValueError(f"t1={t1} must be >= t0={t0}")
-    down = 0.0
-    for o in outages:
-        down += max(0.0, min(o.end, t1) - max(o.start, t0))
-    return down
 
 
 # --------------------------------------------------------------------------- #
@@ -213,11 +252,11 @@ def node_wan_links(links: Iterable[Link], node: str) -> List[str]:
 
 
 def node_outage_plan(
-    links: Iterable[Link], node: str, outages: Sequence[Outage]
-) -> Dict[str, List[Outage]]:
-    """Expand node crashes into the per-link outage map scenarios consume.
+    links: Iterable[Link], node: str, outages: Sequence[FaultWindow]
+) -> Dict[str, List[FaultWindow]]:
+    """Expand node crashes into the per-link window map scenarios consume.
 
-    Every outage interval takes down **all** WAN segments through ``node``
+    Every window takes down **all** WAN segments through ``node``
     simultaneously - the correlated-failure signature that distinguishes a
     relay crash from an independent link flap.  Raises when the node has no
     WAN segments (a crash there would silently do nothing).
@@ -229,28 +268,36 @@ def node_outage_plan(
 
 
 def merge_outage_plans(
-    *plans: Mapping[str, Sequence[Outage]],
-) -> Dict[str, List[Outage]]:
-    """Union per-link outage plans, coalescing overlapping intervals.
+    *plans: Mapping[str, Sequence[FaultWindow]],
+) -> Dict[str, List[FaultWindow]]:
+    """Union per-link blackout plans, coalescing overlapping intervals.
 
     Link-flap and node-crash processes are sampled independently, so the
-    same link can appear in several plans with overlapping outages - which
-    :func:`apply_outages` rejects.  The merge unions the intervals per link
-    (touching intervals fuse into one), yielding a plan that is safe to
-    apply and whose :func:`total_downtime` is the measure of the union.
+    same link can appear in several plans with overlapping blackouts -
+    which :func:`apply_fault_windows` rejects.  The merge unions the
+    intervals per link (touching intervals fuse into one), yielding a plan
+    that is safe to apply and whose dark time is the measure of the union.
+    Only blackouts fuse: a gray window raises, since fusing it with a
+    window of another factor would silently change the fault.
     """
-    merged: Dict[str, List[Outage]] = {}
+    merged: Dict[str, List[FaultWindow]] = {}
     for plan in plans:
         for name, outages in plan.items():
+            gray = [w for w in outages if not w.is_blackout]
+            if gray:
+                raise ValueError(
+                    f"merge_outage_plans fuses blackouts only; link {name!r} "
+                    f"has a gray window {gray[0]}"
+                )
             merged.setdefault(name, []).extend(outages)
     for name, outages in merged.items():
         ordered = sorted(outages, key=lambda o: (o.start, o.end))
-        fused: List[Outage] = []
+        fused: List[FaultWindow] = []
         for o in ordered:
             if fused and o.start <= fused[-1].end:
                 last = fused[-1]
                 if o.end > last.end:
-                    fused[-1] = Outage(last.start, o.end - last.start)
+                    fused[-1] = FaultWindow(last.start, o.end - last.start)
             else:
                 fused.append(o)
         merged[name] = fused

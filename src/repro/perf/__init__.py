@@ -2,8 +2,8 @@
 
 ``repro.perf`` is the measurement layer behind the ``repro perf`` CLI
 subcommand: deterministic microbenchmarks for the engine's hot paths
-(allocation, trace queries, event queue, the fluid tick, the vector epoch)
-plus end-to-end campaign timers.  Where a kernel has a live reference
+(allocation, trace queries, event queue, the fluid tick, the vector epoch,
+the stripe scheduler).  Where a kernel has a live reference
 implementation (``searchsorted`` trace lookups, the reference allocator,
 the classic engine under the vector one) the bench times it too, as the
 ``baseline`` column.  ``repro perf --baseline`` compares a run against the

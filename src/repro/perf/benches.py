@@ -1,14 +1,15 @@
 """Deterministic microbenchmarks for the simulation kernel's hot paths.
 
 Each bench measures one kernel (scalar trace queries, max-min allocation,
-event-queue churn, the fluid tick, the vector engine's epoch) or an
-end-to-end run.  The **optimised** number is the code the studies run.  A
-bench also reports a **baseline** where a live reference implementation of
-the same kernel exists and the tests hold the two equal: the
-``searchsorted`` trace lookups (``CapacityTrace.value_at``), the reference
-allocator (``maxmin_allocate(fast=False)``) and the classic engine under
-the vector one.  Every other bench reports ``baseline: null``; drift over
-time is ``repro perf --baseline``'s job.
+event-queue churn, the fluid tick, the vector engine's epoch, the striped
+session's block scheduler); end-to-end study timings are perfbench's job
+(``perfbench/run.py``).  The **optimised** number is the code the studies
+run.  A bench also reports a **baseline** where a live reference
+implementation of the same kernel exists and the tests hold the two equal:
+the ``searchsorted`` trace lookups (``CapacityTrace.value_at``), the
+reference allocator (``maxmin_allocate(fast=False)``) and the classic
+engine under the vector one.  Every other bench reports
+``baseline: null``; drift over time is ``repro perf --baseline``'s job.
 
 Workloads are seeded and fixed-size, so successive runs (and successive
 PRs) measure identical work.  Results are plain dicts; the ``repro perf``
@@ -362,83 +363,11 @@ def _bench_vec_epoch(quick: bool) -> Dict[str, Any]:
 
 
 # --------------------------------------------------------------------------- #
-# population-scale campaign: one full `repro scale` wave
-# --------------------------------------------------------------------------- #
-def _bench_scale_campaign(quick: bool) -> Dict[str, Any]:
-    # Lazy imports for the same reason as the mini-campaign bench.
-    from repro.workloads.scale import (
-        SCALE_SESSION_CONFIG,
-        ScaleStudyParams,
-        plan_scale,
-        run_scale_unit,
-    )
-    from repro.workloads.scenario import Scenario, ScenarioSpec
-
-    n_clients = 5_000 if quick else 100_000
-    rounds = 1 if quick else 2
-    scenario = Scenario.build(ScenarioSpec.section2(sites=("eBay",)), seed=2007)
-    params = ScaleStudyParams(clients_per_wave=n_clients)
-    plan = plan_scale(
-        scenario, waves=1, config=SCALE_SESSION_CONFIG, params=params
-    )
-
-    n_completed = 0
-
-    def run_wave() -> None:
-        nonlocal n_completed
-        record = run_scale_unit(scenario, plan.config, plan.units[0], params)
-        n_completed = record.n_completed
-
-    # No classic-engine baseline: the per-object tick is quadratic in the
-    # population and unrunnable at this scale, which is the point of the
-    # vector engine.
-    m = measure(run_wave, ops=1, rounds=rounds, warmup=0)
-    return {
-        "optimised": m.seconds_per_op,
-        "baseline": None,
-        "clients": n_clients,
-        "transfers_per_sec": float(n_completed) / m.seconds_per_op,
-        **_measurement_fields(m),
-    }
-
-
-# --------------------------------------------------------------------------- #
-# end-to-end mini-campaign
-# --------------------------------------------------------------------------- #
-def _bench_campaign_mini(quick: bool) -> Dict[str, Any]:
-    # Imported lazily: the workloads package pulls in the whole stack and the
-    # other benches should not pay for it.
-    from repro.workloads.experiment import Section2Study
-    from repro.workloads.scenario import Scenario, ScenarioSpec
-
-    clients: Optional[List[str]] = ["Italy", "Sweden", "Taiwan"] if quick else None
-    reps = 3 if quick else 6
-    rounds = 2 if quick else 3
-    scenario = Scenario.build(ScenarioSpec.section2(sites=("eBay",)), seed=2007)
-
-    n_records = 0
-
-    def run_campaign() -> None:
-        nonlocal n_records
-        study = Section2Study(scenario, repetitions=reps)
-        store = study.run(sites=["eBay"], clients=clients, jobs=1)
-        n_records = len(store)
-
-    m = measure(run_campaign, ops=1, rounds=rounds)
-    return {
-        "optimised": m.seconds_per_op,
-        "baseline": None,
-        "records": n_records,
-        "transfers_per_sec": float(n_records) / m.seconds_per_op,
-        **_measurement_fields(m),
-    }
-
-
-# --------------------------------------------------------------------------- #
 # striped session: block-scheduler overhead per committed block
 # --------------------------------------------------------------------------- #
 def _bench_stripe_session(quick: bool) -> Dict[str, Any]:
-    # Lazy imports for the same reason as the mini-campaign bench.
+    # Imported lazily: the workloads package pulls in the whole stack and the
+    # kernel benches should not pay for it.
     from repro.stripe.blocks import StripeConfig
     from repro.util.units import kb
     from repro.workloads.scenario import Scenario, ScenarioSpec
@@ -513,18 +442,6 @@ BENCHES: Dict[str, BenchSpec] = {
             "fluid epoch over a contended population: vector core vs oracle",
             "ns/op",
             _bench_vec_epoch,
-        ),
-        BenchSpec(
-            "scale_campaign",
-            "one full `repro scale` wave on the vector engine (wall seconds)",
-            "s",
-            _bench_scale_campaign,
-        ),
-        BenchSpec(
-            "campaign_mini",
-            "end-to-end Section2 mini-campaign (wall seconds)",
-            "s",
-            _bench_campaign_mini,
         ),
     )
 }

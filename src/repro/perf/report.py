@@ -222,9 +222,6 @@ def format_report(report: BenchReport) -> str:
             f"  {name:<18} {_fmt_value(opt, unit):>14} "
             f"{_fmt_value(base, unit):>14} {speedup_s:>8}"
         )
-        tps = _as_positive_float(result.get("transfers_per_sec"))
-        if tps is not None:
-            lines.append(f"  {'':<18} {tps:,.1f} transfers/sec (optimised)")
     return "\n".join(lines)
 
 

@@ -375,10 +375,10 @@ _INVARIANT_LIST: Tuple[Invariant, ...] = (
             "fully failed path while the fault is active"
         ),
         hint=(
-            "the chaos fault plan and the rewritten capacity traces disagree; "
+            "a fault plan and the capacity traces it rewrote disagree; "
             "check Scenario.with_faults / apply_fault_windows and that the "
-            "blackout spans handed to watch_fault_windows use the same link "
-            "names as the topology"
+            "blackout spans Scenario.universe hands to watch_fault_windows "
+            "use the same link names as the topology"
         ),
     ),
     Invariant(

@@ -202,7 +202,7 @@ class Sanitizer:
 
         ``spans_by_link`` maps link names to ``(start, end)`` pairs during
         which the link is fully failed (see
-        :func:`repro.chaos.faults.blackout_spans`).  Later registrations
+        :func:`repro.net.failures.blackout_spans`).  Later registrations
         extend earlier ones, so a sanitizer shared across several faulted
         universes accumulates every window it must police.
         """

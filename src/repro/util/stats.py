@@ -8,6 +8,7 @@ explicitly so analysis code never has to special-case them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -23,6 +24,8 @@ __all__ = [
     "weighted_mean",
     "percentile",
     "coefficient_of_variation",
+    "finite_mean",
+    "finite_quantile",
 ]
 
 
@@ -159,3 +162,19 @@ def coefficient_of_variation(values: Sequence[float]) -> float:
     if mean == 0.0:
         return float("nan")
     return float(np.std(arr) / abs(mean))
+
+
+def finite_quantile(values: Sequence[float], q: float) -> float:
+    """The ``q`` quantile of the finite entries of ``values`` (NaN if none)."""
+    finite = [v for v in values if math.isfinite(v)]
+    if not finite:
+        return math.nan
+    return float(np.quantile(np.asarray(finite, dtype=np.float64), q))
+
+
+def finite_mean(values: Sequence[float]) -> float:
+    """The mean of the finite entries of ``values`` (NaN if none)."""
+    finite = [v for v in values if math.isfinite(v)]
+    if not finite:
+        return math.nan
+    return float(np.mean(np.asarray(finite, dtype=np.float64)))

@@ -38,9 +38,9 @@ def check_positive(value: float, name: str) -> float:
 
 
 def check_non_negative(value: float, name: str) -> float:
-    """Validate ``value >= 0`` and return it as a float."""
+    """Validate ``value >= 0`` (NaN fails) and return it as a float."""
     value = float(value)
-    if value < 0.0:
+    if not value >= 0.0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return value
 

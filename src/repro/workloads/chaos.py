@@ -27,20 +27,20 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.chaos.faults import (
     FAULT_FAMILIES,
     FAULT_INTENSITIES,
-    FaultWindow,
-    blackout_spans,
     compile_fault_plan,
     degraded_seconds,
     plan_spans,
 )
 from repro.core.resilience import RecoveryEvent, ResilienceConfig, recovery_time_of
 from repro.core.session import SessionConfig
+from repro.net.failures import FaultWindow
 from repro.net.topology import wan_link_name
 from repro.obs.core import global_observer
 from repro.stripe.blocks import DEFAULT_BLOCK_BYTES, StripeConfig
 from repro.trace.records import ChaosRecord
+from repro.util.validation import check_positive
 from repro.workloads.experiment import STUDY_SESSION_CONFIG
-from repro.workloads.scenario import Scenario, Universe
+from repro.workloads.scenario import Scenario
 from repro.workloads.studies import Study
 
 __all__ = [
@@ -213,8 +213,7 @@ def plan_chaos(
 
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if interval <= 0.0:
-        raise ValueError(f"interval must be positive, got {interval}")
+    check_positive(interval, "interval")
     if k < 2:
         raise ValueError(f"k must be >= 2 (direct plus >= 1 relay), got {k}")
     if k - 1 > len(scenario.relay_names):
@@ -271,20 +270,6 @@ def _stripe_recovery_time(events: Sequence[RecoveryEvent]) -> float:
     return math.nan
 
 
-def _watch_blackouts(
-    universe: Universe, plan: Dict[str, List[FaultWindow]]
-) -> None:
-    """Register the plan's blackout windows with the universe's sanitizer.
-
-    Arms the QA-R006 invariant: during a registered blackout the engine
-    must neither budget capacity on, nor deliver bytes across, the dark
-    link.  A no-op when sanitizing is off (the common case).
-    """
-    sanitizer = universe.sim.sanitizer
-    if sanitizer is not None and plan:
-        sanitizer.watch_fault_windows(blackout_spans(plan))
-
-
 def run_chaos_unit(
     scenario: Scenario,
     config: SessionConfig,
@@ -333,7 +318,6 @@ def run_chaos_unit(
                 )
 
     control = faulted.universe(unit.start_time, config=config)
-    _watch_blackouts(control, plan)
     ctrl = control.session.download_direct(unit.client, unit.site, faulted.resource)
 
     if mechanism in ("select", "failover"):
@@ -348,7 +332,6 @@ def run_chaos_unit(
             config=arm_config,
             noise_labels=(unit.study, unit.client, unit.site, unit.repetition),
         )
-        _watch_blackouts(selector, plan)
         sel = selector.session.download(
             unit.client, unit.site, faulted.resource, list(unit.offered)
         )
@@ -368,7 +351,6 @@ def run_chaos_unit(
         )
     else:
         striper = faulted.universe(unit.start_time, config=config)
-        _watch_blackouts(striper, plan)
         res = striper.session.download_striped(
             unit.client,
             unit.site,

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core.resilience import ResilienceConfig, recovery_time_of
 from repro.core.session import SessionConfig
 from repro.net.failures import (
-    Outage,
+    FaultWindow,
     OutageGenerator,
     merge_outage_plans,
     node_outage_plan,
@@ -106,7 +106,7 @@ def failure_outage_plan(
     site: str,
     relay: str,
     mode: str,
-) -> Dict[str, List[Outage]]:
+) -> Dict[str, List[FaultWindow]]:
     """The per-link outage map one unit injects, drawn from stable labels.
 
     Link-flap outages depend only on ``(client, site)`` and relay-crash
@@ -117,7 +117,7 @@ def failure_outage_plan(
     if mode not in FAILURE_MODES:
         raise ValueError(f"unknown failure mode {mode!r}; expected {FAILURE_MODES}")
     horizon = scenario.spec.horizon
-    plans: List[Dict[str, List[Outage]]] = []
+    plans: List[Dict[str, List[FaultWindow]]] = []
     if mode in ("link", "both"):
         rng = scenario.bank.generator("failures-link", client, site)
         outages = params.link_generator().sample(horizon, rng)
@@ -162,8 +162,7 @@ def plan_failures(
 
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if interval <= 0.0:
-        raise ValueError(f"interval must be positive, got {interval}")
+    check_positive(interval, "interval")
     modes = tuple(modes)
     if not modes or not set(modes) <= set(FAILURE_MODES):
         raise ValueError(
@@ -227,7 +226,7 @@ def run_failure_unit(
         relay=unit.offered[0],
         mode=mode,
     )
-    degraded = scenario.with_outages(outage_plan) if outage_plan else scenario
+    degraded = scenario.with_faults(outage_plan) if outage_plan else scenario
     all_outages = [o for outages in outage_plan.values() for o in outages]
 
     control = degraded.universe(unit.start_time, config=config)

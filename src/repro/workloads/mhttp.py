@@ -29,10 +29,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.resilience import ResilienceConfig
 from repro.core.session import SessionConfig
-from repro.net.failures import Outage, node_outage_plan
+from repro.net.failures import FaultWindow, node_outage_plan
 from repro.stripe.blocks import DEFAULT_BLOCK_BYTES, StripeConfig
 from repro.trace.records import StripeRecord
 from repro.util.units import kb
+from repro.util.validation import check_positive
 from repro.workloads.experiment import STUDY_SESSION_CONFIG
 from repro.workloads.scenario import Scenario
 from repro.workloads.studies import Study
@@ -99,8 +100,7 @@ class MhttpStudyParams:
                 "crash delay bounds must satisfy 0 <= min <= max, got "
                 f"[{self.crash_delay_min}, {self.crash_delay_max}]"
             )
-        if self.crash_duration <= 0.0:
-            raise ValueError("crash_duration must be positive")
+        check_positive(self.crash_duration, "crash_duration")
         # Validate the stripe geometry at plan time, not inside every unit.
         self.stripe_config()
 
@@ -141,7 +141,7 @@ def mhttp_outage_plan(
     relay: str,
     mode: str,
     start_time: float,
-) -> Dict[str, List[Outage]]:
+) -> Dict[str, List[FaultWindow]]:
     """The per-link outage map one unit injects, drawn from stable labels.
 
     ``node`` mode crashes ``relay`` (every WAN segment through it) at
@@ -159,7 +159,7 @@ def mhttp_outage_plan(
     delay = float(
         rng.uniform(params.crash_delay_min, params.crash_delay_max)
     )
-    outage = Outage(start=start_time + delay, duration=params.crash_duration)
+    outage = FaultWindow(start=start_time + delay, duration=params.crash_duration)
     return node_outage_plan(scenario.topology.links, relay, [outage])
 
 
@@ -188,8 +188,7 @@ def plan_mhttp(
 
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if interval <= 0.0:
-        raise ValueError(f"interval must be positive, got {interval}")
+    check_positive(interval, "interval")
     k_list = sorted(set(int(k) for k in ks))
     if not k_list or k_list[0] < 2:
         raise ValueError(f"ks must be integers >= 2, got {list(ks)}")
@@ -269,7 +268,7 @@ def run_mhttp_unit(
         mode=mode,
         start_time=unit.start_time,
     )
-    degraded = scenario.with_outages(outage_plan) if outage_plan else scenario
+    degraded = scenario.with_faults(outage_plan) if outage_plan else scenario
     all_outages = [o for outages in outage_plan.values() for o in outages]
 
     control = degraded.universe(unit.start_time, config=config)

@@ -178,6 +178,8 @@ class Scenario:
         self.profiles = profiles
         self.relay_quality = relay_quality
         self.bank = bank
+        #: Per-link blackout spans injected by :meth:`with_faults`.
+        self._blackouts: Dict[str, List[Tuple[float, float]]] = {}
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -318,11 +320,14 @@ class Scenario:
         ``noise_labels`` seed the session's probe-measurement jitter (only
         needed when ``config.probe_noise_sigma > 0``); pass a stable label
         path such as ``(study, client, repetition)`` so individual
-        measurements are reproducible in isolation.
+        measurements are reproducible in isolation.  A sanitized world
+        polices the blackouts :meth:`with_faults` injected (QA-R006).
         """
         if start_time < 0.0:
             raise ValueError(f"start_time must be >= 0, got {start_time}")
         sim = Simulator(start_time=start_time)
+        if self._blackouts and sim.sanitizer is not None:
+            sim.sanitizer.watch_fault_windows(self._blackouts)
         network = FluidNetwork(sim)
         rng = None
         if config.probe_noise_sigma > 0.0:
@@ -330,47 +335,20 @@ class Scenario:
         session = TransferSession(network, self.builder, config, rng=rng)
         return Universe(sim=sim, network=network, session=session)
 
-    def with_outages(self, outages_by_link: Dict[str, Sequence]) -> "Scenario":
-        """A what-if copy of this scenario with link outages injected.
-
-        ``outages_by_link`` maps canonical link names (e.g.
-        ``wan_link_name("eBay", "Italy")``) to sequences of
-        :class:`~repro.net.failures.Outage`.  Everything else - profiles,
-        servers, relays, seeds - is shared with the original.
-        """
-        from repro.net.failures import apply_outages
-
-        unknown = [name for name in outages_by_link if name not in
-                   {l.name for l in self.topology.links}]
-        if unknown:
-            raise KeyError(f"unknown links in outage plan: {unknown}")
-
-        def transform(link):
-            outages = outages_by_link.get(link.name, ())
-            return apply_outages(link.trace, list(outages))
-
-        topology = self.topology.copy_with_traces(transform)
-        builder = OverlayPathBuilder(topology, self.builder.registry, self.servers)
-        return Scenario(
-            self.spec,
-            topology,
-            builder,
-            self.servers,
-            self.profiles,
-            self.relay_quality,
-            self.bank,
-        )
-
     def with_faults(self, windows_by_link: Dict[str, Sequence]) -> "Scenario":
-        """A what-if copy of this scenario with chaos fault windows injected.
+        """A what-if copy of this scenario with fault windows injected.
 
-        The generalisation of :meth:`with_outages`: ``windows_by_link``
-        maps canonical link names to sequences of
-        :class:`~repro.chaos.faults.FaultWindow`, so gray (fractional)
+        ``windows_by_link`` maps canonical link names (e.g.
+        ``wan_link_name("eBay", "Italy")``) to sequences of
+        :class:`~repro.net.failures.FaultWindow`, so gray (fractional)
         degradation and blackouts compose in one plan.  Everything else -
         profiles, servers, relays, seeds - is shared with the original.
+
+        The copy remembers the plan's blackout spans on top of this
+        scenario's own, and every sanitized universe opened on it polices
+        them (QA-R006): a dark link must carry no capacity and no bytes.
         """
-        from repro.chaos.faults import apply_fault_windows
+        from repro.net.failures import apply_fault_windows, blackout_spans
 
         unknown = [name for name in windows_by_link if name not in
                    {l.name for l in self.topology.links}]
@@ -383,7 +361,7 @@ class Scenario:
 
         topology = self.topology.copy_with_traces(transform)
         builder = OverlayPathBuilder(topology, self.builder.registry, self.servers)
-        return Scenario(
+        faulted = Scenario(
             self.spec,
             topology,
             builder,
@@ -392,6 +370,11 @@ class Scenario:
             self.relay_quality,
             self.bank,
         )
+        spans = dict(self._blackouts)
+        for name, extra in blackout_spans(windows_by_link).items():
+            spans[name] = sorted(spans.get(name, []) + extra)
+        faulted._blackouts = spans
+        return faulted
 
     def mean_overlay_capacity(self, client: str, relay: str) -> float:
         """Time-averaged relay->client overlay capacity (for a-priori ranking)."""

@@ -1,8 +1,8 @@
 """Chaos fault-injection tests: trace rewrites, plans, and engine identity.
 
 Covers the `repro.chaos.faults` taxonomy (gray / flap / correlated /
-partition), the `apply_outages` edge cases the chaos layer leans on
-(zero-length outages, back-to-back windows sharing a breakpoint), and the
+partition), the `apply_fault_windows` edge cases the chaos layer leans on
+(zero-length windows, back-to-back windows sharing a breakpoint), and the
 requirement that both engine paths see identical fault conditions: the
 classic per-object oracle and the vectorised SoA core must produce
 bit-identical results over fault-rewritten traces.
@@ -13,16 +13,13 @@ import pytest
 
 from repro.chaos.faults import (
     FAULT_FAMILIES,
-    FaultWindow,
-    apply_fault_windows,
-    blackout_spans,
     compile_fault_plan,
     degraded_seconds,
     flapping_windows,
     intensity_params,
     plan_spans,
 )
-from repro.net.failures import Outage, apply_outages
+from repro.net.failures import FaultWindow, apply_fault_windows, blackout_spans
 from repro.net.link import Link
 from repro.net.route import Route
 from repro.net.trace import CapacityTrace
@@ -72,14 +69,14 @@ class TestApplyFaultWindows:
         assert out.value_at(16.0) == 250.0
         assert out.value_at(30.0) == 500.0
 
-    def test_blackout_matches_apply_outages(self):
+    def test_blackout_output_is_exact(self):
+        # Blackouts swallow interior breakpoints (their scaled zeros
+        # coalesce away) and resume the underlying value at each end.
         trace = CapacityTrace([0.0, 50.0, 200.0], [2000.0, 800.0, 1600.0])
         windows = [FaultWindow(30.0, 40.0, 0.0), FaultWindow(120.0, 30.0, 0.0)]
-        outages = [Outage(30.0, 40.0), Outage(120.0, 30.0)]
-        a = apply_fault_windows(trace, windows)
-        b = apply_outages(trace, outages)
-        assert list(a.times) == list(b.times)
-        assert list(a.values) == list(b.values)
+        out = apply_fault_windows(trace, windows)
+        assert list(out.times) == [0.0, 30.0, 70.0, 120.0, 150.0, 200.0]
+        assert list(out.values) == [2000.0, 0.0, 800.0, 0.0, 800.0, 1600.0]
 
     def test_zero_length_windows_dropped(self):
         trace = CapacityTrace.constant(1000.0)
@@ -111,31 +108,35 @@ class TestApplyFaultWindows:
 
 
 class TestApplyOutagesEdgeCases:
-    """Satellite regressions: the outage path the chaos layer builds on."""
+    """Regressions in the blackout path every fault study builds on."""
 
     def test_zero_length_outage_constructable_and_inert(self):
         trace = CapacityTrace.constant(1000.0)
-        out = apply_outages(trace, [Outage(10.0, 0.0)])
+        out = apply_fault_windows(trace, [FaultWindow(10.0, 0.0)])
         assert list(out.times) == list(trace.times)
         assert list(out.values) == list(trace.values)
         # And mixed with a real outage, only the real one lands.
-        out = apply_outages(trace, [Outage(10.0, 0.0), Outage(20.0, 5.0)])
+        out = apply_fault_windows(
+            trace, [FaultWindow(10.0, 0.0), FaultWindow(20.0, 5.0)]
+        )
         assert out.value_at(10.0) == 1000.0
         assert out.value_at(22.0) == 0.0
         assert out.value_at(25.0) == 1000.0
 
     def test_zero_length_outage_at_existing_breakpoint_no_inversion(self):
-        # The historical hazard: a zero-length outage at an existing
+        # The historical hazard: a zero-length window at an existing
         # breakpoint would insert duplicate times whose keep-last dedup
         # could discard the wrong value.  It must be a pure no-op.
         trace = CapacityTrace([0.0, 10.0], [1000.0, 400.0])
-        out = apply_outages(trace, [Outage(10.0, 0.0)])
+        out = apply_fault_windows(trace, [FaultWindow(10.0, 0.0)])
         assert out.value_at(10.0) == 400.0
         assert list(out.times) == [0.0, 10.0]
 
     def test_back_to_back_outages_stay_dark(self):
         trace = CapacityTrace.constant(1000.0)
-        out = apply_outages(trace, [Outage(10.0, 10.0), Outage(20.0, 10.0)])
+        out = apply_fault_windows(
+            trace, [FaultWindow(10.0, 10.0), FaultWindow(20.0, 10.0)]
+        )
         assert out.value_at(15.0) == 0.0
         assert out.value_at(20.0) == 0.0  # no full-capacity sliver at the seam
         assert out.value_at(29.999) == 0.0

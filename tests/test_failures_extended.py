@@ -16,14 +16,14 @@ from repro.analysis.availability import (
     recovery_times,
     render_availability,
 )
+from repro.chaos.faults import degraded_seconds, plan_spans
 from repro.core.resilience import RecoveryEvent, ResilienceConfig
 from repro.net.failures import (
-    Outage,
-    apply_outages,
+    FaultWindow,
+    apply_fault_windows,
     merge_outage_plans,
     node_outage_plan,
     node_wan_links,
-    total_downtime,
 )
 from repro.net.trace import CapacityTrace
 from repro.trace.records import FailureRecord, TransferRecord
@@ -59,8 +59,8 @@ def _no_redundant_breakpoints(trace: CapacityTrace) -> bool:
 
 class TestApplyOutagesEdgeCases:
     def test_back_to_back_outages_share_one_zero_region(self):
-        t = apply_outages(
-            CapacityTrace.constant(100.0), [Outage(5.0, 5.0), Outage(10.0, 5.0)]
+        t = apply_fault_windows(
+            CapacityTrace.constant(100.0), [FaultWindow(5.0, 5.0), FaultWindow(10.0, 5.0)]
         )
         assert list(t.times) == [0.0, 5.0, 15.0]
         assert list(t.values) == [100.0, 0.0, 100.0]
@@ -68,7 +68,7 @@ class TestApplyOutagesEdgeCases:
 
     def test_outage_at_last_breakpoint(self):
         base = CapacityTrace([0.0, 10.0], [100.0, 50.0])
-        t = apply_outages(base, [Outage(10.0, 5.0)])
+        t = apply_fault_windows(base, [FaultWindow(10.0, 5.0)])
         assert t.value_at(9.9) == 100.0
         assert t.value_at(12.0) == 0.0
         assert t.value_at(15.0) == 50.0
@@ -76,7 +76,7 @@ class TestApplyOutagesEdgeCases:
 
     def test_outage_after_last_breakpoint(self):
         base = CapacityTrace([0.0, 10.0], [100.0, 50.0])
-        t = apply_outages(base, [Outage(20.0, 5.0)])
+        t = apply_fault_windows(base, [FaultWindow(20.0, 5.0)])
         assert t.value_at(22.0) == 0.0
         assert t.value_at(25.0) == 50.0
         assert _no_redundant_breakpoints(t)
@@ -85,12 +85,12 @@ class TestApplyOutagesEdgeCases:
         # The underlying trace is already 0 when the outage ends: the resume
         # breakpoint would repeat the value and must be dropped.
         base = CapacityTrace([0.0, 6.0], [100.0, 0.0])
-        t = apply_outages(base, [Outage(5.0, 3.0)])
+        t = apply_fault_windows(base, [FaultWindow(5.0, 3.0)])
         assert list(t.times) == [0.0, 5.0]
         assert list(t.values) == [100.0, 0.0]
 
     def test_downtime_property(self):
-        """total_downtime == zero-capacity measure of the rewritten trace."""
+        """The plan's span measure == zero-capacity measure of the rewrite."""
         rng = np.random.default_rng(20260806)
         horizon = 1000.0
         for _ in range(50):
@@ -101,10 +101,10 @@ class TestApplyOutagesEdgeCases:
             outages, t = [], float(rng.uniform(0.0, 100.0))
             while t < 0.8 * horizon and len(outages) < 8:
                 duration = float(rng.uniform(1.0, 60.0))
-                outages.append(Outage(t, duration))
+                outages.append(FaultWindow(t, duration))
                 t += duration + float(rng.uniform(1.0, 120.0))
-            rewritten = apply_outages(base, outages)
-            expected = total_downtime(outages, 0.0, horizon)
+            rewritten = apply_fault_windows(base, outages)
+            expected = degraded_seconds(plan_spans({"L": outages}), 0.0, horizon)
             assert _zero_measure(rewritten, 0.0, horizon) == pytest.approx(expected)
             assert _no_redundant_breakpoints(rewritten)
 
@@ -122,7 +122,7 @@ class TestNodeFailures:
 
     def test_node_outage_plan_covers_all_segments(self, mini_world):
         w = mini_world(relay_mbps={"R1": 2.0, "R2": 3.0})
-        outages = [Outage(10.0, 5.0)]
+        outages = [FaultWindow(10.0, 5.0)]
         plan = node_outage_plan(w.topology.links, "R1", outages)
         assert set(plan) == {"wan:S->R1", "wan:R1->C"}
         assert all(plan[name] == outages for name in plan)
@@ -130,29 +130,39 @@ class TestNodeFailures:
     def test_unknown_node_rejected(self, mini_world):
         w = mini_world()
         with pytest.raises(ValueError, match="no WAN links"):
-            node_outage_plan(w.topology.links, "Narnia", [Outage(0.0, 1.0)])
+            node_outage_plan(w.topology.links, "Narnia", [FaultWindow(0.0, 1.0)])
 
     def test_merge_fuses_overlapping(self):
         merged = merge_outage_plans(
-            {"L": [Outage(0.0, 10.0)]},
-            {"L": [Outage(5.0, 10.0)], "M": [Outage(1.0, 2.0)]},
+            {"L": [FaultWindow(0.0, 10.0)]},
+            {"L": [FaultWindow(5.0, 10.0)], "M": [FaultWindow(1.0, 2.0)]},
         )
-        assert merged["L"] == [Outage(0.0, 15.0)]
-        assert merged["M"] == [Outage(1.0, 2.0)]
+        assert merged["L"] == [FaultWindow(0.0, 15.0)]
+        assert merged["M"] == [FaultWindow(1.0, 2.0)]
 
     def test_merge_fuses_touching_and_contained(self):
         merged = merge_outage_plans(
-            {"L": [Outage(0.0, 5.0), Outage(5.0, 5.0), Outage(2.0, 3.0)]}
+            {"L": [FaultWindow(0.0, 5.0), FaultWindow(5.0, 5.0), FaultWindow(2.0, 3.0)]}
         )
-        assert merged["L"] == [Outage(0.0, 10.0)]
+        assert merged["L"] == [FaultWindow(0.0, 10.0)]
 
     def test_merged_plan_is_applicable(self):
-        # The merge output must satisfy apply_outages' no-overlap contract.
+        # The merge output must satisfy apply_fault_windows' no-overlap
+        # contract.
         merged = merge_outage_plans(
-            {"L": [Outage(0.0, 10.0), Outage(30.0, 5.0)]},
-            {"L": [Outage(8.0, 10.0)]},
+            {"L": [FaultWindow(0.0, 10.0), FaultWindow(30.0, 5.0)]},
+            {"L": [FaultWindow(8.0, 10.0)]},
         )
-        apply_outages(CapacityTrace.constant(1.0), merged["L"])  # must not raise
+        apply_fault_windows(CapacityTrace.constant(1.0), merged["L"])  # must not raise
+
+    def test_merge_rejects_gray_window(self):
+        # Fusing a gray window with a blackout would silently change the
+        # fault; the merge only unions blackouts.
+        with pytest.raises(ValueError, match="gray"):
+            merge_outage_plans(
+                {"L": [FaultWindow(0.0, 10.0)]},
+                {"L": [FaultWindow(5.0, 10.0, factor=0.5)]},
+            )
 
 
 class TestDegenerateStats:

@@ -65,8 +65,6 @@ class TestBenchRegistry:
             "tick_breakpoint",
             "stripe_session",
             "vec_epoch",
-            "scale_campaign",
-            "campaign_mini",
         }
 
     def test_specs_have_metadata(self):

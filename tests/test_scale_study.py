@@ -350,4 +350,3 @@ class TestBaselineSeeding:
 
     def test_new_benches_are_registered(self):
         assert "vec_epoch" in BENCHES
-        assert "scale_campaign" in BENCHES

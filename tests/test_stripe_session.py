@@ -2,7 +2,7 @@
 
 Uses the MiniWorld test-bed so path capacities are exact: the direct path
 and each relay overlay carry known constant rates, and failure cases are
-built by zeroing a path's trace mid-transfer via ``apply_outages``.
+built by zeroing a path's trace mid-transfer via ``apply_fault_windows``.
 """
 
 import dataclasses
@@ -10,7 +10,7 @@ import dataclasses
 import pytest
 
 from repro.core.resilience import SessionOutcome
-from repro.net.failures import Outage, apply_outages
+from repro.net.failures import FaultWindow, apply_fault_windows
 from repro.net.trace import CapacityTrace
 from repro.obs.core import (
     OBS_ENV_VAR,
@@ -32,9 +32,9 @@ def _download(world, relays, stripe=SMALL_BLOCKS):
 
 def _dead_after(rate_mbps: float, t: float) -> CapacityTrace:
     """A constant-rate trace that drops to zero capacity at ``t`` for good."""
-    return apply_outages(
+    return apply_fault_windows(
         CapacityTrace.constant(mbps_to_bytes_per_s(rate_mbps)),
-        [Outage(t, 100_000.0)],
+        [FaultWindow(t, 100_000.0)],
     )
 
 

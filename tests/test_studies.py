@@ -25,19 +25,23 @@ BAD_ARGS = [
     ("section4", ["--reps", "1", "--set-sizes", "35,99"]),
     ("failures", ["--reps", "0"]),
     ("failures", ["--quick", "--interval", "-5"]),
+    ("failures", ["--quick", "--interval", "nan"]),
     ("failures", ["--quick", "--link-mtbf", "0"]),
     ("failures", ["--quick", "--link-duration", "0"]),
     ("failures", ["--quick", "--node-mtbf", "-1"]),
     ("failures", ["--quick", "--node-duration", "0"]),
     ("mhttp", ["--reps", "0"]),
     ("mhttp", ["--quick", "--interval", "-5"]),
+    ("mhttp", ["--quick", "--interval", "nan"]),
     ("mhttp", ["--quick", "--crash-duration", "0"]),
+    ("mhttp", ["--quick", "--crash-duration", "nan"]),
     ("mhttp", ["--quick", "--block-kb", "0"]),
     ("mhttp", ["--quick", "--window", "0"]),
     ("mhttp", ["--ks", "2,x"]),
     ("mhttp", ["--quick", "--ks", "0"]),
     ("chaos", ["--reps", "0"]),
     ("chaos", ["--quick", "--interval", "-5"]),
+    ("chaos", ["--quick", "--interval", "nan"]),
     ("chaos", ["--quick", "--families", "bogus"]),
     ("scale", ["--waves", "0"]),
 ]

@@ -28,6 +28,10 @@ class TestScalarChecks:
         with pytest.raises(ValueError):
             check_non_negative(-0.1, "x")
 
+    def test_check_non_negative_rejects_nan(self):
+        with pytest.raises(ValueError, match="x must be non-negative"):
+            check_non_negative(float("nan"), "x")
+
     def test_check_in_range_inclusive(self):
         assert check_in_range(1.0, "x", 0.0, 1.0) == 1.0
 

@@ -27,7 +27,6 @@ and node-level blackout plans (coalescing overlaps, which
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -85,12 +84,6 @@ class FaultWindow:
         return self.duration > 0.0 and self.start < t1 and t0 < self.end
 
 
-def _value_at(times: Sequence[float], values: Sequence[float], t: float) -> float:
-    """Right-continuous sample of a raw breakpoint list (no trace object)."""
-    i = bisect.bisect_right(times, t) - 1
-    return values[max(i, 0)]
-
-
 def apply_fault_windows(
     trace: CapacityTrace, windows: Sequence[FaultWindow]
 ) -> CapacityTrace:
@@ -120,63 +113,40 @@ def apply_fault_windows(
                 f"fault windows overlap: [{prev.start}, {prev.end}) and "
                 f"[{nxt.start}, {nxt.end})"
             )
-    times = list(trace.times)
-    values = list(trace.values)
+    times = trace.times
+    values = trace.values
     for w in ordered:
-        new_times: List[float] = []
-        new_values: List[float] = []
-        resumed = _value_at(times, values, w.end)
-        entry = w.factor * _value_at(times, values, w.start)
-        inserted_start = False
-        inserted_end = False
-        for t, v in zip(times, values):
-            if t < w.start:
-                new_times.append(t)
-                new_values.append(v)
-            elif t < w.end:
-                if not inserted_start:
-                    new_times.append(w.start)
-                    new_values.append(entry)
-                    inserted_start = True
-                if t > w.start:
-                    # Interior breakpoints are *scaled*, not swallowed: a
-                    # gray window preserves the trace's shape at reduced
-                    # amplitude.  (For a blackout these all scale to 0 and
-                    # the coalesce pass below removes the repeats.)
-                    new_times.append(t)
-                    new_values.append(w.factor * v)
-            else:
-                if not inserted_start:
-                    new_times.append(w.start)
-                    new_values.append(entry)
-                    inserted_start = True
-                if not inserted_end:
-                    new_times.append(w.end)
-                    new_values.append(resumed)
-                    inserted_end = True
-                if t > w.end:
-                    new_times.append(t)
-                    new_values.append(v)
-        if not inserted_start:  # window starts after the last breakpoint
-            new_times.append(w.start)
-            new_values.append(entry)
-        if not inserted_end:
-            new_times.append(w.end)
-            new_values.append(resumed)
-        times, values = new_times, new_values
+        # Breakpoints before the window stay, those strictly inside it are
+        # *scaled*, not swallowed (a gray window preserves the trace's
+        # shape at reduced amplitude), and those after it stay; the window
+        # itself contributes an entry breakpoint at its start and a resume
+        # breakpoint at its end.  ``times[0] == 0.0 <= w.start``, so the
+        # pieces in force at the start and at the end have index >= 0.
+        before = int(np.searchsorted(times, w.start, side="left"))
+        inside = int(np.searchsorted(times, w.start, side="right"))
+        after = int(np.searchsorted(times, w.end, side="left"))
+        resume = int(np.searchsorted(times, w.end, side="right"))
+        entry = w.factor * values[inside - 1]
+        resumed = values[resume - 1]
+        times = np.concatenate(
+            (times[:before], [w.start], times[inside:after], [w.end], times[resume:])
+        )
+        values = np.concatenate(
+            (
+                values[:before],
+                [entry],
+                w.factor * values[inside:after],
+                [resumed],
+                values[resume:],
+            )
+        )
     # Coalesce value-repeating breakpoints: rewriting around back-to-back
     # blackouts leaves a redundant 0.0 -> 0.0 breakpoint at the seam (and a
     # resume into an equal underlying value does the same).  They carry no
     # capacity information but would surface as spurious engine re-tick
     # points, so drop them.
-    kept_times = [times[0]]
-    kept_values = [values[0]]
-    for t, v in zip(times[1:], values[1:]):
-        if v == kept_values[-1]:
-            continue
-        kept_times.append(t)
-        kept_values.append(v)
-    return CapacityTrace(kept_times, kept_values)
+    keep = np.concatenate(([True], values[1:] != values[:-1]))
+    return CapacityTrace(times[keep], values[keep])
 
 
 def blackout_spans(

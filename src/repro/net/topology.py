@@ -17,7 +17,7 @@ the paper's "common bottleneck" penalty scenarios.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.net.latency import LatencyModel
 from repro.net.link import Link
@@ -114,9 +114,13 @@ class Topology:
         except KeyError:
             raise KeyError(f"unknown link {name!r}") from None
 
+    def has_link(self, name: str) -> bool:
+        """True if a link with this canonical name exists."""
+        return name in self._links
+
     def has_wan_link(self, src: str, dst: str) -> bool:
         """True if the ``src -> dst`` WAN segment exists."""
-        return wan_link_name(src, dst) in self._links
+        return self.has_link(wan_link_name(src, dst))
 
     @property
     def nodes(self) -> List[Node]:
@@ -181,25 +185,19 @@ class Topology:
         if node.kind is not kind:
             raise ValueError(f"node {name!r} is a {node.kind.value}, expected {kind.value}")
 
-    def copy_with_traces(self, transform) -> "Topology":
-        """A structural copy with every link's trace passed through
-        ``transform(link) -> CapacityTrace``.
+    def with_traces(self, traces: Mapping[str, CapacityTrace]) -> "Topology":
+        """A copy with the named links' capacity traces replaced.
 
-        Nodes are shared (immutable); links are rebuilt.  Used for what-if
-        studies such as failure injection, which must not mutate the
-        original scenario's links.
+        Nodes and every untouched link are shared with this topology (both
+        are immutable); only the named links are rebuilt, so a what-if
+        study such as failure injection pays for the links it changes and
+        never mutates the original.  An unknown name raises ``KeyError``.
         """
         clone = Topology(self.latency)
         clone._nodes = dict(self._nodes)
-        for link in self._links.values():
-            new_trace = transform(link)
-            if not isinstance(new_trace, CapacityTrace):
-                raise TypeError(
-                    f"transform must return a CapacityTrace, got {type(new_trace)!r}"
-                )
-            clone._links[link.name] = Link(
-                link.name, link.src, link.dst, new_trace, link.delay
-            )
+        clone._links = dict(self._links)
+        for name, trace in traces.items():
+            clone._links[name] = self.link(name).with_trace(trace)
         return clone
 
     def validate(self) -> None:

@@ -258,14 +258,15 @@ _RULE_LIST: Tuple[Rule, ...] = (
             "passed as process args, or nested functions used as targets"
         ),
         hint=(
-            "workers must rebuild context from picklable plan data "
-            "(module-level target fn + primitive args); module globals "
+            "workers must receive their context as picklable data "
+            "(module-level target fn + plain-data args such as an "
+            "immutable scenario); module globals "
             "written in a worker are invisible to the parent and to other "
             "workers"
         ),
         scope="library",
         example_bad="Process(target=lambda: run(unit), args=())",
-        example_good="Process(target=_worker_main, args=(spec, seed))",
+        example_good="Process(target=_worker_main, args=(scenario, config))",
         analyzer="flow",
     ),
     Rule(

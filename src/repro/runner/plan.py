@@ -132,11 +132,13 @@ class WorkUnit:
 class CampaignPlan:
     """A study decomposed into an ordered tuple of work units.
 
-    The plan carries everything a worker process needs to rebuild its
-    execution context from scratch (scenario spec + root seed + session
-    config), which is what makes the pool spawn-safe: nothing live is
-    pickled, workers reconstruct the same immutable scenario the parent
-    planned against.
+    The plan names the scenario it was made against (spec + root seed) and
+    carries the session config and study parameters.  The executor hands
+    workers the scenario itself, not the spec: a plan run on a faulted copy
+    of its scenario (same spec and seed) must execute on that copy, and
+    rebuilding from the spec would silently drop the faults.  The spec and
+    seed still fingerprint the plan and guard against running it on an
+    unrelated scenario.
     """
 
     study: str

@@ -4,10 +4,12 @@ The executor is a classic parent/worker pool specialised for simulation
 campaigns:
 
 * **Spawn-safe workers.**  Workers are started with the ``spawn`` context
-  and rebuild their execution context (the immutable
-  :class:`~repro.workloads.scenario.Scenario`) from the plan's
-  ``(scenario_spec, seed)`` - nothing live crosses the process boundary, so
-  the pool behaves identically on fork- and spawn-default platforms.
+  and receive their execution context - the parent's immutable
+  :class:`~repro.workloads.scenario.Scenario`, its session config and the
+  plan's study parameters - as pickled spawn arguments.  Only plain data
+  crosses the process boundary (no handles, locks or live simulations), so
+  the pool behaves identically on fork- and spawn-default platforms, and a
+  worker runs on exactly the scenario the caller passed, faults included.
 * **Bounded queues.**  Each worker owns a short task queue
   (:data:`QUEUE_DEPTH`); the parent keeps them topped up and tracks the
   in-flight units per worker, which is what makes per-unit timeouts and
@@ -77,7 +79,7 @@ RunUnitFn = Callable[[Scenario, SessionConfig, WorkUnit], TransferRecord]
 
 
 class RunnerError(RuntimeError):
-    """The execution machinery itself failed (e.g. workers cannot boot)."""
+    """The execution machinery itself failed (e.g. a corrupt checkpoint)."""
 
 
 @dataclass(frozen=True)
@@ -137,14 +139,13 @@ def run_unit(
 # --------------------------------------------------------------------------- #
 def _worker_main(
     worker_id: int,
-    spec: Any,
-    seed: int,
+    scenario: Scenario,
     config: SessionConfig,
     extra: Any,
     task_q: Any,
     result_conn: Any,
 ) -> None:
-    """Worker loop: build the scenario once, then execute units until sentinel.
+    """Worker loop: execute units on the parent's scenario until sentinel.
 
     SIGINT is ignored so Ctrl-C is handled solely by the parent's drain
     logic; the parent terminates workers explicitly.  Results travel over a
@@ -168,11 +169,6 @@ def _worker_main(
             return False  # parent is gone; nothing left to report to
         return True
 
-    try:
-        scenario = Scenario.build(spec, seed=seed)
-    except BaseException:
-        send(("boot", worker_id, -1, traceback.format_exc()))
-        return
     while True:
         unit = task_q.get()
         if unit is None:
@@ -323,12 +319,10 @@ class _Execution:
 def _run_inline(
     state: _Execution,
     pending: List[WorkUnit],
-    scenario: Optional[Scenario],
+    scenario: Scenario,
     run_unit_fn: RunUnitFn,
 ) -> None:
     """Execute units in-process (``jobs=1``), sharing the retry machinery."""
-    if scenario is None:
-        scenario = Scenario.build(state.plan.scenario_spec, seed=state.plan.seed)
     for unit in pending:
         while True:
             attempt_started = state.clock()
@@ -348,7 +342,9 @@ def _run_inline(
 # --------------------------------------------------------------------------- #
 # multiprocessing backend
 # --------------------------------------------------------------------------- #
-def _spawn_worker(ctx: Any, worker_id: int, plan: CampaignPlan) -> _WorkerHandle:
+def _spawn_worker(
+    ctx: Any, worker_id: int, plan: CampaignPlan, scenario: Scenario
+) -> _WorkerHandle:
     task_q = ctx.Queue(maxsize=QUEUE_DEPTH)
     # One result pipe per worker.  A shared result queue would let a worker
     # that dies mid-``send`` (chaos SIGKILL, OOM) leave a truncated pickle
@@ -359,8 +355,7 @@ def _spawn_worker(ctx: Any, worker_id: int, plan: CampaignPlan) -> _WorkerHandle
         target=_worker_main,
         args=(
             worker_id,
-            plan.scenario_spec,
-            plan.seed,
+            scenario,
             plan.config,
             plan.extra,
             task_q,
@@ -422,6 +417,7 @@ def _shutdown_workers(workers: Dict[int, _WorkerHandle]) -> None:
 def _run_parallel(
     state: _Execution,
     pending: List[WorkUnit],
+    scenario: Scenario,
     *,
     jobs: int,
     unit_timeout: Optional[float],
@@ -446,7 +442,7 @@ def _run_parallel(
 
     def spawn_one() -> None:
         nonlocal next_worker_id
-        handle = _spawn_worker(ctx, next_worker_id, state.plan)
+        handle = _spawn_worker(ctx, next_worker_id, state.plan, scenario)
         handle.head_since = state.clock()
         workers[handle.worker_id] = handle
         next_worker_id += 1
@@ -467,13 +463,6 @@ def _run_parallel(
     def _deliver(message: Any) -> None:
         kind, worker_id, index, payload = message
         handle = workers.get(worker_id)
-        if kind == "boot":
-            # Scenario construction is deterministic: if one worker
-            # cannot build it, every respawn would fail the same way.
-            raise RunnerError(
-                f"worker-{worker_id} failed to build its scenario:\n"
-                f"{payload}"
-            )
         if handle is None:  # pragma: no cover - defensive
             # Result drained from a worker we already reaped.  Completion
             # is idempotent, so credit successes and drop errors.
@@ -621,8 +610,10 @@ def execute_plan(
         Worker processes.  ``1`` (the default) runs inline in this process
         through the identical planner/checkpoint/retry path.
     scenario:
-        Pre-built scenario to reuse on the inline path (workers always
-        rebuild from the plan).  Must match the plan's spec and seed.
+        Pre-built scenario every unit runs on, inline or in workers (which
+        receive it as a spawn argument); built once from the plan when
+        omitted.  Must match the plan's spec and seed - a faulted copy
+        (:meth:`~repro.workloads.scenario.Scenario.with_faults`) does.
     checkpoint / resume / checkpoint_every:
         Shard-store directory, resume switch, and flush granularity; see
         :mod:`repro.runner.checkpoint`.
@@ -706,6 +697,8 @@ def execute_plan(
     try:
         reporter.start()
         if pending:
+            if scenario is None:
+                scenario = Scenario.build(plan.scenario_spec, seed=plan.seed)
             if jobs == 1:
 
                 def _default_fn(
@@ -718,6 +711,7 @@ def execute_plan(
                 _run_parallel(
                     state,
                     pending,
+                    scenario,
                     jobs=jobs,
                     unit_timeout=unit_timeout,
                     runner_faults=runner_faults,

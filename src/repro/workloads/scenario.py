@@ -342,7 +342,8 @@ class Scenario:
         ``wan_link_name("eBay", "Italy")``) to sequences of
         :class:`~repro.net.failures.FaultWindow`, so gray (fractional)
         degradation and blackouts compose in one plan.  Everything else -
-        profiles, servers, relays, seeds - is shared with the original.
+        profiles, servers, relays, seeds and every link outside the plan -
+        is shared with the original.
 
         The copy remembers the plan's blackout spans on top of this
         scenario's own, and every sanitized universe opened on it polices
@@ -350,16 +351,15 @@ class Scenario:
         """
         from repro.net.failures import apply_fault_windows, blackout_spans
 
-        unknown = [name for name in windows_by_link if name not in
-                   {l.name for l in self.topology.links}]
+        unknown = [name for name in windows_by_link if not self.topology.has_link(name)]
         if unknown:
             raise KeyError(f"unknown links in fault plan: {unknown}")
-
-        def transform(link):
-            windows = windows_by_link.get(link.name, ())
-            return apply_fault_windows(link.trace, list(windows))
-
-        topology = self.topology.copy_with_traces(transform)
+        topology = self.topology.with_traces(
+            {
+                name: apply_fault_windows(self.topology.link(name).trace, list(windows))
+                for name, windows in windows_by_link.items()
+            }
+        )
         builder = OverlayPathBuilder(topology, self.builder.registry, self.servers)
         faulted = Scenario(
             self.spec,

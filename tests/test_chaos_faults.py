@@ -26,6 +26,7 @@ from repro.net.trace import CapacityTrace
 from repro.sim.simulator import Simulator
 from repro.tcp.fluid import FluidNetwork
 from tests.engines import forced_engine
+from tests.fault_oracle import loop_fault_windows
 
 
 class TestFaultWindow:
@@ -141,6 +142,82 @@ class TestApplyOutagesEdgeCases:
         assert out.value_at(20.0) == 0.0  # no full-capacity sliver at the seam
         assert out.value_at(29.999) == 0.0
         assert out.value_at(30.0) == 1000.0
+
+
+def _fuzz_case(rng):
+    """A random trace and window list: gray, blackout, back-to-back,
+    zero-length, breakpoint-aligned and past-the-end windows."""
+    n = int(rng.integers(1, 10))
+    if rng.random() < 0.5:  # integer grid: windows land on breakpoints
+        times = np.unique(np.concatenate(([0.0], rng.integers(1, 40, n - 1))))
+    else:
+        times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 40.0, n - 1))))
+    if rng.random() < 0.5:  # few distinct values: resumes repeat values
+        values = rng.choice([0.0, 1.0, 250.0, 1000.0], times.size)
+    else:
+        values = rng.uniform(0.0, 1.0e6, times.size)
+    trace = CapacityTrace(times, values)
+    windows = []
+    cursor = float(rng.uniform(0.0, 5.0))
+    for _ in range(int(rng.integers(0, 5))):
+        later = times[times >= cursor]
+        if later.size and rng.random() < 0.3:
+            start = float(rng.choice(later))
+        else:
+            start = cursor + float(rng.choice([0.0, rng.uniform(0.0, 15.0)]))
+        pick = rng.random()
+        if pick < 0.15:
+            duration = 0.0
+        elif pick < 0.35 and (times > start).any():
+            duration = float(rng.choice(times[times > start])) - start
+        elif pick < 0.45:
+            duration = float(rng.uniform(40.0, 80.0))  # runs past the end
+        else:
+            duration = float(rng.uniform(0.1, 12.0))
+        factor = float(rng.choice([0.0, 0.0, 0.25, 0.5, rng.uniform(0.0, 1.0)]))
+        windows.append(FaultWindow(start, duration, factor))
+        cursor = start + duration
+    if len(windows) > 1 and rng.random() < 0.05:
+        w = windows[-1]
+        windows.append(FaultWindow(w.start, w.duration + 1.0))  # overlap
+    rng.shuffle(windows)
+    return trace, windows
+
+
+class TestRewriteMatchesLoopOracle:
+    """The vectorised rewrite reproduces the breakpoint loop bit for bit."""
+
+    @staticmethod
+    def _assert_identical(trace, windows):
+        try:
+            expected = loop_fault_windows(trace, windows)
+        except ValueError:
+            with pytest.raises(ValueError, match="overlap"):
+                apply_fault_windows(trace, windows)
+            return
+        out = apply_fault_windows(trace, windows)
+        assert out.times.tobytes() == expected.times.tobytes(), (trace, windows)
+        assert out.values.tobytes() == expected.values.tobytes(), (trace, windows)
+
+    def test_seeded_fuzz(self):
+        rng = np.random.default_rng(20070326)
+        for _ in range(6000):
+            self._assert_identical(*_fuzz_case(rng))
+
+    @pytest.mark.parametrize(
+        "windows",
+        [
+            # The end rounds back onto the start: a breakpoint pair at one
+            # time, which the trace constructor collapses.
+            [FaultWindow(2.0**60, 1.0, factor=0.5)],
+            [FaultWindow(5.0, 5.0), FaultWindow(10.0, 5.0, factor=0.5)],
+            [FaultWindow(0.0, 100.0, factor=0.25)],
+            [FaultWindow(30.0, 1.0), FaultWindow(31.0, 0.0), FaultWindow(31.0, 2.0)],
+        ],
+    )
+    def test_edge_cases(self, windows):
+        trace = CapacityTrace([0.0, 10.0, 20.0, 30.0], [8.0, 4.0, 8.0, 2.0])
+        self._assert_identical(trace, windows)
 
 
 class TestFlappingWindows:

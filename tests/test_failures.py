@@ -127,6 +127,35 @@ class TestScenarioWithOutages:
         assert section2_scenario.topology.link(link_name).trace is before
         assert degraded.topology.link(link_name).trace.value_at(50.0) == 0.0
 
+    def test_only_planned_links_are_rebuilt(self, section2_scenario, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        italy = wan_link_name("eBay", "Italy")
+        sweden = wan_link_name("eBay", "Sweden")
+        plan = {
+            italy: [FaultWindow(10.0, 20.0)],
+            sweden: [FaultWindow(30.0, 5.0, factor=0.5)],
+        }
+        parent = section2_scenario.topology
+        faulted = section2_scenario.with_faults(plan)
+        assert [l.name for l in faulted.topology.links] == [l.name for l in parent.links]
+        for link in faulted.topology.links:
+            if link.name in plan:
+                assert link is not parent.link(link.name)
+                expected = apply_fault_windows(parent.link(link.name).trace, plan[link.name])
+                assert link.trace.times.tobytes() == expected.times.tobytes()
+                assert link.trace.values.tobytes() == expected.values.tobytes()
+            else:
+                assert link is parent.link(link.name)
+        # A derived copy shares its faulted parent's links in turn, and the
+        # blackout spans still accumulate across the two plans.
+        again = faulted.with_faults({italy: [FaultWindow(0.0, 5.0)]})
+        assert again.topology.link(sweden) is faulted.topology.link(sweden)
+        assert again.topology.link(italy).trace.value_at(2.0) == 0.0
+        assert again.topology.link(italy).trace.value_at(20.0) == 0.0
+        assert again.universe(0.0).sim.sanitizer.fault_windows == {
+            italy: [(0.0, 5.0), (10.0, 30.0)]
+        }
+
     def test_unknown_link_rejected(self, section2_scenario):
         with pytest.raises(KeyError, match="unknown links"):
             section2_scenario.with_faults({"wan:Narnia->Italy": [FaultWindow(0.0, 1.0)]})

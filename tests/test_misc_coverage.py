@@ -28,27 +28,37 @@ class TestTopologyCopy:
 
     def test_copy_transforms_traces(self):
         topo = self.build()
-        clone = topo.copy_with_traces(lambda link: link.trace.scaled(2.0))
+        wan = topo.link("wan:S->C")
+        clone = topo.with_traces({"wan:S->C": wan.trace.scaled(2.0)})
         assert clone.link("wan:S->C").trace.value_at(0) == 10.0
-        assert topo.link("wan:S->C").trace.value_at(0) == 5.0  # untouched
+        assert topo.link("wan:S->C") is wan  # the original is untouched
+        assert wan.trace.value_at(0) == 5.0
 
     def test_copy_preserves_structure(self):
         topo = self.build()
-        clone = topo.copy_with_traces(lambda link: link.trace)
+        clone = topo.with_traces({"wan:S->C": C(1.0)})
         assert [n.name for n in clone.nodes] == [n.name for n in topo.nodes]
-        assert clone.link("access:C").delay == topo.link("access:C").delay
+        assert [l.name for l in clone.links] == [l.name for l in topo.links]
+        rebuilt = clone.link("wan:S->C")
+        assert (rebuilt.src, rebuilt.dst, rebuilt.delay) == ("S", "C", topo.link("wan:S->C").delay)
+        # Links outside the mapping are shared, not copied.
+        assert clone.link("access:C") is topo.link("access:C")
+        assert clone.link("access:S") is topo.link("access:S")
         clone.validate()
 
     def test_bad_transform_rejected(self):
         topo = self.build()
         with pytest.raises(TypeError, match="CapacityTrace"):
-            topo.copy_with_traces(lambda link: 42)
+            topo.with_traces({"wan:S->C": 42})
+        with pytest.raises(KeyError, match="unknown link"):
+            topo.with_traces({"wan:C->S": C(1.0)})
+        assert topo.link("wan:S->C").trace.value_at(0) == 5.0
 
     def test_routes_on_copy_use_new_traces(self):
         topo = self.build()
-        clone = topo.copy_with_traces(lambda link: link.trace.clipped(1.0))
-        route = clone.direct_route("C", "S")
-        assert route.bottleneck_at(0.0) == 1.0
+        clone = topo.with_traces({"access:C": topo.link("access:C").trace.clipped(1.0)})
+        assert clone.direct_route("C", "S").bottleneck_at(0.0) == 1.0
+        assert topo.direct_route("C", "S").bottleneck_at(0.0) == 5.0
 
 
 class TestFlowDeliveredAt:

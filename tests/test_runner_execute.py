@@ -19,8 +19,14 @@ from repro.runner import (
     plan_section2,
     run_unit,
 )
+from repro.net.failures import FaultWindow
+from repro.net.topology import wan_link_name
 from repro.trace.store import TraceStore
-from repro.workloads.experiment import STUDY_SESSION_CONFIG, run_paired_transfer
+from repro.workloads.experiment import (
+    STUDY_SESSION_CONFIG,
+    Section2Study,
+    run_paired_transfer,
+)
 
 CLIENTS = ["Italy", "Sweden", "Taiwan"]
 REPS = 4
@@ -88,6 +94,28 @@ class TestParallelByteIdentity:
         assert store_bytes(tmp_path, result.store, f"j{jobs}.jsonl") == store_bytes(
             tmp_path, serial_result.store, "j1.jsonl"
         )
+
+
+class TestWorkersRunTheCallersScenario:
+    def test_faulted_scenario_reaches_workers(self, tmp_path, section2_scenario):
+        """Workers execute on the scenario passed in, not one rebuilt from
+        the plan's spec: a faulted copy shares the spec and seed, so the
+        plan check cannot tell them apart."""
+        faulted = section2_scenario.with_faults(
+            {wan_link_name("eBay", "Italy"): [FaultWindow(0.0, 30.0, factor=0.25)]}
+        )
+        plan = Section2Study(section2_scenario, repetitions=2).plan(
+            sites=["eBay"], clients=["Italy"]
+        )
+        healthy = execute_plan(plan, jobs=1, scenario=section2_scenario)
+        runs = {
+            jobs: store_bytes(
+                tmp_path, execute_plan(plan, jobs=jobs, scenario=faulted).store, f"j{jobs}"
+            )
+            for jobs in (1, 2)
+        }
+        assert runs[2] == runs[1]
+        assert runs[1] != store_bytes(tmp_path, healthy.store, "healthy")
 
 
 class TestCheckpointAndResume:

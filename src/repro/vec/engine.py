@@ -18,10 +18,20 @@ the whole population with one fused ``delivered = min(size, delivered +
 rate*dt)`` (valid because every row's last accrual time is the previous
 tick — new rows carry rate 0), detect completions with one vectorized scan,
 re-solve max-min fairness for everyone at once, and compute the next wake-up
-with vectorized next-completion / next-ramp-increase scans plus the dynamic
-trace cursors.  The simulator's event queue is only touched at epoch
-boundaries — exactly one pending ``fluid-tick`` event, as in the per-object
-tick.
+from the next completion, one fused ramp pass (caps and next increase from
+one doubling-round computation) and the dynamic trace cursors.  The
+simulator's event queue is only touched at epoch boundaries — exactly one
+pending ``fluid-tick`` event, as in the per-object tick.
+
+Rows enter and leave by the column.  Activations are buffered and flushed
+at the next tick: a population shares a handful of ``Route`` and
+``SlowStartRamp`` objects, so the flush interns each distinct route and
+reads each distinct ramp once per batch, then fills the row columns and
+the CSR with gathers.  Aborts only queue their row; the next same-instant
+tick releases them together with that tick's completions in one
+vectorised ``_release_rows`` (one CSR gather and ``bincount`` for the link
+refcounts).  The solver's gather of the live rows is kept until the rows
+change, so ticks that only move a ramp or a trace reuse it.
 
 Byte-identity contract: rows are append-only in activation order (dead rows
 are tombstoned and compacted without reordering), so completion callbacks
@@ -42,14 +52,14 @@ transparently materialise the row's array state.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.net.link import Link
 from repro.net.trace import TraceCursor
 from repro.sim.errors import TransferError
-from repro.tcp.flow import FluidFlow
+from repro.tcp.flow import FlowState, FluidFlow
 from repro.tcp.fluid import _COMPLETION_SLACK, _DENSE_MAX_FLOWS
 from repro.tcp.maxmin import maxmin_allocate
 from repro.vec.solver import waterfill_sparse
@@ -60,6 +70,24 @@ __all__ = ["VectorCore"]
 _ROUND_EPS = 1e-9
 
 _GROW_MIN = 64
+
+
+def _slots(objs: Sequence[object]) -> Tuple[list, np.ndarray]:
+    """The distinct objects of ``objs`` by identity, in first-appearance
+    order, and each element's index into that list."""
+    ids = np.array([id(o) for o in objs], dtype=np.int64)
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return [objs[i] for i in first[order].tolist()], rank[inverse]
+
+
+def _segments(starts: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Flat positions of the (non-empty list of) segments
+    ``[starts[i], starts[i] + deg[i])``, concatenated in order."""
+    ends = np.cumsum(deg)
+    return np.repeat(starts - (ends - deg), deg) + np.arange(ends[-1], dtype=np.int64)
 
 
 def _grow(arr: np.ndarray, need: int) -> np.ndarray:
@@ -98,8 +126,12 @@ class VectorCore:
         #: scalar writes across the whole batch (a same-instant tick is
         #: always pending when this list is non-empty).
         self._pending: List[FluidFlow] = []
+        #: Rows of aborted or completed flows awaiting one batched release.
+        self._retiring: List[int] = []
+        #: The solve's gather of the live rows (see _gather); None when stale.
+        self._gathered: Optional[tuple] = None
         #: Shared capacity of all per-flow arrays (they grow in lockstep,
-        #: so one comparison per add_flow covers every array).
+        #: so one comparison per flush covers every array).
         self._row_cap = _GROW_MIN
         # --- CSR incidence: row r uses link_idx[indptr[r]:indptr[r+1]] ---
         self._indptr = np.zeros(_GROW_MIN + 1, dtype=np.int64)
@@ -143,106 +175,114 @@ class VectorCore:
         self._pending.append(flow)
 
     def _flush_pending(self) -> None:
-        """Materialise buffered flows as rows, in activation order."""
-        pend = self._pending
+        """Materialise buffered flows as rows, in activation order.
+
+        Flows aborted while buffered are skipped.  A population shares a
+        handful of :class:`Route` and ramp objects, so each distinct route
+        is interned once and each distinct ramp read once; the row columns
+        and the CSR are then filled by gathers over those few slots.
+        """
+        pend = [f for f in self._pending if f.state is FlowState.ACTIVE]
+        self._pending = []
+        if not pend:
+            return
         row0 = self._n
-        need = row0 + len(pend)
-        if need > self._row_cap:
-            self._grow_rows(need)
+        row = row0 + len(pend)
+        if row > self._row_cap:
+            self._grow_rows(row)
+        routes, rslot = _slots([f.route for f in pend])
+        ramps, pslot = _slots([f.ramp for f in pend])
+
+        # Intern each route at its first appearance, bumping its links'
+        # refcounts once then, so _intern_link's in-use conflict check sees
+        # every earlier route of this batch exactly as a per-flow walk would.
         intern = self._intern_link
-        row_of = self._row_of
-        flows = self._flows
-        size_l: List[float] = []
-        deliv_l: List[float] = []
-        act_l: List[float] = []
-        rtt_l: List[float] = []
-        w0_l: List[float] = []
-        wmax_l: List[float] = []
-        rtp_l: List[float] = []
-        ramp_l: List[bool] = []
-        deg_l: List[int] = []
-        lids_l: List[int] = []
-        row = row0
-        for flow in pend:
-            lids = [intern(link) for link in flow.route.links]
-            # Refcounts go up per flow (not deferred to the batch end) so
-            # _intern_link's in-use conflict check sees earlier flows of
-            # this same batch.  Route links are name-unique, and interning
-            # may have reallocated the refs array, so re-read it here.
+        rlids: List[int] = []
+        rdeg: List[int] = []
+        for route in routes:
+            lids = [intern(link) for link in route.links]
+            # Interning may reallocate the refs array: re-read it here.
             refs = self._link_refs
             for l in lids:
                 refs[l] += 1
-            lids_l.extend(lids)
-            deg_l.append(len(lids))
-            size_l.append(flow.size)
-            deliv_l.append(flow._delivered)
-            act_l.append(
-                flow.activated_at if flow.activated_at is not None else 0.0
-            )
-            ramp = flow.ramp
-            if ramp is None:
-                ramp_l.append(False)
-                rtt_l.append(1.0)
-                w0_l.append(1.0)
-                wmax_l.append(1.0)
-                rtp_l.append(0.0)
-            else:
-                ramp_l.append(True)
-                rtt_l.append(ramp.rtt)
-                w0_l.append(ramp.initial_window)
-                wmax_l.append(ramp.max_window)
-                rtp_l.append(float(ramp.rounds_to_peak()))
-            flows.append(flow)
-            row_of[flow.id] = row
-            flow._sync = self._sync_flow
-            row += 1
-        pend.clear()
+            rlids.extend(lids)
+            rdeg.append(len(lids))
+        rl = np.array(rlids, dtype=np.int64)
+        rd = np.array(rdeg, dtype=np.int64)
+        uses = np.bincount(rslot, minlength=len(routes))
+        np.add.at(self._link_refs, rl, np.repeat(uses - 1, rd))
 
-        self._size[row0:row] = size_l
-        self._deliv[row0:row] = deliv_l
+        # CSR: each row copies its route's segment of ``rl``.
+        deg = rd[rslot]
+        seg = rl[_segments((np.cumsum(rd) - rd)[rslot], deg)]
+        start = self._nnz
+        end = start + seg.size
+        self._link_idx = _grow(self._link_idx, end)
+        self._link_idx[start:end] = seg
+        self._indptr[row0 + 1 : row + 1] = start + np.cumsum(deg)
+        self._nnz = end
+
+        # Ramp columns, gathered from one parameter row per distinct ramp.
+        # A flow without a ramp gets (1, 1, 1, 0): see _ramp.
+        params = np.array(
+            [
+                (r.rtt, r.initial_window, r.max_window, float(r.rounds_to_peak()))
+                if r is not None
+                else (1.0, 1.0, 1.0, 0.0)
+                for r in ramps
+            ]
+        )[pslot]
+        self._rtt[row0:row] = params[:, 0]
+        self._w0[row0:row] = params[:, 1]
+        self._wmax[row0:row] = params[:, 2]
+        self._rtp[row0:row] = params[:, 3]
+        self._has_ramp[row0:row] = np.array([r is not None for r in ramps])[pslot]
+        self._size[row0:row] = [f.size for f in pend]
+        self._deliv[row0:row] = [f._delivered for f in pend]
+        self._act[row0:row] = [f.activated_at for f in pend]
         self._rate[row0:row] = 0.0
-        self._act[row0:row] = act_l
-        self._rtt[row0:row] = rtt_l
-        self._w0[row0:row] = w0_l
-        self._wmax[row0:row] = wmax_l
-        self._rtp[row0:row] = rtp_l
-        self._has_ramp[row0:row] = ramp_l
         self._alive[row0:row] = True
 
-        start = self._nnz
-        end = start + len(lids_l)
-        self._link_idx = _grow(self._link_idx, end)
-        self._link_idx[start:end] = lids_l
-        self._indptr[row0 + 1 : row + 1] = start + np.cumsum(deg_l)
-        self._nnz = end
+        self._flows.extend(pend)
+        self._row_of.update(zip([f.id for f in pend], range(row0, row)))
+        hook = self._sync_flow
+        for flow in pend:
+            flow._sync = hook
         self._n = row
+        self._gathered = None
 
     def detach_flow(self, flow: FluidFlow) -> None:
-        """Materialise and drop an active flow's row (abort path)."""
+        """Materialise an aborting flow's row and queue it for release.
+
+        The row is released by the next same-instant tick; a flow still in
+        the buffer needs nothing, since the flush skips flows no longer
+        active.
+        """
         row = self._row_of.get(flow.id)
         if row is None:
-            # Activated but not yet flushed (aborted between the activation
-            # event and the same-instant tick): drop it from the buffer.
-            pend = self._pending
-            for i, f in enumerate(pend):
-                if f is flow:
-                    del pend[i]
-                    break
             return
         self._sync_flow(flow)
-        self._release_row(row)
+        self._retiring.append(row)
         flow._sync = None
 
-    def _release_row(self, row: int) -> None:
-        flow = self._flows[row]
-        assert flow is not None
-        del self._row_of[flow.id]
-        self._flows[row] = None
-        self._alive[row] = False
-        self._rate[row] = 0.0
-        s, e = int(self._indptr[row]), int(self._indptr[row + 1])
-        self._link_refs[self._link_idx[s:e]] -= 1
-        self._dead += 1
+    def _release_rows(self) -> None:
+        """Tombstone every queued row and drop its link references at once."""
+        rows = self._retiring
+        self._retiring = []
+        idx = np.array(rows, dtype=np.int64)
+        starts = self._indptr[idx]
+        lids = self._link_idx[_segments(starts, self._indptr[idx + 1] - starts)]
+        counts = np.bincount(lids)
+        self._link_refs[: counts.size] -= counts
+        self._alive[idx] = False
+        self._rate[idx] = 0.0
+        self._dead += len(rows)
+        self._gathered = None
+        flows = self._flows
+        row_of = self._row_of
+        for r in rows:
+            del row_of[flows[r].id]
+            flows[r] = None
 
     def _sync_flow(self, flow: FluidFlow) -> None:
         """Sync hook: copy a row's array state back onto the flow object."""
@@ -311,6 +351,8 @@ class VectorCore:
                 obs.span("tick", "fluid-epoch", prev, now, flows=len(net._active))
             net._last_tick_at = now
             obs.count("engine.ticks")
+        if self._retiring:
+            self._release_rows()  # rows of flows aborted since the last tick
 
         # 1. Accrue bytes at the rates chosen at the previous tick.  Every
         # live row's rate was assigned at the previous tick (rows added since
@@ -329,50 +371,27 @@ class VectorCore:
 
         # 2. Detect and finalise completions in activation (row) order;
         # callbacks run after removal, exactly as in the per-object tick.
+        # Completed rows join the release queue, so they and any flow a
+        # callback aborts are released together below.
         finished: List[FluidFlow] = []
         if n:
-            done_rows = np.flatnonzero(
+            done = np.flatnonzero(
                 self._alive[:n]
                 & (self._size[:n] - self._deliv[:n] <= _COMPLETION_SLACK)
-            )
-            if done_rows.size > 8:
-                # Batch the array-side release; the per-flow loop below
-                # keeps the per-object tick's removal/callback ordering.
-                degd = (
-                    self._indptr[done_rows + 1] - self._indptr[done_rows]
-                )
-                offs = np.arange(int(degd.sum()), dtype=np.int64) - np.repeat(
-                    np.cumsum(degd) - degd, degd
-                )
-                dlids = self._link_idx[
-                    np.repeat(self._indptr[done_rows], degd) + offs
-                ]
-                counts = np.bincount(dlids, minlength=len(self._links))
-                self._link_refs[: counts.size] -= counts
-                self._alive[done_rows] = False
-                self._rate[done_rows] = 0.0
-                self._dead += int(done_rows.size)
-                for r in done_rows:
-                    flow = self._flows[int(r)]
-                    assert flow is not None
-                    finished.append(flow)
-                    del net._active[flow.id]
-                    del self._row_of[flow.id]
-                    self._flows[int(r)] = None
-                    flow._complete(now)
-                    net.completed_count += 1
-            else:
-                for r in done_rows:
-                    flow = self._flows[int(r)]
-                    assert flow is not None
-                    finished.append(flow)
-                    del net._active[flow.id]
-                    self._release_row(int(r))
-                    flow._complete(now)
-                    net.completed_count += 1
+            ).tolist()
+            flows = self._flows
+            finished = [flows[r] for r in done]
+            self._retiring.extend(done)
+            active = net._active
+            for flow in finished:
+                del active[flow.id]
+                flow._complete(now)
+            net.completed_count += len(finished)
         for flow in finished:
             if flow.on_complete is not None:
                 flow.on_complete(flow)
+        if self._retiring:
+            self._release_rows()
 
         # A callback may have scheduled a same-instant tick; drop it.
         if net._tick_event is not None and net._tick_event.active:
@@ -387,26 +406,11 @@ class VectorCore:
             if obs is not None:
                 obs.count("vec.compactions")
 
-        # 3. Re-solve the allocation over the whole population.  Gather the
-        # population's CSR coordinates (activation order): with no
-        # tombstones the stored CSR *is* the gather; otherwise mask dead
-        # rows' segments out of it.
-        n = self._n
-        deg = self._indptr[1 : n + 1] - self._indptr[:n]
-        if self._dead == 0:
-            n_flows = n
-            rows = np.arange(n, dtype=np.int64)
-            lids = self._link_idx[: self._nnz]
-            frow = np.repeat(rows, deg)
-        else:
-            alive = self._alive[:n]
-            rows = np.flatnonzero(alive)
-            n_flows = int(rows.size)
-            degr = deg[rows]
-            keep_nz = np.repeat(alive, deg)
-            lids = self._link_idx[: self._nnz][keep_nz]
-            frow = np.repeat(np.arange(n_flows, dtype=np.int64), degr)
-        caps = self._flow_caps(rows, now)
+        # 3. Re-solve the allocation over the whole population.
+        if self._gathered is None:
+            self._gathered = self._gather()
+        rows, n_flows, lids, frow = self._gathered
+        caps, ramp_next = self._ramp(rows, now)
 
         # Refresh time-varying link capacities through their cursors.
         for lid, cursor in sorted(self._dyn.items()):
@@ -446,14 +450,11 @@ class VectorCore:
         self._rate[rows] = rates
 
         # 4. Next wake-up: first completion, ramp increase or trace change.
-        next_time = float("inf")
+        next_time = ramp_next
         pos = rates > 0.0
         if pos.any():
             t_done = now + (self._size[rows][pos] - self._deliv[rows][pos]) / rates[pos]
-            next_time = float(t_done.min())
-        ramp_next = self._next_cap_increase(rows, now)
-        if ramp_next < next_time:
-            next_time = ramp_next
+            next_time = min(float(t_done.min()), next_time)
         for lid, cursor in sorted(self._dyn.items()):
             if self._link_refs[lid] > 0:
                 nxt = cursor.next_change_after(now)
@@ -470,30 +471,49 @@ class VectorCore:
             max(next_time, now + min_step), net._tick_cb, name="fluid-tick"
         )
 
+    def _gather(self) -> tuple:
+        """The live population's solver coordinates, in activation order:
+        its rows, their count, and each CSR entry's link id and flow index.
+
+        With no tombstones the stored CSR *is* the gather and every column
+        is read through a slice; otherwise dead rows' segments are masked
+        out.  The result holds until the rows change (flush, release or
+        compaction), so ticks that only move a ramp or a trace reuse it.
+        """
+        n = self._n
+        deg = self._indptr[1 : n + 1] - self._indptr[:n]
+        if self._dead == 0:
+            frow = np.repeat(np.arange(n, dtype=np.int64), deg)
+            return slice(0, n), n, self._link_idx[: self._nnz], frow
+        alive = self._alive[:n]
+        rows = np.flatnonzero(alive)
+        lids = self._link_idx[: self._nnz][np.repeat(alive, deg)]
+        frow = np.repeat(np.arange(rows.size, dtype=np.int64), deg[rows])
+        return rows, int(rows.size), lids, frow
+
     # ------------------------------------------------------------------ #
     # vectorized ramp math (bit-identical to SlowStartRamp.cap_at /
     # next_increase_after for elapsed >= 0)
     # ------------------------------------------------------------------ #
-    def _flow_caps(self, rows: np.ndarray, now: float) -> np.ndarray:
+    def _ramp(self, rows, now: float) -> Tuple[np.ndarray, float]:
+        """Rate caps of ``rows`` (a slice or index array) at ``now``, and
+        the earliest later instant any of their caps increases.
+
+        The doubling round is computed once and feeds both.  Rows without
+        a ramp carry rounds-to-peak 0, so their next increase is always
+        past the peak (``inf``) and only their caps need masking.
+        """
         rtt = self._rtt[rows]
-        elapsed = now - self._act[rows]
-        k = np.floor(elapsed / rtt + _ROUND_EPS)
-        np.minimum(k, self._rtp[rows], out=k)
-        window = self._w0[rows] * np.exp2(k)
+        act = self._act[rows]
+        rtp = self._rtp[rows]
+        k = np.floor((now - act) / rtt + _ROUND_EPS)
+        window = self._w0[rows] * np.exp2(np.minimum(k, rtp))
         caps = np.minimum(window, self._wmax[rows]) / rtt
         caps[~self._has_ramp[rows]] = np.inf
-        return caps
-
-    def _next_cap_increase(self, rows: np.ndarray, now: float) -> float:
-        ramped = self._has_ramp[rows]
-        if not ramped.any():
-            return float("inf")
-        r = rows[ramped]
-        rtt = self._rtt[r]
-        k = np.floor((now - self._act[r]) / rtt + _ROUND_EPS) + 1.0
-        nxt = self._act[r] + k * rtt
-        nxt[k > self._rtp[r]] = np.inf
-        return float(nxt.min())
+        k += 1.0
+        nxt = act + k * rtt
+        nxt[k > rtp] = np.inf
+        return caps, float(nxt.min())
 
     # ------------------------------------------------------------------ #
     # compaction
@@ -525,3 +545,4 @@ class VectorCore:
             self._row_of[f.id] = i
         self._n = k
         self._dead = 0
+        self._gathered = None

@@ -13,6 +13,9 @@ round-off, and a promoted run must equal a vector-from-the-start run
 bit-for-bit.
 """
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,10 +24,12 @@ from hypothesis import strategies as st
 from repro.net.link import Link
 from repro.net.route import Route
 from repro.net.trace import CapacityTrace
+from repro.sim.errors import TransferError
 from repro.sim.simulator import Simulator
 from repro.tcp import fluid
 from repro.tcp.fluid import FluidNetwork
 from repro.tcp.model import SlowStartRamp
+from repro.vec.engine import VectorCore
 from tests.engines import forced_engine
 
 
@@ -72,12 +77,65 @@ def _random_problem(rng, *, n_links=6, n_flows=14, dynamic=False):
     return specs
 
 
+def _shared_problem(rng, *, n_links, n_flows, n_routes, dynamic):
+    """A population reusing a few :class:`Route` and ramp objects (the scale
+    study's shape): flows share activation instants, and about a third are
+    aborted, half of those before their first tick."""
+    pool = _random_problem(rng, n_links=n_links, n_flows=n_routes, dynamic=dynamic)
+    routes = [Route(spec["route"]) for spec in pool]
+    ramps = [spec["ramp"] for spec in pool]
+    instants = (0.0, 0.2, 0.7, 1.5)
+    specs = []
+    for _ in range(n_flows):
+        abort = None
+        if rng.random() < 1 / 3:
+            abort = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.01, 2.0))
+        specs.append(
+            {
+                "route": routes[int(rng.integers(n_routes))],
+                "size": float(rng.uniform(1e4, 4e6)),
+                "ramp": ramps[int(rng.integers(n_routes))],
+                "delay": instants[int(rng.integers(len(instants)))],
+                "abort": abort,
+            }
+        )
+    return specs
+
+
+@contextmanager
+def _refcount_checked():
+    """Check after every vector tick that each link's refcount equals the
+    number of live rows crossing it and that no release is left queued.
+    Yields a counter of compactions seen."""
+    tick, compact = VectorCore.tick, VectorCore._compact
+    seen = {"compactions": 0}
+
+    def checked_tick(core):
+        tick(core)
+        assert not core._retiring
+        n, m = core._n, len(core._links)
+        live = np.repeat(core._alive[:n], np.diff(core._indptr[: n + 1]))
+        expected = np.bincount(core._link_idx[: core._nnz][live], minlength=m)
+        assert np.array_equal(core._link_refs[:m], expected)
+
+    def counted_compact(core):
+        seen["compactions"] += 1
+        compact(core)
+
+    with mock.patch.object(VectorCore, "tick", checked_tick), mock.patch.object(
+        VectorCore, "_compact", counted_compact
+    ):
+        yield seen
+
+
 def _run(specs, vec=None, *, sample_times=(), nets=None):
     """Run ``specs`` on one network; return everything observable.
 
     ``vec`` pins the tick (True: vector core from the first flow, False:
     per-object tick throughout); None leaves the choice to the population.
-    The network is appended to ``nets`` when given.
+    The network is appended to ``nets`` when given.  A spec's route is a
+    list of links (a fresh :class:`Route` per flow) or a shared ``Route``;
+    a spec with ``abort`` set is aborted that long after its activation.
     """
     if vec is not None:
         with forced_engine(vec):
@@ -90,9 +148,10 @@ def _run(specs, vec=None, *, sample_times=(), nets=None):
     handles = []
     for i, spec in enumerate(specs):
         name = f"f{i}"
+        route = spec["route"]
         handles.append(
             net.start_flow(
-                Route(spec["route"]),
+                route if isinstance(route, Route) else Route(route),
                 spec["size"],
                 ramp=spec["ramp"],
                 name=name,
@@ -102,6 +161,15 @@ def _run(specs, vec=None, *, sample_times=(), nets=None):
                 activation_delay=spec["delay"],
             )
         )
+    # Scheduled after every start_flow: an abort at the activation instant
+    # lands between the activation and the instant's first tick.
+    for spec, handle in zip(specs, handles):
+        if spec.get("abort") is not None:
+            sim.schedule_at(
+                spec["delay"] + spec["abort"],
+                lambda h=handle: net.abort_flow(h),
+                name="abort",
+            )
     samples = []
     for t in sample_times:
         sim.schedule_at(
@@ -186,6 +254,38 @@ class TestVectorOracleIdentity:
         assert _run(specs, True, sample_times=SAMPLE_TIMES) == _run(
             specs, False, sample_times=SAMPLE_TIMES
         )
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_property_shared_routes_and_ramps(self, seed):
+        """Flows reusing Route and ramp objects take the flush's per-route
+        path; both ticks still agree bit-for-bit, and every vector tick
+        leaves the link refcounts equal to a recount of the live rows."""
+        rng = np.random.default_rng(seed)
+        specs = _shared_problem(
+            rng,
+            n_links=int(rng.integers(2, 8)),
+            n_flows=int(rng.integers(1, 60)),
+            n_routes=int(rng.integers(1, 5)),
+            dynamic=bool(rng.integers(0, 2)),
+        )
+        with _refcount_checked():
+            vector = _run(specs, True, sample_times=SAMPLE_TIMES)
+        assert vector == _run(specs, False, sample_times=SAMPLE_TIMES)
+
+    def test_shared_population_refcounts_across_compaction(self, monkeypatch):
+        """300 flows on 4 shared routes, inside the dense window, with
+        aborts (queued releases) and enough retirements to compact: still
+        bit-identical, and the refcount recount holds after every tick."""
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # it pins per-object
+        specs = _shared_problem(
+            np.random.default_rng(5), n_links=6, n_flows=300, n_routes=4,
+            dynamic=True,
+        )
+        with _refcount_checked() as seen:
+            vector = _run(specs, True, sample_times=SAMPLE_TIMES)
+        assert seen["compactions"] > 0
+        assert vector == _run(specs, False, sample_times=SAMPLE_TIMES)
 
     def test_abort_between_activation_and_first_tick(self):
         """An abort landing while the flow sits in the vector engine's
@@ -272,6 +372,75 @@ class TestSparseSolverWindow:
         for name, t in classic[0].items():
             assert vector[0][name] == pytest.approx(t, rel=1e-9)
         assert vector[1] == pytest.approx(classic[1], rel=1e-9)
+
+
+class TestBufferedAborts:
+    """Aborts of flows still in the activation buffer cost O(1): the flush
+    skips flows that are no longer active."""
+
+    def test_half_of_a_batch_aborted_before_the_first_tick(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # it pins per-object
+        link = Link("l0", "a", "b", CapacityTrace.constant(1e6), delay=0.01)
+        route = Route([link])
+
+        def run(vec):
+            sim = Simulator()
+            net = FluidNetwork(sim)
+            flows = [
+                net.start_flow(route, 5e4 + 10.0 * i, activation_delay=0.5)
+                for i in range(2000)
+            ]
+            for flow in flows[1::2]:
+                sim.schedule_at(0.5, lambda f=flow: net.abort_flow(f), name="abort")
+            rows = []
+            sim.schedule_at(
+                0.6, lambda: rows.append(net._vec and net._vec._n), name="observe"
+            )
+            with forced_engine(vec):
+                sim.run()
+            return [f.completed_at for f in flows], [f.delivered for f in flows], rows
+
+        vector, classic = run(True), run(False)
+        assert vector[2] == [1000]  # one row per kept flow
+        assert vector[0][1::2] == classic[0][1::2] == [0.5] * 1000
+        assert vector[1][1::2] == classic[1][1::2] == [0.0] * 1000
+        # 1000 concurrent flows: the sparse solver, equal to round-off.
+        assert vector[0] == pytest.approx(classic[0], rel=1e-9)
+        assert vector[1] == pytest.approx(classic[1], rel=1e-9)
+
+
+class TestLinkNameConflicts:
+    """Links are keyed by name.  Within one activation batch the vector
+    core's per-route interning must still refuse two same-name links with
+    different traces, and merge them when the traces are equal, exactly as
+    the per-object tick does -- also when a cached route reappears."""
+
+    @staticmethod
+    def _specs(order, twin_trace):
+        shared = Link("x", "a", "b", CapacityTrace.constant(1e6), delay=0.01)
+        twin = Link("x", "a", "b", twin_trace, delay=0.01)
+        other = Link("y", "b", "c", CapacityTrace.constant(2e6), delay=0.01)
+        routes = (Route([shared, other]), Route([twin]))
+        return [
+            {"route": routes[k], "size": 2e5 + 1e4 * i, "ramp": None, "delay": 0.5}
+            for i, k in enumerate(order)
+        ]
+
+    @pytest.mark.parametrize("order", [(0, 1), (0, 0, 1), (0, 1, 0)])
+    @pytest.mark.parametrize("vec", [True, False])
+    def test_different_traces_raise(self, order, vec):
+        specs = self._specs(order, CapacityTrace.constant(3e6))
+        with pytest.raises(TransferError, match="two distinct links named 'x'"):
+            _run(specs, vec)
+
+    @pytest.mark.parametrize("order", [(0, 1), (0, 1, 0), (1, 0, 1, 0)])
+    def test_equal_traces_merge(self, order, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # it pins per-object
+        specs = self._specs(order, CapacityTrace.constant(1e6))
+        nets = []
+        vector = _run(specs, True, sample_times=SAMPLE_TIMES, nets=nets)
+        assert sorted(nets[0]._vec._lid) == ["x", "y"]
+        assert vector == _run(specs, False, sample_times=SAMPLE_TIMES)
 
 
 class TestPromotion:

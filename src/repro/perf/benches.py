@@ -7,8 +7,9 @@ session's block scheduler); end-to-end study timings are perfbench's job
 run.  A bench also reports a **baseline** where a live reference
 implementation of the same kernel exists and the tests hold the two equal:
 the ``searchsorted`` trace lookups (``CapacityTrace.value_at``), the
-reference allocator (``maxmin_allocate(fast=False)``) and the classic
-engine under the vector one.  Every other bench reports
+reference allocator (``maxmin_allocate(fast=False)``, timed under its
+disjoint fast path and under ``maxmin_scalar``) and the classic engine
+under the vector one.  Every other bench reports
 ``baseline: null``; drift over time is ``repro perf --baseline``'s job.
 
 Workloads are seeded and fixed-size, so successive runs (and successive
@@ -32,9 +33,11 @@ from repro.sim.event_queue import Event, EventQueue
 from repro.sim.simulator import Simulator
 from repro.tcp import fluid
 from repro.tcp.fluid import FluidNetwork
-from repro.tcp.maxmin import maxmin_allocate
+from repro.tcp.maxmin import incidence_matrix, maxmin_allocate, maxmin_scalar
+from repro.tcp.model import SlowStartRamp
 from repro.util.rng import derive_seed
 from repro.util.units import MB, mbps_to_bytes_per_s
+from repro.workloads.scale import ScaleStudyParams
 
 __all__ = ["BenchSpec", "BENCHES", "run_benches"]
 
@@ -246,6 +249,160 @@ def _bench_alloc_shared(quick: bool) -> Dict[str, Any]:
     return _bench_alloc(problems, rounds)
 
 
+def _small_shared_problem(
+    rng: np.random.Generator, n_flows: int
+) -> Tuple[List[float], List[List[int]], List[float]]:
+    """A paper session's allocation shape, as plain lists.
+
+    Every flow crosses link 0 (the client's access link) plus one or two
+    links of a pool of ``n_flows + (n_flows - 1) // 2`` (its direct or
+    relay path), and about half the flows carry a slow-start cap.  For 2-6
+    flows that is ``fault_grid``'s shape: 3-9 links, one of them carried by
+    all flows.
+    """
+    pool = n_flows + (n_flows - 1) // 2
+    capacities = rng.uniform(1.0, 100.0, size=1 + pool).tolist()
+    flow_links = [
+        [0] + sorted((1 + rng.choice(pool, size=int(k), replace=False)).tolist())
+        for k in rng.integers(1, 3, size=n_flows)
+    ]
+    caps = np.where(
+        rng.random(n_flows) < 0.5, np.inf, rng.uniform(1.0, 120.0, size=n_flows)
+    ).tolist()
+    return capacities, flow_links, caps
+
+
+def _scale_wave_problem(
+    rng: np.random.Generator, n_flows: int
+) -> Tuple[List[float], List[List[int]], List[float]]:
+    """A ``repro scale`` wave's shape, as plain lists (default parameters).
+
+    Every flow crosses the site access link (link 0); a direct flow adds
+    its RTT tier's WAN link, a relay flow its tier's relay WAN link and one
+    relay access link.  The flows of one (tier, direct or relay) class
+    started together, so they share one slow-start cap, and the caps sit
+    far below the link capacities: every round is a cap round that freezes
+    a whole class on the site link.
+    """
+    params = ScaleStudyParams()
+    n_tiers, n_relays = len(params.tier_rtts), params.n_relays
+    capacities = (
+        [params.site_capacity]
+        + [params.relay_capacity] * n_relays
+        + [params.wan_capacity] * (2 * n_tiers)
+    )
+    class_caps = {}
+    for tier, rtt in enumerate(params.tier_rtts):
+        for relay, factor in ((0, 1.0), (1, params.relay_rtt_factor)):
+            ramp = SlowStartRamp(rtt=rtt * factor, max_window=params.max_window)
+            age = rng.uniform(0.0, (ramp.rounds_to_peak() + 1) * ramp.rtt)
+            class_caps[tier, relay] = ramp.cap_at(age)
+    flow_links, caps = [], []
+    for tier, relay, r in zip(
+        rng.integers(0, n_tiers, size=n_flows).tolist(),
+        rng.integers(0, 2, size=n_flows).tolist(),
+        rng.integers(0, n_relays, size=n_flows).tolist(),
+    ):
+        if relay:
+            flow_links.append([1 + n_relays + n_tiers + tier, 1 + r, 0])
+        else:
+            flow_links.append([1 + n_relays + tier, 0])
+        caps.append(class_caps[tier, relay])
+    return capacities, flow_links, caps
+
+
+def _probe_race_problem(
+    rng: np.random.Generator, n_flows: int
+) -> Tuple[List[float], List[List[int]], List[float]]:
+    """Concurrent probes from one client (the A3 ablation's shape).
+
+    Every flow crosses the client's access link (link 0) and the site's
+    (link 1); the direct probe adds one WAN link, each relay probe three
+    of its own.  The probes ramp in lockstep, so they share one slow-start
+    cap, except that in half the problems one probe is a doubling ahead.
+    """
+    capacities = [rng.uniform(1e7, 3e7), rng.uniform(1e6, 3e6)]
+    flow_links = []
+    for j in range(n_flows):
+        first = len(capacities)
+        n_private = 1 if j == 0 else 3
+        capacities.extend(rng.uniform(2e5, 4e6, size=n_private).tolist())
+        flow_links.append([0, *range(first, first + n_private), 1])
+    ramp = SlowStartRamp(rtt=rng.uniform(0.05, 0.3), max_window=131_072.0)
+    age = rng.uniform(0.0, ramp.rounds_to_peak() * ramp.rtt)
+    caps = [ramp.cap_at(age)] * n_flows
+    if rng.random() < 0.5:
+        caps[int(rng.integers(n_flows))] = ramp.cap_at(age + ramp.rtt)
+    return capacities, flow_links, caps
+
+
+#: Flow counts of ``alloc_small_shared``'s sweep, run on every problem
+#: shape; the tick's bound ``repro.tcp.fluid._SCALAR_MAX_FLOWS`` is read
+#: off it.
+_SMALL_SHARED_SWEEP = (2, 4, 8, 12, 16, 24, 32, 48, 64, 128)
+
+
+def _bench_alloc_small_shared(quick: bool) -> Dict[str, Any]:
+    n_problems = 100 if quick else 400
+    rounds = 3 if quick else 5
+    rng = np.random.default_rng(derive_seed(_BENCH_SEED, "alloc-small-shared"))
+
+    def timed(
+        problems: Sequence[Tuple[List[float], List[List[int]], List[float]]]
+    ) -> Tuple[Measurement, Measurement]:
+        dense = [
+            (np.array(c), incidence_matrix(len(c), fl), np.array(caps))
+            for c, fl, caps in problems
+        ]
+
+        def run_scalar() -> None:
+            for c, fl, caps in problems:
+                maxmin_scalar(c, fl, caps)
+
+        def run_reference() -> None:
+            for c, a, caps in dense:
+                maxmin_allocate(c, a, caps, validate=False, fast=False)
+
+        ops = len(problems)
+        return (
+            measure(run_scalar, ops=ops, rounds=rounds),
+            measure(run_reference, ops=ops, rounds=rounds),
+        )
+
+    opt, base = timed(
+        [
+            _small_shared_problem(rng, int(rng.integers(2, 7)))
+            for _ in range(n_problems)
+        ]
+    )
+    # The shapes of the traffic the per-object tick solves: paper and
+    # chaos sessions, and the shared problems of more flows that scale
+    # waves and concurrent probe races bring.  The latter two share caps
+    # across many flows, so the scalar solver often falls back.
+    sweep = []
+    for shape, make in (
+        ("session", _small_shared_problem),
+        ("scale_wave", _scale_wave_problem),
+        ("probe_race", _probe_race_problem),
+    ):
+        for n_flows in _SMALL_SHARED_SWEEP:
+            s_m, r_m = timed([make(rng, n_flows) for _ in range(n_problems // 4)])
+            sweep.append(
+                {
+                    "shape": shape,
+                    "flows": n_flows,
+                    "scalar": s_m.ns_per_op,
+                    "reference": r_m.ns_per_op,
+                }
+            )
+    return {
+        "optimised": opt.ns_per_op,
+        "baseline": base.ns_per_op,
+        "sweep": sweep,
+        **_measurement_fields(opt),
+    }
+
+
 # --------------------------------------------------------------------------- #
 # fluid tick: capacity-breakpoint ticks over a stable flow set
 # --------------------------------------------------------------------------- #
@@ -424,6 +581,13 @@ BENCHES: Dict[str, BenchSpec] = {
             "max-min allocation, shared links: reference loop (fast path inert)",
             "ns/op",
             _bench_alloc_shared,
+        ),
+        BenchSpec(
+            "alloc_small_shared",
+            "max-min allocation, few flows on a shared access link: "
+            "scalar solver vs reference loop, plus a flow-count sweep",
+            "ns/op",
+            _bench_alloc_small_shared,
         ),
         BenchSpec(
             "tick_breakpoint",

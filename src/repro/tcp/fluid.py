@@ -10,27 +10,43 @@ rate, so the engine only needs to wake at moments a rate could change:
 * the user starts or aborts a flow.
 
 At each wake-up the engine advances delivered byte counts, fires completion
-callbacks, re-solves the max-min fair allocation over the active flows
-(:func:`repro.tcp.maxmin.maxmin_allocate`) and schedules the next wake-up.
+callbacks, re-solves the max-min fair allocation over the active flows and
+schedules the next wake-up.
 
 Hot-path design (see DESIGN.md §"Engine performance"): the allocation
-*structure* — the link list, the link-flow incidence matrix and the
-per-link trace cursors — depends only on the set of active flows, which
+*structure* — the link list, each flow's link indices and the per-link
+trace cursors — depends only on the set of active flows, which
 changes far less often than rates do (every capacity breakpoint and ramp
 doubling re-solves rates over an unchanged flow set).  The engine therefore
 caches that structure and invalidates it only when a flow activates,
-completes or aborts; per-tick work reduces to refreshing the capacity and
-cap vectors in preallocated buffers and re-running the allocator.  Scalar
-trace queries go through per-link :class:`~repro.net.trace.TraceCursor`
-objects, which are amortised O(1) because event times never decrease.
+completes or aborts; per-tick work reduces to reading the capacities and
+caps and re-running the allocator.  Scalar trace queries go through
+per-link :class:`~repro.net.trace.TraceCursor` objects, which are amortised
+O(1) because event times never decrease.
+
+The solver depends on the problem, and every choice returns
+:func:`repro.tcp.maxmin.maxmin_allocate`'s rates on the same inputs bit for
+bit (DESIGN.md §7):
+
+* no link carries two flows (a lone flow included): each flow gets
+  ``min(bottleneck, cap)`` in plain floats;
+* a shared problem of at most ``_SCALAR_MAX_FLOWS`` flows - every shared
+  solve of a sequentially probing or striped session - runs
+  :func:`repro.tcp.maxmin.maxmin_scalar`, the same rounds in plain floats;
+* a larger shared problem - a scale wave's, or a concurrent probe race's -
+  runs the numpy loop itself.
+
+Under ``REPRO_SANITIZE=1`` the same solver runs and the sanitizer checks
+the rates it returned.
 
 The population picks the tick (DESIGN.md §12).  A network starts on the
 per-object tick above, which is fastest for the handful of concurrent flows
 a paper session runs.  The first time its active population exceeds
 ``_DENSE_MAX_FLOWS`` it moves its active flows into a
 :class:`repro.vec.engine.VectorCore` and delegates every later tick to it.
-Up to that size both ticks call the same dense ``maxmin_allocate``, so the
-move cannot change a byte; past it only the vector core's sparse solver
+Up to that size the vector core calls the dense ``maxmin_allocate``, whose
+rates the per-object tick's solvers reproduce bit for bit, so the move
+cannot change a byte; past it only the vector core's sparse solver
 scales.  A sanitized simulator never promotes: the sanitizer's per-flow
 hooks live in the per-object tick.
 """
@@ -49,7 +65,7 @@ from repro.sim.errors import TransferError
 from repro.sim.event_queue import Event
 from repro.sim.simulator import Simulator
 from repro.tcp.flow import FlowState, FluidFlow
-from repro.tcp.maxmin import maxmin_allocate
+from repro.tcp.maxmin import incidence_matrix, maxmin_allocate, maxmin_scalar
 from repro.tcp.model import SlowStartRamp
 
 __all__ = ["FluidNetwork"]
@@ -67,6 +83,15 @@ _DENSE_MAX_FLOWS = 384
 #: VectorCore.  Tests force an engine by patching it: 0 runs the vector core
 #: from the first flow, ``math.inf`` keeps the per-object tick throughout.
 _PROMOTE_ABOVE: float = _DENSE_MAX_FLOWS
+#: Largest shared (non-disjoint) problem the per-object tick solves with
+#: the plain-float ``maxmin_scalar``; larger ones run the numpy loop.  Both
+#: return the same bits, so this bound only moves speed.  Read off the
+#: ``alloc_small_shared`` bench's sweep (BENCH_engine.json): up to 12 flows
+#: the scalar solver wins 2.3-6x on session and scale-wave shapes, and
+#: concurrent probe races break even from 8 flows on; past 12 scale waves
+#: and probe races share caps across many flows, fall back to the numpy
+#: loop and lose.
+_SCALAR_MAX_FLOWS = 12
 
 
 class _AllocState:
@@ -74,10 +99,10 @@ class _AllocState:
 
     Valid exactly as long as the active-flow set is unchanged: flows and
     routes are immutable while active, and capacity traces are immutable
-    always, so only set membership can invalidate this.  ``capacities`` and
-    ``caps`` are per-tick scratch buffers refreshed in place; ``disjoint``
-    (no link carries two flows) is a property of the structure and is
-    decided once here rather than on every tick.
+    always, so only set membership can invalidate this.  ``disjoint`` (no
+    link carries two flows) is a property of the structure and is decided
+    once here rather than on every tick.  The dense ``incidence`` matrix is
+    built on first use: only the numpy solve and the sanitizer read it.
     """
 
     __slots__ = (
@@ -85,11 +110,9 @@ class _AllocState:
         "links",
         "link_names",
         "cursors",
-        "incidence",
         "flow_links",
         "disjoint",
-        "capacities",
-        "caps",
+        "_incidence",
     )
 
     def __init__(
@@ -104,14 +127,18 @@ class _AllocState:
         self.link_names = [link.name for link in links]
         self.cursors = cursors
         self.flow_links = flow_links
-        incidence = np.zeros((len(links), len(flows)), dtype=bool)
-        for j, idxs in enumerate(flow_links):
-            for i in idxs:
-                incidence[i, j] = True
-        self.incidence = incidence
-        self.disjoint = bool(incidence.sum(axis=1).max(initial=0) <= 1)
-        self.capacities = np.empty(len(links), dtype=np.float64)
-        self.caps = np.empty(len(flows), dtype=np.float64)
+        # Links are numbered on first use and a route never repeats one,
+        # so every link is carried once exactly when the (flow, link)
+        # pairs number no more than the links.
+        self.disjoint = sum(len(idxs) for idxs in flow_links) == len(links)
+        self._incidence: Optional[np.ndarray] = None
+
+    @property
+    def incidence(self) -> np.ndarray:
+        """The ``(links, flows)`` boolean incidence matrix."""
+        if self._incidence is None:
+            self._incidence = incidence_matrix(len(self.links), self.flow_links)
+        return self._incidence
 
 
 class FluidNetwork:
@@ -154,9 +181,7 @@ class FluidNetwork:
         #: Count of completed flows (monitoring/testing aid).
         self.completed_count = 0
         #: Cached observer handle (None = disabled; one attribute test on
-        #: the hot paths).  Observation never alters allocation decisions —
-        #: in particular the disjoint scalar fast path stays gated on the
-        #: sanitizer alone.
+        #: the hot paths).  Observation never alters allocation decisions.
         self._obs = sim.observer
         self._last_tick_at: Optional[float] = None
 
@@ -404,38 +429,37 @@ class FluidNetwork:
                 flows=len(flows), links=len(state.links),
                 disjoint=state.disjoint,
             )
-        if state.disjoint and sanitizer is None:
+        capl = [flow.cap_at(now) for flow in flows]
+        if state.disjoint:
             # No link is shared, so no sharing to arbitrate: each flow
             # gets min(bottleneck, cap) in plain floats, skipping numpy
             # entirely.  Identical values to maxmin_allocate's disjoint
             # fast path (same candidates, same exact min).
-            for flow, idxs in zip(flows, state.flow_links):
+            rates: List[float] = []
+            for cap, idxs in zip(capl, state.flow_links):
                 bottleneck = capv[idxs[0]]
                 for i in idxs:
                     v = capv[i]
                     if v < bottleneck:
                         bottleneck = v
-                cap = flow.cap_at(now)
-                flow._rate = bottleneck if bottleneck < cap else cap
+                rates.append(bottleneck if bottleneck < cap else cap)
             if obs is not None:
                 obs.count("alloc.solve_disjoint_scalar")
+        elif len(flows) <= _SCALAR_MAX_FLOWS:
+            rates = maxmin_scalar(capv, state.flow_links, capl, observer=obs)
         else:
-            capacities = state.capacities
-            for i, value in enumerate(capv):
-                capacities[i] = value
-            caps = state.caps
-            for j, flow in enumerate(flows):
-                caps[j] = flow.cap_at(now)
             rates = maxmin_allocate(
-                capacities, state.incidence, caps,
-                validate=False, fast=state.disjoint, observer=obs,
+                np.array(capv), state.incidence, np.array(capl),
+                validate=False, fast=False, observer=obs,
+            ).tolist()
+        if sanitizer is not None:
+            # Checks the rates the solver that ran returned.
+            sanitizer.check_allocation(
+                now, np.array(capv), state.incidence, np.array(capl),
+                np.array(rates), state.link_names,
             )
-            if sanitizer is not None:
-                sanitizer.check_allocation(
-                    now, capacities, state.incidence, caps, rates, state.link_names
-                )
-            for flow, rate in zip(flows, rates):
-                flow._rate = float(rate)
+        for flow, rate in zip(flows, rates):
+            flow._rate = rate
         next_time = float("inf")
         for flow in flows:
             if flow._rate > 0.0:

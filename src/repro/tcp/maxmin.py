@@ -23,18 +23,28 @@ the campaign-dominant shapes in O(L*F) total:
 Both fast paths produce the same allocation as the progressive-filling loop;
 the property-based suite cross-checks them against the loop and
 :func:`verify_maxmin` on random topologies.
+
+:func:`maxmin_scalar` runs the same progressive-filling rounds in plain
+Python floats over per-flow link lists.  It returns the reference loop's
+rates bit for bit, and for the few-flow shared problems of a paper session
+it skips numpy's per-call overhead, which dominates the vectorised loop at
+that size (the fluid engine's per-object tick picks it below a measured
+flow bound; DESIGN.md §7).  Where the loop's result rests on an
+association order that BLAS does not pin, it hands the problem to
+:func:`maxmin_allocate` instead.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+import math
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.obs.core import Observer
 
-__all__ = ["maxmin_allocate", "verify_maxmin"]
+__all__ = ["incidence_matrix", "maxmin_allocate", "maxmin_scalar", "verify_maxmin"]
 
 #: Relative slack used when comparing rates/capacities.
 _EPS = 1e-9
@@ -195,6 +205,148 @@ def maxmin_allocate(
         frozen[hit] = True
         np.clip(remaining, 0.0, None, out=remaining)
 
+    return rates
+
+
+def incidence_matrix(n_links: int, flow_links: Sequence[Sequence[int]]) -> np.ndarray:
+    """The ``(n_links, F)`` boolean incidence of per-flow link-index lists."""
+    incidence = np.zeros((n_links, len(flow_links)), dtype=bool)
+    for j, idxs in enumerate(flow_links):
+        incidence[idxs, j] = True
+    return incidence
+
+
+def _reference(
+    capacities: Sequence[float],
+    flow_links: Sequence[Sequence[int]],
+    caps: Sequence[float],
+    observer: Optional["Observer"],
+) -> List[float]:
+    """:func:`maxmin_scalar`'s inputs solved by the ``fast=False`` loop."""
+    return maxmin_allocate(
+        np.array(capacities, dtype=np.float64),
+        incidence_matrix(len(capacities), flow_links),
+        np.array(caps, dtype=np.float64),
+        validate=False,
+        fast=False,
+        observer=observer,
+    ).tolist()
+
+
+def maxmin_scalar(
+    capacities: Sequence[float],
+    flow_links: Sequence[Sequence[int]],
+    caps: Sequence[float],
+    *,
+    observer: Optional["Observer"] = None,
+) -> List[float]:
+    """``maxmin_allocate(validate=False, fast=False)`` in plain floats.
+
+    Parameters
+    ----------
+    capacities:
+        ``L`` non-negative link capacities.
+    flow_links:
+        Per flow, the indices of the links it crosses, each at most once
+        (a :class:`~repro.net.route.Route` never repeats a link).
+    caps:
+        ``F`` non-negative per-flow ceilings; ``inf`` means uncapped.
+    observer:
+        Counts exactly what the reference loop counts on the same inputs
+        (``maxmin.progressive`` and ``maxmin.progressive_rounds``).
+
+    Returns
+    -------
+    list of float
+        The reference loop's rates, bit for bit.  Each round mirrors one
+        loop round: integer link counts and count x level products are
+        exact in both, and ``np.clip(remaining, 0.0, None)`` maps ``-0.0``
+        to ``+0.0`` like the clip below.  A cap round subtracts from each
+        link the sum of the caps it froze there, which the loop forms
+        through BLAS in an association order numpy does not pin.  One or
+        two caps, and three or four equal caps ``c``, sum to the same bits
+        in every order (``fl(2c + c)``, and ``4c`` exactly); other sums
+        can differ in the last ulp (five equal caps already do).  So two
+        cases have no pinned result, and the problem goes to
+        :func:`maxmin_allocate` unchanged:
+
+        * a cap round freezes, on one link, three or more flows whose caps
+          differ, or five or more flows;
+        * the first round's lowest share is a zero that comes with both
+          signs (numpy's ``min`` does not pin which one it returns).
+
+        Fewer than two flows also go to :func:`maxmin_allocate`, whose
+        single-flow path this function does not repeat.
+    """
+    n_flows = len(flow_links)
+    if n_flows < 2:
+        return _reference(capacities, flow_links, caps, observer)
+    remaining = list(capacities)
+    counts = [0] * len(remaining)
+    rates = [0.0] * n_flows
+    # Zero-cap flows freeze at rate 0 before the first round.
+    active = [j for j in range(n_flows) if not caps[j] <= 0.0]
+    for j in active:
+        for i in flow_links[j]:
+            counts[i] += 1
+    slack = 1.0 + _EPS
+    rounds = 0
+    while active:
+        rounds += 1
+        used = [i for i, n in enumerate(counts) if n]
+        if not used:
+            break
+        # Equal-share water level each congested link could still grant.
+        shares = [remaining[i] / counts[i] for i in used]
+        link_level = min(shares)
+        cap_level = min([caps[j] for j in active])
+        level = min(link_level, cap_level)
+        bar = level * slack
+        capped = cap_level <= link_level * slack
+        if capped:
+            # Some flows hit their private ceiling first: freeze them at cap.
+            hit = [j for j in active if caps[j] <= bar]
+            for j in hit:
+                rates[j] = caps[j]
+        else:
+            # Some link saturates: freeze all unfrozen flows crossing it.
+            if level == 0.0 and rounds == 1:
+                signs = {math.copysign(1.0, v) for v in shares if v == 0.0}
+                if len(signs) > 1:
+                    return _reference(capacities, flow_links, caps, observer)
+            saturated = {i for i, v in zip(used, shares) if v <= bar}
+            hit = [j for j in active if not saturated.isdisjoint(flow_links[j])]
+            for j in hit:
+                rates[j] = level
+        hit_set = set(hit)
+        active = [j for j in active if j not in hit_set]
+        if not active:
+            break  # nothing left to share: the decrement cannot matter
+        # The hit flows on each link, in flow order.
+        on_link: Dict[int, List[int]] = {}
+        for j in hit:
+            for i in flow_links[j]:
+                counts[i] -= 1
+                on_link.setdefault(i, []).append(j)
+        for i, js in on_link.items():
+            if not capped:
+                remaining[i] -= len(js) * level
+            elif len(js) == 1:
+                remaining[i] -= caps[js[0]]
+            elif len(js) == 2:
+                remaining[i] -= caps[js[0]] + caps[js[1]]
+            elif len(js) <= 4 and all(caps[j] == caps[js[0]] for j in js):
+                remaining[i] -= len(js) * caps[js[0]]
+            else:
+                return _reference(capacities, flow_links, caps, observer)
+        for i in used:
+            if remaining[i] <= 0.0:
+                remaining[i] = 0.0
+
+    if observer is not None:
+        observer.count("maxmin.progressive")
+        if rounds:
+            observer.count("maxmin.progressive_rounds", rounds)
     return rates
 
 

@@ -8,13 +8,14 @@ Python bookkeeping with vectorized next-completion / next-breakpoint scans.
 Nobody selects it: a :class:`repro.tcp.fluid.FluidNetwork` promotes itself
 to a :class:`VectorCore` the first time its active population exceeds the
 dense-solver window (``repro.tcp.fluid._DENSE_MAX_FLOWS``).  Within that
-window the core routes its allocation through the very same
-:func:`repro.tcp.maxmin.maxmin_allocate` dense solver as the per-object
-tick, so promotion never changes a byte (pinned by the test suite).  See
-DESIGN.md §12.
+window the core routes its allocation through the dense
+:func:`repro.tcp.maxmin.maxmin_allocate`, whose rates the per-object tick's
+solvers reproduce bit for bit, so promotion never changes a byte (pinned by
+the test suite).  :func:`certify_maxmin` checks any allocation over the
+core's sparse incidence in O(nnz).  See DESIGN.md §12.
 """
 
 from repro.vec.engine import VectorCore
-from repro.vec.solver import waterfill_sparse
+from repro.vec.solver import certify_maxmin, waterfill_sparse
 
-__all__ = ["VectorCore", "waterfill_sparse"]
+__all__ = ["VectorCore", "certify_maxmin", "waterfill_sparse"]

@@ -37,8 +37,8 @@ Byte-identity contract: rows are append-only in activation order (dead rows
 are tombstoned and compacted without reordering), so completion callbacks
 fire in the per-object tick's dict order and the solver sees columns in its
 order.  At populations up to ``_DENSE_MAX_FLOWS`` the allocation is routed
-through the *same* dense :func:`repro.tcp.maxmin.maxmin_allocate` call the
-per-object tick makes, making results bit-identical; above it the sparse
+through the dense :func:`repro.tcp.maxmin.maxmin_allocate`, whose rates the
+per-object tick's solvers reproduce bit for bit; above it the sparse
 water-filling of :mod:`repro.vec.solver` takes over (same math, reductions
 ordered by CSR position).  A promotion therefore never changes a byte, and
 a population that later drains back under the bound stays on the core.
@@ -423,8 +423,8 @@ class VectorCore:
             obs.span("alloc", "solve", now, now, flows=n_flows, links=n_used)
 
         if n_flows <= _DENSE_MAX_FLOWS:
-            # Small population: run the per-object tick's own dense solver
-            # on its own inputs — bit-identical rates by construction.
+            # Small population: the dense maxmin_allocate, whose rates the
+            # per-object tick's solvers reproduce bit for bit.
             ulinks, inv = np.unique(lids, return_inverse=True)
             incidence = np.zeros((ulinks.size, n_flows), dtype=bool)
             incidence[inv, frow] = True

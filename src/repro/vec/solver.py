@@ -12,6 +12,10 @@ order, so results are deterministic across runs.  They can differ from the
 dense loop's BLAS matvec partial sums in the last ulp, which is why the
 vector engine only uses this path *above* the population size where it
 shares the per-object tick's dense solver (``repro.tcp.fluid._DENSE_MAX_FLOWS``).
+
+:func:`certify_maxmin` checks any allocation over the same coordinate lists
+in O(nnz), so a solver's output can be certified at any population size
+without an oracle solve.
 """
 
 from __future__ import annotations
@@ -23,10 +27,13 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.core import Observer
 
-__all__ = ["waterfill_sparse"]
+__all__ = ["certify_maxmin", "waterfill_sparse"]
 
 #: Relative slack when comparing rates/capacities (== repro.tcp.maxmin._EPS).
 _EPS = 1e-9
+#: :func:`certify_maxmin`'s relative slack (== the sanitizer's
+#: repro.qa.tolerances.CAPACITY_RTOL, which it passes to ``verify_maxmin``).
+_RTOL = 1e-6
 
 
 def waterfill_sparse(
@@ -105,3 +112,44 @@ def waterfill_sparse(
     if observer is not None:
         observer.count("vec.solver_rounds", rounds)
     return rates, rounds
+
+
+def certify_maxmin(
+    link_cap: np.ndarray,
+    lids: np.ndarray,
+    frow: np.ndarray,
+    caps: np.ndarray,
+    rates: np.ndarray,
+) -> bool:
+    """True when ``rates`` is a max-min fair allocation, checked in O(nnz).
+
+    The sparse counterpart of :func:`repro.tcp.maxmin.verify_maxmin`, with
+    its tolerances.  Arguments are :func:`waterfill_sparse`'s inputs plus
+    the ``(n_flows,)`` rates to certify.  Three properties are checked:
+
+    * feasibility - each link's load is at most its capacity (+ slack);
+    * cap respect - every rate lies in ``[0, cap]`` (+ slack);
+    * the bottleneck property - every flow below its cap crosses a full
+      link on which no flow has a higher rate (the per-link maximum comes
+      from one ``np.maximum.at`` over the link ids).
+    """
+    rates = np.asarray(rates, dtype=np.float64)
+    caps = np.asarray(caps, dtype=np.float64)
+    if np.any(rates < -_RTOL) or np.any(rates > caps * (1.0 + _RTOL) + _RTOL):
+        return False
+    m = int(link_cap.shape[0])
+    flow_rate = rates[frow]  # the rate of each (flow, link) entry
+    load = np.bincount(lids, weights=flow_rate, minlength=m)
+    scale = np.maximum(link_cap, 1.0)
+    if np.any(load > link_cap + _RTOL * scale):
+        return False
+    full = load >= link_cap - _RTOL * scale
+    top = np.full(m, -np.inf)
+    np.maximum.at(top, lids, flow_rate)
+    tops = full[lids] & (
+        flow_rate >= top[lids] - _RTOL * np.maximum(flow_rate, 1.0)
+    )
+    bottlenecked = np.zeros(rates.shape[0], dtype=bool)
+    bottlenecked[frow[tops]] = True
+    at_cap = caps <= rates * (1.0 + _RTOL) + _RTOL
+    return bool(np.all(at_cap | bottlenecked))

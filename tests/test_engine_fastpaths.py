@@ -281,8 +281,8 @@ class TestLinkNameCollision:
 class TestEngineModeEquivalence:
     """Classic, vector and sanitized engines must be byte-identical in output.
 
-    The sanitized leg skips the disjoint scalar fast path and runs every
-    solve through ``maxmin_allocate`` plus the max-min certificate.
+    The sanitized leg runs the same solvers and checks every allocation
+    against the max-min certificate.
     """
 
     def _transfer_times(self, *, vec=False, sanitize=False):

@@ -62,6 +62,7 @@ class TestBenchRegistry:
             "event_queue",
             "alloc_disjoint",
             "alloc_shared",
+            "alloc_small_shared",
             "tick_breakpoint",
             "stripe_session",
             "vec_epoch",

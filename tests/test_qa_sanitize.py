@@ -200,9 +200,25 @@ class TestAllocation:
             "maxmin_allocate",
             lambda capacities, incidence, caps, **kw: real(capacities, incidence, caps, **kw) * 3.0,
         )
+        # Two shared flows: solved by the numpy loop only above the bound.
+        monkeypatch.setattr(fluid_mod, "_SCALAR_MAX_FLOWS", 0)
         with pytest.raises(InvariantViolation) as exc:
             contended_world(sanitize=True)
         assert exc.value.violation.code == "QA-R004"
+
+    def test_corrupt_scalar_allocation_raises_in_run(self, monkeypatch):
+        """The sanitizer checks the scalar shared solver's rates too."""
+        real = fluid_mod.maxmin_scalar
+
+        def halve_first(capacities, flow_links, caps, **kw):
+            rates = real(capacities, flow_links, caps, **kw)
+            rates[0] *= 0.5
+            return rates
+
+        monkeypatch.setattr(fluid_mod, "maxmin_scalar", halve_first)
+        with pytest.raises(InvariantViolation) as exc:
+            contended_world(sanitize=True)
+        assert exc.value.violation.code in ("QA-R003", "QA-R004")
 
 
 class TestProbeAccounting:

@@ -1,11 +1,23 @@
 """Max-min fair allocator tests, including hypothesis optimality checks."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tcp.maxmin import maxmin_allocate, verify_maxmin
+from repro.obs.core import Observer
+from repro.perf import benches
+from repro.tcp import maxmin
+from repro.tcp.maxmin import (
+    incidence_matrix,
+    maxmin_allocate,
+    maxmin_scalar,
+    verify_maxmin,
+)
+from repro.vec.solver import certify_maxmin
 
 
 def alloc(caps, inc, flow_caps=None):
@@ -167,3 +179,199 @@ class TestMaxMinProperties:
         scaled_caps = None if flow_caps is None else flow_caps * 2.0
         r2 = maxmin_allocate(caps * 2.0, inc, scaled_caps)
         assert np.allclose(r2, r1 * 2.0, rtol=1e-6, atol=1e-9)
+
+
+#: Link capacities and flow caps that tie: 30 / 3 == 10 == 20 / 2, and the
+#: nudged values sit inside (or just outside) the loop's 1e-9 merge slack.
+_TIED = (0.0, 10.0, 20.0, 30.0, 10.0 * (1 + 5e-10), 10.0 * (1 - 5e-10), 10.0 * (1 + 2e-9))
+
+
+@st.composite
+def shared_problems(draw):
+    """Plain-list problems of 1-48 flows; in half of them all share link 0."""
+    n_links = draw(st.integers(min_value=1, max_value=10))
+    n_flows = draw(st.integers(min_value=1, max_value=48))
+    capacities = draw(
+        st.lists(
+            st.sampled_from(_TIED) | st.floats(min_value=0.5, max_value=1000.0),
+            min_size=n_links,
+            max_size=n_links,
+        )
+    )
+    through_zero = draw(st.booleans())
+    flow_links = []
+    for _ in range(n_flows):
+        links = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=n_links - 1),
+                min_size=1,
+                max_size=min(n_links, 4),
+                unique=True,
+            )
+        )
+        if through_zero and 0 not in links:
+            links.append(0)
+        flow_links.append(links)
+    caps = draw(
+        st.lists(
+            st.sampled_from(_TIED + (math.inf,))
+            | st.floats(min_value=0.1, max_value=500.0),
+            min_size=n_flows,
+            max_size=n_flows,
+        )
+    )
+    return capacities, flow_links, caps
+
+
+def _reference(capacities, flow_links, caps, observer=None):
+    return maxmin_allocate(
+        np.array(capacities),
+        incidence_matrix(len(capacities), flow_links),
+        np.array(caps),
+        validate=False,
+        fast=False,
+        observer=observer,
+    )
+
+
+def _sparse(flow_links):
+    """``(lids, frow)`` coordinate lists of per-flow link lists."""
+    lids = np.array([i for links in flow_links for i in links], dtype=np.int64)
+    frow = np.repeat(np.arange(len(flow_links)), [len(l) for l in flow_links])
+    return lids, frow
+
+
+class TestScalarSolver:
+    """``maxmin_scalar`` is the reference loop, bit for bit, in plain floats."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_problems())
+    def test_bit_identical_to_reference_loop(self, problem):
+        capacities, flow_links, caps = problem
+        rates = maxmin_scalar(capacities, flow_links, caps)
+        reference = _reference(capacities, flow_links, caps)
+        assert np.array(rates).tobytes() == reference.tobytes()
+        incidence = incidence_matrix(len(capacities), flow_links)
+        assert verify_maxmin(np.array(capacities), incidence, reference, np.array(caps))
+        lids, frow = _sparse(flow_links)
+        assert certify_maxmin(np.array(capacities), lids, frow, np.array(caps), rates)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shared_problems())
+    def test_obs_counts_match_reference_loop(self, problem):
+        capacities, flow_links, caps = problem
+        scalar_obs, reference_obs = Observer(), Observer()
+        maxmin_scalar(capacities, flow_links, caps, observer=scalar_obs)
+        _reference(capacities, flow_links, caps, observer=reference_obs)
+        assert scalar_obs.counters == reference_obs.counters
+        assert list(scalar_obs.counters) == list(reference_obs.counters)
+
+    @pytest.mark.parametrize(
+        "capacities, flow_links, caps",
+        [
+            # One cap round freezes three flows on link 0 with distinct
+            # caps (all within the 1e-9 slack) while a fourth stays active:
+            # the decrement is a 3-term BLAS sum, so the loop answers.
+            (
+                [100.0, 50.0],
+                [[0], [0], [0], [0, 1]],
+                [1.0, 1.0 + 3e-10, 1.0 + 6e-10, math.inf],
+            ),
+            # Five equal caps on link 0: their BLAS sum depends on order.
+            ([100.0], [[0]] * 6, [1.1] * 5 + [math.inf]),
+            # The first round's lowest share is a zero of both signs.
+            ([0.0, -0.0, 5.0], [[0, 2], [1, 2], [2]], [math.inf] * 3),
+            # A lone flow takes maxmin_allocate's single-flow path.
+            ([7.0, 3.0], [[0, 1]], [5.0]),
+        ],
+    )
+    def test_unpinned_cases_defer_to_reference(self, capacities, flow_links, caps):
+        scalar_obs, reference_obs = Observer(), Observer()
+        with mock.patch.object(maxmin, "_reference", wraps=maxmin._reference) as spy:
+            rates = maxmin_scalar(capacities, flow_links, caps, observer=scalar_obs)
+        assert spy.call_count == 1
+        reference = _reference(capacities, flow_links, caps, observer=reference_obs)
+        assert np.array(rates).tobytes() == reference.tobytes()
+        assert scalar_obs.counters == reference_obs.counters
+
+    @pytest.mark.parametrize("n_capped", [2, 3, 4])
+    def test_order_free_cap_sums_stay_scalar(self, n_capped):
+        # A fault_grid pass freezes 3 or 4 equal caps on one link about
+        # 1,500 times.  1.1 has a full mantissa, so 3 * 1.1 rounds: still
+        # one answer.
+        caps = [1.1] * n_capped + [2.0 + 1e-3, math.inf]
+        with mock.patch.object(maxmin, "_reference", wraps=maxmin._reference) as spy:
+            rates = maxmin_scalar([100.0], [[0]] * len(caps), caps)
+        assert spy.call_count == 0
+        assert np.array(rates).tobytes() == _reference([100.0], [[0]] * len(caps), caps).tobytes()
+
+
+@pytest.mark.parametrize("shape", ["session", "scale_wave", "probe_race"])
+def test_bench_shapes_bit_identical(shape):
+    """The bench's workload shapes, fallbacks included, match the loop."""
+    make = {
+        "session": benches._small_shared_problem,
+        "scale_wave": benches._scale_wave_problem,
+        "probe_race": benches._probe_race_problem,
+    }[shape]
+    rng = np.random.default_rng(7)
+    for n_flows in (2, 6, 12, 24, 48):
+        for _ in range(20):
+            capacities, flow_links, caps = make(rng, n_flows)
+            rates = maxmin_scalar(capacities, flow_links, caps)
+            reference = _reference(capacities, flow_links, caps)
+            assert np.array(rates).tobytes() == reference.tobytes()
+
+
+def _population(n_flows, seed, n_links=40):
+    """A sparse population: 2-4 links per flow, 30% of flows capped."""
+    rng = np.random.default_rng(seed)
+    link_cap = rng.uniform(1e3, 1e5, size=n_links)
+    flow_links = [
+        rng.choice(n_links, size=int(k), replace=False).tolist()
+        for k in rng.integers(2, 5, size=n_flows)
+    ]
+    caps = np.where(
+        rng.random(n_flows) < 0.3, rng.choice([50.0, 200.0, 800.0], size=n_flows), np.inf
+    )
+    lids, frow = _sparse(flow_links)
+    return link_cap, lids, frow, caps
+
+
+class TestCertificate:
+    """``certify_maxmin`` is an O(nnz) oracle at any population size."""
+
+    @pytest.mark.parametrize("n_flows", [385, 10_000])
+    def test_certifies_sparse_solver(self, n_flows):
+        from repro.vec.solver import waterfill_sparse
+
+        link_cap, lids, frow, caps = _population(n_flows, seed=n_flows)
+        rates, _ = waterfill_sparse(link_cap, lids, frow, n_flows, caps)
+        assert certify_maxmin(link_cap, lids, frow, caps, rates)
+        # Halving one flow below its cap breaks the bottleneck property.
+        below = np.flatnonzero((rates > 1.0) & (rates < caps * 0.99))
+        broken = rates.copy()
+        broken[below[0]] *= 0.5
+        assert not certify_maxmin(link_cap, lids, frow, caps, broken)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shared_problems())
+    def test_agrees_with_verify_maxmin(self, problem):
+        capacities, flow_links, caps = problem
+        rates = maxmin_scalar(capacities, flow_links, caps)
+        lids, frow = _sparse(flow_links)
+        incidence = incidence_matrix(len(capacities), flow_links)
+        for candidate in (rates, [0.5 * r for r in rates], [2.0 * r for r in rates]):
+            assert certify_maxmin(
+                np.array(capacities), lids, frow, np.array(caps), candidate
+            ) == verify_maxmin(
+                np.array(capacities), incidence, np.array(candidate), np.array(caps)
+            )
+
+    def test_rejects_overload_and_cap_violation(self):
+        link_cap = np.array([10.0])
+        lids, frow = _sparse([[0], [0]])
+        caps = np.array([np.inf, 2.0])
+        assert certify_maxmin(link_cap, lids, frow, caps, [8.0, 2.0])
+        assert not certify_maxmin(link_cap, lids, frow, caps, [9.0, 2.0])
+        assert not certify_maxmin(link_cap, lids, frow, caps, [7.0, 3.0])

@@ -130,6 +130,34 @@ class Histogram:
         if v > self.max:
             self.max = v
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Add every value in order; the same fields as one :meth:`observe`
+        each.
+
+        Buckets come from one ``searchsorted`` (NaN lands in the overflow
+        bucket, as ``v <= bound`` is false for it), ``sum`` adds one float
+        at a time in order, and ``min``/``max`` keep the first value that
+        reaches them, as repeated strict comparisons do (NaN never does).
+        """
+        import numpy as np  # deferred: the module itself is stdlib-only
+
+        v = np.asarray(values, dtype=np.float64).ravel()
+        if not v.size:
+            return
+        idx = np.searchsorted(np.asarray(self.bounds), v, side="left")
+        for i, count in enumerate(np.bincount(idx, minlength=len(self.counts)).tolist()):
+            self.counts[i] += count
+        self.total += int(v.size)
+        with np.errstate(all="ignore"):  # inf/NaN sums as silently as floats
+            self.sum = float(np.cumsum(np.concatenate(([self.sum], v)))[-1])
+        seen = v[~np.isnan(v)]
+        if seen.size:
+            lo, hi = seen.min(), seen.max()
+            if lo < self.min:
+                self.min = float(seen[np.flatnonzero(seen == lo)[0]])
+            if hi > self.max:
+                self.max = float(seen[np.flatnonzero(seen == hi)[0]])
+
     @property
     def mean(self) -> float:
         """Exact mean of all observations (0.0 when empty)."""
@@ -352,6 +380,14 @@ class Observer:
                 DEFAULT_BUCKETS if bounds is None else bounds
             )
         hist.observe(value)
+
+    def observe_values(self, name: str, values: Sequence[float]) -> None:
+        """:meth:`observe_value` for each of ``values``, in order, as one
+        columnar update (:meth:`Histogram.observe_many`)."""
+        hist = self.histograms.get(name)
+        if hist is None:
+            hist = self.histograms[name] = Histogram()
+        hist.observe_many(values)
 
     # ------------------------------------------------------------------ #
     # spans and events

@@ -11,8 +11,12 @@ the repository root after a benchmark run::
     python -m repro.perf.history                      # .perfbench/ledger.jsonl
     python -m repro.perf.history --ledger other/.perfbench/ledger.jsonl
 
-Entries already in the history (same ``run_id``) are skipped, so running it
-twice appends nothing.  It never writes under ``perfbench/``.
+``--role parent|change|draft`` tags each appended line with the part the
+runs play in a comparison: the commit a change is measured against, the
+change's final tree, or a tree that was not kept.  Lines without a role
+(older ones) load as before.  Entries already in the history (same
+``run_id``) are skipped, so running it twice appends nothing.  It never
+writes under ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import os
 import sys
 from typing import Any, Dict, Iterator, List, Optional
 
-__all__ = ["HISTORY_KEYS", "history_line", "append_history", "main"]
+__all__ = ["HISTORY_KEYS", "ROLES", "history_line", "append_history", "main"]
 
 #: Ledger keys copied into a history line (``metrics`` is trimmed below).
 HISTORY_KEYS = (
@@ -37,6 +41,10 @@ HISTORY_KEYS = (
     "failed",
     "provenance",
 )
+
+#: What a line's runs measured: the parent commit, the change's final
+#: tree, or a draft of it that was not kept.
+ROLES = ("parent", "change", "draft")
 
 #: Summary statistics kept per timed metric.
 _STATS = ("median", "q1", "q3", "n")
@@ -72,16 +80,21 @@ def history_line(entry: Dict[str, Any]) -> Dict[str, Any]:
     return line
 
 
-def append_history(ledger: str, history: str) -> int:
-    """Append a line to ``history`` for each ``ledger`` entry it lacks;
-    return how many were appended."""
+def append_history(ledger: str, history: str, role: Optional[str] = None) -> int:
+    """Append a line to ``history`` for each ``ledger`` entry it lacks,
+    tagged with ``role`` when one is given; return how many were appended."""
+    if role is not None and role not in ROLES:
+        raise ValueError(f"role must be one of {ROLES}, got {role!r}")
     seen = {entry.get("run_id") for entry in _entries(history)}
     lines: List[str] = []
     for entry in _entries(ledger):
         if entry.get("run_id") in seen:
             continue
         seen.add(entry.get("run_id"))
-        lines.append(json.dumps(history_line(entry), sort_keys=True))
+        line = history_line(entry)
+        if role is not None:
+            line["role"] = role
+        lines.append(json.dumps(line, sort_keys=True))
     if lines:
         with open(history, "a", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -100,6 +113,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         default="BENCH_history.jsonl",
         help="committed history to append to (default: %(default)s)",
     )
+    parser.add_argument(
+        "--role",
+        choices=ROLES,
+        help="tag the appended lines: parent, change or draft runs",
+    )
     args = parser.parse_args(argv)
     if "perfbench" in os.path.abspath(args.history).split(os.sep):
         print("error: the history is never written under perfbench/", file=sys.stderr)
@@ -107,7 +125,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not os.path.isfile(args.ledger):
         print(f"error: no ledger at {args.ledger}", file=sys.stderr)
         return 2
-    added = append_history(args.ledger, args.history)
+    added = append_history(args.ledger, args.history, args.role)
     print(f"{args.history}: {added} line(s) appended")
     return 0
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -194,6 +194,46 @@ class Sanitizer:
         """Drop progress tracking for a finished flow."""
         self._last_delivered.pop(flow_id, None)
 
+    def check_rows_progress(
+        self,
+        now: float,
+        delivered: np.ndarray,
+        previous: np.ndarray,
+        size: np.ndarray,
+        rate: np.ndarray,
+        alive: np.ndarray,
+    ) -> None:
+        """:meth:`check_flow_progress` over a vector core's columns.
+
+        Row ``i`` is checked when ``alive[i]``: its ``delivered`` bytes
+        against the previous tick's ``previous`` snapshot and its ``size``,
+        and its ``rate`` (the one chosen at the previous tick).
+        """
+        self.checks_run += 1
+        shrunk = delivered < previous - BYTE_CONSERVATION_SLACK
+        over = delivered > size + BYTE_CONSERVATION_SLACK
+        wild = ~(rate >= -RATE_ATOL) | np.isinf(rate)  # negative, NaN or inf
+        bad = shrunk | over | wild
+        bad &= alive
+        if not bad.any():
+            return
+        for mask, detail, measured, limit in (
+            (shrunk, "delivered bytes decreased from {limit!r} to {measured!r}",
+             delivered, previous),
+            (over, "delivered {measured!r} bytes but only {limit!r} were requested",
+             delivered, size),
+            (wild, "flow rate {measured!r} is negative or non-finite",
+             rate, np.zeros_like(rate)),
+        ):
+            rows = np.flatnonzero(mask & alive)
+            if rows.size:
+                r = int(rows[0])
+                m, lim = float(measured[r]), float(limit[r])
+                self._report(
+                    "QA-R002", now, f"vector row {r} ({rows.size} row(s) total)",
+                    detail.format(measured=m, limit=lim), measured=m, limit=lim,
+                )
+
     # ------------------------------------------------------------------ #
     # QA-R006: blackout fault windows
     # ------------------------------------------------------------------ #
@@ -232,64 +272,136 @@ class Sanitizer:
         """
         self.checks_run += 1
         load = incidence @ rates if incidence.size else np.zeros(len(link_names))
-        if self.fault_windows:
-            for i, name in enumerate(link_names):
-                spans = self.fault_windows.get(str(name))
-                if not spans:
-                    continue
-                if not any(t0 <= now < t1 for t0, t1 in spans):
-                    continue
-                slack_i = CAPACITY_RTOL * max(float(capacities[i]), 1.0)
-                if capacities[i] > slack_i:
-                    self._report(
-                        "QA-R006",
-                        now,
-                        str(name),
-                        f"link carries {capacities[i]!r} bytes/s of capacity "
-                        "inside a registered blackout fault window",
-                        measured=float(capacities[i]),
-                        limit=slack_i,
-                    )
-                    return
-                if load[i] > RATE_ATOL:
-                    self._report(
-                        "QA-R006",
-                        now,
-                        str(name),
-                        f"{load[i]!r} bytes/s of traffic crossed the link "
-                        "inside a registered blackout fault window",
-                        measured=float(load[i]),
-                        limit=RATE_ATOL,
-                    )
-                    return
-        slack = CAPACITY_RTOL * np.maximum(capacities, 1.0)
-        over = np.flatnonzero(load > capacities + slack)
-        if over.size:
-            worst = int(over[np.argmax(load[over] - capacities[over])])
-            self._report(
-                "QA-R004",
-                now,
-                str(link_names[worst]),
-                f"link load {load[worst]!r} bytes/s exceeds capacity "
-                f"{capacities[worst]!r} bytes/s "
-                f"({over.size} oversubscribed link(s) total)",
-                measured=float(load[worst]),
-                limit=float(capacities[worst]),
-            )
+        if self._blackout_violated(now, capacities, link_names, lambda: load):
+            return
+        if self._overload_violated(now, capacities, load, link_names):
             return  # the fairness check would only repeat the same failure
         # Local import: repro.tcp pulls in the fluid engine, which imports the
         # simulator; importing it at module scope would create a cycle.
         from repro.tcp.maxmin import verify_maxmin
 
         if not verify_maxmin(capacities, incidence, rates, caps, rtol=CAPACITY_RTOL):
-            self._report(
-                "QA-R003",
-                now,
-                f"{rates.size} flow(s) over {len(link_names)} link(s)",
-                "installed rate vector fails the max-min fairness "
-                "post-condition (feasible but not cap-respecting or not "
-                "max-min fair)",
-            )
+            self._report_unfair(now, rates.size, len(link_names))
+
+    def check_allocation_sparse(
+        self,
+        now: float,
+        capacities: np.ndarray,
+        lids: np.ndarray,
+        frow: np.ndarray,
+        caps: np.ndarray,
+        rates: np.ndarray,
+        link_names: Sequence[str],
+    ) -> None:
+        """:meth:`check_allocation` over a vector core's sparse incidence.
+
+        ``capacities`` and ``link_names`` cover the core's link table;
+        entry ``i`` of ``lids``/``frow`` says flow ``frow[i]`` crosses link
+        ``lids[i]``.  QA-R006 polices the registered blackout links in use;
+        then :func:`repro.vec.solver.certify_maxmin` checks the max-min
+        post-condition in O(nnz), and only a failed certificate pays for
+        the per-link loads that tell QA-R004 (an overloaded link) from
+        QA-R003.
+        """
+        from repro.vec.solver import certify_maxmin  # same cycle as above
+
+        self.checks_run += 1
+        m = capacities.shape[0]
+
+        def loads() -> np.ndarray:
+            return np.bincount(lids, weights=rates[frow], minlength=m)
+
+        used = np.zeros(m, dtype=bool)
+        used[lids] = True
+        if self._blackout_violated(now, capacities, link_names, loads, used):
+            return
+        if certify_maxmin(capacities, lids, frow, caps, rates):
+            return
+        if not self._overload_violated(now, capacities, loads(), link_names):
+            self._report_unfair(now, rates.size, int(np.count_nonzero(used)))
+
+    def _blackout_violated(
+        self,
+        now: float,
+        capacities: np.ndarray,
+        link_names: Sequence[str],
+        loads: Callable[[], np.ndarray],
+        used: Optional[np.ndarray] = None,
+    ) -> bool:
+        """QA-R006 over the links (those ``used``, when given) inside a
+        registered blackout window at ``now``; ``loads()`` gives the
+        per-link loads and runs only when such a link has no capacity."""
+        if not self.fault_windows:
+            return False
+        load = None
+        for i, name in enumerate(link_names):
+            spans = self.fault_windows.get(str(name))
+            if not spans or (used is not None and not used[i]):
+                continue
+            if not any(t0 <= now < t1 for t0, t1 in spans):
+                continue
+            slack_i = CAPACITY_RTOL * max(float(capacities[i]), 1.0)
+            if capacities[i] > slack_i:
+                self._report(
+                    "QA-R006",
+                    now,
+                    str(name),
+                    f"link carries {capacities[i]!r} bytes/s of capacity "
+                    "inside a registered blackout fault window",
+                    measured=float(capacities[i]),
+                    limit=slack_i,
+                )
+                return True
+            if load is None:
+                load = loads()
+            if load[i] > RATE_ATOL:
+                self._report(
+                    "QA-R006",
+                    now,
+                    str(name),
+                    f"{load[i]!r} bytes/s of traffic crossed the link "
+                    "inside a registered blackout fault window",
+                    measured=float(load[i]),
+                    limit=RATE_ATOL,
+                )
+                return True
+        return False
+
+    def _overload_violated(
+        self,
+        now: float,
+        capacities: np.ndarray,
+        load: np.ndarray,
+        link_names: Sequence[str],
+    ) -> bool:
+        """QA-R004: no link's load exceeds its capacity (+ slack)."""
+        slack = CAPACITY_RTOL * np.maximum(capacities, 1.0)
+        over = np.flatnonzero(load > capacities + slack)
+        if not over.size:
+            return False
+        worst = int(over[np.argmax(load[over] - capacities[over])])
+        self._report(
+            "QA-R004",
+            now,
+            str(link_names[worst]),
+            f"link load {load[worst]!r} bytes/s exceeds capacity "
+            f"{capacities[worst]!r} bytes/s "
+            f"({over.size} oversubscribed link(s) total)",
+            measured=float(load[worst]),
+            limit=float(capacities[worst]),
+        )
+        return True
+
+    def _report_unfair(self, now: float, n_flows: int, n_links: int) -> None:
+        """QA-R003: the allocation fails the max-min post-condition."""
+        self._report(
+            "QA-R003",
+            now,
+            f"{n_flows} flow(s) over {n_links} link(s)",
+            "installed rate vector fails the max-min fairness "
+            "post-condition (feasible but not cap-respecting or not "
+            "max-min fair)",
+        )
 
     # ------------------------------------------------------------------ #
     # QA-R005: probe-phase accounting

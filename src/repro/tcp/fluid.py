@@ -33,8 +33,8 @@ bit (DESIGN.md §7):
 * a shared problem of at most ``_SCALAR_MAX_FLOWS`` flows - every shared
   solve of a sequentially probing or striped session - runs
   :func:`repro.tcp.maxmin.maxmin_scalar`, the same rounds in plain floats;
-* a larger shared problem - a scale wave's, or a concurrent probe race's -
-  runs the numpy loop itself.
+* a larger shared problem - a concurrent probe race's, say - runs the
+  numpy loop itself.
 
 Under ``REPRO_SANITIZE=1`` the same solver runs and the sanitizer checks
 the rates it returned.
@@ -47,14 +47,20 @@ a paper session runs.  The first time its active population exceeds
 Up to that size the vector core calls the dense ``maxmin_allocate``, whose
 rates the per-object tick's solvers reproduce bit for bit, so the move
 cannot change a byte; past it only the vector core's sparse solver
-scales.  A sanitized simulator never promotes: the sanitizer's per-flow
-hooks live in the per-object tick.
+scales.  A sanitized network promotes like any other: the core runs the
+sanitizer's checks over its columns, so sanitized and plain runs take the
+same path.
+
+:meth:`FluidNetwork.start_races` runs a whole population's direct/relay
+probe race (:mod:`repro.vec.race`) on the vector core from the start, as
+columns with no :class:`~repro.tcp.flow.FluidFlow` per probe or transfer.
+A network runs either a race or object flows, never both.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -67,6 +73,9 @@ from repro.sim.simulator import Simulator
 from repro.tcp.flow import FlowState, FluidFlow
 from repro.tcp.maxmin import incidence_matrix, maxmin_allocate, maxmin_scalar
 from repro.tcp.model import SlowStartRamp
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.vec.race import ProbeRace
 
 __all__ = ["FluidNetwork"]
 
@@ -219,6 +228,8 @@ class FluidNetwork:
         (default: one route RTT, modelling request propagation and the first
         data byte's return).  Returns the flow handle immediately.
         """
+        if self._vec is not None and self._vec._race is not None:
+            raise TransferError("a network running a probe race takes no object flows")
         flow = FluidFlow(
             route,
             size,
@@ -240,6 +251,44 @@ class FluidNetwork:
             )
         batch.append(flow)
         return flow
+
+    def start_races(
+        self,
+        routes: Sequence[Route],
+        ramps: Sequence[SlowStartRamp],
+        sizes: Sequence[float],
+        *,
+        probe_bytes: float,
+        direct: Sequence[int],
+        relay: Sequence[int],
+        size: Sequence[int],
+        slot: Sequence[int],
+        slot_times: Sequence[float],
+    ) -> "ProbeRace":
+        """Race a population's direct and relay probes by the column.
+
+        Client ``i`` starts at ``slot_times[slot[i]]``, probes
+        ``routes[direct[i]]`` and ``routes[relay[i]]`` with
+        ``probe_bytes`` each, and fetches ``sizes[size[i]]`` bytes over the
+        route whose probe completes first; ``ramps[j]`` is route ``j``'s
+        slow-start ramp.  The network moves onto its vector core at once,
+        whatever the population.  Returns the
+        :class:`~repro.vec.race.ProbeRace` whose result columns fill in as
+        the simulator runs.
+        """
+        if self._vec is not None or self._active or self._pending_activations:
+            raise TransferError("a probe race needs a network with no other flows")
+        from repro.vec.engine import VectorCore  # deferred: import cycle
+        from repro.vec.race import ProbeRace
+
+        vec = VectorCore(self)
+        race = vec._race = ProbeRace(
+            vec, routes, ramps, sizes, probe_bytes=probe_bytes,
+            direct=direct, relay=relay, size=size, slot=slot,
+            slot_times=slot_times,
+        )
+        self._vec = vec
+        return race
 
     def abort_flow(self, flow: FluidFlow) -> None:
         """Cancel a pending or active flow (idempotent for finished flows)."""
@@ -280,11 +329,7 @@ class FluidNetwork:
             activated = True
         if not activated:
             return
-        if (
-            vec is None
-            and len(self._active) > _PROMOTE_ABOVE
-            and self._sim.sanitizer is None
-        ):
+        if vec is None and len(self._active) > _PROMOTE_ABOVE:
             self._promote()
         self._invalidate_alloc("activate")
         self._request_tick()
@@ -294,15 +339,20 @@ class FluidNetwork:
 
         Flows are accrued to ``now`` at the rates the last per-object tick
         chose, which is the first step that tick would take; the vector
-        core then starts from exactly that state, in activation order.
+        core then starts from exactly that state, in activation order.  A
+        sanitizer drops its per-flow progress record of each moved flow:
+        the core's own delivered snapshot is its baseline from then on.
         """
         from repro.vec.engine import VectorCore  # deferred: import cycle
 
         now = self._sim.now
+        sanitizer = self._sim.sanitizer
         vec = self._vec = VectorCore(self)
         for flow in self._active.values():
             flow._advance(now)
             vec.add_flow(flow)
+            if sanitizer is not None:
+                sanitizer.forget_flow(flow.id)
 
     def _invalidate_alloc(self, reason: str) -> None:
         """Drop the cached allocation structure, counting the cause."""

@@ -12,7 +12,9 @@ window the core routes its allocation through the dense
 :func:`repro.tcp.maxmin.maxmin_allocate`, whose rates the per-object tick's
 solvers reproduce bit for bit, so promotion never changes a byte (pinned by
 the test suite).  :func:`certify_maxmin` checks any allocation over the
-core's sparse incidence in O(nnz).  See DESIGN.md §12.
+core's sparse incidence in O(nnz); the sanitizer runs it on every tick.
+:mod:`repro.vec.race` runs a population's direct/relay probe race as core
+rows, with no flow objects.  See DESIGN.md §12.
 """
 
 from repro.vec.engine import VectorCore

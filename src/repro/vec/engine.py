@@ -2,8 +2,9 @@
 
 A ``FluidNetwork`` promotes itself to a :class:`VectorCore` the first time
 its active population exceeds ``repro.tcp.fluid._DENSE_MAX_FLOWS``, and
-delegates every later tick to it.  The core keeps the *entire* active
-population in numpy arrays:
+delegates every later tick to it; a network running a probe race
+(:meth:`~repro.tcp.fluid.FluidNetwork.start_races`) starts on one.  The
+core keeps the *entire* active population in numpy arrays:
 
 * per-flow: total/delivered bytes, current rate, activation time and the
   slow-start ramp parameters (rtt, w0, w_max, rounds-to-peak);
@@ -43,10 +44,19 @@ water-filling of :mod:`repro.vec.solver` takes over (same math, reductions
 ordered by CSR position).  A promotion therefore never changes a byte, and
 a population that later drains back under the bound stays on the core.
 
-Flow objects stay lazily consistent: the core installs a sync hook on each
+Rows are either all object flows or all race rows.  Flow objects stay
+lazily consistent: the core installs a sync hook on each
 :class:`~repro.tcp.flow.FluidFlow` so external readers (watchdogs, stripe
 windows, probes) that touch ``flow.delivered`` / ``flow.rate`` mid-flight
-transparently materialise the row's array state.
+transparently materialise the row's array state.  Race rows have no object:
+a :class:`repro.vec.race.ProbeRace` admits them, and settles each tick's
+completed rows by the column where object flows run their callbacks.
+
+Under a sanitizer the core checks its columns on every tick: QA-R002 on
+``delivered``/``size``/``rate`` against the previous tick's snapshot, and
+QA-R006, QA-R004 and QA-R003 on the solve's ``lids``/``frow``/caps/rates
+through :func:`repro.vec.solver.certify_maxmin`.  The checks only read, so
+a sanitized network promotes and solves exactly like a plain one.
 """
 
 from __future__ import annotations
@@ -117,6 +127,14 @@ class VectorCore:
         self._rtp = np.empty(_GROW_MIN)
         self._has_ramp = np.empty(_GROW_MIN, dtype=bool)
         self._alive = np.empty(_GROW_MIN, dtype=bool)
+        #: Delivered bytes at the previous tick: the sanitizer's QA-R002
+        #: baseline, read only when one is armed.
+        self._snap = np.empty(_GROW_MIN)
+        #: A race row's client and kind (see repro.vec.race).
+        self._client = np.empty(_GROW_MIN, dtype=np.int64)
+        self._kind = np.empty(_GROW_MIN, dtype=np.int8)
+        #: The probe race these rows belong to; None for object flows.
+        self._race = None
         self._flows: List[Optional[FluidFlow]] = []
         self._row_of: Dict[int, int] = {}
         self._n = 0
@@ -160,6 +178,9 @@ class VectorCore:
         self._rtp = _grow(self._rtp, need)
         self._has_ramp = _grow(self._has_ramp, need)
         self._alive = _grow(self._alive, need)
+        self._snap = _grow(self._snap, need)
+        self._client = _grow(self._client, need)
+        self._kind = _grow(self._kind, need)
         self._row_cap = int(self._size.shape[0])
         self._indptr = _grow(self._indptr, self._row_cap + 1)
 
@@ -186,10 +207,6 @@ class VectorCore:
         self._pending = []
         if not pend:
             return
-        row0 = self._n
-        row = row0 + len(pend)
-        if row > self._row_cap:
-            self._grow_rows(row)
         routes, rslot = _slots([f.route for f in pend])
         ramps, pslot = _slots([f.ramp for f in pend])
 
@@ -212,6 +229,43 @@ class VectorCore:
         uses = np.bincount(rslot, minlength=len(routes))
         np.add.at(self._link_refs, rl, np.repeat(uses - 1, rd))
 
+        # Ramp columns, gathered from one parameter row per distinct ramp.
+        # A flow without a ramp gets (1, 1, 1, 0): see _ramp.
+        params = np.array(
+            [
+                (r.rtt, r.initial_window, r.max_window, float(r.rounds_to_peak()))
+                if r is not None
+                else (1.0, 1.0, 1.0, 0.0)
+                for r in ramps
+            ]
+        )
+        row0 = self._append_rows(
+            rl, rd, rslot, params[pslot],
+            np.array([r is not None for r in ramps])[pslot],
+            [f.size for f in pend],
+            [f._delivered for f in pend],
+            [f.activated_at for f in pend],
+        )
+        self._flows.extend(pend)
+        self._row_of.update(zip([f.id for f in pend], range(row0, self._n)))
+        hook = self._sync_flow
+        for flow in pend:
+            flow._sync = hook
+
+    def _append_rows(self, rl, rd, rslot, ramp, has_ramp, size, delivered, act) -> int:
+        """Append one row per entry of ``rslot``; return the first new row.
+
+        Row ``i`` uses the links of route ``rslot[i]``, whose ``rd[j]``
+        interned link ids lie concatenated in ``rl``, and ``ramp[i]`` holds
+        its (rtt, initial window, max window, rounds to peak).  ``has_ramp``,
+        ``size``, ``delivered`` and ``act`` are per-row columns or scalars.
+        Link refcounts are the caller's to bump.
+        """
+        row0 = self._n
+        row = row0 + rslot.size
+        if row > self._row_cap:
+            self._grow_rows(row)
+
         # CSR: each row copies its route's segment of ``rl``.
         deg = rd[rslot]
         seg = rl[_segments((np.cumsum(rd) - rd)[rslot], deg)]
@@ -222,34 +276,20 @@ class VectorCore:
         self._indptr[row0 + 1 : row + 1] = start + np.cumsum(deg)
         self._nnz = end
 
-        # Ramp columns, gathered from one parameter row per distinct ramp.
-        # A flow without a ramp gets (1, 1, 1, 0): see _ramp.
-        params = np.array(
-            [
-                (r.rtt, r.initial_window, r.max_window, float(r.rounds_to_peak()))
-                if r is not None
-                else (1.0, 1.0, 1.0, 0.0)
-                for r in ramps
-            ]
-        )[pslot]
-        self._rtt[row0:row] = params[:, 0]
-        self._w0[row0:row] = params[:, 1]
-        self._wmax[row0:row] = params[:, 2]
-        self._rtp[row0:row] = params[:, 3]
-        self._has_ramp[row0:row] = np.array([r is not None for r in ramps])[pslot]
-        self._size[row0:row] = [f.size for f in pend]
-        self._deliv[row0:row] = [f._delivered for f in pend]
-        self._act[row0:row] = [f.activated_at for f in pend]
+        self._rtt[row0:row] = ramp[:, 0]
+        self._w0[row0:row] = ramp[:, 1]
+        self._wmax[row0:row] = ramp[:, 2]
+        self._rtp[row0:row] = ramp[:, 3]
+        self._has_ramp[row0:row] = has_ramp
+        self._size[row0:row] = size
+        self._deliv[row0:row] = delivered
+        self._snap[row0:row] = self._deliv[row0:row]
+        self._act[row0:row] = act
         self._rate[row0:row] = 0.0
         self._alive[row0:row] = True
-
-        self._flows.extend(pend)
-        self._row_of.update(zip([f.id for f in pend], range(row0, row)))
-        hook = self._sync_flow
-        for flow in pend:
-            flow._sync = hook
         self._n = row
         self._gathered = None
+        return row0
 
     def detach_flow(self, flow: FluidFlow) -> None:
         """Materialise an aborting flow's row and queue it for release.
@@ -278,6 +318,8 @@ class VectorCore:
         self._rate[idx] = 0.0
         self._dead += len(rows)
         self._gathered = None
+        if self._race is not None:
+            return
         flows = self._flows
         row_of = self._row_of
         for r in rows:
@@ -348,7 +390,7 @@ class VectorCore:
         if obs is not None:
             prev = net._last_tick_at
             if prev is not None and now > prev:
-                obs.span("tick", "fluid-epoch", prev, now, flows=len(net._active))
+                obs.span("tick", "fluid-epoch", prev, now, flows=self._live())
             net._last_tick_at = now
             obs.count("engine.ticks")
         if self._retiring:
@@ -365,28 +407,45 @@ class VectorCore:
             d = self._deliv[:n]
             np.minimum(self._size[:n], d + self._rate[:n] * dt, out=d)
         self._accrued_at = now
+        race = self._race
         if self._pending:
             self._flush_pending()
-            n = self._n
+        elif race is not None and race.pending:
+            race.flush()
+        n = self._n
+        sanitizer = sim.sanitizer
+        if sanitizer is not None and n:
+            snap = self._snap[:n]
+            sanitizer.check_rows_progress(
+                now, self._deliv[:n], snap, self._size[:n], self._rate[:n],
+                self._alive[:n],
+            )
+            snap[:] = self._deliv[:n]
 
         # 2. Detect and finalise completions in activation (row) order;
         # callbacks run after removal, exactly as in the per-object tick.
         # Completed rows join the release queue, so they and any flow a
-        # callback aborts are released together below.
+        # callback aborts are released together below.  A race settles its
+        # rows by the column instead (repro.vec.race).
         finished: List[FluidFlow] = []
         if n:
             done = np.flatnonzero(
                 self._alive[:n]
                 & (self._size[:n] - self._deliv[:n] <= _COMPLETION_SLACK)
-            ).tolist()
-            flows = self._flows
-            finished = [flows[r] for r in done]
-            self._retiring.extend(done)
-            active = net._active
-            for flow in finished:
-                del active[flow.id]
-                flow._complete(now)
-            net.completed_count += len(finished)
+            )
+            net.completed_count += done.size
+            if race is not None:
+                if done.size:
+                    self._retiring.extend(race.complete(done, now).tolist())
+            else:
+                done = done.tolist()
+                flows = self._flows
+                finished = [flows[r] for r in done]
+                self._retiring.extend(done)
+                active = net._active
+                for flow in finished:
+                    del active[flow.id]
+                    flow._complete(now)
         for flow in finished:
             if flow.on_complete is not None:
                 flow.on_complete(flow)
@@ -398,7 +457,7 @@ class VectorCore:
             sim.cancel(net._tick_event)
             net._tick_event = None
 
-        if not net._active:
+        if not self._live():
             return
 
         if self._dead > _GROW_MIN and self._dead * 2 > self._n:
@@ -447,6 +506,12 @@ class VectorCore:
             )
             if obs is not None:
                 obs.count("vec.solve_sparse")
+        if sanitizer is not None:
+            m = len(self._links)
+            sanitizer.check_allocation_sparse(
+                now, self._link_cap[:m], lids, frow, caps, rates,
+                [link.name for link in self._links],
+            )
         self._rate[rows] = rates
 
         # 4. Next wake-up: first completion, ramp increase or trace change.
@@ -470,6 +535,11 @@ class VectorCore:
         net._tick_event = sim.schedule_at(
             max(next_time, now + min_step), net._tick_cb, name="fluid-tick"
         )
+
+    def _live(self) -> int:
+        """Activated rows and flows not yet completed or aborted."""
+        race = self._race
+        return race.live if race is not None else len(self._net._active)
 
     def _gather(self) -> tuple:
         """The live population's solver coordinates, in activation order:
@@ -533,16 +603,19 @@ class VectorCore:
         self._link_idx[: self._nnz] = new_link_idx
         for arr in (
             self._size, self._deliv, self._rate, self._act,
-            self._rtt, self._w0, self._wmax, self._rtp,
+            self._rtt, self._w0, self._wmax, self._rtp, self._snap,
+            self._has_ramp, self._client, self._kind,
         ):
             arr[:k] = arr[:n][keep]
-        self._has_ramp[:k] = self._has_ramp[:n][keep]
+        if self._race is not None:
+            self._race.renumber(keep)  # before ``keep``, a view, is overwritten
+        else:
+            flows = [f for f in self._flows if f is not None]
+            assert len(flows) == k
+            self._flows = flows
+            for i, f in enumerate(flows):
+                self._row_of[f.id] = i
         self._alive[:k] = True
-        flows = [f for f in self._flows if f is not None]
-        assert len(flows) == k
-        self._flows = flows
-        for i, f in enumerate(flows):
-            self._row_of[f.id] = i
         self._n = k
         self._dead = 0
         self._gathered = None

@@ -144,11 +144,14 @@ def certify_maxmin(
     if np.any(load > link_cap + _RTOL * scale):
         return False
     full = load >= link_cap - _RTOL * scale
+    # Only entries on full links can be a bottleneck, and only those
+    # links' maxima are read, so the rest drop out before the per-entry
+    # work (the sanitizer runs this on every tick of a population).
+    on_full = np.flatnonzero(full[lids])
+    lids, frow, flow_rate = lids[on_full], frow[on_full], flow_rate[on_full]
     top = np.full(m, -np.inf)
     np.maximum.at(top, lids, flow_rate)
-    tops = full[lids] & (
-        flow_rate >= top[lids] - _RTOL * np.maximum(flow_rate, 1.0)
-    )
+    tops = flow_rate >= top[lids] - _RTOL * np.maximum(flow_rate, 1.0)
     bottlenecked = np.zeros(rates.shape[0], dtype=bool)
     bottlenecked[frow[tops]] = True
     at_cap = caps <= rates * (1.0 + _RTOL) + _RTOL

@@ -17,19 +17,21 @@ Every client draws (from stable, wave-local seed-bank labels) an RTT tier
 for its direct path, an independent tier for its relay path, a relay, a
 transfer size class and a start slot, then races a direct probe against a
 relay probe, aborts the loser, and fetches the object over the winning
-path - the paper's mechanism, driven straight against the fluid engine
-with no per-client session machinery.  Draws are quantised into discrete
-tiers/classes on purpose: clients with identical coordinates complete at
-identical instants, so the vector engine (which the network promotes itself
-to once the population passes the dense-solver window) retires whole cohorts
-per epoch instead of paying one epoch per client.
+path - the paper's mechanism.  The draws go to the fluid engine as integer
+columns (:meth:`~repro.tcp.fluid.FluidNetwork.start_races`), and the vector
+core runs the whole race as rows (:mod:`repro.vec.race`): no session
+machinery, no Python object per flow and no callback per completion.
+Draws are quantised into discrete tiers/classes on purpose: clients with
+identical coordinates complete at identical instants, so the core retires
+whole cohorts per epoch instead of paying one epoch per client.
 
 Each wave emits one :class:`~repro.trace.records.ScaleRecord` carrying the
 population's exact latency/throughput percentiles (computed from per-client
 results with numpy, so records are byte-identical for any worker count).
-When observability is on, per-client latency and throughput also stream
-into obs histograms (``scale.client_latency`` / ``scale.client_throughput``)
-and the wave timeline appears as spans.
+When observability is on, the per-client latency and throughput columns
+also fill obs histograms (``scale.client_latency`` /
+``scale.client_throughput``) in one columnar update each, and the wave
+timeline appears as spans.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from repro.net.link import Link
 from repro.net.route import Route
 from repro.net.trace import CapacityTrace
 from repro.sim.simulator import Simulator
-from repro.tcp.flow import FluidFlow
 from repro.tcp.fluid import FluidNetwork
 from repro.tcp.model import SlowStartRamp
 from repro.trace.records import ScaleRecord
@@ -186,86 +187,6 @@ def plan_scale(
 # --------------------------------------------------------------------------- #
 # wave execution
 # --------------------------------------------------------------------------- #
-class _Client:
-    """One client's probe-race state machine (driven by flow callbacks)."""
-
-    __slots__ = (
-        "wave", "idx", "size", "direct_route", "relay_route",
-        "probe_direct", "probe_relay", "t0",
-    )
-
-    def __init__(self, wave: "_Wave", idx: int, size: float,
-                 direct_route: Route, relay_route: Route):
-        self.wave = wave
-        self.idx = idx
-        self.size = size
-        self.direct_route = direct_route
-        self.relay_route = relay_route
-        self.probe_direct: Optional[FluidFlow] = None
-        self.probe_relay: Optional[FluidFlow] = None
-        self.t0 = 0.0
-
-    def start(self) -> None:
-        wave = self.wave
-        self.t0 = wave.net.sim.now
-        self.probe_direct = wave.start_flow(self.direct_route, wave.probe_bytes,
-                                            self.probe_done)
-        self.probe_relay = wave.start_flow(self.relay_route, wave.probe_bytes,
-                                           self.probe_done)
-
-    def probe_done(self, flow: FluidFlow) -> None:
-        wave = self.wave
-        if flow is self.probe_direct:
-            loser, route, indirect = self.probe_relay, self.direct_route, False
-        else:
-            loser, route, indirect = self.probe_direct, self.relay_route, True
-        self.probe_direct = self.probe_relay = None
-        if loser is not None:
-            wave.net.abort_flow(loser)
-        now = wave.net.sim.now
-        wave.probe_overhead_sum += now - self.t0
-        if indirect:
-            wave.indirect[self.idx] = True
-        wave.start_flow(route, self.size, self.transfer_done)
-
-    def transfer_done(self, flow: FluidFlow) -> None:
-        wave = self.wave
-        now = flow.completed_at
-        assert now is not None
-        wave.latency[self.idx] = now - self.t0
-        wave.throughput[self.idx] = self.size / (now - self.t0)
-        wave.n_completed += 1
-
-
-class _Wave:
-    """Shared per-wave context: the network, counters and result arrays."""
-
-    def __init__(self, net: FluidNetwork, n: int, probe_bytes: float,
-                 max_window: float):
-        self.net = net
-        self.probe_bytes = probe_bytes
-        self.latency = np.full(n, np.nan)
-        self.throughput = np.full(n, np.nan)
-        self.indirect = np.zeros(n, dtype=bool)
-        self.n_completed = 0
-        self.probe_overhead_sum = 0.0
-        self._max_window = max_window
-        #: SlowStartRamp cache keyed by RTT (shared across the population).
-        self._ramps = {}
-
-    def ramp(self, rtt: float) -> SlowStartRamp:
-        ramp = self._ramps.get(rtt)
-        if ramp is None:
-            ramp = SlowStartRamp(rtt=rtt, max_window=self._max_window)
-            self._ramps[rtt] = ramp
-        return ramp
-
-    def start_flow(self, route: Route, size: float, done) -> FluidFlow:
-        return self.net.start_flow(
-            route, size, ramp=self.ramp(route.rtt), on_complete=done,
-        )
-
-
 def _build_routes(
     params: ScaleStudyParams, site: str
 ) -> Tuple[List[Route], List[List[Route]]]:
@@ -309,6 +230,19 @@ def _build_routes(
     return direct, relay
 
 
+def _draw(scenario: Scenario, unit, params: ScaleStudyParams) -> Tuple[np.ndarray, ...]:
+    """Each client's ``(direct tier, relay tier, relay, size class, slot)``."""
+    n = params.clients_per_wave
+    rng = scenario.bank.generator("scale-wave", unit.study, unit.repetition)
+    n_tiers = len(params.tier_rtts)
+    tier_d = rng.integers(0, n_tiers, size=n)
+    tier_r = rng.integers(0, n_tiers, size=n)
+    relay_of = rng.integers(0, params.n_relays, size=n)
+    size_of = rng.integers(0, len(params.size_classes), size=n)
+    slot_of = rng.integers(0, params.start_slots, size=n)
+    return tier_d, tier_r, relay_of, size_of, slot_of
+
+
 def run_scale_unit(
     scenario: Scenario,
     config: SessionConfig,
@@ -319,70 +253,70 @@ def run_scale_unit(
 
     The wave builds its own population-scale topology (the scenario
     contributes the seed bank and the site name); the paper's PlanetLab
-    scenario stays what the plan fingerprints against.
+    scenario stays what the plan fingerprints against.  The race runs as
+    columns on the network's vector core (:mod:`repro.vec.race`).
     """
     if params is None:
         params = ScaleStudyParams()
-    n = params.clients_per_wave
-    rng = scenario.bank.generator("scale-wave", unit.study, unit.repetition)
-    n_tiers = len(params.tier_rtts)
-    tier_d = rng.integers(0, n_tiers, size=n)
-    tier_r = rng.integers(0, n_tiers, size=n)
-    relay_of = rng.integers(0, params.n_relays, size=n)
-    size_of = rng.integers(0, len(params.size_classes), size=n)
-    slot_of = rng.integers(0, params.start_slots, size=n)
+    tier_d, tier_r, relay_of, size_of, slot_of = _draw(scenario, unit, params)
+    direct_routes, relay_routes = _build_routes(params, unit.site)
+    # Route j < n_tiers is tier j's direct route; then tier-major relays.
+    routes = direct_routes + [r for tier in relay_routes for r in tier]
+    ramps = {}
+    for route in routes:
+        ramps.setdefault(
+            route.rtt, SlowStartRamp(rtt=route.rtt, max_window=params.max_window)
+        )
 
     sim = Simulator()
-    net = FluidNetwork(sim)
-    obs = sim.observer
-    direct_routes, relay_routes = _build_routes(params, unit.site)
-
-    wave = _Wave(net, n, params.probe_bytes, params.max_window)
-    clients = [
-        _Client(
-            wave, i, params.size_classes[size_of[i]],
-            direct_routes[tier_d[i]],
-            relay_routes[tier_r[i]][relay_of[i]],
-        )
-        for i in range(n)
-    ]
-    by_slot: List[List[_Client]] = [[] for _ in range(params.start_slots)]
-    for i, client in enumerate(clients):
-        by_slot[slot_of[i]].append(client)
-
-    def launch(batch: List[_Client]):
-        def _go() -> None:
-            for client in batch:
-                client.start()
-        return _go
-
-    for s, batch in enumerate(by_slot):
-        if batch:
-            sim.schedule_at(s * params.slot_spacing, launch(batch),
-                            name=f"scale-slot{s}")
-
+    race = FluidNetwork(sim).start_races(
+        routes,
+        [ramps[route.rtt] for route in routes],
+        params.size_classes,
+        probe_bytes=params.probe_bytes,
+        direct=tier_d,
+        relay=len(direct_routes) + tier_r * params.n_relays + relay_of,
+        size=size_of,
+        slot=slot_of,
+        slot_times=[s * params.slot_spacing for s in range(params.start_slots)],
+    )
     sim.run()
-    if wave.n_completed != n:
+    n = params.clients_per_wave
+    if race.n_completed != n:
         raise RuntimeError(
-            f"scale wave {unit.repetition}: {wave.n_completed}/{n} clients "
+            f"scale wave {unit.repetition}: {race.n_completed}/{n} clients "
             "completed after the event queue drained"
         )
-    makespan = sim.now - 0.0
-
-    lat, thr = wave.latency, wave.throughput
+    obs = sim.observer
     if obs is not None:
         obs.count("scale.clients", float(n))
-        obs.gauge("scale.wave_makespan", makespan)
-        for v in lat:
-            obs.observe_value("scale.client_latency", float(v))
-        for v in thr:
-            obs.observe_value("scale.client_throughput", float(v))
+        obs.gauge("scale.wave_makespan", sim.now)
+        obs.observe_values("scale.client_latency", race.latency)
+        obs.observe_values("scale.client_throughput", race.throughput)
+    return _wave_record(
+        unit, params, size_of, race.latency, race.throughput, race.indirect,
+        race.probe_overhead_sum, makespan=sim.now,
+    )
 
-    indirect = int(np.count_nonzero(wave.indirect))
+
+def _wave_record(
+    unit,
+    params: ScaleStudyParams,
+    size_of: np.ndarray,
+    lat: np.ndarray,
+    thr: np.ndarray,
+    indirect_mask: np.ndarray,
+    probe_overhead_sum: float,
+    *,
+    makespan: float,
+) -> ScaleRecord:
+    """The wave's record, from its per-client result columns."""
+    n = params.clients_per_wave
+    indirect = int(np.count_nonzero(indirect_mask))
     direct_won = n - indirect
     total_bytes = float(np.sum(np.asarray(params.size_classes)[size_of]))
-    mean_ind = float(thr[wave.indirect].mean()) if indirect else 0.0
-    mean_dir = float(thr[~wave.indirect].mean()) if direct_won else 0.0
+    mean_ind = float(thr[indirect_mask].mean()) if indirect else 0.0
+    mean_dir = float(thr[~indirect_mask].mean()) if direct_won else 0.0
 
     def q(a: np.ndarray, p: float) -> float:
         return float(np.quantile(a, p))
@@ -399,10 +333,10 @@ def run_scale_unit(
         direct_throughput=mean_dir,
         selected_throughput=mean_ind,
         end_to_end_throughput=total_bytes / makespan if makespan > 0 else 0.0,
-        probe_overhead=wave.probe_overhead_sum / n,
+        probe_overhead=probe_overhead_sum / n,
         file_bytes=total_bytes,
         n_clients=n,
-        n_completed=wave.n_completed,
+        n_completed=n,
         mean_throughput=float(thr.mean()),
         n_indirect=indirect,
         n_direct=direct_won,

@@ -1,6 +1,8 @@
 """repro.obs.core tests: registry arithmetic, spans, determinism, env gating."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.core import (
     DEFAULT_TRACK,
@@ -13,6 +15,18 @@ from repro.obs.core import (
     reset_global_observer,
     shard_directory_from_env,
 )
+
+
+#: Bucket edges, and values that sit on them, straddle them or break them.
+_EDGES = (-1.0, 0.0, 1e-3, 1.0, 10.0)
+_VALUES = st.one_of(
+    st.sampled_from(
+        [-1.0, 0.0, -0.0, 1e-3, 1.0, 10.0, float("inf"), float("-inf"), float("nan")]
+    ),
+    st.floats(-20.0, 20.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_FIELDS = ("counts", "total", "sum", "min", "max")
 
 
 class TestEnvGating:
@@ -106,6 +120,38 @@ class TestHistogram:
         obs.observe_value("wait", 0.5)
         obs.observe_value("wait", 1.5)
         assert obs.histograms["wait"].total == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        before=st.lists(_VALUES, max_size=3),
+        values=st.lists(_VALUES, max_size=40),
+    )
+    def test_observe_many_equals_a_loop_of_observe(self, before, values):
+        looped = Histogram(bounds=_EDGES)
+        columnar = Histogram(bounds=_EDGES)
+        for v in before:
+            looped.observe(v)
+            columnar.observe(v)
+        for v in values:
+            looped.observe(v)
+        columnar.observe_many(values)
+        # repr tells -0.0 from 0.0 and compares NaN as text.
+        assert [repr(getattr(columnar, f)) for f in _FIELDS] == [
+            repr(getattr(looped, f)) for f in _FIELDS
+        ]
+
+    def test_observer_observe_values(self):
+        columnar = Observer()
+        columnar.observe_values("wait", [0.5, 1.5])
+        columnar.observe_values("wait", [3.0])
+        looped = Observer()
+        for v in (0.5, 1.5, 3.0):
+            looped.observe_value("wait", v)
+        hist = columnar.histograms["wait"]
+        assert hist.bounds == looped.histograms["wait"].bounds
+        assert [getattr(hist, f) for f in _FIELDS] == [
+            getattr(looped.histograms["wait"], f) for f in _FIELDS
+        ]
 
 
 class TestSpans:

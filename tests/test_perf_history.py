@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.perf.history import append_history, main
 
 PROVENANCE = {
@@ -84,3 +86,25 @@ def test_cli_refuses_perfbench_and_missing_ledger(tmp_path, capsys):
                  "--history", str(tmp_path / "h.jsonl")]) == 2
     assert main(["--ledger", str(ledger), "--history", str(tmp_path / "h.jsonl")]) == 0
     assert "1 line(s) appended" in capsys.readouterr().out
+
+
+def test_role_tags_new_lines_and_old_lines_still_load(tmp_path):
+    ledger, history = tmp_path / "ledger.jsonl", tmp_path / "BENCH_history.jsonl"
+    _write(ledger, [_timed("old", "population_wave", 7.0)])
+    assert append_history(str(ledger), str(history)) == 1  # no role: as before
+    _write(ledger, [_timed("p1", "population_wave", 6.5)])
+    assert main(["--ledger", str(ledger), "--history", str(history),
+                 "--role", "parent"]) == 0
+    _write(ledger, [_timed("c1", "population_wave", 4.0)])
+    assert append_history(str(ledger), str(history), role="change") == 1
+
+    lines = _lines(history)
+    assert [(line["run_id"], line.get("role")) for line in lines] == [
+        ("old", None), ("p1", "parent"), ("c1", "change"),
+    ]
+    # A history holding role-less lines is read like any other.
+    assert append_history(str(ledger), str(history), role="draft") == 0
+    with pytest.raises(ValueError):
+        append_history(str(ledger), str(history), role="baseline")
+    with pytest.raises(SystemExit):
+        main(["--ledger", str(ledger), "--history", str(history), "--role", "x"])

@@ -1,20 +1,42 @@
 """Scale study tests: records, planner, runner, analysis, CLI, perf report."""
 
+import contextlib
+import dataclasses
 import json
 import math
 import os
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.scale import render_scale, scale_totals
 from repro.cli import main
+from repro.net.link import Link
+from repro.net.route import Route
+from repro.net.trace import CapacityTrace
 from repro.obs.core import OBS_DIR_ENV_VAR, OBS_ENV_VAR, reset_global_observer
 from repro.perf import BENCHES, BenchReport, BenchSpec, format_report
+from repro.sim.errors import TransferError
+from repro.sim.simulator import Simulator
+from repro.tcp.flow import FluidFlow
+from repro.tcp.fluid import FluidNetwork
+from repro.tcp.model import SlowStartRamp
 from repro.trace.records import ScaleRecord, TransferRecord
 from repro.trace.store import TraceStore
-from repro.workloads.scale import ScaleStudyParams, plan_scale, relay_names
+from repro.vec.race import ProbeRace
+from repro.workloads import scale as scale_module
+from repro.workloads.scale import (
+    ScaleStudyParams,
+    plan_scale,
+    relay_names,
+    run_scale_unit,
+)
+from tests import scale_oracle
 from tests.engines import forced_engine
+from tests.scale_oracle import run_oracle_unit
 
 
 def _record(**overrides):
@@ -172,15 +194,22 @@ class TestRunnerIntegration:
     def test_classic_engine_is_byte_identical(
         self, section2_scenario, tiny_campaign
     ):
-        """Per-object tick vs vector core on the same small population."""
+        """The columnar race vs one FluidFlow per probe and transfer, on the
+        per-object tick (300 flows at most: never promotes) and on the
+        vector core from the first flow."""
         from repro.runner.pool import execute_plan
 
-        plan, classic_store = tiny_campaign  # 300 flows at most: never promotes
-        with forced_engine(True):
-            vector = execute_plan(plan, scenario=section2_scenario, jobs=1)
-        assert [r.to_dict() for r in vector.store.records] == [
-            r.to_dict() for r in classic_store.records
-        ]
+        plan, store = tiny_campaign
+        columnar = [r.to_dict() for r in store.records]
+        for vector in (False, True):
+            with forced_engine(True) if vector else contextlib.nullcontext():
+                oracle = execute_plan(
+                    plan, scenario=section2_scenario, jobs=1,
+                    run_unit_fn=lambda sc, cfg, unit: run_oracle_unit(
+                        sc, cfg, unit, plan.extra
+                    ),
+                )
+            assert [r.to_dict() for r in oracle.store.records] == columnar
 
     def test_rows_round_trip_through_store(self, tiny_campaign, tmp_path):
         _plan, store = tiny_campaign
@@ -190,6 +219,150 @@ class TestRunnerIntegration:
         assert [r.to_dict() for r in loaded.records] == [
             r.to_dict() for r in store.records
         ]
+
+
+def _unit(scenario, params, repetition=0):
+    return plan_scale(scenario, waves=repetition + 1, params=params).units[repetition]
+
+
+def _records(scenario, params, repetition=0):
+    """The columnar wave's record and the oracle's, at the default
+    promotion bound and on the vector core from the first flow.
+
+    Not under a never-promoting bound: the per-object tick's dense solve
+    above 384 flows agrees with the sparse solver only to round-off."""
+    unit = _unit(scenario, params, repetition)
+    columnar = run_scale_unit(scenario, None, unit, params).to_dict()
+    oracle = [run_oracle_unit(scenario, None, unit, params).to_dict()]
+    with forced_engine(True):
+        oracle.append(run_oracle_unit(scenario, None, unit, params).to_dict())
+    return columnar, oracle
+
+
+class TestColumnarRace:
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_tied_probes_go_to_the_direct_probe(self, section2_scenario, n):
+        # One tier and no relay overhead: both probes of every client
+        # complete in one tick, and the earlier row (direct) wins.
+        params = ScaleStudyParams(
+            clients_per_wave=n, tier_rtts=(0.024,), relay_rtt_factor=1.0
+        )
+        columnar, oracle = _records(section2_scenario, params)
+        assert columnar["n_completed"] == n
+        assert columnar["n_indirect"] == 0 and columnar["n_direct"] == n
+        assert oracle == [columnar, columnar]
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        n=st.one_of(st.integers(1, 60), st.integers(150, 400)),
+        tiers=st.lists(
+            st.sampled_from([0.012, 0.024, 0.03, 0.072, 0.2]),
+            min_size=1, max_size=3, unique=True,
+        ),
+        relays=st.integers(1, 4),
+        slots=st.integers(1, 3),
+        spacing=st.sampled_from([0.0, 0.01, 0.5]),
+        sizes=st.lists(
+            st.sampled_from([2e4, 64e3, 2.5e5, 1e6]), min_size=1, max_size=3
+        ),
+        factor=st.sampled_from([1.0, 1.25]),
+        repetition=st.integers(0, 3),
+    )
+    def test_records_match_the_per_object_oracle(
+        self, section2_scenario, n, tiers, relays, slots, spacing, sizes,
+        factor, repetition,
+    ):
+        params = ScaleStudyParams(
+            clients_per_wave=n,
+            tier_rtts=tuple(tiers),
+            n_relays=relays,
+            start_slots=slots,
+            slot_spacing=spacing,
+            size_classes=tuple(sizes),
+            relay_rtt_factor=factor,
+        )
+        columnar, oracle = _records(section2_scenario, params, repetition)
+        assert oracle == [columnar, columnar]
+
+    @pytest.mark.parametrize("factor", [1.0, 1.25])
+    def test_rows_activate_in_the_per_object_order(self, section2_scenario, factor):
+        """Every activation instant takes the same (client, kind) rows in
+        the same order as the per-object race activates its flows."""
+
+        params = ScaleStudyParams(
+            clients_per_wave=300, tier_rtts=(0.024, 0.03, 0.072),
+            relay_rtt_factor=factor, start_slots=3, slot_spacing=0.01,
+            size_classes=(2e4, 64e3, 2.5e5),
+        )
+        unit = _unit(section2_scenario, params)
+
+        kind_of = {}
+        activated = []
+        start_flow = scale_oracle._Wave.start_flow
+        activate = FluidFlow._activate
+
+        def record_start(wave, route, size, done):
+            flow = start_flow(wave, route, size, done)
+            client = done.__self__
+            kind = 2 if done.__name__ == "transfer_done" else int(
+                route is client.relay_route
+            )
+            kind_of[flow.id] = (client.idx, kind)
+            return flow
+
+        def record_activate(flow, now):
+            activate(flow, now)
+            activated.append((now, kind_of[flow.id]))
+
+        with mock.patch.object(scale_oracle._Wave, "start_flow", record_start), \
+                mock.patch.object(FluidFlow, "_activate", record_activate):
+            run_oracle_unit(section2_scenario, None, unit, params)
+
+        rows = []
+        flush = ProbeRace.flush
+
+        def record_flush(race):
+            for clients, kinds, _routes, at in race.pending:
+                rows.extend((at, (c, k)) for c, k in zip(clients.tolist(), kinds.tolist()))
+            flush(race)
+
+        with mock.patch.object(ProbeRace, "flush", record_flush):
+            run_scale_unit(section2_scenario, None, unit, params)
+        assert len(rows) == len(activated) > 2 * params.clients_per_wave
+        assert rows == activated
+
+    def test_wave_builds_no_fluid_flow(self, section2_scenario):
+        params = ScaleStudyParams(clients_per_wave=500)
+        with mock.patch.object(
+            FluidFlow, "__init__", side_effect=AssertionError("a FluidFlow")
+        ):
+            record = run_scale_unit(
+                section2_scenario, None, _unit(section2_scenario, params), params
+            )
+        assert record.n_completed == 500
+
+    def test_a_network_runs_a_race_or_object_flows(self):
+        route = Route([Link("l", "a", "b", CapacityTrace.constant(1e6), delay=0.01)])
+        race = dict(
+            probe_bytes=1e3, direct=[0], relay=[0], size=[0], slot=[0],
+            slot_times=[0.0],
+        )
+        ramp = SlowStartRamp(rtt=route.rtt, max_window=65_536.0)
+        net = FluidNetwork(Simulator())
+        net.start_races([route], [ramp], [1e4], **race)
+        assert net.vector
+        with pytest.raises(TransferError):
+            net.start_flow(route, 1e4)
+        with pytest.raises(TransferError):
+            net.start_races([route], [ramp], [1e4], **race)
+        net = FluidNetwork(Simulator())
+        net.start_flow(route, 1e4)
+        with pytest.raises(TransferError):
+            net.start_races([route], [ramp], [1e4], **race)
 
 
 @contextmanager
@@ -248,12 +421,21 @@ class TestCli:
         assert out.read_bytes() == plain_artefact
         assert (tmp_path / "scale.jsonl.obs.jsonl").exists()
 
-    def test_classic_engine_byte_identical(self, plain_artefact, tmp_path):
-        # The plain run's 150 clients never promote; force the vector core.
-        out = tmp_path / "scale.jsonl"
-        with forced_engine(True):
-            _run_cli(SCALE_ARGS + ["--out", str(out)])
-        assert out.read_bytes() == plain_artefact
+    def test_classic_engine_byte_identical(
+        self, plain_artefact, tmp_path, monkeypatch
+    ):
+        # The same CLI run with the per-object oracle as the unit runner,
+        # on the per-object tick and on the vector core from the first flow.
+        monkeypatch.setattr(
+            scale_module,
+            "STUDY",
+            dataclasses.replace(scale_module.STUDY, run_unit=run_oracle_unit),
+        )
+        for vector in (False, True):
+            out = tmp_path / f"scale-{vector}.jsonl"
+            with forced_engine(True) if vector else contextlib.nullcontext():
+                _run_cli(SCALE_ARGS + ["--out", str(out)])
+            assert out.read_bytes() == plain_artefact
 
     def test_renders_study_table(self, tmp_path, capsys):
         out = tmp_path / "scale.jsonl"

@@ -273,11 +273,10 @@ class TestVectorOracleIdentity:
             vector = _run(specs, True, sample_times=SAMPLE_TIMES)
         assert vector == _run(specs, False, sample_times=SAMPLE_TIMES)
 
-    def test_shared_population_refcounts_across_compaction(self, monkeypatch):
+    def test_shared_population_refcounts_across_compaction(self):
         """300 flows on 4 shared routes, inside the dense window, with
         aborts (queued releases) and enough retirements to compact: still
         bit-identical, and the refcount recount holds after every tick."""
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # it pins per-object
         specs = _shared_problem(
             np.random.default_rng(5), n_links=6, n_flows=300, n_routes=4,
             dynamic=True,
@@ -312,9 +311,6 @@ class TestVectorOracleIdentity:
         assert run(True) == run(False)
 
     def test_promotion_bound_selects_engine(self, monkeypatch, pytestconfig):
-        # The runtime sanitizer pins the per-object tick, so an ambient
-        # REPRO_SANITIZE=1 must not leak into the choice under test.
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         link = Link("l0", "a", "b", CapacityTrace.constant(1e6), delay=0.01)
 
         def promoted(sim, n_flows=1):
@@ -333,7 +329,7 @@ class TestVectorOracleIdentity:
         assert promoted(Simulator(), 385) is True
         with forced_engine(True):
             assert promoted(Simulator()) is True
-            assert promoted(Simulator(sanitize=True)) is False
+            assert promoted(Simulator(sanitize=True)) is True
         with forced_engine(False):
             assert promoted(Simulator(), 385) is False
 
@@ -378,8 +374,7 @@ class TestBufferedAborts:
     """Aborts of flows still in the activation buffer cost O(1): the flush
     skips flows that are no longer active."""
 
-    def test_half_of_a_batch_aborted_before_the_first_tick(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # it pins per-object
+    def test_half_of_a_batch_aborted_before_the_first_tick(self):
         link = Link("l0", "a", "b", CapacityTrace.constant(1e6), delay=0.01)
         route = Route([link])
 
@@ -434,8 +429,7 @@ class TestLinkNameConflicts:
             _run(specs, vec)
 
     @pytest.mark.parametrize("order", [(0, 1), (0, 1, 0), (1, 0, 1, 0)])
-    def test_equal_traces_merge(self, order, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # it pins per-object
+    def test_equal_traces_merge(self, order):
         specs = self._specs(order, CapacityTrace.constant(1e6))
         nets = []
         vector = _run(specs, True, sample_times=SAMPLE_TIMES, nets=nets)
@@ -463,8 +457,7 @@ class TestPromotion:
             if spec["delay"] <= t < completions[f"f{i}"]
         )
 
-    def test_promoted_run_matches_vector_and_classic_runs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    def test_promoted_run_matches_vector_and_classic_runs(self):
         specs = self._growing_population()
         nets = []
         promoted = _run(specs, sample_times=SAMPLE_TIMES, nets=nets)
@@ -486,15 +479,16 @@ class TestPromotion:
             assert completions[name] == pytest.approx(t, rel=1e-9)
         assert promoted[1] == pytest.approx(classic[1], rel=1e-9)
 
-    def test_sanitized_simulator_never_promotes(self):
+    def test_sanitized_simulator_promotes(self):
         link = Link("l0", "a", "b", CapacityTrace.constant(1e6), delay=0.01)
         sim = Simulator(sanitize=True)
         net = FluidNetwork(sim)
         flows = [
             net.start_flow(Route([link]), 1e3, activation_delay=0.0)
-            for _ in range(400)
+            for _ in range(385)
         ]
         sim.run()
-        assert not net.vector
+        assert net.vector
         assert all(f.done for f in flows)
         assert sim.sanitizer.checks_run > 0
+        assert not sim.sanitizer.violations

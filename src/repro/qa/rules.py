@@ -344,7 +344,7 @@ _INVARIANT_LIST: Tuple[Invariant, ...] = (
         name="maxmin-allocation-valid",
         summary=(
             "every rate vector the engine installs is feasible, cap-respecting "
-            "and max-min fair (verify_maxmin post-condition)"
+            "and max-min fair (the certify_maxmin post-condition)"
         ),
         hint="repro.tcp.maxmin.maxmin_allocate returned an invalid allocation",
     ),

@@ -258,52 +258,25 @@ class Sanitizer:
         self,
         now: float,
         capacities: np.ndarray,
-        incidence: np.ndarray,
-        caps: np.ndarray,
-        rates: np.ndarray,
-        link_names: Sequence[str],
-    ) -> None:
-        """Validate a freshly installed rate allocation.
-
-        QA-R006 (blackout fault windows, when any are registered) runs
-        first, then QA-R004 (per-link capacity) with a precise per-link
-        diagnostic, then QA-R003 runs the full max-min post-condition
-        (feasibility + cap-respect + fairness).
-        """
-        self.checks_run += 1
-        load = incidence @ rates if incidence.size else np.zeros(len(link_names))
-        if self._blackout_violated(now, capacities, link_names, lambda: load):
-            return
-        if self._overload_violated(now, capacities, load, link_names):
-            return  # the fairness check would only repeat the same failure
-        # Local import: repro.tcp pulls in the fluid engine, which imports the
-        # simulator; importing it at module scope would create a cycle.
-        from repro.tcp.maxmin import verify_maxmin
-
-        if not verify_maxmin(capacities, incidence, rates, caps, rtol=CAPACITY_RTOL):
-            self._report_unfair(now, rates.size, len(link_names))
-
-    def check_allocation_sparse(
-        self,
-        now: float,
-        capacities: np.ndarray,
         lids: np.ndarray,
         frow: np.ndarray,
         caps: np.ndarray,
         rates: np.ndarray,
         link_names: Sequence[str],
     ) -> None:
-        """:meth:`check_allocation` over a vector core's sparse incidence.
+        """Validate a freshly installed rate allocation.
 
-        ``capacities`` and ``link_names`` cover the core's link table;
+        ``capacities`` and ``link_names`` cover the engine's link table;
         entry ``i`` of ``lids``/``frow`` says flow ``frow[i]`` crosses link
         ``lids[i]``.  QA-R006 polices the registered blackout links in use;
         then :func:`repro.vec.solver.certify_maxmin` checks the max-min
-        post-condition in O(nnz), and only a failed certificate pays for
-        the per-link loads that tell QA-R004 (an overloaded link) from
-        QA-R003.
+        post-condition (feasibility, cap respect, fairness) in O(nnz), and
+        only a failed certificate pays for the per-link loads that tell
+        QA-R004 (an overloaded link) from QA-R003.
         """
-        from repro.vec.solver import certify_maxmin  # same cycle as above
+        # Local import: repro.vec pulls in the fluid engine, which imports
+        # the simulator; importing it at module scope would create a cycle.
+        from repro.vec.solver import certify_maxmin
 
         self.checks_run += 1
         m = capacities.shape[0]
@@ -326,17 +299,17 @@ class Sanitizer:
         capacities: np.ndarray,
         link_names: Sequence[str],
         loads: Callable[[], np.ndarray],
-        used: Optional[np.ndarray] = None,
+        used: np.ndarray,
     ) -> bool:
-        """QA-R006 over the links (those ``used``, when given) inside a
-        registered blackout window at ``now``; ``loads()`` gives the
-        per-link loads and runs only when such a link has no capacity."""
+        """QA-R006 over the ``used`` links inside a registered blackout
+        window at ``now``; ``loads()`` gives the per-link loads and runs
+        only when such a link has no capacity."""
         if not self.fault_windows:
             return False
         load = None
         for i, name in enumerate(link_names):
             spans = self.fault_windows.get(str(name))
-            if not spans or (used is not None and not used[i]):
+            if not spans or not used[i]:
                 continue
             if not any(t0 <= now < t1 for t0, t1 in spans):
                 continue

@@ -99,11 +99,11 @@ def _check_link_capacity() -> CheckResult:
     """QA-R004 must catch an oversubscribed link."""
     sanitizer = Sanitizer(mode="collect")
     capacities = np.array([100.0])
-    incidence = np.array([[True, True]])
+    lids, frow = np.array([0, 0]), np.array([0, 1])  # both flows cross link 0
     caps = np.array([np.inf, np.inf])
     rates = np.array([80.0, 80.0])  # 160 > 100: infeasible
     sanitizer.check_allocation(
-        0.0, capacities, incidence, caps, rates, ["access:stub"]
+        0.0, capacities, lids, frow, caps, rates, ["access:stub"]
     )
     return _expect_violation(sanitizer, "QA-R004", "link-capacity-respected fires")
 
@@ -112,11 +112,11 @@ def _check_allocation_fairness() -> CheckResult:
     """QA-R003 must catch a feasible but non-max-min allocation."""
     sanitizer = Sanitizer(mode="collect")
     capacities = np.array([100.0])
-    incidence = np.array([[True, True]])
+    lids, frow = np.array([0, 0]), np.array([0, 1])  # both flows cross link 0
     caps = np.array([np.inf, np.inf])
     rates = np.array([10.0, 20.0])  # link not full, flow 0 not bottlenecked
     sanitizer.check_allocation(
-        0.0, capacities, incidence, caps, rates, ["access:stub"]
+        0.0, capacities, lids, frow, caps, rates, ["access:stub"]
     )
     return _expect_violation(sanitizer, "QA-R003", "maxmin-allocation-valid fires")
 
@@ -154,10 +154,10 @@ def _check_fault_window_blackout() -> CheckResult:
     sanitizer = Sanitizer(mode="collect")
     sanitizer.watch_fault_windows({"wan:stub": [(5.0, 15.0)]})
     capacities = np.array([100.0])
-    incidence = np.array([[True]])
+    lids, frow = np.array([0]), np.array([0])
     caps = np.array([np.inf])
     rates = np.array([50.0])  # link is supposed to be dead at t=10
-    sanitizer.check_allocation(10.0, capacities, incidence, caps, rates, ["wan:stub"])
+    sanitizer.check_allocation(10.0, capacities, lids, frow, caps, rates, ["wan:stub"])
     return _expect_violation(sanitizer, "QA-R006", "fault-window-blackout fires")
 
 

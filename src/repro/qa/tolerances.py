@@ -15,10 +15,11 @@ __all__ = [
     "TIME_ORDER_ATOL",
 ]
 
-#: Relative slack when comparing per-link load against capacity (QA-R003/4).
+#: Relative slack when comparing per-link load against capacity (QA-R003/4),
+#: used by the max-min certificate (``repro.vec.solver.certify_maxmin``).
 #: The allocator freezes flows with a 1e-9 relative epsilon and accumulates
-#: float rounding across O(F) water-filling iterations; 1e-6 matches the
-#: ``verify_maxmin`` default used by the property-based test suite.
+#: float rounding across O(F) water-filling iterations; 1e-6 leaves three
+#: orders of magnitude of headroom over that.
 CAPACITY_RTOL: float = 1e-6
 
 #: Absolute slack (bytes) on delivered-vs-requested accounting (QA-R002).

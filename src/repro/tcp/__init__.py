@@ -3,7 +3,7 @@
 from repro.tcp.cross_traffic import CrossTrafficConfig, CrossTrafficSource
 from repro.tcp.flow import FlowState, FluidFlow
 from repro.tcp.fluid import FluidNetwork
-from repro.tcp.maxmin import maxmin_allocate, verify_maxmin
+from repro.tcp.maxmin import maxmin_allocate
 from repro.tcp.model import (
     DEFAULT_INITIAL_WINDOW,
     DEFAULT_MAX_WINDOW,
@@ -33,7 +33,6 @@ __all__ = [
     "FluidFlow",
     "FluidNetwork",
     "maxmin_allocate",
-    "verify_maxmin",
     "RenoConfig",
     "RenoResult",
     "simulate_reno_transfer",

@@ -60,7 +60,7 @@ A network runs either a race or object flows, never both.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,8 +110,9 @@ class _AllocState:
     routes are immutable while active, and capacity traces are immutable
     always, so only set membership can invalidate this.  ``disjoint`` (no
     link carries two flows) is a property of the structure and is decided
-    once here rather than on every tick.  The dense ``incidence`` matrix is
-    built on first use: only the numpy solve and the sanitizer read it.
+    once here rather than on every tick.  The dense ``incidence`` matrix
+    (read by the numpy solve) and the ``coords`` lists (read by the
+    sanitizer) are built on first use.
     """
 
     __slots__ = (
@@ -122,6 +123,7 @@ class _AllocState:
         "flow_links",
         "disjoint",
         "_incidence",
+        "_coords",
     )
 
     def __init__(
@@ -141,6 +143,7 @@ class _AllocState:
         # pairs number no more than the links.
         self.disjoint = sum(len(idxs) for idxs in flow_links) == len(links)
         self._incidence: Optional[np.ndarray] = None
+        self._coords: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def incidence(self) -> np.ndarray:
@@ -148,6 +151,21 @@ class _AllocState:
         if self._incidence is None:
             self._incidence = incidence_matrix(len(self.links), self.flow_links)
         return self._incidence
+
+    @property
+    def coords(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The incidence as coordinate lists ``(lids, frow)``: entry ``i``
+        says flow ``frow[i]`` crosses link ``lids[i]``."""
+        if self._coords is None:
+            lids = np.fromiter(
+                (i for idxs in self.flow_links for i in idxs), dtype=np.int64
+            )
+            frow = np.repeat(
+                np.arange(len(self.flow_links), dtype=np.int64),
+                [len(idxs) for idxs in self.flow_links],
+            )
+            self._coords = (lids, frow)
+        return self._coords
 
 
 class FluidNetwork:
@@ -504,8 +522,9 @@ class FluidNetwork:
             ).tolist()
         if sanitizer is not None:
             # Checks the rates the solver that ran returned.
+            lids, frow = state.coords
             sanitizer.check_allocation(
-                now, np.array(capv), state.incidence, np.array(capl),
+                now, np.array(capv), lids, frow, np.array(capl),
                 np.array(rates), state.link_names,
             )
         for flow, rate in zip(flows, rates):

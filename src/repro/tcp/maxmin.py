@@ -21,8 +21,8 @@ the campaign-dominant shapes in O(L*F) total:
   relay paths) each receive ``min(bottleneck, cap)`` directly.
 
 Both fast paths produce the same allocation as the progressive-filling loop;
-the property-based suite cross-checks them against the loop and
-:func:`verify_maxmin` on random topologies.
+the property-based suite cross-checks them against the loop and a dense
+max-min oracle on random topologies.
 
 :func:`maxmin_scalar` runs the same progressive-filling rounds in plain
 Python floats over per-flow link lists.  It returns the reference loop's
@@ -44,7 +44,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.obs.core import Observer
 
-__all__ = ["incidence_matrix", "maxmin_allocate", "maxmin_scalar", "verify_maxmin"]
+__all__ = ["incidence_matrix", "maxmin_allocate", "maxmin_scalar"]
 
 #: Relative slack used when comparing rates/capacities.
 _EPS = 1e-9
@@ -349,50 +349,3 @@ def maxmin_scalar(
             observer.count("maxmin.progressive_rounds", rounds)
     return rates
 
-
-def verify_maxmin(
-    capacities: np.ndarray,
-    incidence: np.ndarray,
-    rates: np.ndarray,
-    caps: Optional[np.ndarray] = None,
-    *,
-    rtol: float = 1e-6,
-) -> bool:
-    """Check feasibility, cap-respect and max-min optimality of ``rates``.
-
-    A rate vector is max-min fair iff every flow is *saturated*: it either
-    sits at its cap, or crosses at least one bottleneck link - a link that is
-    full and on which this flow has the maximal rate.  Used by tests and the
-    property-based suite.
-    """
-    c = np.asarray(capacities, dtype=np.float64)
-    a = np.asarray(incidence, dtype=bool)
-    r = np.asarray(rates, dtype=np.float64)
-    n_links, n_flows = a.shape
-    caps_arr = np.full(n_flows, np.inf) if caps is None else np.asarray(caps, dtype=np.float64)
-
-    if np.any(r < -rtol):
-        return False
-    load = a @ r
-    scale = np.maximum(c, 1.0)
-    if np.any(load > c + rtol * scale):
-        return False  # infeasible
-    if np.any(r > caps_arr * (1.0 + rtol) + rtol):
-        return False  # cap violated
-
-    for f in range(n_flows):
-        if caps_arr[f] <= r[f] * (1.0 + rtol) + rtol:
-            continue  # saturated at its cap
-        links_f = np.flatnonzero(a[:, f])
-        bottlenecked = False
-        for l in links_f:
-            full = load[l] >= c[l] - rtol * scale[l]
-            if not full:
-                continue
-            others = a[l, :]
-            if r[f] >= np.max(r[others]) - rtol * max(r[f], 1.0):
-                bottlenecked = True
-                break
-        if not bottlenecked:
-            return False
-    return True

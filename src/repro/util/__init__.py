@@ -10,7 +10,6 @@ from repro.util.stats import (
     percentile,
     rms,
     summarize,
-    weighted_mean,
 )
 from repro.util.svg import svg_grouped_bars, svg_histogram, svg_line_chart
 from repro.util.tables import render_histogram, render_kv, render_series, render_table
@@ -37,7 +36,6 @@ __all__ = [
     "percent_histogram",
     "fraction_between",
     "fraction_below",
-    "weighted_mean",
     "percentile",
     "coefficient_of_variation",
     "TrendResult",

@@ -16,7 +16,7 @@ share one ``Generator`` across logically distinct processes.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -100,9 +100,3 @@ class SeedBank:
 
     def __hash__(self) -> int:
         return hash(("SeedBank", self._root))
-
-
-def interleave_labels(labels: Iterable[Label]) -> Tuple[Label, ...]:
-    """Normalise an iterable of labels to a tuple (helper for callers that
-    build label paths programmatically)."""
-    return tuple(labels)

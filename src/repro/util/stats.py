@@ -21,7 +21,6 @@ __all__ = [
     "percent_histogram",
     "fraction_between",
     "fraction_below",
-    "weighted_mean",
     "percentile",
     "coefficient_of_variation",
     "finite_mean",
@@ -125,18 +124,6 @@ def fraction_below(values: Sequence[float], threshold: float) -> float:
     if arr.size == 0:
         return float("nan")
     return float(np.mean(arr < threshold))
-
-
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted mean; raises on mismatched lengths or zero total weight."""
-    v = _as_array(values)
-    w = _as_array(weights)
-    if v.size != w.size:
-        raise ValueError(f"values and weights differ in length ({v.size} != {w.size})")
-    total = float(np.sum(w))
-    if total <= 0.0:
-        raise ValueError("total weight must be positive")
-    return float(np.dot(v, w) / total)
 
 
 def percentile(values: Sequence[float], q: float) -> float:

@@ -8,7 +8,7 @@ uniform.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -84,10 +84,3 @@ def check_same_length(a: Sequence[Any], b: Sequence[Any], name_a: str, name_b: s
             f"{name_a} and {name_b} must have the same length "
             f"({len(a)} != {len(b)})"
         )
-
-
-def optional_positive(value: Optional[float], name: str) -> Optional[float]:
-    """Validate an optional positive float (``None`` passes through)."""
-    if value is None:
-        return None
-    return check_positive(value, name)

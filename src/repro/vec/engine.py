@@ -508,7 +508,7 @@ class VectorCore:
                 obs.count("vec.solve_sparse")
         if sanitizer is not None:
             m = len(self._links)
-            sanitizer.check_allocation_sparse(
+            sanitizer.check_allocation(
                 now, self._link_cap[:m], lids, frow, caps, rates,
                 [link.name for link in self._links],
             )

@@ -24,6 +24,8 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
+from repro.qa.tolerances import CAPACITY_RTOL as _RTOL
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.core import Observer
 
@@ -31,9 +33,6 @@ __all__ = ["certify_maxmin", "waterfill_sparse"]
 
 #: Relative slack when comparing rates/capacities (== repro.tcp.maxmin._EPS).
 _EPS = 1e-9
-#: :func:`certify_maxmin`'s relative slack (== the sanitizer's
-#: repro.qa.tolerances.CAPACITY_RTOL, which it passes to ``verify_maxmin``).
-_RTOL = 1e-6
 
 
 def waterfill_sparse(
@@ -123,8 +122,8 @@ def certify_maxmin(
 ) -> bool:
     """True when ``rates`` is a max-min fair allocation, checked in O(nnz).
 
-    The sparse counterpart of :func:`repro.tcp.maxmin.verify_maxmin`, with
-    its tolerances.  Arguments are :func:`waterfill_sparse`'s inputs plus
+    Every comparison allows :data:`repro.qa.tolerances.CAPACITY_RTOL` of
+    relative slack.  Arguments are :func:`waterfill_sparse`'s inputs plus
     the ``(n_flows,)`` rates to certify.  Three properties are checked:
 
     * feasibility - each link's load is at most its capacity (+ slack);

@@ -30,9 +30,10 @@ from repro.net.trace import CapacityTrace, TraceCursor
 from repro.sim.errors import TransferError
 from repro.sim.simulator import Simulator
 from repro.tcp.fluid import FluidNetwork
-from repro.tcp.maxmin import maxmin_allocate, verify_maxmin
+from repro.tcp.maxmin import maxmin_allocate
 from repro.tcp.model import SlowStartRamp
 from tests.engines import forced_engine
+from tests.maxmin_oracle import verify_maxmin
 
 
 def _well_separated(values):

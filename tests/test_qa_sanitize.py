@@ -161,7 +161,8 @@ class TestAllocation:
         sanitizer.check_allocation(
             0.0,
             capacities=np.array([100.0]),
-            incidence=np.array([[True, True]]),
+            lids=np.array([0, 0]),
+            frow=np.array([0, 1]),
             caps=np.array([np.inf, np.inf]),
             rates=np.array([80.0, 80.0]),
             link_names=["access"],
@@ -177,7 +178,8 @@ class TestAllocation:
         sanitizer.check_allocation(
             0.0,
             capacities=np.array([100.0]),
-            incidence=np.array([[True, True]]),
+            lids=np.array([0, 0]),
+            frow=np.array([0, 1]),
             caps=np.array([np.inf, np.inf]),
             rates=np.array([10.0, 20.0]),  # link idle, flow 0 unbottlenecked
             link_names=["access"],
@@ -189,7 +191,8 @@ class TestAllocation:
         sanitizer.check_allocation(
             0.0,
             capacities=np.array([100.0]),
-            incidence=np.array([[True, True]]),
+            lids=np.array([0, 0]),
+            frow=np.array([0, 1]),
             caps=np.array([np.inf, np.inf]),
             rates=np.array([50.0, 50.0]),
             link_names=["access"],
@@ -351,7 +354,8 @@ class TestFaultWindowBlackout:
         sanitizer.check_allocation(
             now,
             np.array([capacity]),
-            np.array([[True]]),
+            np.array([0]),
+            np.array([0]),
             np.array([np.inf]),
             np.array([rate]),
             ["wan:site->client"],

@@ -5,8 +5,8 @@ import dataclasses
 import pytest
 
 from repro.cli import build_parser, plan_study
-from repro.core.history import HistoryRankedPolicy
 from repro.core.random_set import UniformRandomSetPolicy
+from repro.core.weighted import UtilizationWeightedPolicy
 from repro.runner.plan import (
     CampaignPlan,
     WorkUnit,
@@ -143,13 +143,13 @@ class TestFingerprint:
 class TestSection4Plans:
     def test_stateless_detection(self):
         assert policy_is_stateless(UniformRandomSetPolicy(4))
-        assert not policy_is_stateless(HistoryRankedPolicy(4))
+        assert not policy_is_stateless(UtilizationWeightedPolicy(4))
 
     def test_stateful_policy_refused(self, section4_scenario):
         with pytest.raises(ValueError, match="adapts to feedback"):
             plan_section4_policy(
                 section4_scenario,
-                HistoryRankedPolicy(4),
+                UtilizationWeightedPolicy(4),
                 repetitions=2,
                 interval=30.0,
                 config=SECTION4_SESSION_CONFIG,

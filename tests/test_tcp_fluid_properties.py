@@ -16,7 +16,7 @@ from repro.net.route import Route
 from repro.net.trace import CapacityTrace
 from repro.sim.simulator import Simulator
 from repro.tcp.fluid import FluidNetwork
-from repro.tcp.maxmin import verify_maxmin
+from tests.maxmin_oracle import verify_maxmin
 
 
 @st.composite
@@ -137,6 +137,26 @@ class TestInstantaneousFairness:
                 inc[int(link.name[1:]), j] = True
         rates = np.array([f.rate for f in active])
         assert verify_maxmin(caps, inc, rates, rtol=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(fluid_problems())
+    def test_sanitizer_coords_match_the_dense_incidence(self, problem):
+        """The coordinate lists the per-object tick hands the sanitizer
+        encode exactly the dense incidence its numpy solve reads."""
+        links, flows = problem
+        sim = Simulator()
+        net = FluidNetwork(sim)
+        for idxs, size in flows:
+            net.start_flow(Route([links[i] for i in idxs]), size, activation_delay=0.0)
+        sim.run(until=0.0)
+        state = net._alloc_state
+        if state is None:  # promoted to the vector core: no per-object state
+            return
+        lids, frow = state.coords
+        assert lids.size == np.count_nonzero(state.incidence)
+        dense = np.zeros_like(state.incidence)
+        dense[lids, frow] = True
+        assert np.array_equal(dense, state.incidence)
 
 
 class TestSchedulingSanity:

@@ -11,13 +11,9 @@ from hypothesis import strategies as st
 from repro.obs.core import Observer
 from repro.perf import benches
 from repro.tcp import maxmin
-from repro.tcp.maxmin import (
-    incidence_matrix,
-    maxmin_allocate,
-    maxmin_scalar,
-    verify_maxmin,
-)
+from repro.tcp.maxmin import incidence_matrix, maxmin_allocate, maxmin_scalar
 from repro.vec.solver import certify_maxmin
+from tests.maxmin_oracle import verify_maxmin
 
 
 def alloc(caps, inc, flow_caps=None):

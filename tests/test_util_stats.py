@@ -16,7 +16,6 @@ from repro.util.stats import (
     percentile,
     rms,
     summarize,
-    weighted_mean,
 )
 
 finite_floats = st.floats(
@@ -102,19 +101,6 @@ class TestFractions:
     def test_empty_nan(self):
         assert math.isnan(fraction_between([], 0, 1))
         assert math.isnan(fraction_below([], 0))
-
-
-class TestWeightedMean:
-    def test_basic(self):
-        assert weighted_mean([1.0, 3.0], [1.0, 3.0]) == pytest.approx(2.5)
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1.0], [1.0, 2.0])
-
-    def test_zero_weight_raises(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1.0], [0.0])
 
 
 class TestPercentile:

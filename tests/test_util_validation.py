@@ -10,7 +10,6 @@ from repro.util.validation import (
     check_probability,
     check_same_length,
     check_sorted,
-    optional_positive,
     require,
 )
 
@@ -74,9 +73,3 @@ class TestSequences:
         check_same_length([1], [2], "a", "b")
         with pytest.raises(ValueError, match="same length"):
             check_same_length([1], [2, 3], "a", "b")
-
-    def test_optional_positive(self):
-        assert optional_positive(None, "x") is None
-        assert optional_positive(2.0, "x") == 2.0
-        with pytest.raises(ValueError):
-            optional_positive(-1.0, "x")

@@ -445,7 +445,7 @@ def _bench_tick_breakpoint(quick: bool) -> Dict[str, Any]:
 # --------------------------------------------------------------------------- #
 # vector engine: per-epoch cost over a contended population
 # --------------------------------------------------------------------------- #
-def _vec_epoch_population(n_flows: int) -> Simulator:
+def _vec_epoch_population(n_flows: int, observer: Optional[Any] = None) -> Simulator:
     """A shared-bottleneck population in slow start (scale-study shape).
 
     Every flow crosses one site access link plus its RTT tier's WAN pipe,
@@ -456,7 +456,7 @@ def _vec_epoch_population(n_flows: int) -> Simulator:
     from repro.tcp.model import SlowStartRamp
 
     rng = np.random.default_rng(derive_seed(_BENCH_SEED, "vec-epoch"))
-    sim = Simulator(sanitize=False)
+    sim = Simulator(sanitize=False, observer=observer)
     network = FluidNetwork(sim)
     site = Link(
         "site", "net", "site",
@@ -491,30 +491,34 @@ def _vec_epoch_population(n_flows: int) -> Simulator:
 
 
 def _bench_vec_epoch(quick: bool) -> Dict[str, Any]:
+    from repro.obs.core import Observer
+
     n_flows = 200 if quick else 800
     rounds = 3 if quick else 5
 
-    def run_mode(promote_above: float) -> Measurement:
+    def run(promote_above: float, observer: Optional[Observer] = None) -> int:
         # The promotion bound picks the tick: 0 runs the vector core from
         # the first flow, inf keeps the per-object tick throughout.
-        def run() -> int:
-            saved = fluid._PROMOTE_ABOVE
-            fluid._PROMOTE_ABOVE = promote_above
-            try:
-                sim = _vec_epoch_population(n_flows)
-                sim.run()
-            finally:
-                fluid._PROMOTE_ABOVE = saved
-            return sim.events_processed
+        saved = fluid._PROMOTE_ABOVE
+        fluid._PROMOTE_ABOVE = promote_above
+        try:
+            sim = _vec_epoch_population(n_flows, observer)
+            sim.run()
+        finally:
+            fluid._PROMOTE_ABOVE = saved
+        return sim.events_processed
 
-        return _measure_counted(run, rounds=rounds)
-
-    opt = run_mode(0)
-    base = run_mode(math.inf)
+    opt = _measure_counted(lambda: run(0), rounds=rounds)
+    base = _measure_counted(lambda: run(math.inf), rounds=rounds)
+    # The core's solver counts, from one more (untimed) observed run.
+    obs = Observer()
+    run(0, obs)
     return {
         "optimised": opt.ns_per_op,
         "baseline": base.ns_per_op,
         "flows": n_flows,
+        "solver_rounds": int(obs.counter("vec.solver_rounds")),
+        "cohort_fallbacks": int(obs.counter("vec.cohort_fallbacks")),
         **_measurement_fields(opt),
     }
 

@@ -24,7 +24,6 @@ from repro.util.units import (
     kb,
     mb,
     mbps_to_bytes_per_s,
-    seconds_to_transfer,
 )
 
 __all__ = [
@@ -57,5 +56,4 @@ __all__ = [
     "mb",
     "mbps_to_bytes_per_s",
     "bytes_per_s_to_mbps",
-    "seconds_to_transfer",
 ]

@@ -29,7 +29,6 @@ __all__ = [
     "s_to_us",
     "kb",
     "mb",
-    "seconds_to_transfer",
     "MINUTE",
     "HOUR",
 ]
@@ -97,19 +96,3 @@ def kb(n: float) -> float:
 def mb(n: float) -> float:
     """``n`` megabytes expressed in bytes."""
     return float(n) * MB
-
-
-def seconds_to_transfer(size_bytes: float, rate_bytes_per_s: float) -> float:
-    """Time to move ``size_bytes`` at a constant ``rate_bytes_per_s``.
-
-    Raises :class:`ValueError` for a non-positive rate with a positive size,
-    because the fluid engine must never divide by a zero rate silently.
-    """
-    if size_bytes <= 0.0:
-        return 0.0
-    if rate_bytes_per_s <= 0.0:
-        raise ValueError(
-            f"cannot transfer {size_bytes} bytes at non-positive rate "
-            f"{rate_bytes_per_s}"
-        )
-    return size_bytes / rate_bytes_per_s

@@ -1,9 +1,11 @@
 """repro.vec — batched struct-of-arrays fluid transport engine.
 
-The vector engine holds the whole flow population in numpy arrays (rates,
-remaining bytes, CSR path->link incidence, per-link capacities), solves
-max-min fairness for the entire population per epoch and replaces per-flow
-Python bookkeeping with vectorized next-completion / next-breakpoint scans.
+The vector engine holds the whole flow population in numpy arrays (rates
+and remaining bytes per row; links, ramp and multiplicity per cohort of
+identical rows; per-link capacities), solves max-min fairness for the
+entire population per epoch, one solver flow per cohort, and replaces
+per-flow Python bookkeeping with vectorized next-completion /
+next-breakpoint scans.
 
 Nobody selects it: a :class:`repro.tcp.fluid.FluidNetwork` promotes itself
 to a :class:`VectorCore` the first time its active population exceeds the

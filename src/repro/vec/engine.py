@@ -6,43 +6,52 @@ delegates every later tick to it; a network running a probe race
 (:meth:`~repro.tcp.fluid.FluidNetwork.start_races`) starts on one.  The
 core keeps the *entire* active population in numpy arrays:
 
-* per-flow: total/delivered bytes, current rate, activation time and the
-  slow-start ramp parameters (rtt, w0, w_max, rounds-to-peak);
-* path->link incidence as an append-only CSR (``indptr``/``link_idx``) over
-  a persistent global link table;
+* per-row: total/delivered bytes, current rate, an alive mask and the
+  row's cohort;
+* per-cohort: the rows of one admission batch that share a route, a ramp
+  and so an activation instant.  A cohort holds its links (a small CSR,
+  ``indptr``/``link_idx``, over a persistent global link table), its
+  activation time, its slow-start ramp parameters (rtt, w0, w_max,
+  rounds-to-peak) and its live multiplicity;
 * per-link: cached capacities for constant traces, a live
   :class:`~repro.net.trace.TraceCursor` for the (few) time-varying ones,
-  and an active-flow refcount.
+  and an active-row refcount.
 
 One tick then mirrors the per-object tick's steps with array ops: accrue bytes for
 the whole population with one fused ``delivered = min(size, delivered +
 rate*dt)`` (valid because every row's last accrual time is the previous
 tick — new rows carry rate 0), detect completions with one vectorized scan,
 re-solve max-min fairness for everyone at once, and compute the next wake-up
-from the next completion, one fused ramp pass (caps and next increase from
-one doubling-round computation) and the dynamic trace cursors.  The
-simulator's event queue is only touched at epoch boundaries — exactly one
-pending ``fluid-tick`` event, as in the per-object tick.
+from the next completion, one fused ramp pass over the live cohorts (caps
+and next increase from one doubling-round computation) and the dynamic
+trace cursors.  The simulator's event queue is only touched at epoch
+boundaries — exactly one pending ``fluid-tick`` event, as in the per-object
+tick.
 
 Rows enter and leave by the column.  Activations are buffered and flushed
 at the next tick: a population shares a handful of ``Route`` and
 ``SlowStartRamp`` objects, so the flush interns each distinct route and
-reads each distinct ramp once per batch, then fills the row columns and
-the CSR with gathers.  Aborts only queue their row; the next same-instant
-tick releases them together with that tick's completions in one
-vectorised ``_release_rows`` (one CSR gather and ``bincount`` for the link
-refcounts).  The solver's gather of the live rows is kept until the rows
-change, so ticks that only move a ramp or a trace reuse it.
+reads each distinct ramp once per batch, groups the rows into cohorts from
+those integer labels in one O(rows) pass, and fills the columns with
+gathers.  Aborts only queue their row; the next same-instant tick releases
+them together with that tick's completions in one vectorised
+``_release_rows`` (per-cohort multiplicities and link refcounts drop by one
+``bincount`` each).  The solver's gather of the live population is kept
+until the rows change, so ticks that only move a ramp or a trace reuse it.
 
 Byte-identity contract: rows are append-only in activation order (dead rows
 are tombstoned and compacted without reordering), so completion callbacks
-fire in the per-object tick's dict order and the solver sees columns in its
-order.  At populations up to ``_DENSE_MAX_FLOWS`` the allocation is routed
-through the dense :func:`repro.tcp.maxmin.maxmin_allocate`, whose rates the
-per-object tick's solvers reproduce bit for bit; above it the sparse
-water-filling of :mod:`repro.vec.solver` takes over (same math, reductions
-ordered by CSR position).  A promotion therefore never changes a byte, and
-a population that later drains back under the bound stays on the core.
+fire in the per-object tick's dict order.  At populations up to
+``_DENSE_MAX_FLOWS`` the allocation is routed through the dense
+:func:`repro.tcp.maxmin.maxmin_allocate` over row coordinates expanded from
+the cohorts, whose rates the per-object tick's solvers reproduce bit for
+bit; above it the sparse water-filling of :mod:`repro.vec.solver` solves
+one flow per live cohort, weighted by its multiplicity, and returns the
+rates the row-by-row solve would (see that module for why).  When it cannot
+(a cap round freezing two cap values on one link), the tick re-solves the
+expanded rows and counts ``vec.cohort_fallbacks``.  A promotion therefore
+never changes a byte, and a population that later drains back under the
+bound stays on the core.
 
 Rows are either all object flows or all race rows.  Flow objects stay
 lazily consistent: the core installs a sync hook on each
@@ -54,9 +63,10 @@ completed rows by the column where object flows run their callbacks.
 
 Under a sanitizer the core checks its columns on every tick: QA-R002 on
 ``delivered``/``size``/``rate`` against the previous tick's snapshot, and
-QA-R006, QA-R004 and QA-R003 on the solve's ``lids``/``frow``/caps/rates
-through :func:`repro.vec.solver.certify_maxmin`.  The checks only read, so
-a sanitized network promotes and solves exactly like a plain one.
+QA-R006, QA-R004 and QA-R003 on the solve's row coordinates, caps and rates
+through :func:`repro.vec.solver.certify_maxmin`, so the cohort solve is
+certified row by row.  The checks only read, so a sanitized network
+promotes and solves exactly like a plain one.
 """
 
 from __future__ import annotations
@@ -111,22 +121,47 @@ def _grow(arr: np.ndarray, need: int) -> np.ndarray:
     return out
 
 
+class _Gather:
+    """The live population's solver problem, kept until the rows change.
+
+    ``rows`` (a slice or index array, ``n`` of them) are the live rows in
+    activation order and ``cohorts`` the live cohorts in table order; row
+    ``i`` belongs to cohort ``of[i]`` (an index into ``cohorts``).  Entry
+    ``j`` of ``lids``/``frow`` says live cohort ``frow[j]`` crosses link
+    ``lids[j]``; ``deg`` and ``mult`` are each live cohort's link count and
+    multiplicity.  ``coords`` caches the rows' own coordinate lists.
+    """
+
+    __slots__ = ("rows", "n", "cohorts", "of", "lids", "frow", "deg", "mult", "coords")
+
+    def __init__(self, rows, n, cohorts, of, lids, frow, deg, mult) -> None:
+        self.rows, self.n, self.cohorts, self.of = rows, n, cohorts, of
+        self.lids, self.frow, self.deg, self.mult = lids, frow, deg, mult
+        self.coords: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def row_coords(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The rows' ``(lids, frow)``, each row's links in route order."""
+        if self.coords is None:
+            rdeg = self.deg[self.of]
+            start = (np.cumsum(self.deg) - self.deg)[self.of]
+            self.coords = (
+                self.lids[_segments(start, rdeg)],
+                np.repeat(np.arange(self.n, dtype=np.int64), rdeg),
+            )
+        return self.coords
+
+
 class VectorCore:
     """Batched population state for one :class:`FluidNetwork`."""
 
     def __init__(self, net) -> None:  # net: repro.tcp.fluid.FluidNetwork
         self._net = net
-        # --- per-flow SoA (capacity-doubling arrays, first _n rows live) ---
+        # --- per-row SoA (capacity-doubling arrays, first _n rows live) ---
         self._size = np.empty(_GROW_MIN)
         self._deliv = np.empty(_GROW_MIN)
         self._rate = np.empty(_GROW_MIN)
-        self._act = np.empty(_GROW_MIN)
-        self._rtt = np.empty(_GROW_MIN)
-        self._w0 = np.empty(_GROW_MIN)
-        self._wmax = np.empty(_GROW_MIN)
-        self._rtp = np.empty(_GROW_MIN)
-        self._has_ramp = np.empty(_GROW_MIN, dtype=bool)
         self._alive = np.empty(_GROW_MIN, dtype=bool)
+        self._cohort = np.empty(_GROW_MIN, dtype=np.int64)
         #: Delivered bytes at the previous tick: the sanitizer's QA-R002
         #: baseline, read only when one is armed.
         self._snap = np.empty(_GROW_MIN)
@@ -146,12 +181,22 @@ class VectorCore:
         self._pending: List[FluidFlow] = []
         #: Rows of aborted or completed flows awaiting one batched release.
         self._retiring: List[int] = []
-        #: The solve's gather of the live rows (see _gather); None when stale.
-        self._gathered: Optional[tuple] = None
-        #: Shared capacity of all per-flow arrays (they grow in lockstep,
+        #: The solve's gather of the live population; None when stale.
+        self._gathered: Optional[_Gather] = None
+        #: Shared capacity of all per-row arrays (they grow in lockstep,
         #: so one comparison per flush covers every array).
         self._row_cap = _GROW_MIN
-        # --- CSR incidence: row r uses link_idx[indptr[r]:indptr[r+1]] ---
+        # --- cohort table (first _nc cohorts; empty ones go at compaction) ---
+        self._c_act = np.empty(_GROW_MIN)
+        self._c_rtt = np.empty(_GROW_MIN)
+        self._c_w0 = np.empty(_GROW_MIN)
+        self._c_wmax = np.empty(_GROW_MIN)
+        self._c_rtp = np.empty(_GROW_MIN)
+        self._c_has_ramp = np.empty(_GROW_MIN, dtype=bool)
+        #: Live rows of each cohort.
+        self._c_mult = np.empty(_GROW_MIN, dtype=np.int64)
+        self._nc = 0
+        # --- cohort links: cohort c uses link_idx[indptr[c]:indptr[c+1]] ---
         self._indptr = np.zeros(_GROW_MIN + 1, dtype=np.int64)
         self._link_idx = np.empty(_GROW_MIN, dtype=np.int64)
         self._nnz = 0
@@ -171,18 +216,22 @@ class VectorCore:
         self._size = _grow(self._size, need)
         self._deliv = _grow(self._deliv, need)
         self._rate = _grow(self._rate, need)
-        self._act = _grow(self._act, need)
-        self._rtt = _grow(self._rtt, need)
-        self._w0 = _grow(self._w0, need)
-        self._wmax = _grow(self._wmax, need)
-        self._rtp = _grow(self._rtp, need)
-        self._has_ramp = _grow(self._has_ramp, need)
         self._alive = _grow(self._alive, need)
+        self._cohort = _grow(self._cohort, need)
         self._snap = _grow(self._snap, need)
         self._client = _grow(self._client, need)
         self._kind = _grow(self._kind, need)
         self._row_cap = int(self._size.shape[0])
-        self._indptr = _grow(self._indptr, self._row_cap + 1)
+
+    def _grow_cohorts(self, need: int) -> None:
+        self._c_act = _grow(self._c_act, need)
+        self._c_rtt = _grow(self._c_rtt, need)
+        self._c_w0 = _grow(self._c_w0, need)
+        self._c_wmax = _grow(self._c_wmax, need)
+        self._c_rtp = _grow(self._c_rtp, need)
+        self._c_has_ramp = _grow(self._c_has_ramp, need)
+        self._c_mult = _grow(self._c_mult, need)
+        self._indptr = _grow(self._indptr, int(self._c_act.shape[0]) + 1)
 
     def add_flow(self, flow: FluidFlow) -> None:
         """Buffer a just-activated flow; rows materialise at the next tick.
@@ -200,8 +249,8 @@ class VectorCore:
 
         Flows aborted while buffered are skipped.  A population shares a
         handful of :class:`Route` and ramp objects, so each distinct route
-        is interned once and each distinct ramp read once; the row columns
-        and the CSR are then filled by gathers over those few slots.
+        is interned once and each distinct ramp read once; flows sharing a
+        route, a ramp and an activation instant form one cohort.
         """
         pend = [f for f in self._pending if f.state is FlowState.ACTIVE]
         self._pending = []
@@ -229,8 +278,18 @@ class VectorCore:
         uses = np.bincount(rslot, minlength=len(routes))
         np.add.at(self._link_refs, rl, np.repeat(uses - 1, rd))
 
-        # Ramp columns, gathered from one parameter row per distinct ramp.
-        # A flow without a ramp gets (1, 1, 1, 0): see _ramp.
+        # Cohorts in first-appearance order, by one dict pass over the labels.
+        keys: Dict[Tuple[int, int, float], int] = {}
+        cohort = np.array(
+            [
+                keys.setdefault(key, len(keys))
+                for key in zip(rslot.tolist(), pslot.tolist(), [f.activated_at for f in pend])
+            ],
+            dtype=np.int64,
+        )
+        c_route, c_ramp, c_act = (np.array(col) for col in zip(*keys))
+        # One parameter row per distinct ramp; a flow without a ramp gets
+        # (1, 1, 1, 0): see _ramp.
         params = np.array(
             [
                 (r.rtt, r.initial_window, r.max_window, float(r.rounds_to_peak()))
@@ -240,11 +299,10 @@ class VectorCore:
             ]
         )
         row0 = self._append_rows(
-            rl, rd, rslot, params[pslot],
-            np.array([r is not None for r in ramps])[pslot],
+            cohort, rl, rd, c_route, params[c_ramp],
+            np.array([r is not None for r in ramps])[c_ramp], c_act,
             [f.size for f in pend],
             [f._delivered for f in pend],
-            [f.activated_at for f in pend],
         )
         self._flows.extend(pend)
         self._row_of.update(zip([f.id for f in pend], range(row0, self._n)))
@@ -252,39 +310,49 @@ class VectorCore:
         for flow in pend:
             flow._sync = hook
 
-    def _append_rows(self, rl, rd, rslot, ramp, has_ramp, size, delivered, act) -> int:
-        """Append one row per entry of ``rslot``; return the first new row.
+    def _append_rows(
+        self, cohort, rl, rd, route, ramp, has_ramp, act, size, delivered
+    ) -> int:
+        """Append one row per entry of ``cohort``; return the first new row.
 
-        Row ``i`` uses the links of route ``rslot[i]``, whose ``rd[j]``
-        interned link ids lie concatenated in ``rl``, and ``ramp[i]`` holds
-        its (rtt, initial window, max window, rounds to peak).  ``has_ramp``,
-        ``size``, ``delivered`` and ``act`` are per-row columns or scalars.
-        Link refcounts are the caller's to bump.
+        Row ``i`` belongs to new cohort ``cohort[i]`` (labels ``0..k-1``,
+        each used).  New cohort ``j`` uses the links of route ``route[j]``,
+        whose ``rd[r]`` interned link ids lie concatenated in ``rl``;
+        ``ramp[j]`` holds its (rtt, initial window, max window, rounds to
+        peak), ``has_ramp[j]`` (or one scalar) whether it has a ramp, and
+        ``act[j]`` its activation instant.  ``size`` and ``delivered`` are
+        per-row columns or scalars.  Link refcounts are the caller's to bump.
         """
-        row0 = self._n
-        row = row0 + rslot.size
-        if row > self._row_cap:
-            self._grow_rows(row)
-
-        # CSR: each row copies its route's segment of ``rl``.
-        deg = rd[rslot]
-        seg = rl[_segments((np.cumsum(rd) - rd)[rslot], deg)]
+        k = route.size
+        c0 = self._nc
+        c1 = c0 + k
+        if c1 > self._c_act.shape[0]:
+            self._grow_cohorts(c1)
+        deg = rd[route]
+        seg = rl[_segments((np.cumsum(rd) - rd)[route], deg)]
         start = self._nnz
         end = start + seg.size
         self._link_idx = _grow(self._link_idx, end)
         self._link_idx[start:end] = seg
-        self._indptr[row0 + 1 : row + 1] = start + np.cumsum(deg)
+        self._indptr[c0 + 1 : c1 + 1] = start + np.cumsum(deg)
         self._nnz = end
+        self._c_rtt[c0:c1] = ramp[:, 0]
+        self._c_w0[c0:c1] = ramp[:, 1]
+        self._c_wmax[c0:c1] = ramp[:, 2]
+        self._c_rtp[c0:c1] = ramp[:, 3]
+        self._c_has_ramp[c0:c1] = has_ramp
+        self._c_act[c0:c1] = act
+        self._c_mult[c0:c1] = np.bincount(cohort, minlength=k)
+        self._nc = c1
 
-        self._rtt[row0:row] = ramp[:, 0]
-        self._w0[row0:row] = ramp[:, 1]
-        self._wmax[row0:row] = ramp[:, 2]
-        self._rtp[row0:row] = ramp[:, 3]
-        self._has_ramp[row0:row] = has_ramp
+        row0 = self._n
+        row = row0 + cohort.size
+        if row > self._row_cap:
+            self._grow_rows(row)
+        self._cohort[row0:row] = cohort + c0
         self._size[row0:row] = size
         self._deliv[row0:row] = delivered
         self._snap[row0:row] = self._deliv[row0:row]
-        self._act[row0:row] = act
         self._rate[row0:row] = 0.0
         self._alive[row0:row] = True
         self._n = row
@@ -306,13 +374,19 @@ class VectorCore:
         flow._sync = None
 
     def _release_rows(self) -> None:
-        """Tombstone every queued row and drop its link references at once."""
+        """Tombstone every queued row and drop its cohort's multiplicity and
+        link references at once."""
         rows = self._retiring
         self._retiring = []
         idx = np.array(rows, dtype=np.int64)
-        starts = self._indptr[idx]
-        lids = self._link_idx[_segments(starts, self._indptr[idx + 1] - starts)]
-        counts = np.bincount(lids)
+        gone = np.bincount(self._cohort[idx])
+        cohorts = np.flatnonzero(gone)
+        gone = gone[cohorts]
+        self._c_mult[cohorts] -= gone
+        starts = self._indptr[cohorts]
+        deg = self._indptr[cohorts + 1] - starts
+        lids = self._link_idx[_segments(starts, deg)]
+        counts = np.bincount(lids, weights=np.repeat(gone, deg)).astype(np.int64)
         self._link_refs[: counts.size] -= counts
         self._alive[idx] = False
         self._rate[idx] = 0.0
@@ -468,8 +542,10 @@ class VectorCore:
         # 3. Re-solve the allocation over the whole population.
         if self._gathered is None:
             self._gathered = self._gather()
-        rows, n_flows, lids, frow = self._gathered
-        caps, ramp_next = self._ramp(rows, now)
+        g = self._gathered
+        rows, n_flows = g.rows, g.n
+        c_caps, ramp_next = self._ramp(g.cohorts, now)
+        caps = None  # the rows' caps, expanded only where a row solve needs them
 
         # Refresh time-varying link capacities through their cursors.
         for lid, cursor in sorted(self._dyn.items()):
@@ -481,9 +557,12 @@ class VectorCore:
             n_used = int(np.count_nonzero(self._link_refs[: len(self._links)] > 0))
             obs.span("alloc", "solve", now, now, flows=n_flows, links=n_used)
 
+        m = len(self._links)
         if n_flows <= _DENSE_MAX_FLOWS:
-            # Small population: the dense maxmin_allocate, whose rates the
-            # per-object tick's solvers reproduce bit for bit.
+            # Small population: the dense maxmin_allocate over the rows,
+            # whose rates the per-object tick's solvers reproduce bit for bit.
+            lids, frow = g.row_coords()
+            caps = c_caps[g.of]
             ulinks, inv = np.unique(lids, return_inverse=True)
             incidence = np.zeros((ulinks.size, n_flows), dtype=bool)
             incidence[inv, frow] = True
@@ -500,16 +579,32 @@ class VectorCore:
             if obs is not None:
                 obs.count("vec.solve_dense")
         else:
-            m = len(self._links)
-            rates, _ = waterfill_sparse(
-                self._link_cap[:m], lids, frow, n_flows, caps, observer=obs
-            )
+            # One solver flow per live cohort, unless every cohort is one
+            # row; the rows' own solve when the cohort solve cannot give
+            # its bits (repro.vec.solver).
+            c_rates = None
+            if g.cohorts.size < n_flows:
+                c_rates, _ = waterfill_sparse(
+                    self._link_cap[:m], g.lids, g.frow, g.cohorts.size, c_caps,
+                    mult=g.mult, observer=obs,
+                )
+                if c_rates is None and obs is not None:
+                    obs.count("vec.cohort_fallbacks")
+            if c_rates is None:
+                lids, frow = g.row_coords()
+                caps = c_caps[g.of]
+                rates, _ = waterfill_sparse(
+                    self._link_cap[:m], lids, frow, n_flows, caps, observer=obs
+                )
+            else:
+                rates = c_rates[g.of]
             if obs is not None:
                 obs.count("vec.solve_sparse")
         if sanitizer is not None:
-            m = len(self._links)
+            lids, frow = g.row_coords()
             sanitizer.check_allocation(
-                now, self._link_cap[:m], lids, frow, caps, rates,
+                now, self._link_cap[:m], lids, frow,
+                c_caps[g.of] if caps is None else caps, rates,
                 [link.name for link in self._links],
             )
         self._rate[rows] = rates
@@ -541,45 +636,52 @@ class VectorCore:
         race = self._race
         return race.live if race is not None else len(self._net._active)
 
-    def _gather(self) -> tuple:
-        """The live population's solver coordinates, in activation order:
-        its rows, their count, and each CSR entry's link id and flow index.
+    def _gather(self) -> _Gather:
+        """The live population's solver problem, in activation order.
 
-        With no tombstones the stored CSR *is* the gather and every column
-        is read through a slice; otherwise dead rows' segments are masked
-        out.  The result holds until the rows change (flush, release or
-        compaction), so ticks that only move a ramp or a trace reuse it.
+        With no tombstones every row column is read through a slice.  The
+        result holds until the rows change (flush, release or compaction),
+        so ticks that only move a ramp or a trace reuse it.
         """
         n = self._n
-        deg = self._indptr[1 : n + 1] - self._indptr[:n]
+        nc = self._nc
+        cohorts = np.flatnonzero(self._c_mult[:nc])
+        starts = self._indptr[cohorts]
+        deg = self._indptr[cohorts + 1] - starts
+        lids = self._link_idx[_segments(starts, deg)]
+        frow = np.repeat(np.arange(cohorts.size, dtype=np.int64), deg)
+        local = np.empty(nc, dtype=np.int64)
+        local[cohorts] = np.arange(cohorts.size)
         if self._dead == 0:
-            frow = np.repeat(np.arange(n, dtype=np.int64), deg)
-            return slice(0, n), n, self._link_idx[: self._nnz], frow
-        alive = self._alive[:n]
-        rows = np.flatnonzero(alive)
-        lids = self._link_idx[: self._nnz][np.repeat(alive, deg)]
-        frow = np.repeat(np.arange(rows.size, dtype=np.int64), deg[rows])
-        return rows, int(rows.size), lids, frow
+            rows = slice(0, n)
+            n_rows = n
+        else:
+            rows = np.flatnonzero(self._alive[:n])
+            n_rows = int(rows.size)
+        return _Gather(
+            rows, n_rows, cohorts, local[self._cohort[rows]], lids, frow, deg,
+            self._c_mult[cohorts],
+        )
 
     # ------------------------------------------------------------------ #
     # vectorized ramp math (bit-identical to SlowStartRamp.cap_at /
     # next_increase_after for elapsed >= 0)
     # ------------------------------------------------------------------ #
-    def _ramp(self, rows, now: float) -> Tuple[np.ndarray, float]:
-        """Rate caps of ``rows`` (a slice or index array) at ``now``, and
-        the earliest later instant any of their caps increases.
+    def _ramp(self, cohorts: np.ndarray, now: float) -> Tuple[np.ndarray, float]:
+        """Rate caps of ``cohorts`` at ``now``, and the earliest later
+        instant any of their caps increases.
 
-        The doubling round is computed once and feeds both.  Rows without
-        a ramp carry rounds-to-peak 0, so their next increase is always
-        past the peak (``inf``) and only their caps need masking.
+        The doubling round is computed once and feeds both.  Cohorts
+        without a ramp carry rounds-to-peak 0, so their next increase is
+        always past the peak (``inf``) and only their caps need masking.
         """
-        rtt = self._rtt[rows]
-        act = self._act[rows]
-        rtp = self._rtp[rows]
+        rtt = self._c_rtt[cohorts]
+        act = self._c_act[cohorts]
+        rtp = self._c_rtp[cohorts]
         k = np.floor((now - act) / rtt + _ROUND_EPS)
-        window = self._w0[rows] * np.exp2(np.minimum(k, rtp))
-        caps = np.minimum(window, self._wmax[rows]) / rtt
-        caps[~self._has_ramp[rows]] = np.inf
+        window = self._c_w0[cohorts] * np.exp2(np.minimum(k, rtp))
+        caps = np.minimum(window, self._c_wmax[cohorts]) / rtt
+        caps[~self._c_has_ramp[cohorts]] = np.inf
         k += 1.0
         nxt = act + k * rtt
         nxt[k > rtp] = np.inf
@@ -589,22 +691,13 @@ class VectorCore:
     # compaction
     # ------------------------------------------------------------------ #
     def _compact(self) -> None:
-        """Drop tombstoned rows, preserving activation order."""
+        """Drop tombstoned rows and empty cohorts, preserving order."""
         n = self._n
         keep = self._alive[:n]
         k = int(np.count_nonzero(keep))
-        deg = self._indptr[1 : n + 1] - self._indptr[:n]
-        nnz_keep = np.repeat(keep, deg)
-        new_link_idx = self._link_idx[: self._nnz][nnz_keep]
-        new_deg = deg[keep]
-        self._indptr[0] = 0
-        self._indptr[1 : k + 1] = np.cumsum(new_deg)
-        self._nnz = int(new_link_idx.size)
-        self._link_idx[: self._nnz] = new_link_idx
         for arr in (
-            self._size, self._deliv, self._rate, self._act,
-            self._rtt, self._w0, self._wmax, self._rtp, self._snap,
-            self._has_ramp, self._client, self._kind,
+            self._size, self._deliv, self._rate, self._snap,
+            self._cohort, self._client, self._kind,
         ):
             arr[:k] = arr[:n][keep]
         if self._race is not None:
@@ -618,4 +711,20 @@ class VectorCore:
         self._alive[:k] = True
         self._n = k
         self._dead = 0
+
+        nc = self._nc
+        ckeep = self._c_mult[:nc] > 0
+        kc = int(np.count_nonzero(ckeep))
+        self._cohort[:k] = (np.cumsum(ckeep) - 1)[self._cohort[:k]]
+        deg = self._indptr[1 : nc + 1] - self._indptr[:nc]
+        link_idx = self._link_idx[: self._nnz][np.repeat(ckeep, deg)]
+        self._indptr[1 : kc + 1] = np.cumsum(deg[ckeep])
+        self._nnz = int(link_idx.size)
+        self._link_idx[: self._nnz] = link_idx
+        for arr in (
+            self._c_act, self._c_rtt, self._c_w0, self._c_wmax, self._c_rtp,
+            self._c_has_ramp, self._c_mult,
+        ):
+            arr[:kc] = arr[:nc][ckeep]
+        self._nc = kc
         self._gathered = None

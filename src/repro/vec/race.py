@@ -17,8 +17,9 @@ does the race's three columnar steps for the core:
   network's activation batches, keyed by the exact float instant
   ``now + route.rtt`` that :meth:`~repro.tcp.fluid.FluidNetwork.start_flow`
   uses, so they share each instant's one ``activate-batch`` event;
-* **flush** - an activated batch becomes rows, its CSR and ramp columns
-  gathered from per-route tables built once;
+* **flush** - an activated batch becomes rows, one cohort per route it
+  uses, whose links and ramp are gathered from per-route tables built
+  once;
 * **completion** - in each tick the first probe of a client to complete
   wins (a same-tick tie goes to the earlier row), its partner is aborted
   (skipped at activation if still pending, released with the tick's
@@ -208,19 +209,32 @@ class ProbeRace:
     # rows (called by the core's tick)
     # ------------------------------------------------------------------ #
     def flush(self) -> None:
-        """Materialise the activated batches as rows, in activation order."""
+        """Materialise the activated batches as rows, in activation order.
+
+        A batch's rows on one route share its links, ramp and activation
+        instant, so each (batch, route) pair present is one cohort.
+        """
         core = self._core
         batches, self.pending = self.pending, []
         clients = np.concatenate([b[0] for b in batches])
         kinds = np.concatenate([b[1] for b in batches])
         routes = np.concatenate([b[2] for b in batches])
-        act = np.repeat([b[3] for b in batches], [b[0].size for b in batches])
-        uses = np.bincount(routes, minlength=self._deg.size)
+        n_routes = self._deg.size
+        key = routes + np.repeat(
+            np.arange(len(batches), dtype=np.int64) * n_routes, [b[0].size for b in batches]
+        )
+        present = np.zeros(len(batches) * n_routes, dtype=bool)
+        present[key] = True
+        keys = np.flatnonzero(present)  # the cohorts, in (batch, route) order
+        c_route = keys % n_routes
+        c_act = np.array([b[3] for b in batches])[keys // n_routes]
+        uses = np.bincount(routes, minlength=n_routes)
         np.add.at(core._link_refs, self._lids, np.repeat(uses, self._deg))
         row0 = core._append_rows(
-            self._lids, self._deg, routes, self._ramp[routes], True,
+            (np.cumsum(present) - 1)[key], self._lids, self._deg, c_route,
+            self._ramp[c_route], True, c_act,
             np.where(kinds == TRANSFER, self._size_of[clients], self._probe_bytes),
-            0.0, act,
+            0.0,
         )
         core._client[row0 : core._n] = clients
         core._kind[row0 : core._n] = kinds

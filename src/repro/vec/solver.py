@@ -13,6 +13,20 @@ dense loop's BLAS matvec partial sums in the last ulp, which is why the
 vector engine only uses this path *above* the population size where it
 shares the per-object tick's dense solver (``repro.tcp.fluid._DENSE_MAX_FLOWS``).
 
+With ``mult``, each flow stands for a *cohort* of identical rows (same
+links, same cap), and the solve returns the rows' rates bit for bit:
+
+* link counts are integer-weighted sums, so they are exact;
+* a link-saturation round subtracts ``count * level``, one product either
+  way;
+* a cap round subtracts, per link, the sequential sum of the hit rows'
+  caps.  When every hit cohort on a link has the same cap ``c``, that sum
+  is the sequential sum of ``K`` copies of ``c`` in any row order, which
+  is what one ``cumsum`` computes (not ``K * c``: ten rows of cap 0.1 sum
+  to 0.9999999999999999).  When a link's hit cohorts carry two cap
+  values the sum depends on the row order, so the solve gives up and the
+  caller re-solves the expanded rows.
+
 :func:`certify_maxmin` checks any allocation over the same coordinate lists
 in O(nnz), so a solver's output can be certified at any population size
 without an oracle solve.
@@ -42,8 +56,9 @@ def waterfill_sparse(
     n_flows: int,
     caps: np.ndarray,
     *,
+    mult: Optional[np.ndarray] = None,
     observer: Optional["Observer"] = None,
-) -> Tuple[np.ndarray, int]:
+) -> Tuple[Optional[np.ndarray], int]:
     """Max-min fair rates for ``n_flows`` flows over a sparse incidence.
 
     Parameters
@@ -58,11 +73,17 @@ def waterfill_sparse(
         Number of flows (``frow`` values are in ``[0, n_flows)``).
     caps:
         Shape ``(n_flows,)`` per-flow rate ceilings (``inf`` = uncapped).
+    mult:
+        Optional shape ``(n_flows,)`` positive integer multiplicities: flow
+        ``j`` is a cohort of ``mult[j]`` identical rows.
 
     Returns
     -------
     (rates, rounds):
         The allocation and the number of water-filling rounds executed.
+        With ``mult``, ``rates`` is None when a cap round would freeze
+        cohorts of different caps on one link (see the module docstring);
+        such an attempt does not count ``vec.solver_rounds``.
     """
     rates = np.zeros(n_flows)
     if n_flows == 0:
@@ -71,12 +92,15 @@ def waterfill_sparse(
     frozen = caps <= 0.0  # zero-cap flows freeze immediately at rate 0
     remaining = link_cap.copy()
     rounds = 0
+    weight = None if mult is None else mult[frow].astype(np.float64)
 
     while not frozen.all():
         rounds += 1
         active = ~frozen
         amask = active[frow]
-        counts = np.bincount(lids[amask], minlength=m).astype(np.float64)
+        counts = np.bincount(
+            lids[amask], weights=None if weight is None else weight[amask], minlength=m
+        ).astype(np.float64)
         used = counts > 0.0
         if not used.any():
             break
@@ -92,9 +116,13 @@ def waterfill_sparse(
             hit = active & (caps <= level * (1.0 + _EPS))
             rates[hit] = caps[hit]
             hm = hit[frow]
-            remaining -= np.bincount(
-                lids[hm], weights=caps[frow[hm]], minlength=m
-            )
+            if weight is None:
+                remaining -= np.bincount(lids[hm], weights=caps[frow[hm]], minlength=m)
+            else:
+                freed = _equal_cap_sums(lids[hm], caps[frow[hm]], weight[hm], m)
+                if freed is None:
+                    return None, rounds
+                remaining -= freed
             frozen |= hit
         else:
             # Some link saturates: freeze all unfrozen flows crossing it.
@@ -104,13 +132,35 @@ def waterfill_sparse(
             hit[frow[sm]] = True
             hit &= active
             rates[hit] = level
-            remaining -= np.bincount(lids[hit[frow]], minlength=m) * level
+            hm = hit[frow]
+            remaining -= np.bincount(
+                lids[hm], weights=None if weight is None else weight[hm], minlength=m
+            ) * level
             frozen |= hit
         np.clip(remaining, 0.0, None, out=remaining)
 
     if observer is not None:
         observer.count("vec.solver_rounds", rounds)
     return rates, rounds
+
+
+def _equal_cap_sums(
+    lids: np.ndarray, caps: np.ndarray, weight: np.ndarray, m: int
+) -> Optional[np.ndarray]:
+    """Per link, the sequential sum of the caps of the rows behind the
+    cohort entries ``(lids, caps, weight)``; None unless all entries on
+    each link share one cap."""
+    rows = np.bincount(lids, weights=weight, minlength=m).astype(np.int64)
+    out = np.zeros(m)
+    freed = np.zeros(m, dtype=bool)
+    for cap in np.unique(caps).tolist():
+        links = np.unique(lids[caps == cap])
+        if freed[links].any():
+            return None
+        freed[links] = True
+        k = rows[links]
+        out[links] = np.cumsum(np.full(int(k.max()), cap))[k - 1]
+    return out
 
 
 def certify_maxmin(

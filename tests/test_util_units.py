@@ -24,22 +24,3 @@ class TestConversions:
 
     def test_minute_hour(self):
         assert units.HOUR == 60 * units.MINUTE
-
-
-class TestSecondsToTransfer:
-    def test_basic(self):
-        assert units.seconds_to_transfer(1_000_000, 125_000) == pytest.approx(8.0)
-
-    def test_zero_size_is_instant(self):
-        assert units.seconds_to_transfer(0.0, 125_000) == 0.0
-
-    def test_negative_size_is_instant(self):
-        assert units.seconds_to_transfer(-5.0, 125_000) == 0.0
-
-    def test_zero_rate_raises(self):
-        with pytest.raises(ValueError, match="non-positive rate"):
-            units.seconds_to_transfer(100.0, 0.0)
-
-    def test_negative_rate_raises(self):
-        with pytest.raises(ValueError):
-            units.seconds_to_transfer(100.0, -1.0)

@@ -113,9 +113,13 @@ def _refcount_checked():
     def checked_tick(core):
         tick(core)
         assert not core._retiring
-        n, m = core._n, len(core._links)
-        live = np.repeat(core._alive[:n], np.diff(core._indptr[: n + 1]))
-        expected = np.bincount(core._link_idx[: core._nnz][live], minlength=m)
+        n, m, nc = core._n, len(core._links), core._nc
+        rows = np.bincount(core._cohort[:n][core._alive[:n]], minlength=nc)
+        assert np.array_equal(core._c_mult[:nc], rows)
+        live = np.repeat(rows, np.diff(core._indptr[: nc + 1]))
+        expected = np.bincount(
+            core._link_idx[: core._nnz], weights=live, minlength=m
+        ).astype(np.int64)
         assert np.array_equal(core._link_refs[:m], expected)
 
     def counted_compact(core):

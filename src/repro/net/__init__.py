@@ -2,12 +2,9 @@
 
 from repro.net.capacity import (
     CapacityProcess,
-    CompositeCapacity,
     ConstantCapacity,
-    DiurnalCapacity,
     LognormalAR1Capacity,
     MarkovModulatedCapacity,
-    TraceReplayCapacity,
 )
 from repro.net.failures import (
     FaultWindow,
@@ -31,9 +28,6 @@ __all__ = [
     "ConstantCapacity",
     "MarkovModulatedCapacity",
     "LognormalAR1Capacity",
-    "CompositeCapacity",
-    "DiurnalCapacity",
-    "TraceReplayCapacity",
     "FaultWindow",
     "apply_fault_windows",
     "blackout_spans",

@@ -2,10 +2,11 @@
 
 Each bench measures one kernel (scalar trace queries, max-min allocation,
 event-queue churn, the fluid tick, the vector engine's epoch, the striped
-session's block scheduler); end-to-end study timings are perfbench's job
-(``perfbench/run.py``).  The **optimised** number is the code the studies
-run.  A bench also reports a **baseline** where a live reference
-implementation of the same kernel exists and the tests hold the two equal:
+session's block scheduler, the scenario build); end-to-end study timings
+are perfbench's job (``perfbench/run.py``).  The **optimised** number is
+the code the studies run.  A bench also reports a **baseline** where a
+live reference implementation of the same kernel exists and the tests
+hold the two equal:
 the ``searchsorted`` trace lookups (``CapacityTrace.value_at``), the
 reference allocator (``maxmin_allocate(fast=False)``, timed under its
 disjoint fast path and under ``maxmin_scalar``) and the classic engine
@@ -558,6 +559,29 @@ def _bench_stripe_session(quick: bool) -> Dict[str, Any]:
     }
 
 
+# --------------------------------------------------------------------------- #
+# scenario build: sample every link's capacity trace and wire the test-bed
+# --------------------------------------------------------------------------- #
+def _bench_scenario_build(quick: bool) -> Dict[str, Any]:
+    from repro.workloads.scenario import Scenario, ScenarioSpec
+
+    rounds = 3 if quick else 7
+    spec = ScenarioSpec.section2(sites=("eBay",))
+    links = 0
+
+    def build() -> None:
+        nonlocal links
+        links = len(Scenario.build(spec, seed=_BENCH_SEED).topology.links)
+
+    m = measure(build, ops=1, rounds=rounds)
+    return {
+        "optimised": m.ns_per_op,
+        "baseline": None,
+        "links": links,
+        **_measurement_fields(m),
+    }
+
+
 #: Registry, in report order.
 BENCHES: Dict[str, BenchSpec] = {
     spec.name: spec
@@ -610,6 +634,13 @@ BENCHES: Dict[str, BenchSpec] = {
             "fluid epoch over a contended population: vector core vs oracle",
             "ns/op",
             _bench_vec_epoch,
+        ),
+        BenchSpec(
+            "scenario_build",
+            "Scenario.build of the one-site section2 test-bed: every link's "
+            "capacity trace sampled",
+            "ns/build",
+            _bench_scenario_build,
         ),
     )
 }

@@ -1,14 +1,17 @@
-"""Capacity process tests: statistics, determinism, validation."""
+"""Capacity process tests: statistics, determinism, validation, and the
+samplers' bit-equality with the per-step oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.capacity import (
-    CompositeCapacity,
     ConstantCapacity,
     LognormalAR1Capacity,
     MarkovModulatedCapacity,
 )
+from tests.capacity_oracle import ar1_sample, markov_sample
 
 
 def rng(seed=0):
@@ -129,26 +132,128 @@ class TestLognormalAR1:
             LognormalAR1Capacity(base=1.0, phi=1.5)
 
 
-class TestComposite:
-    def test_min_composition(self):
-        comp = CompositeCapacity((ConstantCapacity(5.0), ConstantCapacity(3.0)))
-        t = comp.sample(10.0, rng())
-        assert t.value_at(1.0) == 3.0
+class ScriptedGenerator(np.random.Generator):
+    """A generator whose next scalar ``random()`` draws come from a script.
 
-    def test_mean_is_min_of_means(self):
-        comp = CompositeCapacity((ConstantCapacity(5.0), ConstantCapacity(3.0)))
-        assert comp.mean_capacity() == 3.0
+    ``Generator.choice`` draws its uniform through ``self.random``, so a
+    scripted value reaches the oracle and the sampler alike.  Scripting a
+    value that sits exactly on a CDF step is how the tests tell a right
+    bisection from a left one: a seeded stream almost never lands there.
+    """
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            CompositeCapacity(())
+    def __init__(self, seed, script):
+        super().__init__(np.random.PCG64(seed))
+        self.script = list(script)
 
-    def test_composite_below_each_component(self):
-        comp = CompositeCapacity(
-            (
-                LognormalAR1Capacity(base=10.0, sigma=0.4, step=3.0),
-                ConstantCapacity(9.0),
-            )
+    def random(self, size=None, dtype=np.float64, out=None):
+        if self.script and size in (None, ()):
+            return self.script.pop(0)
+        return super().random(size, dtype, out)
+
+
+def cdf_steps(stationary):
+    """0.0 and every step below 1.0 of the start and jump CDFs."""
+    pi = np.asarray(stationary, dtype=np.float64)
+    steps = {0.0}
+    for state in range(-1, pi.size):
+        weights = pi.copy()
+        if state >= 0:
+            weights[state] = 0.0
+            if not weights.sum() > 0.0:
+                continue
+            weights /= weights.sum()
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        steps.update(c for c in cdf.tolist() if c < 1.0)
+    return sorted(steps)
+
+
+@st.composite
+def markov_processes(draw):
+    n = draw(st.integers(2, 5))
+    mass = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=n, max_size=n
+        ).filter(lambda m: sum(m) > 0.0)
+    )
+    total = sum(mass)
+    return MarkovModulatedCapacity(
+        base=draw(st.floats(1.0, 1e7)),
+        multipliers=tuple(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))),
+        stationary=tuple(m / total for m in mass),
+        mean_holding=tuple(draw(st.lists(st.floats(1.0, 500.0), min_size=n, max_size=n))),
+    )
+
+
+def same_bits(trace, reference):
+    assert trace.times.tobytes() == reference.times.tobytes()
+    assert trace.values.tobytes() == reference.values.tobytes()
+
+
+class TestOracle:
+    """``sample()`` returns the per-step loops' trace, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        proc=markov_processes(),
+        duration=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 3000.0)),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_markov_matches_oracle(self, proc, duration, seed, data):
+        # Script the first few uniforms onto CDF steps, then let the stream run.
+        script = data.draw(st.lists(st.sampled_from(cdf_steps(proc.stationary)), max_size=6))
+        try:
+            reference = markov_sample(proc, duration, ScriptedGenerator(seed, script))
+        except ValueError:
+            with pytest.raises(ValueError):
+                proc.sample(duration, ScriptedGenerator(seed, script))
+            return
+        same_bits(proc.sample(duration, ScriptedGenerator(seed, script)), reference)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sigma=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        phi=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+        step=st.floats(0.5, 100.0),
+        duration=st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(0.0, 10_000.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ar1_matches_oracle(self, sigma, phi, step, duration, seed):
+        proc = LognormalAR1Capacity(base=1000.0, sigma=sigma, phi=phi, step=step)
+        reference = ar1_sample(proc, duration, np.random.default_rng(seed))
+        same_bits(proc.sample(duration, np.random.default_rng(seed)), reference)
+
+    @pytest.mark.parametrize(
+        "script,states",
+        [
+            # Start CDF [0.5, 0.75, 1.0]: a draw of exactly 0.5 is state 1.
+            ([0.5], [1]),
+            # Start at state 0, whose jump CDF is [0.0, 0.5, 1.0]: a draw
+            # of exactly 0.5 jumps to state 2.
+            ([0.25, 0.5], [0, 2]),
+        ],
+    )
+    def test_draw_on_a_cdf_step_goes_right(self, script, states):
+        proc = MarkovModulatedCapacity(
+            base=1.0,
+            multipliers=(1.0, 2.0, 3.0),
+            stationary=(0.5, 0.25, 0.25),
+            mean_holding=(10.0, 10.0, 10.0),
         )
-        t = comp.sample(100.0, rng(9))
-        assert np.all(t.values <= 9.0 + 1e-12)
+        trace = proc.sample(0.0, ScriptedGenerator(3, script))
+        assert trace.values.tolist()[: len(states)] == [1.0 + s for s in states]
+        same_bits(trace, markov_sample(proc, 0.0, ScriptedGenerator(3, script)))
+
+    @pytest.mark.parametrize("stationary", [(1.0, 0.0), (0.0, 0.0, 1.0)])
+    def test_mass_one_state_raises(self, stationary):
+        proc = MarkovModulatedCapacity(
+            base=1.0,
+            multipliers=(1.0,) * len(stationary),
+            stationary=stationary,
+            mean_holding=(10.0,) * len(stationary),
+        )
+        with pytest.raises(ValueError):
+            markov_sample(proc, 5.0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="no other state"):
+            proc.sample(5.0, np.random.default_rng(0))

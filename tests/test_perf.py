@@ -66,6 +66,7 @@ class TestBenchRegistry:
             "tick_breakpoint",
             "stripe_session",
             "vec_epoch",
+            "scenario_build",
         }
 
     def test_specs_have_metadata(self):

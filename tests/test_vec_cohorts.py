@@ -10,7 +10,7 @@ on one link, where the rows' sum depends on their order.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.net.link import Link
@@ -78,6 +78,10 @@ def cohort_problems(draw):
         ))
         for _ in range(n_cohorts)
     ]
+    # Two distinct caps within the solver's 1e-9 freeze in one round: that
+    # is a tie, and only the ``tie`` branch below draws one.
+    finite = sorted({c for c in caps if np.isfinite(c)})
+    assume(all(b > a * (1.0 + 1e-8) for a, b in zip(finite, finite[1:])))
     tie = draw(st.booleans())
     if tie:
         cohort_links += [[0], sorted({0, draw(st.integers(0, n_links - 1))})]

@@ -1,5 +1,7 @@
 """Scenario assembly tests."""
 
+import hashlib
+
 import pytest
 
 from repro.core.session import SessionConfig
@@ -86,6 +88,30 @@ class TestBuild:
             section4_scenario.profiles["Duke"].throughput_class
             is ThroughputClass.MEDIUM
         )
+
+
+#: sha256 over every link's name, ``times`` bytes and ``values`` bytes, in
+#: topology order, as the per-step samplers wrote them at commit 6bdcab6.
+#: Any drift in a capacity sampler's RNG consumption or arithmetic - even
+#: one ulp on one link - changes these digests.
+PINNED_TRACE_DIGESTS = {
+    ("section2", 2007): "10c0ca44e7f70c40f32bd93a9eb486007cc3670feab4dc5d836662ea8cf6ab89",
+    ("section2", 1234): "ca74daadfb1b00cf7cb6003b67174d78d0019d6205cf88863573f5368a7d10dc",
+    ("section4", 2007): "0a6c2aa53de6698a28e35b5c51f2538995e463273ae020982666b2a48116657a",
+    ("section4", 1234): "a895ded4b90f5fe511c44f99f4e2a5f8579ffd6e664ed749b0f98ea0c0cde249",
+}
+
+
+class TestTraceBytes:
+    @pytest.mark.parametrize("preset,seed", sorted(PINNED_TRACE_DIGESTS))
+    def test_every_link_trace_is_pinned(self, preset, seed):
+        spec = getattr(ScenarioSpec, preset)()
+        digest = hashlib.sha256()
+        for link in Scenario.build(spec, seed=seed).topology.links:
+            digest.update(link.name.encode())
+            digest.update(link.trace.times.tobytes())
+            digest.update(link.trace.values.tobytes())
+        assert digest.hexdigest() == PINNED_TRACE_DIGESTS[(preset, seed)]
 
 
 class TestUniverse:

@@ -1,16 +1,8 @@
 """The paper's contribution: probe-based indirect path selection."""
 
-from repro.core.history import HistoryRankedPolicy
 from repro.core.oracle import OracleBestRelayPolicy
-from repro.core.policy import (
-    AllRelaysPolicy,
-    DirectOnlyPolicy,
-    LatencyRankedPolicy,
-    SelectionPolicy,
-    SingleRandomRelayPolicy,
-    StaticRelayPolicy,
-)
-from repro.core.predictor import EwmaPredictor, OraclePredictor, PathPredictor
+from repro.core.policy import SelectionPolicy
+from repro.core.predictor import OraclePredictor
 from repro.core.probe import (
     DEFAULT_PROBE_BYTES,
     PathProbe,
@@ -38,18 +30,10 @@ __all__ = [
     "ProbeOutcome",
     "PathProbe",
     "SelectionPolicy",
-    "DirectOnlyPolicy",
-    "StaticRelayPolicy",
-    "AllRelaysPolicy",
-    "SingleRandomRelayPolicy",
-    "LatencyRankedPolicy",
     "UniformRandomSetPolicy",
     "UtilizationWeightedPolicy",
     "OracleBestRelayPolicy",
-    "HistoryRankedPolicy",
-    "PathPredictor",
     "OraclePredictor",
-    "EwmaPredictor",
     "ProbeTimeout",
     "ResilienceConfig",
     "SessionOutcome",

@@ -4,19 +4,17 @@ A policy answers one question per transfer: *from the full set of deployed
 relays, which subset should the client probe?*  The probe race then picks
 between the direct path and the offered indirect paths.
 
-The paper's configurations map onto policies as follows:
+The policies that studies run:
 
-* §2-3 experiments: :class:`StaticRelayPolicy` - a single, statically chosen
-  relay per client.
-* §4 experiments: :class:`UniformRandomSetPolicy` - a uniformly random
-  k-subset per transfer (the "random set").
+* §4 experiments: :class:`~repro.core.random_set.UniformRandomSetPolicy` -
+  a uniformly random k-subset per transfer (the "random set").
 * §6 future work: :class:`~repro.core.weighted.UtilizationWeightedPolicy` -
   utilisation-weighted sampling (implemented in this reproduction).
-* Baselines: :class:`DirectOnlyPolicy` (never route indirectly),
-  :class:`AllRelaysPolicy` (probe everything),
-  :class:`SingleRandomRelayPolicy`, :class:`LatencyRankedPolicy` (RON-style
-  latency-based candidate ranking), and the oracle in
-  :mod:`repro.core.oracle`.
+* Baseline: the oracle in :mod:`repro.core.oracle`.
+
+The §2-3 campaign needs no policy: its one candidate relay per transfer
+comes from a seeded per-client rotation
+(:meth:`~repro.workloads.experiment.Section2Study.relay_rotation`).
 
 Policies see feedback through :meth:`SelectionPolicy.observe`, which reports
 the offered set and the chosen path after every transfer.
@@ -25,18 +23,11 @@ the offered set and the chosen path after every transfer.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-__all__ = [
-    "SelectionPolicy",
-    "DirectOnlyPolicy",
-    "StaticRelayPolicy",
-    "AllRelaysPolicy",
-    "SingleRandomRelayPolicy",
-    "LatencyRankedPolicy",
-]
+__all__ = ["SelectionPolicy"]
 
 
 class SelectionPolicy(abc.ABC):
@@ -74,74 +65,3 @@ class SelectionPolicy(abc.ABC):
         """Short display name used in reports."""
         return type(self).__name__
 
-
-class DirectOnlyPolicy(SelectionPolicy):
-    """Never considers relays: the paper's control client."""
-
-    def candidates(self, client, server, full_set, rng, *, now=0.0) -> List[str]:
-        return []
-
-
-class StaticRelayPolicy(SelectionPolicy):
-    """One fixed relay per client (the paper's §2-3 configuration).
-
-    Parameters
-    ----------
-    assignment:
-        Mapping from client name to its statically chosen relay.  A
-        ``default`` relay may be supplied for unmapped clients.
-    """
-
-    def __init__(self, assignment: Dict[str, str], *, default: Optional[str] = None):
-        self._assignment = dict(assignment)
-        self._default = default
-
-    def candidates(self, client, server, full_set, rng, *, now=0.0) -> List[str]:
-        relay = self._assignment.get(client, self._default)
-        if relay is None:
-            raise KeyError(f"no static relay assigned for client {client!r}")
-        if relay not in full_set:
-            raise ValueError(f"assigned relay {relay!r} is not deployed")
-        return [relay]
-
-
-class AllRelaysPolicy(SelectionPolicy):
-    """Probe the entire full set (the paper's k = 35 endpoint)."""
-
-    def candidates(self, client, server, full_set, rng, *, now=0.0) -> List[str]:
-        return list(full_set)
-
-
-class SingleRandomRelayPolicy(SelectionPolicy):
-    """One uniformly random relay per transfer (one-hop source routing [2])."""
-
-    def candidates(self, client, server, full_set, rng, *, now=0.0) -> List[str]:
-        if not full_set:
-            return []
-        return [str(rng.choice(list(full_set)))]
-
-
-class LatencyRankedPolicy(SelectionPolicy):
-    """The k relays with the lowest client-relay RTT (RON-flavoured baseline).
-
-    Latency is a poor proxy for throughput - which is the paper's point -
-    so this baseline typically underperforms throughput probing with the
-    same k.
-
-    Parameters
-    ----------
-    k:
-        Number of candidates to return.
-    rtt_lookup:
-        Callable ``(client, relay) -> rtt_seconds``.
-    """
-
-    def __init__(self, k: int, rtt_lookup):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = int(k)
-        self._rtt = rtt_lookup
-
-    def candidates(self, client, server, full_set, rng, *, now=0.0) -> List[str]:
-        ranked = sorted(full_set, key=lambda relay: self._rtt(client, relay))
-        return list(ranked[: self.k])

@@ -1,40 +1,25 @@
 """Path throughput predictors.
 
 The paper's predictor is implicit: probe throughput over the first x bytes
-predicts whole-transfer throughput.  This module makes the predictor concept
-explicit so alternatives can be compared:
+predicts whole-transfer throughput.  This module holds the explicit
+baseline it is compared against:
 
 OraclePredictor
     Peeks at the capacity traces and predicts the time-average bottleneck
     capacity over a look-ahead horizon, capped by the TCP window rate.  An
     un-implementable upper bound used as a baseline.
-EwmaPredictor
-    Exponentially weighted moving average of previously *observed* transfer
-    throughputs per path - the classic history-based alternative the related
-    work (RON) uses for path quality.
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Dict, Optional, Tuple
-
 from repro.http.transfer import TcpParams
 from repro.overlay.paths import OverlayPath
-from repro.util.validation import check_in_range, check_positive
+from repro.util.validation import check_positive
 
-__all__ = ["PathPredictor", "OraclePredictor", "EwmaPredictor"]
-
-
-class PathPredictor(abc.ABC):
-    """Predicts the throughput (bytes/second) a path would deliver now."""
-
-    @abc.abstractmethod
-    def predict(self, path: OverlayPath, now: float) -> float:
-        """Predicted long-transfer throughput for ``path`` starting at ``now``."""
+__all__ = ["OraclePredictor"]
 
 
-class OraclePredictor(PathPredictor):
+class OraclePredictor:
     """Trace-peeking predictor: mean bottleneck capacity over a horizon.
 
     Parameters
@@ -50,43 +35,8 @@ class OraclePredictor(PathPredictor):
         self._tcp = tcp
 
     def predict(self, path: OverlayPath, now: float) -> float:
+        """Predicted long-transfer throughput (bytes/second) for ``path`` at ``now``."""
         trace = path.route.bottleneck_trace()
         mean_cap = trace.mean_over(now, now + self.horizon)
         window_rate = self._tcp.max_window / max(path.route.rtt, 1e-4)
         return min(mean_cap, window_rate)
-
-
-class EwmaPredictor(PathPredictor):
-    """History-based predictor with exponential forgetting.
-
-    ``observe`` feeds measured throughputs; ``predict`` returns the current
-    estimate, or ``default`` for never-observed paths (optimistic defaults
-    encourage exploration).
-    """
-
-    def __init__(self, alpha: float = 0.3, *, default: float = float("inf")):
-        self.alpha = check_in_range(alpha, "alpha", 0.0, 1.0)
-        self.default = float(default)
-        self._estimates: Dict[Tuple[str, str, Optional[str]], float] = {}
-
-    @staticmethod
-    def _key(path: OverlayPath) -> Tuple[str, str, Optional[str]]:
-        return (path.route.destination, path.server.name, path.via)
-
-    def observe(self, path: OverlayPath, throughput: float) -> None:
-        """Record a measured transfer throughput for ``path``."""
-        check_positive(throughput, "throughput")
-        key = self._key(path)
-        prev = self._estimates.get(key)
-        if prev is None:
-            self._estimates[key] = throughput
-        else:
-            self._estimates[key] = self.alpha * throughput + (1.0 - self.alpha) * prev
-
-    def predict(self, path: OverlayPath, now: float) -> float:
-        return self._estimates.get(self._key(path), self.default)
-
-    @property
-    def n_paths_observed(self) -> int:
-        """Number of distinct paths with at least one observation."""
-        return len(self._estimates)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Optional, Set
 
-from repro.qa.flow.callgraph import FunctionInfo, dotted_name
+from repro.qa.flow.callgraph import FunctionInfo
 
 __all__ = [
     "basename",
@@ -101,8 +101,3 @@ def map_call_args(
             return None
         mapping[kw.arg] = kw.value
     return mapping
-
-
-def call_written_name(call: ast.Call) -> Optional[str]:
-    """Dotted name of the call target as written, if it is a pure chain."""
-    return dotted_name(call.func)

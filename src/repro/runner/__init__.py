@@ -33,7 +33,6 @@ from repro.runner.checkpoint import (
     CheckpointMismatchError,
     CheckpointStore,
     merge_completed,
-    read_manifest,
 )
 from repro.runner.plan import (
     CampaignPlan,
@@ -77,7 +76,6 @@ __all__ = [
     "plan_section4_policy",
     "plan_section4_sweep",
     "policy_is_stateless",
-    "read_manifest",
     "run_unit",
     "section2_relay_rotation",
 ]

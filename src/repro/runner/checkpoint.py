@@ -396,11 +396,3 @@ def merge_completed(
             f"(first: {head})"
         )
     return store
-
-
-def read_manifest(directory: PathLike) -> Optional[Dict[str, Any]]:
-    """Return the parsed manifest of a checkpoint directory, or None."""
-    path = Path(directory) / MANIFEST_NAME
-    if not path.exists():
-        return None
-    return json.loads(path.read_text(encoding="utf-8"))

@@ -10,11 +10,6 @@ from repro.tcp.model import (
     MSS,
     SlowStartRamp,
     ideal_transfer_time,
-    pftk_throughput,
-    slow_start_bytes,
-    slow_start_exit_time,
-    slow_start_time_to_bytes,
-    window_limited_rate,
 )
 from repro.tcp.reno import RenoConfig, RenoResult, simulate_reno_transfer
 
@@ -23,11 +18,6 @@ __all__ = [
     "DEFAULT_INITIAL_WINDOW",
     "DEFAULT_MAX_WINDOW",
     "SlowStartRamp",
-    "pftk_throughput",
-    "window_limited_rate",
-    "slow_start_bytes",
-    "slow_start_time_to_bytes",
-    "slow_start_exit_time",
     "ideal_transfer_time",
     "FlowState",
     "FluidFlow",

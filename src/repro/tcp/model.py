@@ -1,15 +1,11 @@
 """Analytic TCP throughput models.
 
-Two classical results are used across the library:
-
-* the **PFTK** steady-state throughput formula (Padhye et al.) relating rate
-  to RTT and loss probability - used to sanity-check calibrated link
-  capacities against plausible 2005-era TCP behaviour;
-* the **slow-start ramp**: an idealised TCP connection delivers
-  ``cwnd0 * (2^k - 1)`` bytes in its first ``k`` round-trips, so measuring
-  throughput over too small an initial range is dominated by slow-start.
-  This is exactly why the paper probes with ``x = 100 KB``: the probe must
-  outlast slow-start to predict steady-state throughput.
+The one classical result the library uses is the **slow-start ramp**: an
+idealised TCP connection delivers ``cwnd0 * (2^k - 1)`` bytes in its first
+``k`` round-trips, so measuring throughput over too small an initial range
+is dominated by slow-start.  This is exactly why the paper probes with
+``x = 100 KB``: the probe must outlast slow-start to predict steady-state
+throughput.
 
 All rates are bytes/second, times seconds, sizes bytes.
 """
@@ -19,17 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.util.validation import check_non_negative, check_positive, check_probability
+from repro.util.validation import check_non_negative, check_positive
 
 __all__ = [
     "MSS",
     "DEFAULT_INITIAL_WINDOW",
     "DEFAULT_MAX_WINDOW",
-    "pftk_throughput",
-    "window_limited_rate",
-    "slow_start_bytes",
-    "slow_start_time_to_bytes",
-    "slow_start_exit_time",
     "ideal_transfer_time",
     "SlowStartRamp",
 ]
@@ -42,95 +33,6 @@ DEFAULT_INITIAL_WINDOW: float = 2.0 * MSS
 
 #: Default maximum window in bytes (64 KB classic receive window).
 DEFAULT_MAX_WINDOW: float = 65_536.0
-
-
-def pftk_throughput(rtt: float, loss: float, *, mss: float = MSS, rto: float = 1.0) -> float:
-    """PFTK steady-state TCP throughput estimate in bytes/second.
-
-    Implements the full formula from Padhye, Firoiu, Towsley and Kurose,
-    "Modeling TCP Throughput: A Simple Model and its Empirical Validation"
-    (SIGCOMM 1998), with the timeout term.  ``loss`` is the packet loss
-    probability; the result is capped at the window-free limit for loss -> 0
-    by returning ``inf`` when ``loss == 0``.
-    """
-    check_positive(rtt, "rtt")
-    check_probability(loss, "loss")
-    check_positive(mss, "mss")
-    check_positive(rto, "rto")
-    if loss == 0.0:
-        return float("inf")
-    p = loss
-    term = rtt * math.sqrt(2.0 * p / 3.0) + rto * min(
-        1.0, 3.0 * math.sqrt(3.0 * p / 8.0)
-    ) * p * (1.0 + 32.0 * p * p)
-    return mss / term
-
-
-def window_limited_rate(max_window: float, rtt: float) -> float:
-    """Maximum achievable rate ``W_max / RTT`` in bytes/second."""
-    check_positive(rtt, "rtt")
-    check_non_negative(max_window, "max_window")
-    return max_window / rtt
-
-
-def slow_start_bytes(rounds: int, *, initial_window: float = DEFAULT_INITIAL_WINDOW) -> float:
-    """Bytes delivered after ``rounds`` complete slow-start round-trips.
-
-    Window doubles each RTT: total = w0 * (2^rounds - 1).
-    """
-    if rounds < 0:
-        raise ValueError(f"rounds must be >= 0, got {rounds}")
-    check_positive(initial_window, "initial_window")
-    return initial_window * (2.0**rounds - 1.0)
-
-
-def slow_start_time_to_bytes(
-    size: float,
-    rtt: float,
-    *,
-    initial_window: float = DEFAULT_INITIAL_WINDOW,
-) -> float:
-    """Time for unconstrained slow start to deliver ``size`` bytes.
-
-    Assumes window doubling every RTT with no capacity ceiling; the answer is
-    ``ceil(log2(size/w0 + 1))`` round trips, linearly interpolated within the
-    final round (fluid view).
-    """
-    check_non_negative(size, "size")
-    check_positive(rtt, "rtt")
-    check_positive(initial_window, "initial_window")
-    if size == 0.0:
-        return 0.0
-    delivered = 0.0
-    window = initial_window
-    t = 0.0
-    while delivered + window < size:
-        delivered += window
-        window *= 2.0
-        t += rtt
-    # Fraction of the final round needed.
-    return t + rtt * (size - delivered) / window
-
-
-def slow_start_exit_time(
-    target_rate: float,
-    rtt: float,
-    *,
-    initial_window: float = DEFAULT_INITIAL_WINDOW,
-) -> float:
-    """Time until the doubling ramp first reaches ``target_rate``.
-
-    The ramp's rate during round k is ``w0 * 2^k / rtt``; the exit time is
-    the start of the first round whose rate meets the target.
-    """
-    check_positive(rtt, "rtt")
-    check_positive(initial_window, "initial_window")
-    check_non_negative(target_rate, "target_rate")
-    base_rate = initial_window / rtt
-    if target_rate <= base_rate:
-        return 0.0
-    rounds = math.ceil(math.log2(target_rate / base_rate))
-    return rounds * rtt
 
 
 def ideal_transfer_time(

@@ -5,9 +5,11 @@ Each study (``section2``, ``section4``, ``failures``, ``mhttp``, ``chaos``,
 planner and unit runner.  The CLI driver (:mod:`repro.cli`) and the
 runner's :func:`~repro.runner.pool.run_unit` read these entries and know
 nothing else about studies.  This module imports no study module;
-:func:`get_study` imports one on first use, so neither ``import repro.cli``
-nor a spawned worker loads a study it does not run.  Adding a study means
-writing its module and one line in :data:`STUDIES`.
+:func:`get_study` imports an entry's module on first use.  (The
+``repro.workloads`` package itself still imports the ``experiment``
+(section2, section4) and ``failures`` modules, so every process that
+imports it loads those two.)  Adding a study means writing its module and
+one line in :data:`STUDIES`.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def unit_runner(unit: Any) -> Callable[[Scenario, Any, Any, Any], Any]:
     A unit names its study by ``runner`` or, when that is unset (the field
     is hashed into the unit id, so studies whose units predate it leave it
     out), by ``study``.  Units of an unregistered study - ad-hoc policy runs
-    such as ``Section4Study.run_policy(..., study="history")`` - are paired
+    such as ``Section4Study.run_policy(..., study="weighted")`` - are paired
     transfers, which the ``section2`` entry runs.
     """
     name = unit.runner or unit.study

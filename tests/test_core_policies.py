@@ -4,13 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.oracle import OracleBestRelayPolicy
-from repro.core.policy import (
-    AllRelaysPolicy,
-    DirectOnlyPolicy,
-    LatencyRankedPolicy,
-    SingleRandomRelayPolicy,
-    StaticRelayPolicy,
-)
 from repro.core.random_set import UniformRandomSetPolicy
 from repro.core.weighted import UtilizationWeightedPolicy
 
@@ -19,37 +12,6 @@ FULL = [f"R{i}" for i in range(10)]
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-class TestSimplePolicies:
-    def test_direct_only_offers_nothing(self):
-        assert DirectOnlyPolicy().candidates("c", "s", FULL, rng()) == []
-
-    def test_all_relays(self):
-        assert AllRelaysPolicy().candidates("c", "s", FULL, rng()) == FULL
-
-    def test_single_random_in_full_set(self):
-        got = SingleRandomRelayPolicy().candidates("c", "s", FULL, rng())
-        assert len(got) == 1 and got[0] in FULL
-
-    def test_single_random_empty_full_set(self):
-        assert SingleRandomRelayPolicy().candidates("c", "s", [], rng()) == []
-
-    def test_static_assignment(self):
-        p = StaticRelayPolicy({"Italy": "R3"})
-        assert p.candidates("Italy", "s", FULL, rng()) == ["R3"]
-
-    def test_static_default(self):
-        p = StaticRelayPolicy({}, default="R1")
-        assert p.candidates("Anyone", "s", FULL, rng()) == ["R1"]
-
-    def test_static_missing_raises(self):
-        with pytest.raises(KeyError):
-            StaticRelayPolicy({}).candidates("X", "s", FULL, rng())
-
-    def test_static_undeployed_relay_raises(self):
-        with pytest.raises(ValueError, match="not deployed"):
-            StaticRelayPolicy({"X": "nope"}).candidates("X", "s", FULL, rng())
 
 
 class TestUniformRandomSet:
@@ -139,17 +101,6 @@ class TestUtilizationWeighted:
             UtilizationWeightedPolicy(0)
         with pytest.raises(ValueError):
             UtilizationWeightedPolicy(2, alpha=0.0)
-
-
-class TestLatencyRanked:
-    def test_ranks_by_rtt(self):
-        rtts = {"R0": 0.3, "R1": 0.1, "R2": 0.2}
-        p = LatencyRankedPolicy(2, lambda c, r: rtts[r])
-        assert p.candidates("c", "s", list(rtts), rng()) == ["R1", "R2"]
-
-    def test_k_validated(self):
-        with pytest.raises(ValueError):
-            LatencyRankedPolicy(0, lambda c, r: 0.0)
 
 
 class TestOracle:

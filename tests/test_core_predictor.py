@@ -1,8 +1,8 @@
-"""Path predictor tests: oracle trace-peeking and EWMA history."""
+"""Path predictor tests: oracle trace-peeking."""
 
 import pytest
 
-from repro.core.predictor import EwmaPredictor, OraclePredictor
+from repro.core.predictor import OraclePredictor
 from repro.http.transfer import TcpParams
 from repro.net.trace import CapacityTrace
 from repro.util.units import mbps_to_bytes_per_s
@@ -38,43 +38,3 @@ class TestOraclePredictor:
         with pytest.raises(ValueError):
             OraclePredictor(horizon=0.0)
 
-
-class TestEwmaPredictor:
-    def test_default_optimistic(self, mini_world):
-        w = mini_world()
-        p = EwmaPredictor()
-        assert p.predict(w.builder.direct("C", "S"), 0.0) == float("inf")
-
-    def test_first_observation_sets_estimate(self, mini_world):
-        w = mini_world()
-        path = w.builder.direct("C", "S")
-        p = EwmaPredictor(alpha=0.5)
-        p.observe(path, 100.0)
-        assert p.predict(path, 0.0) == 100.0
-
-    def test_ewma_update(self, mini_world):
-        w = mini_world()
-        path = w.builder.direct("C", "S")
-        p = EwmaPredictor(alpha=0.5)
-        p.observe(path, 100.0)
-        p.observe(path, 200.0)
-        assert p.predict(path, 0.0) == pytest.approx(150.0)
-
-    def test_paths_tracked_separately(self, mini_world):
-        w = mini_world(relay_mbps={"R1": 2.0})
-        direct = w.builder.direct("C", "S")
-        ind = w.builder.indirect("C", "R1", "S")
-        p = EwmaPredictor(default=0.0)
-        p.observe(direct, 100.0)
-        assert p.predict(ind, 0.0) == 0.0
-        assert p.n_paths_observed == 1
-
-    def test_alpha_validated(self):
-        with pytest.raises(ValueError):
-            EwmaPredictor(alpha=1.5)
-
-    def test_non_positive_observation_rejected(self, mini_world):
-        w = mini_world()
-        p = EwmaPredictor()
-        with pytest.raises(ValueError):
-            p.observe(w.builder.direct("C", "S"), 0.0)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis import headline_stats, indirect_utilization
 from repro.core.oracle import OracleBestRelayPolicy
-from repro.core.policy import DirectOnlyPolicy, SingleRandomRelayPolicy
+from repro.core.policy import SelectionPolicy
 from repro.core.random_set import UniformRandomSetPolicy
 from repro.core.weighted import UtilizationWeightedPolicy
 from repro.trace.store import TraceStore
@@ -15,6 +15,24 @@ from repro.workloads.experiment import (
     run_paired_transfer,
 )
 from repro.workloads.scenario import Scenario, ScenarioSpec
+
+
+# Baselines for the ordering checks.  ``policy.name`` is the class name and
+# labels each client's candidate stream, so these names fix the draws.
+class DirectOnlyPolicy(SelectionPolicy):
+    """Never offers a relay: the control client."""
+
+    def candidates(self, client, server, full_set, rng, *, now=0.0):
+        return []
+
+
+class SingleRandomRelayPolicy(SelectionPolicy):
+    """One uniformly random relay per transfer."""
+
+    def candidates(self, client, server, full_set, rng, *, now=0.0):
+        if not full_set:
+            return []
+        return [str(rng.choice(list(full_set)))]
 
 
 class TestDeterminism:

@@ -1,73 +1,10 @@
 """Analytic TCP model tests."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.tcp.model import (
-    DEFAULT_INITIAL_WINDOW,
-    MSS,
-    SlowStartRamp,
-    ideal_transfer_time,
-    pftk_throughput,
-    slow_start_bytes,
-    slow_start_exit_time,
-    slow_start_time_to_bytes,
-    window_limited_rate,
-)
-
-
-class TestPftk:
-    def test_zero_loss_unbounded(self):
-        assert pftk_throughput(0.1, 0.0) == float("inf")
-
-    def test_decreasing_in_loss(self):
-        rates = [pftk_throughput(0.1, p) for p in (1e-4, 1e-3, 1e-2, 1e-1)]
-        assert rates == sorted(rates, reverse=True)
-
-    def test_decreasing_in_rtt(self):
-        assert pftk_throughput(0.05, 0.01) > pftk_throughput(0.2, 0.01)
-
-    def test_matches_simple_formula_at_low_loss(self):
-        # At small p the sqrt term dominates: rate ~ MSS/(rtt*sqrt(2p/3)).
-        p, rtt = 1e-5, 0.1
-        simple = MSS / (rtt * math.sqrt(2 * p / 3))
-        assert pftk_throughput(rtt, p) == pytest.approx(simple, rel=0.05)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            pftk_throughput(0.0, 0.01)
-        with pytest.raises(ValueError):
-            pftk_throughput(0.1, 1.5)
-
-
-class TestSlowStartAnalytics:
-    def test_bytes_doubling(self):
-        w0 = DEFAULT_INITIAL_WINDOW
-        assert slow_start_bytes(0) == 0.0
-        assert slow_start_bytes(1) == w0
-        assert slow_start_bytes(3) == 7 * w0
-
-    def test_negative_rounds_rejected(self):
-        with pytest.raises(ValueError):
-            slow_start_bytes(-1)
-
-    def test_time_to_bytes_monotone(self):
-        t1 = slow_start_time_to_bytes(10_000, 0.1)
-        t2 = slow_start_time_to_bytes(100_000, 0.1)
-        assert t2 > t1 > 0.0
-
-    def test_time_zero_for_zero_bytes(self):
-        assert slow_start_time_to_bytes(0.0, 0.1) == 0.0
-
-    def test_exit_time(self):
-        # Base rate w0/rtt; reaching 8x the base rate needs 3 doublings.
-        rtt = 0.1
-        base = DEFAULT_INITIAL_WINDOW / rtt
-        assert slow_start_exit_time(8 * base, rtt) == pytest.approx(3 * rtt)
-        assert slow_start_exit_time(0.5 * base, rtt) == 0.0
+from repro.tcp.model import SlowStartRamp, ideal_transfer_time
 
 
 class TestIdealTransferTime:
@@ -98,15 +35,6 @@ class TestIdealTransferTime:
     def test_never_faster_than_capacity(self, size, cap, rtt):
         t = ideal_transfer_time(size, cap, rtt)
         assert t >= size / cap - 1e-9
-
-
-class TestWindowLimitedRate:
-    def test_formula(self):
-        assert window_limited_rate(65536.0, 0.1) == pytest.approx(655_360.0)
-
-    def test_zero_rtt_rejected(self):
-        with pytest.raises(ValueError):
-            window_limited_rate(1.0, 0.0)
 
 
 class TestSlowStartRamp:

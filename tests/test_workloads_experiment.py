@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.policy import DirectOnlyPolicy
+from repro.core.policy import SelectionPolicy
 from repro.core.random_set import UniformRandomSetPolicy
 from repro.workloads.experiment import (
     Section2Study,
@@ -99,8 +99,11 @@ class TestSection4Study:
             assert len(set(rec.offered)) == len(rec.offered)
 
     def test_run_policy_observes(self, section4_scenario):
-        class SpyPolicy(DirectOnlyPolicy):
+        class SpyPolicy(SelectionPolicy):
             observed = 0
+
+            def candidates(self, client, server, full_set, rng, *, now=0.0):
+                return []
 
             def observe(self, client, server, offered, chosen, throughput=None):
                 type(self).observed += 1

@@ -5,7 +5,6 @@ indirect path is "still significantly utilized regardless of which
 intermediate node lies on the indirect path".
 """
 
-import numpy as np
 
 from repro.analysis import (
     overall_average_utilization,

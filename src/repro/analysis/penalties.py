@@ -16,7 +16,7 @@ each filter - is the shape this module reproduces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 

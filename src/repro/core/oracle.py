@@ -9,13 +9,13 @@ oracle bounds what *any* candidate-set policy could achieve with k = 1.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.policy import SelectionPolicy
 from repro.core.predictor import OraclePredictor
-from repro.overlay.paths import OverlayPath, OverlayPathBuilder
+from repro.overlay.paths import OverlayPathBuilder
 
 __all__ = ["OracleBestRelayPolicy"]
 

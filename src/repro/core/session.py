@@ -33,7 +33,7 @@ timeline.  The default config reproduces the legacy protocol exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.probe import (

@@ -11,7 +11,7 @@ without the wire format.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.util.validation import check_positive

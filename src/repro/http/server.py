@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.http.messages import ByteRange, HttpRequest, HttpResponse, RangeError
+from repro.http.messages import ByteRange, HttpRequest, HttpResponse
 from repro.util.validation import check_positive
 
 __all__ = ["WebServer"]

@@ -14,7 +14,6 @@ request direction into the RTT.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.net.trace import CapacityTrace, TraceCursor
 from repro.util.units import s_to_ms

@@ -16,7 +16,7 @@ the ablation (A9) reports is physical, not accounting fiction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.http.messages import ByteRange, HttpRequest
 from repro.http.transfer import HttpTransfer, TcpParams, issue_download

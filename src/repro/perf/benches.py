@@ -1,16 +1,15 @@
 """Deterministic microbenchmarks for the simulation kernel's hot paths.
 
 Each bench measures one kernel (scalar trace queries, max-min allocation,
-event-queue churn, the fluid tick, the vector engine's epoch, the striped
-session's block scheduler, the scenario build); end-to-end study timings
+event-queue churn, the fluid tick, the striped session's block
+scheduler, the scenario build); end-to-end study timings
 are perfbench's job (``perfbench/run.py``).  The **optimised** number is
 the code the studies run.  A bench also reports a **baseline** where a
 live reference implementation of the same kernel exists and the tests
 hold the two equal:
 the ``searchsorted`` trace lookups (``CapacityTrace.value_at``), the
 reference allocator (``maxmin_allocate(fast=False)``, timed under its
-disjoint fast path and under ``maxmin_scalar``) and the classic engine
-under the vector one.  Every other bench reports
+disjoint fast path and under ``maxmin_scalar``).  Every other bench reports
 ``baseline: null``; drift over time is ``repro perf --baseline``'s job.
 
 Workloads are seeded and fixed-size, so successive runs (and successive
@@ -20,7 +19,6 @@ CLI assembles them into ``BENCH_engine.json`` via :mod:`repro.perf.report`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -32,7 +30,6 @@ from repro.net.trace import CapacityTrace, TraceCursor
 from repro.perf.microbench import Measurement, measure
 from repro.sim.event_queue import Event, EventQueue
 from repro.sim.simulator import Simulator
-from repro.tcp import fluid
 from repro.tcp.fluid import FluidNetwork
 from repro.tcp.maxmin import incidence_matrix, maxmin_allocate, maxmin_scalar
 from repro.tcp.model import SlowStartRamp
@@ -444,87 +441,6 @@ def _bench_tick_breakpoint(quick: bool) -> Dict[str, Any]:
 
 
 # --------------------------------------------------------------------------- #
-# vector engine: per-epoch cost over a contended population
-# --------------------------------------------------------------------------- #
-def _vec_epoch_population(n_flows: int, observer: Optional[Any] = None) -> Simulator:
-    """A shared-bottleneck population in slow start (scale-study shape).
-
-    Every flow crosses one site access link plus its RTT tier's WAN pipe,
-    with quantised sizes and start slots - the cohort-retirement shape the
-    vector engine's batched epochs target.  Returns the simulator, ready to
-    run; the whole population activates within the first second.
-    """
-    from repro.tcp.model import SlowStartRamp
-
-    rng = np.random.default_rng(derive_seed(_BENCH_SEED, "vec-epoch"))
-    sim = Simulator(sanitize=False, observer=observer)
-    network = FluidNetwork(sim)
-    site = Link(
-        "site", "net", "site",
-        CapacityTrace.constant(mbps_to_bytes_per_s(2_000.0)), delay=0.001,
-    )
-    tier_rtts = (0.024, 0.072, 0.2)
-    wans = [
-        Link(
-            f"wan{t}", "edge", "net",
-            CapacityTrace.constant(mbps_to_bytes_per_s(10_000.0)),
-            delay=rtt / 2.0 - site.delay,
-        )
-        for t, rtt in enumerate(tier_rtts)
-    ]
-    ramps = {
-        t: SlowStartRamp(rtt=2.0 * (wans[t].delay + site.delay))
-        for t in range(len(tier_rtts))
-    }
-    sizes = (0.25 * MB, 1.0 * MB, 4.0 * MB)
-    tier_of = rng.integers(0, len(tier_rtts), size=n_flows)
-    size_of = rng.integers(0, len(sizes), size=n_flows)
-    slot_of = rng.integers(0, 4, size=n_flows)
-    for i in range(n_flows):
-        t = int(tier_of[i])
-        network.start_flow(
-            Route([wans[t], site]),
-            sizes[int(size_of[i])],
-            ramp=ramps[t],
-            activation_delay=0.25 * int(slot_of[i]),
-        )
-    return sim
-
-
-def _bench_vec_epoch(quick: bool) -> Dict[str, Any]:
-    from repro.obs.core import Observer
-
-    n_flows = 200 if quick else 800
-    rounds = 3 if quick else 5
-
-    def run(promote_above: float, observer: Optional[Observer] = None) -> int:
-        # The promotion bound picks the tick: 0 runs the vector core from
-        # the first flow, inf keeps the per-object tick throughout.
-        saved = fluid._PROMOTE_ABOVE
-        fluid._PROMOTE_ABOVE = promote_above
-        try:
-            sim = _vec_epoch_population(n_flows, observer)
-            sim.run()
-        finally:
-            fluid._PROMOTE_ABOVE = saved
-        return sim.events_processed
-
-    opt = _measure_counted(lambda: run(0), rounds=rounds)
-    base = _measure_counted(lambda: run(math.inf), rounds=rounds)
-    # The core's solver counts, from one more (untimed) observed run.
-    obs = Observer()
-    run(0, obs)
-    return {
-        "optimised": opt.ns_per_op,
-        "baseline": base.ns_per_op,
-        "flows": n_flows,
-        "solver_rounds": int(obs.counter("vec.solver_rounds")),
-        "cohort_fallbacks": int(obs.counter("vec.cohort_fallbacks")),
-        **_measurement_fields(opt),
-    }
-
-
-# --------------------------------------------------------------------------- #
 # striped session: block-scheduler overhead per committed block
 # --------------------------------------------------------------------------- #
 def _bench_stripe_session(quick: bool) -> Dict[str, Any]:
@@ -628,12 +544,6 @@ BENCHES: Dict[str, BenchSpec] = {
             "striped session, small blocks: scheduler overhead per block",
             "ns/block",
             _bench_stripe_session,
-        ),
-        BenchSpec(
-            "vec_epoch",
-            "fluid epoch over a contended population: vector core vs oracle",
-            "ns/op",
-            _bench_vec_epoch,
         ),
         BenchSpec(
             "scenario_build",

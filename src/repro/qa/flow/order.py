@@ -27,7 +27,6 @@ from repro.qa.flow._shared import (
     basename,
     iter_own_nodes,
     local_name_assignments,
-    map_call_args,
 )
 from repro.qa.flow.callgraph import FunctionInfo, Project
 from repro.qa.flow.report import FlowFinding

@@ -11,7 +11,7 @@ empirical model for web-transfer workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

@@ -54,6 +54,10 @@ class FluidFlow:
         Time the first payload byte could flow (request latency elapsed).
     completed_at:
         Completion time, or ``None``.
+    delivered:
+        Bytes delivered as of the engine's last tick.
+    rate:
+        Current allocated rate (bytes/second).
     """
 
     __slots__ = (
@@ -67,10 +71,9 @@ class FluidFlow:
         "requested_at",
         "activated_at",
         "completed_at",
-        "_delivered",
-        "_rate",
+        "delivered",
+        "rate",
         "_last_update",
-        "_sync",
     )
 
     def __init__(
@@ -94,10 +97,9 @@ class FluidFlow:
         self.requested_at = float(requested_at)
         self.activated_at: Optional[float] = None
         self.completed_at: Optional[float] = None
-        self._delivered = 0.0
-        self._rate = 0.0
+        self.delivered = 0.0
+        self.rate = 0.0
         self._last_update = float(requested_at)
-        self._sync: Optional[Callable[["FluidFlow"], None]] = None
 
     # ------------------------------------------------------------------ #
     # engine-facing interface
@@ -112,23 +114,21 @@ class FluidFlow:
     def _advance(self, now: float) -> None:
         """Accrue bytes delivered at the current rate since the last update."""
         if self.state is FlowState.ACTIVE and now > self._last_update:
-            self._delivered = min(
-                self.size, self._delivered + self._rate * (now - self._last_update)
+            self.delivered = min(
+                self.size, self.delivered + self.rate * (now - self._last_update)
             )
         self._last_update = now
 
     def _complete(self, now: float) -> None:
         self.state = FlowState.COMPLETED
         self.completed_at = now
-        self._delivered = self.size
-        self._rate = 0.0
-        self._sync = None
+        self.delivered = self.size
+        self.rate = 0.0
 
     def _abort(self, now: float) -> None:
         self.state = FlowState.ABORTED
         self.completed_at = now
-        self._rate = 0.0
-        self._sync = None
+        self.rate = 0.0
 
     def cap_at(self, now: float) -> float:
         """Current private rate ceiling from the slow-start ramp."""
@@ -149,32 +149,6 @@ class FluidFlow:
     # observers
     # ------------------------------------------------------------------ #
     @property
-    def delivered(self) -> float:
-        """Bytes delivered as of the engine's last tick.
-
-        When a batched engine owns this flow, the authoritative value lives in
-        its arrays; a sync hook materialises it here on first read.
-        """
-        if self._sync is not None:
-            self._sync(self)
-        return self._delivered
-
-    @delivered.setter
-    def delivered(self, value: float) -> None:
-        self._delivered = value
-
-    @property
-    def rate(self) -> float:
-        """Current allocated rate (bytes/second)."""
-        if self._sync is not None:
-            self._sync(self)
-        return self._rate
-
-    @rate.setter
-    def rate(self, value: float) -> None:
-        self._rate = value
-
-    @property
     def remaining(self) -> float:
         """Bytes still to deliver."""
         return max(0.0, self.size - self.delivered)
@@ -186,7 +160,7 @@ class FluidFlow:
         between them)."""
         delivered = self.delivered
         if self.state is FlowState.ACTIVE and now > self._last_update:
-            return min(self.size, delivered + self._rate * (now - self._last_update))
+            return min(self.size, delivered + self.rate * (now - self._last_update))
         return delivered
 
     @property

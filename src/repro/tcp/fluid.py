@@ -24,9 +24,9 @@ caps and re-running the allocator.  Scalar trace queries go through
 per-link :class:`~repro.net.trace.TraceCursor` objects, which are amortised
 O(1) because event times never decrease.
 
-The solver depends on the problem, and every choice returns
-:func:`repro.tcp.maxmin.maxmin_allocate`'s rates on the same inputs bit for
-bit (DESIGN.md §7):
+The solver depends on the problem.  Up to ``_DENSE_MAX_FLOWS`` flows every
+choice returns :func:`repro.tcp.maxmin.maxmin_allocate`'s rates on the same
+inputs bit for bit (DESIGN.md §7):
 
 * no link carries two flows (a lone flow included): each flow gets
   ``min(bottleneck, cap)`` in plain floats;
@@ -36,25 +36,21 @@ bit (DESIGN.md §7):
 * a larger shared problem - a concurrent probe race's, say - runs the
   numpy loop itself.
 
-Under ``REPRO_SANITIZE=1`` the same solver runs and the sanitizer checks
-the rates it returned.
+A shared problem of more flows runs the sparse
+:func:`repro.vec.solver.waterfill_sparse` over the structure's coordinate
+lists: the same fixed point to round-off, in O(nnz) per round, and the
+rates the vector core gives rows past the same window.  Under
+``REPRO_SANITIZE=1`` the same solver runs and the sanitizer checks the
+rates it returned.
 
-The population picks the tick (DESIGN.md §12).  A network starts on the
-per-object tick above, which is fastest for the handful of concurrent flows
-a paper session runs.  The first time its active population exceeds
-``_DENSE_MAX_FLOWS`` it moves its active flows into a
-:class:`repro.vec.engine.VectorCore` and delegates every later tick to it.
-Up to that size the vector core calls the dense ``maxmin_allocate``, whose
-rates the per-object tick's solvers reproduce bit for bit, so the move
-cannot change a byte; past it only the vector core's sparse solver
-scales.  A sanitized network promotes like any other: the core runs the
-sanitizer's checks over its columns, so sanitized and plain runs take the
-same path.
-
+The traffic picks the tick (DESIGN.md §12).  Object flows
+(:meth:`FluidNetwork.start_flow`) always run the per-object tick above,
+which is fastest for the handful of concurrent flows a paper session runs.
 :meth:`FluidNetwork.start_races` runs a whole population's direct/relay
-probe race (:mod:`repro.vec.race`) on the vector core from the start, as
-columns with no :class:`~repro.tcp.flow.FluidFlow` per probe or transfer.
-A network runs either a race or object flows, never both.
+probe race (:mod:`repro.vec.race`) on a
+:class:`repro.vec.engine.VectorCore`, as columns with no
+:class:`~repro.tcp.flow.FluidFlow` per probe or transfer.  A network runs
+either a race or object flows, never both.
 """
 
 from __future__ import annotations
@@ -84,14 +80,11 @@ _COMPLETION_SLACK = 1e-3
 #: Relative completion-time safety margin (schedule exactly, detect with slack).
 _TIME_EPS = 1e-12
 
-#: Largest active population the vector core solves with the dense
-#: ``maxmin_allocate`` (the per-object tick's own solver, hence bit-identical
-#: rates); above it the vector core's sparse water-filling takes over.
+#: Largest shared problem either tick solves densely (the per-object tick
+#: with ``maxmin_allocate``'s numpy loop, the vector core with
+#: ``maxmin_allocate`` itself: the same bits); above it both run the sparse
+#: ``waterfill_sparse``.
 _DENSE_MAX_FLOWS = 384
-#: A network whose active population exceeds this promotes itself to a
-#: VectorCore.  Tests force an engine by patching it: 0 runs the vector core
-#: from the first flow, ``math.inf`` keeps the per-object tick throughout.
-_PROMOTE_ABOVE: float = _DENSE_MAX_FLOWS
 #: Largest shared (non-disjoint) problem the per-object tick solves with
 #: the plain-float ``maxmin_scalar``; larger ones run the numpy loop.  Both
 #: return the same bits, so this bound only moves speed.  Read off the
@@ -111,8 +104,8 @@ class _AllocState:
     always, so only set membership can invalidate this.  ``disjoint`` (no
     link carries two flows) is a property of the structure and is decided
     once here rather than on every tick.  The dense ``incidence`` matrix
-    (read by the numpy solve) and the ``coords`` lists (read by the
-    sanitizer) are built on first use.
+    (read by the numpy solve) and the ``coords`` lists (read by the sparse
+    solve and the sanitizer) are built on first use.
     """
 
     __slots__ = (
@@ -195,7 +188,7 @@ class FluidNetwork:
         #: (population-scale workloads create thousands of flows per
         #: instant); they activate in creation order.
         self._pending_activations: Dict[float, List[FluidFlow]] = {}
-        #: The VectorCore ticks run on once promoted (None: per-object tick).
+        #: The VectorCore a probe race runs on (None: per-object tick).
         self._vec = None
         #: Cached allocation structure; None whenever the active set changed.
         self._alloc_state: Optional[_AllocState] = None
@@ -216,11 +209,6 @@ class FluidNetwork:
     def sim(self) -> Simulator:
         """The simulator this network schedules on."""
         return self._sim
-
-    @property
-    def vector(self) -> bool:
-        """True once the network has promoted itself to the vector core."""
-        return self._vec is not None
 
     @property
     def active_flows(self) -> List[FluidFlow]:
@@ -246,7 +234,7 @@ class FluidNetwork:
         (default: one route RTT, modelling request propagation and the first
         data byte's return).  Returns the flow handle immediately.
         """
-        if self._vec is not None and self._vec._race is not None:
+        if self._vec is not None:
             raise TransferError("a network running a probe race takes no object flows")
         flow = FluidFlow(
             route,
@@ -289,8 +277,8 @@ class FluidNetwork:
         ``routes[direct[i]]`` and ``routes[relay[i]]`` with
         ``probe_bytes`` each, and fetches ``sizes[size[i]]`` bytes over the
         route whose probe completes first; ``ramps[j]`` is route ``j``'s
-        slow-start ramp.  The network moves onto its vector core at once,
-        whatever the population.  Returns the
+        slow-start ramp.  The race runs on a vector core, whatever the
+        population.  Returns the
         :class:`~repro.vec.race.ProbeRace` whose result columns fill in as
         the simulator runs.
         """
@@ -313,8 +301,6 @@ class FluidNetwork:
         if flow.done:
             return
         if flow.state is FlowState.ACTIVE:
-            if self._vec is not None:
-                self._vec.detach_flow(flow)  # materialises the row first
             flow._advance(self._sim.now)
             self._active.pop(flow.id, None)
             self._invalidate_alloc("abort")
@@ -327,50 +313,20 @@ class FluidNetwork:
     # engine internals
     # ------------------------------------------------------------------ #
     def _activate_batch(self, at: float) -> None:
-        """Activate every flow whose activation instant is ``at``.
-
-        Flows activate in creation order.  If the batch lifts the active
-        population past ``_PROMOTE_ABOVE``, the network promotes itself
-        before the batch's tick runs, so a large batch is never solved on
-        the per-object tick.
-        """
+        """Activate every flow whose activation instant is ``at``, in
+        creation order."""
         now = self._sim.now
-        vec = self._vec
         activated = False
         for flow in self._pending_activations.pop(at):
             if flow.state is FlowState.ABORTED:
                 continue  # aborted while pending
             flow._activate(now)
             self._active[flow.id] = flow
-            if vec is not None:
-                vec.add_flow(flow)
             activated = True
         if not activated:
             return
-        if vec is None and len(self._active) > _PROMOTE_ABOVE:
-            self._promote()
         self._invalidate_alloc("activate")
         self._request_tick()
-
-    def _promote(self) -> None:
-        """Move the active flows into a VectorCore; later ticks run there.
-
-        Flows are accrued to ``now`` at the rates the last per-object tick
-        chose, which is the first step that tick would take; the vector
-        core then starts from exactly that state, in activation order.  A
-        sanitizer drops its per-flow progress record of each moved flow:
-        the core's own delivered snapshot is its baseline from then on.
-        """
-        from repro.vec.engine import VectorCore  # deferred: import cycle
-
-        now = self._sim.now
-        sanitizer = self._sim.sanitizer
-        vec = self._vec = VectorCore(self)
-        for flow in self._active.values():
-            flow._advance(now)
-            vec.add_flow(flow)
-            if sanitizer is not None:
-                sanitizer.forget_flow(flow.id)
 
     def _invalidate_alloc(self, reason: str) -> None:
         """Drop the cached allocation structure, counting the cause."""
@@ -515,11 +471,18 @@ class FluidNetwork:
                 obs.count("alloc.solve_disjoint_scalar")
         elif len(flows) <= _SCALAR_MAX_FLOWS:
             rates = maxmin_scalar(capv, state.flow_links, capl, observer=obs)
-        else:
+        elif len(flows) <= _DENSE_MAX_FLOWS:
             rates = maxmin_allocate(
                 np.array(capv), state.incidence, np.array(capl),
                 validate=False, fast=False, observer=obs,
             ).tolist()
+        else:
+            from repro.vec.solver import waterfill_sparse  # deferred: import cycle
+
+            lids, frow = state.coords
+            rates = waterfill_sparse(
+                np.array(capv), lids, frow, len(flows), np.array(capl), observer=obs
+            )[0].tolist()
         if sanitizer is not None:
             # Checks the rates the solver that ran returned.
             lids, frow = state.coords
@@ -528,11 +491,11 @@ class FluidNetwork:
                 np.array(rates), state.link_names,
             )
         for flow, rate in zip(flows, rates):
-            flow._rate = rate
+            flow.rate = rate
         next_time = float("inf")
         for flow in flows:
-            if flow._rate > 0.0:
-                next_time = min(next_time, now + flow.remaining / flow._rate)
+            if flow.rate > 0.0:
+                next_time = min(next_time, now + flow.remaining / flow.rate)
             next_time = min(next_time, flow.next_cap_increase(now))
         for cursor in cursors:
             next_time = min(next_time, cursor.next_change_after(now))

@@ -15,7 +15,7 @@ round-trips every registered type from a single entry point.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, ClassVar, Dict, Optional, Tuple, Type
 
 from repro.core.resilience import RecoveryEvent

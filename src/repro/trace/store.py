@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 

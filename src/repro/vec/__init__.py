@@ -7,16 +7,18 @@ entire population per epoch, one solver flow per cohort, and replaces
 per-flow Python bookkeeping with vectorized next-completion /
 next-breakpoint scans.
 
-Nobody selects it: a :class:`repro.tcp.fluid.FluidNetwork` promotes itself
-to a :class:`VectorCore` the first time its active population exceeds the
-dense-solver window (``repro.tcp.fluid._DENSE_MAX_FLOWS``).  Within that
-window the core routes its allocation through the dense
-:func:`repro.tcp.maxmin.maxmin_allocate`, whose rates the per-object tick's
-solvers reproduce bit for bit, so promotion never changes a byte (pinned by
-the test suite).  :func:`certify_maxmin` checks any allocation over the
-core's sparse incidence in O(nnz); the sanitizer runs it on every tick.
-:mod:`repro.vec.race` runs a population's direct/relay probe race as core
-rows, with no flow objects.  See DESIGN.md §12.
+Probe races run on it: :meth:`repro.tcp.fluid.FluidNetwork.start_races`
+hands a population's direct/relay race (:mod:`repro.vec.race`) to a
+:class:`VectorCore` as rows, with no flow objects, while object flows
+always run the per-object tick.  Within the dense-solver window
+(``repro.tcp.fluid._DENSE_MAX_FLOWS``) the core routes its allocation
+through the dense :func:`repro.tcp.maxmin.maxmin_allocate`, whose rates
+the per-object tick's solvers reproduce bit for bit; past it both ticks
+solve the rows with :func:`waterfill_sparse`, so a race writes the bytes
+of its per-object reference at any population (pinned by the test
+suite).  :func:`certify_maxmin` checks any allocation over the core's
+sparse incidence in O(nnz); the sanitizer runs it on every tick.
+See DESIGN.md §12.
 """
 
 from repro.vec.engine import VectorCore

@@ -1,16 +1,16 @@
-"""Struct-of-arrays core driving :class:`repro.tcp.fluid.FluidNetwork`.
+"""Struct-of-arrays core driving a probe race's :class:`repro.tcp.fluid.FluidNetwork`.
 
-A ``FluidNetwork`` promotes itself to a :class:`VectorCore` the first time
-its active population exceeds ``repro.tcp.fluid._DENSE_MAX_FLOWS``, and
-delegates every later tick to it; a network running a probe race
-(:meth:`~repro.tcp.fluid.FluidNetwork.start_races`) starts on one.  The
+A network running a probe race
+(:meth:`~repro.tcp.fluid.FluidNetwork.start_races`) delegates every tick
+to a :class:`VectorCore`; object flows never run here (the per-object tick
+is faster on the handful of flows a session runs, DESIGN.md §12).  The
 core keeps the *entire* active population in numpy arrays:
 
-* per-row: total/delivered bytes, current rate, an alive mask and the
-  row's cohort;
-* per-cohort: the rows of one admission batch that share a route, a ramp
-  and so an activation instant.  A cohort holds its links (a small CSR,
-  ``indptr``/``link_idx``, over a persistent global link table), its
+* per-row: total/delivered bytes, current rate, an alive mask, the row's
+  cohort, and the race's client and row kind;
+* per-cohort: the rows of one admission batch that share a route, and so
+  a ramp and an activation instant.  A cohort holds its links (a small
+  CSR, ``indptr``/``link_idx``, over a persistent global link table), its
   activation time, its slow-start ramp parameters (rtt, w0, w_max,
   rounds-to-peak) and its live multiplicity;
 * per-link: cached capacities for constant traces, a live
@@ -28,58 +28,47 @@ trace cursors.  The simulator's event queue is only touched at epoch
 boundaries — exactly one pending ``fluid-tick`` event, as in the per-object
 tick.
 
-Rows enter and leave by the column.  Activations are buffered and flushed
-at the next tick: a population shares a handful of ``Route`` and
-``SlowStartRamp`` objects, so the flush interns each distinct route and
-reads each distinct ramp once per batch, groups the rows into cohorts from
-those integer labels in one O(rows) pass, and fills the columns with
-gathers.  Aborts only queue their row; the next same-instant tick releases
-them together with that tick's completions in one vectorised
-``_release_rows`` (per-cohort multiplicities and link refcounts drop by one
-``bincount`` each).  The solver's gather of the live population is kept
-until the rows change, so ticks that only move a ramp or a trace reuse it.
+Rows enter and leave by the column.  The race
+(:class:`repro.vec.race.ProbeRace`) buffers its activations and flushes
+them at the next tick through :meth:`VectorCore._append_rows`; it settles
+each tick's completed rows by the column and returns them with the probes
+they beat, and ``_release_rows`` tombstones them all at once (per-cohort
+multiplicities and link refcounts drop by one ``bincount`` each).  The
+solver's gather of the live population is kept until the rows change, so
+ticks that only move a ramp or a trace reuse it.
 
 Byte-identity contract: rows are append-only in activation order (dead rows
-are tombstoned and compacted without reordering), so completion callbacks
-fire in the per-object tick's dict order.  At populations up to
-``_DENSE_MAX_FLOWS`` the allocation is routed through the dense
+are tombstoned and compacted without reordering), so the race settles
+completions in the order per-flow callbacks would run.  At populations up
+to ``_DENSE_MAX_FLOWS`` the allocation is routed through the dense
 :func:`repro.tcp.maxmin.maxmin_allocate` over row coordinates expanded from
 the cohorts, whose rates the per-object tick's solvers reproduce bit for
 bit; above it the sparse water-filling of :mod:`repro.vec.solver` solves
 one flow per live cohort, weighted by its multiplicity, and returns the
 rates the row-by-row solve would (see that module for why).  When it cannot
 (a cap round freezing two cap values on one link), the tick re-solves the
-expanded rows and counts ``vec.cohort_fallbacks``.  A promotion therefore
-never changes a byte, and a population that later drains back under the
-bound stays on the core.
-
-Rows are either all object flows or all race rows.  Flow objects stay
-lazily consistent: the core installs a sync hook on each
-:class:`~repro.tcp.flow.FluidFlow` so external readers (watchdogs, stripe
-windows, probes) that touch ``flow.delivered`` / ``flow.rate`` mid-flight
-transparently materialise the row's array state.  Race rows have no object:
-a :class:`repro.vec.race.ProbeRace` admits them, and settles each tick's
-completed rows by the column where object flows run their callbacks.
+expanded rows and counts ``vec.cohort_fallbacks``.  The per-object tick
+solves past the same window with the same rows solve, so a race equals
+its per-object reference (``tests/scale_oracle.py``) at any population.
 
 Under a sanitizer the core checks its columns on every tick: QA-R002 on
 ``delivered``/``size``/``rate`` against the previous tick's snapshot, and
 QA-R006, QA-R004 and QA-R003 on the solve's row coordinates, caps and rates
 through :func:`repro.vec.solver.certify_maxmin`, so the cohort solve is
-certified row by row.  The checks only read, so a sanitized network
-promotes and solves exactly like a plain one.
+certified row by row.  The checks only read, so a sanitized race solves
+exactly like a plain one.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.net.link import Link
 from repro.net.trace import TraceCursor
 from repro.sim.errors import TransferError
-from repro.tcp.flow import FlowState, FluidFlow
 from repro.tcp.fluid import _COMPLETION_SLACK, _DENSE_MAX_FLOWS
 from repro.tcp.maxmin import maxmin_allocate
 from repro.vec.solver import waterfill_sparse
@@ -90,17 +79,6 @@ __all__ = ["VectorCore"]
 _ROUND_EPS = 1e-9
 
 _GROW_MIN = 64
-
-
-def _slots(objs: Sequence[object]) -> Tuple[list, np.ndarray]:
-    """The distinct objects of ``objs`` by identity, in first-appearance
-    order, and each element's index into that list."""
-    ids = np.array([id(o) for o in objs], dtype=np.int64)
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return [objs[i] for i in first[order].tolist()], rank[inverse]
 
 
 def _segments(starts: np.ndarray, deg: np.ndarray) -> np.ndarray:
@@ -152,7 +130,7 @@ class _Gather:
 
 
 class VectorCore:
-    """Batched population state for one :class:`FluidNetwork`."""
+    """Batched population state for one probe race's :class:`FluidNetwork`."""
 
     def __init__(self, net) -> None:  # net: repro.tcp.fluid.FluidNetwork
         self._net = net
@@ -168,19 +146,10 @@ class VectorCore:
         #: A race row's client and kind (see repro.vec.race).
         self._client = np.empty(_GROW_MIN, dtype=np.int64)
         self._kind = np.empty(_GROW_MIN, dtype=np.int8)
-        #: The probe race these rows belong to; None for object flows.
+        #: The probe race these rows belong to (set by start_races).
         self._race = None
-        self._flows: List[Optional[FluidFlow]] = []
-        self._row_of: Dict[int, int] = {}
         self._n = 0
         self._dead = 0
-        #: Flows activated since the last tick, not yet materialised as
-        #: rows.  Bulk-appending at tick start amortises the per-row numpy
-        #: scalar writes across the whole batch (a same-instant tick is
-        #: always pending when this list is non-empty).
-        self._pending: List[FluidFlow] = []
-        #: Rows of aborted or completed flows awaiting one batched release.
-        self._retiring: List[int] = []
         #: The solve's gather of the live population; None when stale.
         self._gathered: Optional[_Gather] = None
         #: Shared capacity of all per-row arrays (they grow in lockstep,
@@ -192,7 +161,6 @@ class VectorCore:
         self._c_w0 = np.empty(_GROW_MIN)
         self._c_wmax = np.empty(_GROW_MIN)
         self._c_rtp = np.empty(_GROW_MIN)
-        self._c_has_ramp = np.empty(_GROW_MIN, dtype=bool)
         #: Live rows of each cohort.
         self._c_mult = np.empty(_GROW_MIN, dtype=np.int64)
         self._nc = 0
@@ -210,7 +178,7 @@ class VectorCore:
         self._accrued_at = float(net._sim.now)
 
     # ------------------------------------------------------------------ #
-    # population maintenance (called by FluidNetwork)
+    # population maintenance (called by the race)
     # ------------------------------------------------------------------ #
     def _grow_rows(self, need: int) -> None:
         self._size = _grow(self._size, need)
@@ -229,99 +197,18 @@ class VectorCore:
         self._c_w0 = _grow(self._c_w0, need)
         self._c_wmax = _grow(self._c_wmax, need)
         self._c_rtp = _grow(self._c_rtp, need)
-        self._c_has_ramp = _grow(self._c_has_ramp, need)
         self._c_mult = _grow(self._c_mult, need)
         self._indptr = _grow(self._indptr, int(self._c_act.shape[0]) + 1)
 
-    def add_flow(self, flow: FluidFlow) -> None:
-        """Buffer a just-activated flow; rows materialise at the next tick.
-
-        A same-instant ``fluid-tick`` is always scheduled right after this
-        call (the network requests one on every activation), so the buffer
-        is flushed before any allocation or completion logic can observe
-        the population.  Until then the flow's own scalars are authoritative
-        (rate 0, delivered as at activation), so readers stay consistent.
-        """
-        self._pending.append(flow)
-
-    def _flush_pending(self) -> None:
-        """Materialise buffered flows as rows, in activation order.
-
-        Flows aborted while buffered are skipped.  A population shares a
-        handful of :class:`Route` and ramp objects, so each distinct route
-        is interned once and each distinct ramp read once; flows sharing a
-        route, a ramp and an activation instant form one cohort.
-        """
-        pend = [f for f in self._pending if f.state is FlowState.ACTIVE]
-        self._pending = []
-        if not pend:
-            return
-        routes, rslot = _slots([f.route for f in pend])
-        ramps, pslot = _slots([f.ramp for f in pend])
-
-        # Intern each route at its first appearance, bumping its links'
-        # refcounts once then, so _intern_link's in-use conflict check sees
-        # every earlier route of this batch exactly as a per-flow walk would.
-        intern = self._intern_link
-        rlids: List[int] = []
-        rdeg: List[int] = []
-        for route in routes:
-            lids = [intern(link) for link in route.links]
-            # Interning may reallocate the refs array: re-read it here.
-            refs = self._link_refs
-            for l in lids:
-                refs[l] += 1
-            rlids.extend(lids)
-            rdeg.append(len(lids))
-        rl = np.array(rlids, dtype=np.int64)
-        rd = np.array(rdeg, dtype=np.int64)
-        uses = np.bincount(rslot, minlength=len(routes))
-        np.add.at(self._link_refs, rl, np.repeat(uses - 1, rd))
-
-        # Cohorts in first-appearance order, by one dict pass over the labels.
-        keys: Dict[Tuple[int, int, float], int] = {}
-        cohort = np.array(
-            [
-                keys.setdefault(key, len(keys))
-                for key in zip(rslot.tolist(), pslot.tolist(), [f.activated_at for f in pend])
-            ],
-            dtype=np.int64,
-        )
-        c_route, c_ramp, c_act = (np.array(col) for col in zip(*keys))
-        # One parameter row per distinct ramp; a flow without a ramp gets
-        # (1, 1, 1, 0): see _ramp.
-        params = np.array(
-            [
-                (r.rtt, r.initial_window, r.max_window, float(r.rounds_to_peak()))
-                if r is not None
-                else (1.0, 1.0, 1.0, 0.0)
-                for r in ramps
-            ]
-        )
-        row0 = self._append_rows(
-            cohort, rl, rd, c_route, params[c_ramp],
-            np.array([r is not None for r in ramps])[c_ramp], c_act,
-            [f.size for f in pend],
-            [f._delivered for f in pend],
-        )
-        self._flows.extend(pend)
-        self._row_of.update(zip([f.id for f in pend], range(row0, self._n)))
-        hook = self._sync_flow
-        for flow in pend:
-            flow._sync = hook
-
-    def _append_rows(
-        self, cohort, rl, rd, route, ramp, has_ramp, act, size, delivered
-    ) -> int:
+    def _append_rows(self, cohort, rl, rd, route, ramp, act, size) -> int:
         """Append one row per entry of ``cohort``; return the first new row.
 
         Row ``i`` belongs to new cohort ``cohort[i]`` (labels ``0..k-1``,
-        each used).  New cohort ``j`` uses the links of route ``route[j]``,
-        whose ``rd[r]`` interned link ids lie concatenated in ``rl``;
-        ``ramp[j]`` holds its (rtt, initial window, max window, rounds to
-        peak), ``has_ramp[j]`` (or one scalar) whether it has a ramp, and
-        ``act[j]`` its activation instant.  ``size`` and ``delivered`` are
-        per-row columns or scalars.  Link refcounts are the caller's to bump.
+        each used) and has ``size[i]`` bytes to deliver.  New cohort ``j``
+        uses the links of route ``route[j]``, whose ``rd[r]`` interned link
+        ids lie concatenated in ``rl``; ``ramp[j]`` holds its (rtt, initial
+        window, max window, rounds to peak) and ``act[j]`` its activation
+        instant.  Link refcounts are the caller's to bump.
         """
         k = route.size
         c0 = self._nc
@@ -340,7 +227,6 @@ class VectorCore:
         self._c_w0[c0:c1] = ramp[:, 1]
         self._c_wmax[c0:c1] = ramp[:, 2]
         self._c_rtp[c0:c1] = ramp[:, 3]
-        self._c_has_ramp[c0:c1] = has_ramp
         self._c_act[c0:c1] = act
         self._c_mult[c0:c1] = np.bincount(cohort, minlength=k)
         self._nc = c1
@@ -351,35 +237,18 @@ class VectorCore:
             self._grow_rows(row)
         self._cohort[row0:row] = cohort + c0
         self._size[row0:row] = size
-        self._deliv[row0:row] = delivered
-        self._snap[row0:row] = self._deliv[row0:row]
+        self._deliv[row0:row] = 0.0
+        self._snap[row0:row] = 0.0
         self._rate[row0:row] = 0.0
         self._alive[row0:row] = True
         self._n = row
         self._gathered = None
         return row0
 
-    def detach_flow(self, flow: FluidFlow) -> None:
-        """Materialise an aborting flow's row and queue it for release.
-
-        The row is released by the next same-instant tick; a flow still in
-        the buffer needs nothing, since the flush skips flows no longer
-        active.
-        """
-        row = self._row_of.get(flow.id)
-        if row is None:
-            return
-        self._sync_flow(flow)
-        self._retiring.append(row)
-        flow._sync = None
-
-    def _release_rows(self) -> None:
-        """Tombstone every queued row and drop its cohort's multiplicity and
+    def _release_rows(self, rows: np.ndarray) -> None:
+        """Tombstone ``rows`` and drop their cohorts' multiplicities and
         link references at once."""
-        rows = self._retiring
-        self._retiring = []
-        idx = np.array(rows, dtype=np.int64)
-        gone = np.bincount(self._cohort[idx])
+        gone = np.bincount(self._cohort[rows])
         cohorts = np.flatnonzero(gone)
         gone = gone[cohorts]
         self._c_mult[cohorts] -= gone
@@ -388,31 +257,20 @@ class VectorCore:
         lids = self._link_idx[_segments(starts, deg)]
         counts = np.bincount(lids, weights=np.repeat(gone, deg)).astype(np.int64)
         self._link_refs[: counts.size] -= counts
-        self._alive[idx] = False
-        self._rate[idx] = 0.0
-        self._dead += len(rows)
+        self._alive[rows] = False
+        self._rate[rows] = 0.0
+        self._dead += rows.size
         self._gathered = None
-        if self._race is not None:
-            return
-        flows = self._flows
-        row_of = self._row_of
-        for r in rows:
-            del row_of[flows[r].id]
-            flows[r] = None
-
-    def _sync_flow(self, flow: FluidFlow) -> None:
-        """Sync hook: copy a row's array state back onto the flow object."""
-        row = self._row_of.get(flow.id)
-        if row is None:
-            return
-        flow._delivered = float(self._deliv[row])
-        flow._rate = float(self._rate[row])
-        flow._last_update = self._accrued_at
 
     # ------------------------------------------------------------------ #
     # link table
     # ------------------------------------------------------------------ #
     def _intern_link(self, link: Link) -> int:
+        """The link table's id for ``link``'s name, adding it on first use.
+
+        The race checks up front that links sharing a name share a trace,
+        so the first such link stands for all of them.
+        """
         lid = self._lid.get(link.name)
         if lid is None:
             lid = len(self._links)
@@ -421,35 +279,11 @@ class VectorCore:
             self._link_refs = _grow(self._link_refs, lid + 1)
             self._link_refs[lid] = 0
             self._lid[link.name] = lid
-            self._install_link(lid, link)
-            return lid
-        stored = self._links[lid]
-        if stored is link or stored.trace is link.trace:
-            return lid
-        if self._link_refs[lid] > 0:
-            if stored.trace != link.trace:
-                raise TransferError(
-                    f"two distinct links named {stored.name!r} with different "
-                    "capacity traces are in use by concurrent flows; link names "
-                    "must identify a unique capacity constraint"
-                )
-            return lid
-        # No active flow uses the old entry: adopt the new link's trace
-        # (mirrors the per-object tick replacing a stale cursor after e.g. an outage
-        # rebuild swapped in a modified trace under the same link name).
-        self._links[lid] = link
-        self._install_link(lid, link)
+            trace = link.trace
+            self._link_cap[lid] = float(trace.values[0])
+            if trace.n_pieces > 1:
+                self._dyn[lid] = TraceCursor(trace)
         return lid
-
-    def _install_link(self, lid: int, link: Link) -> None:
-        trace = link.trace
-        if trace.n_pieces == 1:
-            # Constant trace: capacity never changes, no cursor needed.
-            self._dyn.pop(lid, None)
-            self._link_cap[lid] = float(trace.values[0])
-        else:
-            self._dyn[lid] = TraceCursor(trace)
-            self._link_cap[lid] = float(trace.values[0])
 
     # ------------------------------------------------------------------ #
     # the tick
@@ -464,11 +298,9 @@ class VectorCore:
         if obs is not None:
             prev = net._last_tick_at
             if prev is not None and now > prev:
-                obs.span("tick", "fluid-epoch", prev, now, flows=self._live())
+                obs.span("tick", "fluid-epoch", prev, now, flows=self._race.live)
             net._last_tick_at = now
             obs.count("engine.ticks")
-        if self._retiring:
-            self._release_rows()  # rows of flows aborted since the last tick
 
         # 1. Accrue bytes at the rates chosen at the previous tick.  Every
         # live row's rate was assigned at the previous tick (rows added since
@@ -482,9 +314,7 @@ class VectorCore:
             np.minimum(self._size[:n], d + self._rate[:n] * dt, out=d)
         self._accrued_at = now
         race = self._race
-        if self._pending:
-            self._flush_pending()
-        elif race is not None and race.pending:
+        if race.pending:
             race.flush()
         n = self._n
         sanitizer = sim.sanitizer
@@ -496,42 +326,19 @@ class VectorCore:
             )
             snap[:] = self._deliv[:n]
 
-        # 2. Detect and finalise completions in activation (row) order;
-        # callbacks run after removal, exactly as in the per-object tick.
-        # Completed rows join the release queue, so they and any flow a
-        # callback aborts are released together below.  A race settles its
-        # rows by the column instead (repro.vec.race).
-        finished: List[FluidFlow] = []
+        # 2. Detect completions in activation (row) order; the race settles
+        # them by the column (repro.vec.race) and they are released with the
+        # probes they beat.
         if n:
             done = np.flatnonzero(
                 self._alive[:n]
                 & (self._size[:n] - self._deliv[:n] <= _COMPLETION_SLACK)
             )
             net.completed_count += done.size
-            if race is not None:
-                if done.size:
-                    self._retiring.extend(race.complete(done, now).tolist())
-            else:
-                done = done.tolist()
-                flows = self._flows
-                finished = [flows[r] for r in done]
-                self._retiring.extend(done)
-                active = net._active
-                for flow in finished:
-                    del active[flow.id]
-                    flow._complete(now)
-        for flow in finished:
-            if flow.on_complete is not None:
-                flow.on_complete(flow)
-        if self._retiring:
-            self._release_rows()
+            if done.size:
+                self._release_rows(race.complete(done, now))
 
-        # A callback may have scheduled a same-instant tick; drop it.
-        if net._tick_event is not None and net._tick_event.active:
-            sim.cancel(net._tick_event)
-            net._tick_event = None
-
-        if not self._live():
+        if not race.live:
             return
 
         if self._dead > _GROW_MIN and self._dead * 2 > self._n:
@@ -631,11 +438,6 @@ class VectorCore:
             max(next_time, now + min_step), net._tick_cb, name="fluid-tick"
         )
 
-    def _live(self) -> int:
-        """Activated rows and flows not yet completed or aborted."""
-        race = self._race
-        return race.live if race is not None else len(self._net._active)
-
     def _gather(self) -> _Gather:
         """The live population's solver problem, in activation order.
 
@@ -671,9 +473,8 @@ class VectorCore:
         """Rate caps of ``cohorts`` at ``now``, and the earliest later
         instant any of their caps increases.
 
-        The doubling round is computed once and feeds both.  Cohorts
-        without a ramp carry rounds-to-peak 0, so their next increase is
-        always past the peak (``inf``) and only their caps need masking.
+        The doubling round is computed once and feeds both; a cohort past
+        its rounds-to-peak never increases again (``inf``).
         """
         rtt = self._c_rtt[cohorts]
         act = self._c_act[cohorts]
@@ -681,7 +482,6 @@ class VectorCore:
         k = np.floor((now - act) / rtt + _ROUND_EPS)
         window = self._c_w0[cohorts] * np.exp2(np.minimum(k, rtp))
         caps = np.minimum(window, self._c_wmax[cohorts]) / rtt
-        caps[~self._c_has_ramp[cohorts]] = np.inf
         k += 1.0
         nxt = act + k * rtt
         nxt[k > rtp] = np.inf
@@ -700,14 +500,7 @@ class VectorCore:
             self._cohort, self._client, self._kind,
         ):
             arr[:k] = arr[:n][keep]
-        if self._race is not None:
-            self._race.renumber(keep)  # before ``keep``, a view, is overwritten
-        else:
-            flows = [f for f in self._flows if f is not None]
-            assert len(flows) == k
-            self._flows = flows
-            for i, f in enumerate(flows):
-                self._row_of[f.id] = i
+        self._race.renumber(keep)  # before ``keep``, a view, is overwritten
         self._alive[:k] = True
         self._n = k
         self._dead = 0
@@ -723,7 +516,7 @@ class VectorCore:
         self._link_idx[: self._nnz] = link_idx
         for arr in (
             self._c_act, self._c_rtt, self._c_w0, self._c_wmax, self._c_rtp,
-            self._c_has_ramp, self._c_mult,
+            self._c_mult,
         ):
             arr[:kc] = arr[:nc][ckeep]
         self._nc = kc

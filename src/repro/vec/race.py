@@ -232,9 +232,8 @@ class ProbeRace:
         np.add.at(core._link_refs, self._lids, np.repeat(uses, self._deg))
         row0 = core._append_rows(
             (np.cumsum(present) - 1)[key], self._lids, self._deg, c_route,
-            self._ramp[c_route], True, c_act,
+            self._ramp[c_route], c_act,
             np.where(kinds == TRANSFER, self._size_of[clients], self._probe_bytes),
-            0.0,
         )
         core._client[row0 : core._n] = clients
         core._kind[row0 : core._n] = kinds

@@ -9,9 +9,10 @@ how many dead links the global link table carries.
 
 Reductions use :func:`numpy.bincount`, which sums sequentially in input
 order, so results are deterministic across runs.  They can differ from the
-dense loop's BLAS matvec partial sums in the last ulp, which is why the
-vector engine only uses this path *above* the population size where it
-shares the per-object tick's dense solver (``repro.tcp.fluid._DENSE_MAX_FLOWS``).
+dense loop's BLAS matvec partial sums in the last ulp, which is why both
+fluid ticks use this path only *above* ``repro.tcp.fluid._DENSE_MAX_FLOWS``
+flows: the per-object tick over its active flows, and the vector core over
+a race's rows, so the two agree bit for bit on either side of the window.
 
 With ``mult``, each flow stands for a *cohort* of identical rows (same
 links, same cap), and the solve returns the rows' rates bit for bit:

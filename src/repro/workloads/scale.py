@@ -37,7 +37,7 @@ timeline appears as spans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -243,6 +243,32 @@ def _draw(scenario: Scenario, unit, params: ScaleStudyParams) -> Tuple[np.ndarra
     return tier_d, tier_r, relay_of, size_of, slot_of
 
 
+def _race_args(
+    scenario: Scenario, unit, params: ScaleStudyParams
+) -> Tuple[np.ndarray, Dict[str, Any]]:
+    """Each client's size class, and the wave's ``start_races`` arguments."""
+    tier_d, tier_r, relay_of, size_of, slot_of = _draw(scenario, unit, params)
+    direct_routes, relay_routes = _build_routes(params, unit.site)
+    # Route j < n_tiers is tier j's direct route; then tier-major relays.
+    routes = direct_routes + [r for tier in relay_routes for r in tier]
+    ramps = {}
+    for route in routes:
+        ramps.setdefault(
+            route.rtt, SlowStartRamp(rtt=route.rtt, max_window=params.max_window)
+        )
+    return size_of, dict(
+        routes=routes,
+        ramps=[ramps[route.rtt] for route in routes],
+        sizes=params.size_classes,
+        probe_bytes=params.probe_bytes,
+        direct=tier_d,
+        relay=len(direct_routes) + tier_r * params.n_relays + relay_of,
+        size=size_of,
+        slot=slot_of,
+        slot_times=[s * params.slot_spacing for s in range(params.start_slots)],
+    )
+
+
 def run_scale_unit(
     scenario: Scenario,
     config: SessionConfig,
@@ -258,28 +284,9 @@ def run_scale_unit(
     """
     if params is None:
         params = ScaleStudyParams()
-    tier_d, tier_r, relay_of, size_of, slot_of = _draw(scenario, unit, params)
-    direct_routes, relay_routes = _build_routes(params, unit.site)
-    # Route j < n_tiers is tier j's direct route; then tier-major relays.
-    routes = direct_routes + [r for tier in relay_routes for r in tier]
-    ramps = {}
-    for route in routes:
-        ramps.setdefault(
-            route.rtt, SlowStartRamp(rtt=route.rtt, max_window=params.max_window)
-        )
-
+    size_of, args = _race_args(scenario, unit, params)
     sim = Simulator()
-    race = FluidNetwork(sim).start_races(
-        routes,
-        [ramps[route.rtt] for route in routes],
-        params.size_classes,
-        probe_bytes=params.probe_bytes,
-        direct=tier_d,
-        relay=len(direct_routes) + tier_r * params.n_relays + relay_of,
-        size=size_of,
-        slot=slot_of,
-        slot_times=[s * params.slot_spacing for s in range(params.start_slots)],
-    )
+    race = FluidNetwork(sim).start_races(**args)
     sim.run()
     n = params.clients_per_wave
     if race.n_completed != n:

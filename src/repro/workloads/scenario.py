@@ -14,7 +14,7 @@ compared without interfering, mirroring the paper's concurrent process pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.session import SessionConfig, TransferSession
 from repro.http.server import WebServer
@@ -30,7 +30,6 @@ from repro.workloads.calibration import (
     Calibrator,
     CalibrationParams,
     DEFAULT_SITE_PROFILES,
-    SiteProfile,
 )
 from repro.workloads.planetlab import (
     CLIENT_CATALOG,

@@ -19,30 +19,13 @@ from repro.net.trace import CapacityTrace
 from repro.overlay.paths import OverlayPathBuilder
 from repro.overlay.registry import RelayRegistry
 from repro.sim.simulator import Simulator
-from repro.tcp import fluid
 from repro.tcp.fluid import FluidNetwork
 from repro.util.units import mb, mbps_to_bytes_per_s
 from repro.workloads.experiment import (
-    SECTION4_SESSION_CONFIG,
     Section2Study,
     Section4Study,
 )
 from repro.workloads.scenario import Scenario, ScenarioSpec
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--vector-engine",
-        action="store_true",
-        help="run every fluid network on the vector core from its first flow",
-    )
-
-
-def pytest_configure(config):
-    # A promotion bound of 0 promotes each network on its first activation;
-    # tests that pin a tick themselves (tests/engines.py) still override it.
-    if config.getoption("--vector-engine"):
-        fluid._PROMOTE_ABOVE = 0
 
 
 class MiniWorld:

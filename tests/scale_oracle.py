@@ -6,9 +6,14 @@ per-object race it replaced - a ``_Client`` state machine driven by flow
 callbacks - kept here, and only here, as the oracle the columnar race must
 match byte for byte.  Its one change: a probe completing once its client
 has chosen (a same-tick tie) is ignored, so the earlier row wins.
+
+:func:`start_oracle_races` takes ``start_races``'s arguments, so any race
+can be checked, and :func:`run_oracle_unit` feeds it a wave's.  Object
+flows always run the per-object tick, so the oracle never rides the core
+it checks, at any population.
 """
 
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,29 +23,27 @@ from repro.tcp.flow import FluidFlow
 from repro.tcp.fluid import FluidNetwork
 from repro.tcp.model import SlowStartRamp
 from repro.trace.records import ScaleRecord
-from repro.workloads.scale import (
-    ScaleStudyParams,
-    _build_routes,
-    _draw,
-    _wave_record,
-)
+from repro.workloads.scale import ScaleStudyParams, _race_args, _wave_record
+
+#: A route and the slow-start ramp its flows run.
+Path = Tuple[Route, SlowStartRamp]
 
 
 class _Client:
     """One client's probe-race state machine (driven by flow callbacks)."""
 
     __slots__ = (
-        "wave", "idx", "size", "direct_route", "relay_route",
+        "wave", "idx", "size", "direct", "relay",
         "probe_direct", "probe_relay", "t0",
     )
 
     def __init__(self, wave: "_Wave", idx: int, size: float,
-                 direct_route: Route, relay_route: Route):
+                 direct: Path, relay: Path):
         self.wave = wave
         self.idx = idx
         self.size = size
-        self.direct_route = direct_route
-        self.relay_route = relay_route
+        self.direct = direct
+        self.relay = relay
         self.probe_direct: Optional[FluidFlow] = None
         self.probe_relay: Optional[FluidFlow] = None
         self.t0 = 0.0
@@ -48,9 +51,9 @@ class _Client:
     def start(self) -> None:
         wave = self.wave
         self.t0 = wave.net.sim.now
-        self.probe_direct = wave.start_flow(self.direct_route, wave.probe_bytes,
+        self.probe_direct = wave.start_flow(self.direct, wave.probe_bytes,
                                             self.probe_done)
-        self.probe_relay = wave.start_flow(self.relay_route, wave.probe_bytes,
+        self.probe_relay = wave.start_flow(self.relay, wave.probe_bytes,
                                            self.probe_done)
 
     def probe_done(self, flow: FluidFlow) -> None:
@@ -58,9 +61,9 @@ class _Client:
         if self.probe_direct is None:  # chosen already: a same-tick tie
             return
         if flow is self.probe_direct:
-            loser, route, indirect = self.probe_relay, self.direct_route, False
+            loser, path, indirect = self.probe_relay, self.direct, False
         else:
-            loser, route, indirect = self.probe_direct, self.relay_route, True
+            loser, path, indirect = self.probe_direct, self.relay, True
         self.probe_direct = self.probe_relay = None
         if loser is not None:
             wave.net.abort_flow(loser)
@@ -68,7 +71,7 @@ class _Client:
         wave.probe_overhead_sum += now - self.t0
         if indirect:
             wave.indirect[self.idx] = True
-        wave.start_flow(route, self.size, self.transfer_done)
+        wave.start_flow(path, self.size, self.transfer_done)
 
     def transfer_done(self, flow: FluidFlow) -> None:
         wave = self.wave
@@ -80,10 +83,10 @@ class _Client:
 
 
 class _Wave:
-    """Shared per-wave context: the network, counters and result arrays."""
+    """Shared per-wave context: the network, counters and result columns
+    (named as :class:`~repro.vec.race.ProbeRace`'s)."""
 
-    def __init__(self, net: FluidNetwork, n: int, probe_bytes: float,
-                 max_window: float):
+    def __init__(self, net: FluidNetwork, n: int, probe_bytes: float):
         self.net = net
         self.probe_bytes = probe_bytes
         self.latency = np.full(n, np.nan)
@@ -91,45 +94,38 @@ class _Wave:
         self.indirect = np.zeros(n, dtype=bool)
         self.n_completed = 0
         self.probe_overhead_sum = 0.0
-        self._max_window = max_window
-        #: SlowStartRamp cache keyed by RTT (shared across the population).
-        self._ramps = {}
 
-    def ramp(self, rtt: float) -> SlowStartRamp:
-        ramp = self._ramps.get(rtt)
-        if ramp is None:
-            ramp = SlowStartRamp(rtt=rtt, max_window=self._max_window)
-            self._ramps[rtt] = ramp
-        return ramp
+    def start_flow(self, path: Path, size: float, done) -> FluidFlow:
+        route, ramp = path
+        return self.net.start_flow(route, size, ramp=ramp, on_complete=done)
 
-    def start_flow(self, route: Route, size: float, done) -> FluidFlow:
-        return self.net.start_flow(
-            route, size, ramp=self.ramp(route.rtt), on_complete=done,
+
+def start_oracle_races(
+    net: FluidNetwork,
+    routes: Sequence[Route],
+    ramps: Sequence[SlowStartRamp],
+    sizes: Sequence[float],
+    *,
+    probe_bytes: float,
+    direct: Sequence[int],
+    relay: Sequence[int],
+    size: Sequence[int],
+    slot: Sequence[int],
+    slot_times: Sequence[float],
+) -> _Wave:
+    """:meth:`repro.tcp.fluid.FluidNetwork.start_races`, one object per flow.
+
+    Takes the same arguments; the returned wave's result columns fill in as
+    the simulator runs.
+    """
+    wave = _Wave(net, len(direct), probe_bytes)
+    paths = list(zip(routes, ramps))
+    by_slot: List[List[_Client]] = [[] for _ in slot_times]
+    for i in range(len(direct)):
+        by_slot[int(slot[i])].append(
+            _Client(wave, i, sizes[int(size[i])], paths[int(direct[i])],
+                    paths[int(relay[i])])
         )
-
-
-def run_oracle_unit(scenario, config, unit, params: Optional[ScaleStudyParams]) -> ScaleRecord:
-    """:func:`repro.workloads.scale.run_scale_unit`, one object per flow."""
-    if params is None:
-        params = ScaleStudyParams()
-    n = params.clients_per_wave
-    tier_d, tier_r, relay_of, size_of, slot_of = _draw(scenario, unit, params)
-    sim = Simulator()
-    net = FluidNetwork(sim)
-    direct_routes, relay_routes = _build_routes(params, unit.site)
-
-    wave = _Wave(net, n, params.probe_bytes, params.max_window)
-    clients = [
-        _Client(
-            wave, i, params.size_classes[size_of[i]],
-            direct_routes[tier_d[i]],
-            relay_routes[tier_r[i]][relay_of[i]],
-        )
-        for i in range(n)
-    ]
-    by_slot: List[List[_Client]] = [[] for _ in range(params.start_slots)]
-    for i, client in enumerate(clients):
-        by_slot[slot_of[i]].append(client)
 
     def launch(batch: List[_Client]):
         def _go() -> None:
@@ -139,9 +135,19 @@ def run_oracle_unit(scenario, config, unit, params: Optional[ScaleStudyParams]) 
 
     for s, batch in enumerate(by_slot):
         if batch:
-            sim.schedule_at(s * params.slot_spacing, launch(batch),
-                            name=f"scale-slot{s}")
+            net.sim.schedule_at(float(slot_times[s]), launch(batch),
+                                name=f"scale-slot{s}")
+    return wave
 
+
+def run_oracle_unit(scenario, config, unit, params: Optional[ScaleStudyParams]) -> ScaleRecord:
+    """:func:`repro.workloads.scale.run_scale_unit`, one object per flow."""
+    if params is None:
+        params = ScaleStudyParams()
+    n = params.clients_per_wave
+    size_of, args = _race_args(scenario, unit, params)
+    sim = Simulator()
+    wave = start_oracle_races(FluidNetwork(sim), **args)
     sim.run()
     if wave.n_completed != n:
         raise RuntimeError(f"oracle wave: {wave.n_completed}/{n} clients completed")

@@ -1,6 +1,5 @@
 """Classification and Table I penalty-statistics tests."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.classify import classify_clients

@@ -1,6 +1,5 @@
 """Fig. 1/2/3 analysis tests."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.improvement import (

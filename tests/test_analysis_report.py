@@ -1,6 +1,5 @@
 """Report renderer tests: every artefact renders and carries its numbers."""
 
-import pytest
 
 from repro.analysis import (
     headline_stats,

@@ -25,8 +25,9 @@ from repro.net.route import Route
 from repro.net.trace import CapacityTrace
 from repro.sim.simulator import Simulator
 from repro.tcp.fluid import FluidNetwork
-from tests.engines import forced_engine
+from repro.tcp.model import SlowStartRamp
 from tests.fault_oracle import loop_fault_windows
+from tests.scale_oracle import start_oracle_races
 
 
 class TestFaultWindow:
@@ -325,34 +326,43 @@ class TestSpans:
 # engine identity over fault-rewritten traces
 # --------------------------------------------------------------------------- #
 def _run_engines(links, flow_specs):
-    """Run both engines over identical faulted links; return observables."""
+    """Race clients over the flows' routes on identical faulted links, as
+    columns on the vector core and as the per-object oracle; return each
+    race's result columns.
+
+    Client ``i`` starts at flow ``i``'s delay, races flow ``i``'s route
+    (direct) against the next flow's (relay) and fetches flow ``i``'s
+    size over the winner.
+    """
+    routes = [Route([links[j] for j in route_idx]) for route_idx, _, _ in flow_specs]
+    n = len(flow_specs)
+    args = dict(
+        routes=routes,
+        ramps=[SlowStartRamp(rtt=route.rtt) for route in routes],
+        sizes=[size for _, size, _ in flow_specs],
+        probe_bytes=2e4,
+        direct=list(range(n)),
+        relay=[(i + 1) % n for i in range(n)],
+        size=list(range(n)),
+        slot=list(range(n)),
+        slot_times=[delay for _, _, delay in flow_specs],
+    )
     results = []
-    for vector in (False, True):
+    for start in (start_oracle_races, FluidNetwork.start_races):
         sim = Simulator()
-        net = FluidNetwork(sim)
-        completions = {}
-        handles = []
-        for i, (route_idx, size, delay) in enumerate(flow_specs):
-            name = f"f{i}"
-            handles.append(
-                net.start_flow(
-                    Route([links[j] for j in route_idx]),
-                    size,
-                    name=name,
-                    on_complete=lambda fl, n=name, s=sim: completions.__setitem__(
-                        n, s.now
-                    ),
-                    activation_delay=delay,
-                )
-            )
-        with forced_engine(vector):
-            sim.run()
-        results.append((completions, [f.delivered for f in handles]))
+        race = start(FluidNetwork(sim), **args)
+        sim.run()
+        assert race.n_completed == n
+        results.append((
+            race.latency.tolist(), race.throughput.tolist(),
+            race.indirect.tolist(), race.probe_overhead_sum, sim.now,
+        ))
     return results
 
 
 class TestEngineIdentityUnderFaults:
-    """Vector engine must match the oracle bitwise on faulted traces."""
+    """A race on the vector core must match the per-object oracle bitwise
+    on faulted traces."""
 
     def _links(self, windows_by_index):
         base = CapacityTrace([0.0, 60.0], [2.0e6, 1.0e6])

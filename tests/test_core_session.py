@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.probe import ProbeMode
-from repro.core.session import SessionConfig, TransferSession
+from repro.core.session import SessionConfig
 from repro.util.units import kb, mb, mbps_to_bytes_per_s
 
 

@@ -13,11 +13,14 @@ reference semantics.  This suite holds them to that:
   a name with *different* capacity traces must raise instead of silently
   merging into one constraint (regression test for an old silent merge);
 * the allocation-state cache vs a from-scratch reference solve, under
-  random flow churn over shared links;
-* the classic, vector and sanitized engines, bit-for-bit on one workload.
+  random flow churn over shared links, on the scalar solver and the numpy
+  loop;
+* the per-object tick's scalar solver, its numpy loop and the sanitized
+  tick, bit-for-bit on one workload.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,10 +32,10 @@ from repro.net.route import Route
 from repro.net.trace import CapacityTrace, TraceCursor
 from repro.sim.errors import TransferError
 from repro.sim.simulator import Simulator
+from repro.tcp import fluid
 from repro.tcp.fluid import FluidNetwork
 from repro.tcp.maxmin import maxmin_allocate
 from repro.tcp.model import SlowStartRamp
-from tests.engines import forced_engine
 from tests.maxmin_oracle import verify_maxmin
 
 
@@ -237,16 +240,24 @@ class TestLinkNameCollision:
     Links are keyed by name inside the engine, so distinct objects with one
     name silently become a single capacity constraint.  With equal traces
     that is the intended sharing idiom; with different traces one
-    constraint would be dropped — the engine must raise.
+    constraint would be dropped — the engine must raise.  ``vector`` runs
+    the pair as a probe race's two routes on the vector core.
     """
 
-    def _run_pair(self, link_a, link_b, vec=False):
+    def _run_pair(self, link_a, link_b, vector=False):
         sim = Simulator()
         net = FluidNetwork(sim)
-        net.start_flow(Route([link_a]), 1000.0, activation_delay=0.0)
-        net.start_flow(Route([link_b]), 1000.0, activation_delay=0.0)
-        with forced_engine(vec):
-            sim.run()
+        routes = [Route([link_a]), Route([link_b])]
+        if vector:
+            ramp = SlowStartRamp(rtt=0.2)
+            net.start_races(
+                routes, [ramp, ramp], [1000.0], probe_bytes=500.0,
+                direct=[0], relay=[1], size=[0], slot=[0], slot_times=[0.0],
+            )
+        else:
+            for route in routes:
+                net.start_flow(route, 1000.0, activation_delay=0.0)
+        sim.run()
 
     @pytest.mark.parametrize("vector", [True, False])
     def test_conflicting_traces_raise(self, vector):
@@ -280,13 +291,14 @@ class TestLinkNameCollision:
 
 
 class TestEngineModeEquivalence:
-    """Classic, vector and sanitized engines must be byte-identical in output.
+    """The per-object tick's scalar solver, its numpy loop and the
+    sanitized tick must be byte-identical in output.
 
     The sanitized leg runs the same solvers and checks every allocation
     against the max-min certificate.
     """
 
-    def _transfer_times(self, *, vec=False, sanitize=False):
+    def _transfer_times(self, *, numpy_loop=False, sanitize=False):
         sim = Simulator(sanitize=sanitize)
         net = FluidNetwork(sim)
         shared = Link(
@@ -306,15 +318,15 @@ class TestEngineModeEquivalence:
             for i in range(3)
         ]
         flows.append(net.start_flow(Route([private[0]]), 2e3, activation_delay=0.1))
-        with forced_engine(vec):
+        bound = 0 if numpy_loop else fluid._SCALAR_MAX_FLOWS
+        with mock.patch.object(fluid, "_SCALAR_MAX_FLOWS", bound):
             sim.run()
-        assert net.vector is (vec and not sanitize)
         return [f.completed_at for f in flows]
 
     def test_byte_identical_completion_times(self):
         classic = self._transfer_times()
         # Exact float equality, not approx.
-        assert self._transfer_times(vec=True) == classic
+        assert self._transfer_times(numpy_loop=True) == classic
         assert self._transfer_times(sanitize=True) == classic
 
 
@@ -364,7 +376,9 @@ class TestAllocCacheOracle:
     capacities.  At sampled instants, strictly between engine events, every
     active flow's rate must equal the reference progressive-filling loop
     run on freshly built inputs: links in first-use order, capacities from
-    ``CapacityTrace.value_at`` and caps from each flow's ramp.
+    ``CapacityTrace.value_at`` and caps from each flow's ramp.  With
+    ``numpy_loop`` every shared solve runs the numpy loop over the cached
+    incidence matrix instead of ``maxmin_scalar``.
     """
 
     @staticmethod
@@ -383,10 +397,10 @@ class TestAllocCacheOracle:
         caps = np.array([flow.cap_at(now) for flow in flows])
         return maxmin_allocate(capacities, incidence, caps, fast=False)
 
-    @pytest.mark.parametrize("vector", [False, True])
+    @pytest.mark.parametrize("numpy_loop", [False, True])
     @given(workload=churn_workloads())
     @settings(max_examples=40, deadline=None)
-    def test_rates_match_reference_solve(self, vector, workload):
+    def test_rates_match_reference_solve(self, numpy_loop, workload):
         traces, specs = workload
         sim = Simulator()
         net = FluidNetwork(sim)
@@ -411,5 +425,6 @@ class TestAllocCacheOracle:
         # Irrational offsets keep every sample strictly between engine events.
         for i in range(40):
             sim.schedule_at(0.1 + i / math.pi * 0.8, check)
-        with forced_engine(vector):
+        bound = 0 if numpy_loop else fluid._SCALAR_MAX_FLOWS
+        with mock.patch.object(fluid, "_SCALAR_MAX_FLOWS", bound):
             sim.run()

@@ -12,7 +12,6 @@ from repro.trace.store import TraceStore
 from repro.workloads.experiment import (
     Section2Study,
     Section4Study,
-    run_paired_transfer,
 )
 from repro.workloads.scenario import Scenario, ScenarioSpec
 

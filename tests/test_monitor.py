@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.core.session import SessionConfig
-from repro.http.transfer import TcpParams
 from repro.overlay.monitor import PathMonitor
 from repro.util.units import kb
 from repro.workloads.monitored import MonitoredStudy

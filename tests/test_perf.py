@@ -65,7 +65,6 @@ class TestBenchRegistry:
             "alloc_small_shared",
             "tick_breakpoint",
             "stripe_session",
-            "vec_epoch",
             "scenario_build",
         }
 

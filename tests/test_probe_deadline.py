@@ -1,5 +1,7 @@
 """Probe deadline tests: dead paths, timeouts, engine-mode byte-identity."""
 
+from unittest import mock
+
 import pytest
 
 from repro.core.probe import ProbeEngine, ProbeMode, ProbeTimeout
@@ -8,26 +10,30 @@ from repro.http.transfer import TcpParams
 from repro.net.trace import CapacityTrace
 from repro.sim.errors import TransferError
 from repro.sim.simulator import Simulator
+from repro.tcp import fluid
 from repro.tcp.fluid import FluidNetwork
 from repro.util.units import mbps_to_bytes_per_s
-from tests.engines import forced_engine
 
 FAST_TCP = TcpParams(max_window=262_144.0)
 
 DEAD = CapacityTrace.constant(0.0)
 
 MODES = [ProbeMode.CONCURRENT, ProbeMode.SEQUENTIAL]
-ENGINES = [False, True]  # forced_engine(...): per-object tick / vector core
+SANITIZE = [False, True]  # plain, and every tick checked by the sanitizer
 
 
-def _race(world, vector, *, mode, deadline, sanitize=False):
-    """Run one direct-vs-R1 probe race; returns (sim, outcome-or-timeout)."""
+def _race(world, *, mode, deadline, sanitize=False, numpy_loop=False):
+    """Run one direct-vs-R1 probe race; returns (sim, outcome-or-timeout).
+
+    ``numpy_loop`` solves every shared problem with the numpy loop instead
+    of the plain-float ``maxmin_scalar`` (the same bits, by contract)."""
     sim = Simulator(sanitize=sanitize)
     net = FluidNetwork(sim)
     engine = ProbeEngine(net, tcp=FAST_TCP)
     paths = [world.builder.direct("C", "S"), world.builder.indirect("C", "R1", "S")]
+    bound = 0 if numpy_loop else fluid._SCALAR_MAX_FLOWS
     try:
-        with forced_engine(vector):
+        with mock.patch.object(fluid, "_SCALAR_MAX_FLOWS", bound):
             out = engine.run(paths, "/f", mode=mode, deadline=deadline)
     except ProbeTimeout as timeout:
         return sim, timeout
@@ -48,10 +54,10 @@ def _signature(sim, result):
 
 class TestDeadPathRaces:
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("vector", ENGINES)
-    def test_dead_direct_loses(self, mini_world, mode, vector):
+    @pytest.mark.parametrize("sanitize", SANITIZE)
+    def test_dead_direct_loses(self, mini_world, mode, sanitize):
         w = mini_world(direct_trace=DEAD, relay_mbps={"R1": 4.0})
-        sim, out = _race(w, vector, mode=mode, deadline=60.0)
+        sim, out = _race(w, mode=mode, deadline=60.0, sanitize=sanitize)
         assert not isinstance(out, ProbeTimeout)
         assert out.winner.via == "R1"
         dead = next(p for p in out.probes if p.label == "direct")
@@ -59,20 +65,20 @@ class TestDeadPathRaces:
         assert dead.transfer.flow.delivered == 0.0
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("vector", ENGINES)
-    def test_dead_relay_loses(self, mini_world, mode, vector):
+    @pytest.mark.parametrize("sanitize", SANITIZE)
+    def test_dead_relay_loses(self, mini_world, mode, sanitize):
         w = mini_world(direct_mbps=1.0, relay_traces={"R1": DEAD})
-        sim, out = _race(w, vector, mode=mode, deadline=60.0)
+        sim, out = _race(w, mode=mode, deadline=60.0, sanitize=sanitize)
         assert not isinstance(out, ProbeTimeout)
         assert out.winner.via is None
         dead = next(p for p in out.probes if p.label == "R1")
         assert not dead.won
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("vector", ENGINES)
-    def test_all_paths_dead_times_out(self, mini_world, mode, vector):
+    @pytest.mark.parametrize("sanitize", SANITIZE)
+    def test_all_paths_dead_times_out(self, mini_world, mode, sanitize):
         w = mini_world(direct_trace=DEAD, relay_traces={"R1": DEAD})
-        sim, out = _race(w, vector, mode=mode, deadline=30.0)
+        sim, out = _race(w, mode=mode, deadline=30.0, sanitize=sanitize)
         assert isinstance(out, ProbeTimeout)
         assert out.deadline == 30.0
         assert out.started_at <= out.timed_out_at <= out.started_at + 30.0
@@ -80,14 +86,14 @@ class TestDeadPathRaces:
         assert all(not p.won for p in out.probes)
         assert {p.label for p in out.probes} == {"direct", "R1"}
 
-    @pytest.mark.parametrize("vector", ENGINES)
-    def test_dying_paths_time_out_at_the_deadline(self, mini_world, vector):
+    @pytest.mark.parametrize("sanitize", SANITIZE)
+    def test_dying_paths_time_out_at_the_deadline(self, mini_world, sanitize):
         # Paths that die mid-race but revive far later never freeze the
         # engine, so the race must idle exactly to the deadline.
         rate = mbps_to_bytes_per_s(8.0)
         dying = CapacityTrace([0.0, 0.01, 5000.0], [rate, 0.0, rate])
         w = mini_world(direct_trace=dying, relay_traces={"R1": dying})
-        sim, out = _race(w, vector, mode=ProbeMode.CONCURRENT, deadline=10.0)
+        sim, out = _race(w, mode=ProbeMode.CONCURRENT, deadline=10.0, sanitize=sanitize)
         assert isinstance(out, ProbeTimeout)
         assert out.timed_out_at == pytest.approx(out.started_at + 10.0)
 
@@ -108,12 +114,13 @@ class TestDeadPathRaces:
             engine.run([w.builder.direct("C", "S")], "/f", deadline=0.0)
 
 
-#: Engine legs of the identity tests: classic, vector, and classic under the
-#: sanitizer (no disjoint scalar fast path; every solve certified).
+#: Engine legs of the identity tests: the default solvers, the numpy loop
+#: for every shared solve, and the default solvers under the sanitizer
+#: (every solve certified).
 IDENTITY_LEGS = [
-    {"vector": False},
-    {"vector": True},
-    {"vector": False, "sanitize": True},
+    {},
+    {"numpy_loop": True},
+    {"sanitize": True},
 ]
 
 
@@ -146,19 +153,18 @@ class TestEngineModeIdentity:
 
 
 class TestSessionProbeTimeout:
-    @pytest.mark.parametrize("vector", ENGINES)
-    def test_all_dead_session_aborts(self, mini_world, vector):
+    @pytest.mark.parametrize("sanitize", SANITIZE)
+    def test_all_dead_session_aborts(self, mini_world, sanitize):
         from repro.core.resilience import ResilienceConfig, SessionOutcome
 
         w = mini_world(direct_trace=DEAD, relay_traces={"R1": DEAD})
         config = SessionConfig(
             tcp=FAST_TCP, resilience=ResilienceConfig(probe_deadline=10.0)
         )
-        sim = Simulator()
+        sim = Simulator(sanitize=sanitize)
         net = FluidNetwork(sim)
         session = TransferSession(net, w.builder, config)
-        with forced_engine(vector):
-            result = session.download("C", "S", "/f", ["R1"])
+        result = session.download("C", "S", "/f", ["R1"])
         assert result.outcome is SessionOutcome.ABORTED
         assert result.bytes_received == 0.0
         assert result.delivered == 0.0

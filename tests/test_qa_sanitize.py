@@ -18,7 +18,6 @@ from repro.qa.sanitize import (
 from repro.sim.simulator import Simulator
 from repro.tcp.fluid import FluidNetwork
 from repro.tcp.model import SlowStartRamp
-from tests.engines import forced_engine
 
 
 class _Flow:
@@ -209,7 +208,7 @@ class TestAllocation:
         )
         # Two shared flows: solved by the numpy loop only above the bound.
         monkeypatch.setattr(fluid_mod, "_SCALAR_MAX_FLOWS", 0)
-        with forced_engine(False), pytest.raises(InvariantViolation) as exc:
+        with pytest.raises(InvariantViolation) as exc:
             contended_world(sanitize=True)
         assert exc.value.violation.code == "QA-R004"
 
@@ -223,7 +222,7 @@ class TestAllocation:
             return rates
 
         monkeypatch.setattr(fluid_mod, "maxmin_scalar", halve_first)
-        with forced_engine(False), pytest.raises(InvariantViolation) as exc:
+        with pytest.raises(InvariantViolation) as exc:
             contended_world(sanitize=True)
         assert exc.value.violation.code in ("QA-R003", "QA-R004")
 
@@ -436,93 +435,86 @@ class TestRecoveryBytesMonotone:
         assert sanitizer.violations == []
 
 
-def _core_world(n_flows, *, sim, size=1e6, links=None, seed=0):
-    """``n_flows`` ramped flows over two shared links, activating at three
-    instants; past 384 the network promotes to the vector core."""
+def _race_world(n_clients, *, sim, size=1e6, links=None, seed=0, slots=(0.0, 0.01, 0.05)):
+    """A probe race on the vector core: ``n_clients`` race a direct route
+    over the access link against a relay route over both links, starting
+    at ``slots``; every client's first batch of rows is its direct probe,
+    at the direct route's RTT."""
     rng = np.random.default_rng(seed)
     if links is None:
         links = [
             Link("access", "a", "b", CapacityTrace([0.0, 0.3], [4e7, 2e7]), delay=0.01),
             Link("wan", "b", "c", CapacityTrace.constant(3e7), delay=0.02),
         ]
-    routes = [Route(links=links[:1]), Route(links=links)]
     ramp = SlowStartRamp(rtt=0.06, max_window=65_536.0)
-    net = FluidNetwork(sim)
-    flows = [
-        net.start_flow(
-            routes[int(rng.integers(len(routes)))],
-            float(size * rng.choice([0.5, 1.0, 1.5])),
-            ramp=ramp,
-            activation_delay=float(rng.choice([0.0, 0.01, 0.05])),
-        )
-        for _ in range(n_flows)
-    ]
-    return net, flows
+    return FluidNetwork(sim).start_races(
+        [Route(links=links[:1]), Route(links=links)], [ramp, ramp],
+        [0.5 * size, size, 1.5 * size], probe_bytes=2e4,
+        direct=[0] * n_clients, relay=[1] * n_clients,
+        size=rng.integers(0, 3, size=n_clients),
+        slot=rng.integers(0, len(slots), size=n_clients), slot_times=list(slots),
+    )
+
+
+def _columns(race):
+    return (
+        race.latency.tobytes(), race.throughput.tobytes(),
+        race.indirect.tobytes(), race.probe_overhead_sum, race.n_completed,
+    )
 
 
 class TestVectorCoreChecks:
-    """The sanitizer's columnar checks over a VectorCore, every tick."""
+    """The sanitizer's columnar checks over a race's VectorCore, every tick."""
 
-    def test_clean_promoted_run_is_checked_and_silent(self):
+    def test_clean_race_is_checked_and_silent(self):
         sim = Simulator(sanitizer=Sanitizer(mode="collect"))
-        net, flows = _core_world(400, sim=sim)
+        race = _race_world(400, sim=sim)
         sim.run()
-        assert net.vector and all(f.done for f in flows)
+        assert race.n_completed == 400
         assert sim.sanitizer.checks_run > 0
         assert sim.sanitizer.violations == []
 
-    def test_promotion_drops_the_per_flow_progress_records(self, monkeypatch):
-        monkeypatch.setattr(fluid_mod, "_PROMOTE_ABOVE", fluid_mod._DENSE_MAX_FLOWS)
-        sim = Simulator(sanitize=True)
-        net = FluidNetwork(sim)
-        route = Route(links=(
-            Link("access", "a", "b", CapacityTrace.constant(4e7), delay=0.01),
-        ))
-        seen = []
-        for i in range(500):
-            net.start_flow(route, 1e6, activation_delay=0.0 if i < 300 else 0.05)
-        sim.schedule_at(0.04, lambda: seen.append(len(sim.sanitizer._last_delivered)))
-        sim.run()
-        assert seen == [300] and net.vector
-        assert len(sim.sanitizer._last_delivered) == 0
-
-    @pytest.mark.parametrize("n_flows", [50, 400])  # dense and sparse solves
-    def test_halved_core_rate_fires_r003_or_r004(self, monkeypatch, n_flows):
+    @pytest.mark.parametrize("n_rows", [50, 400])  # dense and sparse solves
+    def test_halved_core_rate_fires_r003_or_r004(self, monkeypatch, n_rows):
         import repro.vec.engine as engine
 
         real_dense, real_sparse = engine.maxmin_allocate, engine.waterfill_sparse
+        solvers = []
 
         def dense(*args, **kw):
+            solvers.append("dense")
             rates = real_dense(*args, **kw)
             rates[0] *= 0.5
             return rates
 
         def sparse(*args, **kw):
+            solvers.append("sparse")
             rates, rounds = real_sparse(*args, **kw)
-            rates[0] *= 0.5
+            if rates is not None:
+                rates[0] *= 0.5
             return rates, rounds
 
         monkeypatch.setattr(engine, "maxmin_allocate", dense)
         monkeypatch.setattr(engine, "waterfill_sparse", sparse)
         sim = Simulator(sanitize=True)
-        with forced_engine(True), pytest.raises(InvariantViolation) as exc:
-            net, _flows = _core_world(n_flows, sim=sim)
+        # One start slot: the first tick solves every client's direct probe.
+        _race_world(n_rows, sim=sim, slots=(0.0,))
+        with pytest.raises(InvariantViolation) as exc:
             sim.run()
-        assert net.vector
+        assert solvers == ["dense" if n_rows <= 384 else "sparse"]
         assert exc.value.violation.code in ("QA-R003", "QA-R004")
 
     def test_delivered_count_going_down_fires_r002(self):
         sim = Simulator(sanitize=True)
-        net, _flows = _core_world(400, sim=sim, size=1e9)
+        race = _race_world(400, sim=sim, size=1e9)
 
         def rewind():
-            core = net._vec
+            core = race._core
             core._deliv[: core._n] = 0.0
 
         sim.schedule_at(0.2, rewind, name="rewind")
         with pytest.raises(InvariantViolation) as exc:
             sim.run()
-        assert net.vector
         assert exc.value.violation.code == "QA-R002"
         assert "decreased" in exc.value.violation.detail
 
@@ -534,7 +526,9 @@ class TestVectorCoreChecks:
 
         def leak(*args, **kw):
             rates, rounds = real(*args, **kw)
-            return (rates + 1.0 if sim.now >= 0.3 else rates), rounds
+            if rates is not None and sim.now >= 0.3:
+                rates = rates + 1.0
+            return rates, rounds
 
         monkeypatch.setattr(engine, "waterfill_sparse", leak)
         access = Link(
@@ -542,27 +536,28 @@ class TestVectorCoreChecks:
         )
         wan = Link("wan", "b", "c", CapacityTrace.constant(3e7), delay=0.02)
         sim.sanitizer.watch_fault_windows({"access": [(0.3, 10.0)]})
-        net, _flows = _core_world(400, sim=sim, size=1e9, links=[access, wan])
+        _race_world(400, sim=sim, size=1e9, links=[access, wan])
         with pytest.raises(InvariantViolation) as exc:
             sim.run()
-        assert net.vector
         assert exc.value.violation.code == "QA-R006"
         assert exc.value.violation.subject == "access"
 
     @settings(max_examples=10, deadline=None)
     @given(
-        n_flows=st.sampled_from([383, 384, 385]),
+        n_clients=st.sampled_from([383, 384, 385]),
         seed=st.integers(0, 2**16),
         size=st.sampled_from([2e4, 1e5, 3e5]),
     )
     def test_sanitized_and_plain_runs_match_at_the_window_edge(
-        self, n_flows, seed, size
+        self, n_clients, seed, size
     ):
         def run(sanitize):
             sim = Simulator(sanitize=sanitize)
-            net, flows = _core_world(n_flows, sim=sim, size=size, seed=seed)
+            race = _race_world(
+                n_clients, sim=sim, size=size, seed=seed, slots=(0.0,)
+            )
             sim.run()
-            return net.vector, [(f.completed_at, f.delivered) for f in flows]
+            return _columns(race), sim.now
 
         plain = run(False)
         assert run(True) == plain

@@ -1,6 +1,5 @@
 """Scale study tests: records, planner, runner, analysis, CLI, perf report."""
 
-import contextlib
 import dataclasses
 import json
 import math
@@ -35,7 +34,6 @@ from repro.workloads.scale import (
     run_scale_unit,
 )
 from tests import scale_oracle
-from tests.engines import forced_engine
 from tests.scale_oracle import run_oracle_unit
 
 
@@ -194,22 +192,20 @@ class TestRunnerIntegration:
     def test_classic_engine_is_byte_identical(
         self, section2_scenario, tiny_campaign
     ):
-        """The columnar race vs one FluidFlow per probe and transfer, on the
-        per-object tick (300 flows at most: never promotes) and on the
-        vector core from the first flow."""
+        """The columnar race vs one FluidFlow per probe and transfer on the
+        per-object tick."""
         from repro.runner.pool import execute_plan
 
         plan, store = tiny_campaign
-        columnar = [r.to_dict() for r in store.records]
-        for vector in (False, True):
-            with forced_engine(True) if vector else contextlib.nullcontext():
-                oracle = execute_plan(
-                    plan, scenario=section2_scenario, jobs=1,
-                    run_unit_fn=lambda sc, cfg, unit: run_oracle_unit(
-                        sc, cfg, unit, plan.extra
-                    ),
-                )
-            assert [r.to_dict() for r in oracle.store.records] == columnar
+        oracle = execute_plan(
+            plan, scenario=section2_scenario, jobs=1,
+            run_unit_fn=lambda sc, cfg, unit: run_oracle_unit(
+                sc, cfg, unit, plan.extra
+            ),
+        )
+        assert [r.to_dict() for r in oracle.store.records] == [
+            r.to_dict() for r in store.records
+        ]
 
     def test_rows_round_trip_through_store(self, tiny_campaign, tmp_path):
         _plan, store = tiny_campaign
@@ -226,17 +222,10 @@ def _unit(scenario, params, repetition=0):
 
 
 def _records(scenario, params, repetition=0):
-    """The columnar wave's record and the oracle's, at the default
-    promotion bound and on the vector core from the first flow.
-
-    Not under a never-promoting bound: the per-object tick's dense solve
-    above 384 flows agrees with the sparse solver only to round-off."""
+    """The columnar wave's record and the per-object oracle's."""
     unit = _unit(scenario, params, repetition)
     columnar = run_scale_unit(scenario, None, unit, params).to_dict()
-    oracle = [run_oracle_unit(scenario, None, unit, params).to_dict()]
-    with forced_engine(True):
-        oracle.append(run_oracle_unit(scenario, None, unit, params).to_dict())
-    return columnar, oracle
+    return columnar, run_oracle_unit(scenario, None, unit, params).to_dict()
 
 
 class TestColumnarRace:
@@ -250,7 +239,7 @@ class TestColumnarRace:
         columnar, oracle = _records(section2_scenario, params)
         assert columnar["n_completed"] == n
         assert columnar["n_indirect"] == 0 and columnar["n_direct"] == n
-        assert oracle == [columnar, columnar]
+        assert oracle == columnar
 
     @settings(
         max_examples=12,
@@ -286,7 +275,7 @@ class TestColumnarRace:
             relay_rtt_factor=factor,
         )
         columnar, oracle = _records(section2_scenario, params, repetition)
-        assert oracle == [columnar, columnar]
+        assert oracle == columnar
 
     @pytest.mark.parametrize("factor", [1.0, 1.25])
     def test_rows_activate_in_the_per_object_order(self, section2_scenario, factor):
@@ -305,11 +294,11 @@ class TestColumnarRace:
         start_flow = scale_oracle._Wave.start_flow
         activate = FluidFlow._activate
 
-        def record_start(wave, route, size, done):
-            flow = start_flow(wave, route, size, done)
+        def record_start(wave, path, size, done):
+            flow = start_flow(wave, path, size, done)
             client = done.__self__
             kind = 2 if done.__name__ == "transfer_done" else int(
-                route is client.relay_route
+                path is client.relay
             )
             kind_of[flow.id] = (client.idx, kind)
             return flow
@@ -354,7 +343,6 @@ class TestColumnarRace:
         ramp = SlowStartRamp(rtt=route.rtt, max_window=65_536.0)
         net = FluidNetwork(Simulator())
         net.start_races([route], [ramp], [1e4], **race)
-        assert net.vector
         with pytest.raises(TransferError):
             net.start_flow(route, 1e4)
         with pytest.raises(TransferError):
@@ -424,18 +412,15 @@ class TestCli:
     def test_classic_engine_byte_identical(
         self, plain_artefact, tmp_path, monkeypatch
     ):
-        # The same CLI run with the per-object oracle as the unit runner,
-        # on the per-object tick and on the vector core from the first flow.
+        # The same CLI run with the per-object oracle as the unit runner.
         monkeypatch.setattr(
             scale_module,
             "STUDY",
             dataclasses.replace(scale_module.STUDY, run_unit=run_oracle_unit),
         )
-        for vector in (False, True):
-            out = tmp_path / f"scale-{vector}.jsonl"
-            with forced_engine(True) if vector else contextlib.nullcontext():
-                _run_cli(SCALE_ARGS + ["--out", str(out)])
-            assert out.read_bytes() == plain_artefact
+        out = tmp_path / "scale.jsonl"
+        _run_cli(SCALE_ARGS + ["--out", str(out)])
+        assert out.read_bytes() == plain_artefact
 
     def test_renders_study_table(self, tmp_path, capsys):
         out = tmp_path / "scale.jsonl"
@@ -531,4 +516,4 @@ class TestBaselineSeeding:
         assert "n/a" in line and line.rstrip().endswith("-")
 
     def test_new_benches_are_registered(self):
-        assert "vec_epoch" in BENCHES
+        assert "scenario_build" in BENCHES

@@ -1,5 +1,7 @@
 """Resilient session tests: mid-transfer failover, bounded aborts, identity."""
 
+from unittest import mock
+
 import pytest
 
 from repro.core.resilience import ResilienceConfig, SessionOutcome
@@ -7,10 +9,10 @@ from repro.core.session import SessionConfig, SessionResult, TransferSession
 from repro.http.transfer import TcpParams
 from repro.net.trace import CapacityTrace
 from repro.sim.simulator import Simulator
+from repro.tcp import fluid
 from repro.tcp.fluid import FluidNetwork
 from repro.util.units import mb, mbps_to_bytes_per_s
 from repro.workloads.failures import FAILURES_RESILIENCE
-from tests.engines import forced_engine
 
 FAST_TCP = TcpParams(max_window=262_144.0)
 
@@ -241,15 +243,16 @@ class TestFailoverDeterminism:
         )
 
     def test_engine_modes_identical(self, mini_world):
+        """The scalar shared solver and the numpy loop write the same bytes."""
         sigs = []
-        for vector in (False, True):
+        for bound in (fluid._SCALAR_MAX_FLOWS, 0):
             w = mini_world(
                 direct_mbps=1.0,
                 relay_mbps={"R1": 8.0, "R2": 2.0},
                 relay_traces={"R1": _dies_at(2.0)},
             )
             _, session = _universe(w)
-            with forced_engine(vector):
+            with mock.patch.object(fluid, "_SCALAR_MAX_FLOWS", bound):
                 result = session.download("C", "S", "/f", ["R1", "R2"])
             sigs.append(self._signature(result))
         assert sigs[0] == sigs[1]

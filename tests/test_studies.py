@@ -14,7 +14,6 @@ from repro.runner.plan import WorkUnit
 from repro.runner.pool import run_unit
 from repro.workloads.experiment import run_paired_unit
 from repro.workloads.studies import STUDIES, get_study, unit_runner
-from tests.engines import forced_engine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -172,14 +171,15 @@ SMALLEST_PLAN = {
 
 
 @pytest.mark.parametrize("study", list(STUDIES))
-def test_engines_write_byte_identical_artefacts(study, tmp_path):
-    """Classic and vector engine runs of every study write the same bytes."""
+def test_engines_write_byte_identical_artefacts(study, tmp_path, monkeypatch):
+    """Plain and sanitized runs of every study write the same bytes: the
+    sanitized tick (either one) checks every solve and changes none."""
     assert study in SMALLEST_PLAN, f"add {study!r} to SMALLEST_PLAN"
     artefacts = []
-    for vector in (False, True):
-        out = tmp_path / f"{vector}.jsonl"
-        with forced_engine(vector):
-            assert main([study, *SMALLEST_PLAN[study], "--out", str(out)]) == 0
+    for sanitize in ("0", "1"):
+        monkeypatch.setenv("REPRO_SANITIZE", sanitize)
+        out = tmp_path / f"{sanitize}.jsonl"
+        assert main([study, *SMALLEST_PLAN[study], "--out", str(out)]) == 0
         artefacts.append(out.read_bytes())
     assert artefacts[0], "the smallest plan wrote no records"
     assert artefacts[0] == artefacts[1]

@@ -141,8 +141,9 @@ class TestInstantaneousFairness:
     @settings(max_examples=40, deadline=None)
     @given(fluid_problems())
     def test_sanitizer_coords_match_the_dense_incidence(self, problem):
-        """The coordinate lists the per-object tick hands the sanitizer
-        encode exactly the dense incidence its numpy solve reads."""
+        """The coordinate lists the per-object tick hands the sanitizer and
+        its sparse solve encode exactly the dense incidence its numpy solve
+        reads."""
         links, flows = problem
         sim = Simulator()
         net = FluidNetwork(sim)
@@ -150,8 +151,6 @@ class TestInstantaneousFairness:
             net.start_flow(Route([links[i] for i in idxs]), size, activation_delay=0.0)
         sim.run(until=0.0)
         state = net._alloc_state
-        if state is None:  # promoted to the vector core: no per-object state
-            return
         lids, frow = state.coords
         assert lids.size == np.count_nonzero(state.incidence)
         dense = np.zeros_like(state.incidence)

@@ -1,7 +1,6 @@
 """Seeded RNG stream tests: determinism, independence, stability."""
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 

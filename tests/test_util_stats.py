@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.stats import (
-    Summary,
     coefficient_of_variation,
     fraction_below,
     fraction_between,

@@ -1,6 +1,5 @@
 """Unit conversion tests."""
 
-import math
 
 import pytest
 

@@ -1,8 +1,8 @@
 """The cohort solve: one solver flow per cohort of identical rows.
 
-A :class:`~repro.vec.engine.VectorCore` solves each cohort (rows sharing a
-route, a ramp and an activation instant) as one flow weighted by its
-multiplicity.  ``waterfill_sparse(..., mult=...)`` must then return exactly
+A :class:`~repro.vec.engine.VectorCore` solves each cohort of a probe
+race (rows sharing a route, and so a ramp and an activation instant) as one
+flow weighted by its multiplicity.  ``waterfill_sparse(..., mult=...)`` must then return exactly
 the bits and the round count of the same problem expanded to rows, in any
 row order, or give up (``None``) when a cap round freezes two cap values
 on one link, where the rows' sum depends on their order.
@@ -23,7 +23,6 @@ from repro.tcp.model import SlowStartRamp
 from repro.vec import engine
 from repro.vec.solver import waterfill_sparse
 from repro.workloads.scale import ScaleStudyParams, plan_scale, run_scale_unit
-from tests.engines import forced_engine
 
 
 def _cohort_coords(cohort_links):
@@ -167,32 +166,33 @@ def observer(monkeypatch):
     reset_global_observer()
 
 
-def _near_tie_world(sim):
-    """500 flows over one link with two ramps whose peaks differ by 1e-10,
-    interleaved in activation order: once both cohorts ramp to their peak
-    they freeze at their caps in one round."""
+def _near_tie_race(sim):
+    """250 clients racing two routes over one link whose ramps' peaks
+    differ by 1e-10: once the 500 probe rows ramp to their peaks the two
+    cohorts freeze at their caps in one round."""
     link = Link("l", "a", "b", CapacityTrace.constant(1e9), delay=0.01)
-    route = Route([link])
     ramps = [
         SlowStartRamp(rtt=0.05, max_window=60_000.0),
         SlowStartRamp(rtt=0.05, max_window=60_000.0 * (1.0 + 1e-10)),
     ]
-    net = FluidNetwork(sim)
-    flows = [
-        net.start_flow(route, 2e6 + 1e3 * (i % 7), ramp=ramps[i % 2])
-        for i in range(500)
-    ]
-    return net, flows
+    n = 250
+    return FluidNetwork(sim).start_races(
+        [Route([link]), Route([link])], ramps, [2e6, 2.003e6, 2.006e6],
+        probe_bytes=2e6, direct=[0] * n, relay=[1] * n,
+        size=[i % 3 for i in range(n)], slot=[0] * n, slot_times=[0.0],
+    )
 
 
 class TestEngineFallback:
     def _run(self, sanitize):
         sim = Simulator(sanitize=sanitize)
-        with forced_engine(True):
-            net, flows = _near_tie_world(sim)
-            sim.run()
-        assert net.vector
-        return [(f.completed_at, f.delivered) for f in flows]
+        race = _near_tie_race(sim)
+        sim.run()
+        assert race.n_completed == 250
+        return (
+            race.latency.tobytes(), race.throughput.tobytes(),
+            race.indirect.tobytes(), race.probe_overhead_sum, sim.now,
+        )
 
     @pytest.mark.parametrize("sanitize", [False, True])
     def test_near_tie_ramps_fall_back_to_the_rows(self, monkeypatch, observer, sanitize):
@@ -204,7 +204,6 @@ class TestEngineFallback:
         _rows_only(monkeypatch)
         assert self._run(sanitize) == cohorts
         assert counts["vec.solver_rounds"] == rows.counter("vec.solver_rounds")
-
 
 class TestWave:
     @pytest.mark.parametrize("sanitize", [False, True])

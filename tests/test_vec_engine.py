@@ -1,18 +1,19 @@
 """Pinning suite for the struct-of-arrays vector engine (DESIGN.md §12).
 
-A fluid network promotes itself from the per-object tick to the vector core
-once its population passes the dense-solver window, so the two ticks must
-agree: at populations within that window they produce *identical* floats —
-completion times, delivered bytes and instantaneous rates all match
-bit-for-bit.  These tests pin each tick (tests/engines.py) over random
-topologies/populations (constant and time-varying capacity, slow-start
-ramps, staggered activations, aborts) and compare everything observable.
-Large-population cases cross into the sparse water-filling solver, where
-agreement with the per-object tick is asserted only up to floating-point
-round-off, and a promoted run must equal a vector-from-the-start run
-bit-for-bit.
+The traffic picks the tick: a probe race (``FluidNetwork.start_races``)
+runs on the vector core, and object flows always run the per-object tick.
+A race must write exactly what the same population of
+:class:`~repro.tcp.flow.FluidFlow` objects and callbacks writes
+(``tests/scale_oracle.py``), so these tests race random topologies and
+populations (constant and time-varying capacity, slow-start ramps,
+staggered and coalesced activations, aborted losers, compaction) on both
+and compare every result column bit for bit.  Past the dense-solver window
+both ticks run the sparse water-filling solver: the per-object tick's
+sparse branch is pinned to the digest the vector core wrote for a growing
+object-flow population, and agrees with its own dense loop to round-off.
 """
 
+import hashlib
 from contextlib import contextmanager
 from unittest import mock
 
@@ -30,7 +31,7 @@ from repro.tcp import fluid
 from repro.tcp.fluid import FluidNetwork
 from repro.tcp.model import SlowStartRamp
 from repro.vec.engine import VectorCore
-from tests.engines import forced_engine
+from tests.scale_oracle import start_oracle_races
 
 
 def _random_problem(rng, *, n_links=6, n_flows=14, dynamic=False):
@@ -77,42 +78,71 @@ def _random_problem(rng, *, n_links=6, n_flows=14, dynamic=False):
     return specs
 
 
-def _shared_problem(rng, *, n_links, n_flows, n_routes, dynamic):
-    """A population reusing a few :class:`Route` and ramp objects (the scale
-    study's shape): flows share activation instants, and about a third are
-    aborted, half of those before their first tick."""
+def _race_problem(rng, *, n_links=6, n_routes=4, n_clients=20, dynamic=False,
+                  slot_times=None, shared_ramps=False):
+    """Random ``start_races`` arguments, deterministic in ``rng``: routes of
+    one to four random links, each with a ramp (with ``shared_ramps``,
+    routes reuse two ramp objects), and clients racing two random routes
+    for one of three sizes from one of three start slots."""
     pool = _random_problem(rng, n_links=n_links, n_flows=n_routes, dynamic=dynamic)
     routes = [Route(spec["route"]) for spec in pool]
-    ramps = [spec["ramp"] for spec in pool]
-    instants = (0.0, 0.2, 0.7, 1.5)
-    specs = []
-    for _ in range(n_flows):
-        abort = None
-        if rng.random() < 1 / 3:
-            abort = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.01, 2.0))
-        specs.append(
-            {
-                "route": routes[int(rng.integers(n_routes))],
-                "size": float(rng.uniform(1e4, 4e6)),
-                "ramp": ramps[int(rng.integers(n_routes))],
-                "delay": instants[int(rng.integers(len(instants)))],
-                "abort": abort,
-            }
+    windows = (16_384.0, 65_536.0, 262_144.0)
+    ramps = [
+        SlowStartRamp(
+            rtt=max(route.rtt, 1e-3), max_window=float(rng.choice(windows))
         )
-    return specs
+        for route in routes
+    ]
+    if shared_ramps:
+        ramps = [ramps[i % 2] for i in range(n_routes)]
+    if slot_times is None:
+        slot_times = [0.0] + sorted(rng.uniform(0.0, 2.0, size=2).tolist())
+    return dict(
+        routes=routes,
+        ramps=ramps,
+        sizes=rng.uniform(1e4, 4e6, size=3).tolist(),
+        probe_bytes=float(rng.choice([2e3, 2e4, 1e5])),
+        direct=rng.integers(0, n_routes, size=n_clients),
+        relay=rng.integers(0, n_routes, size=n_clients),
+        size=rng.integers(0, 3, size=n_clients),
+        slot=rng.integers(0, len(slot_times), size=n_clients),
+        slot_times=slot_times,
+    )
+
+
+def _race(args, *, oracle=False, nets=None):
+    """Run one race, columnar or (``oracle``) one object per flow; return
+    its result columns and the drain instant."""
+    sim = Simulator()
+    net = FluidNetwork(sim)
+    if nets is not None:
+        nets.append(net)
+    start = start_oracle_races if oracle else FluidNetwork.start_races
+    race = start(net, **args)
+    sim.run()
+    return (
+        race.latency.tobytes(), race.throughput.tobytes(),
+        race.indirect.tobytes(), race.probe_overhead_sum, race.n_completed,
+        sim.now,
+    )
+
+
+def _assert_race_matches_oracle(args):
+    columnar = _race(args)
+    assert columnar[4] == len(args["direct"])  # every client completes
+    assert columnar == _race(args, oracle=True)
 
 
 @contextmanager
 def _refcount_checked():
     """Check after every vector tick that each link's refcount equals the
-    number of live rows crossing it and that no release is left queued.
-    Yields a counter of compactions seen."""
+    number of live rows crossing it.  Yields a counter of compactions
+    seen."""
     tick, compact = VectorCore.tick, VectorCore._compact
     seen = {"compactions": 0}
 
     def checked_tick(core):
         tick(core)
-        assert not core._retiring
         n, m, nc = core._n, len(core._links), core._nc
         rows = np.bincount(core._cohort[:n][core._alive[:n]], minlength=nc)
         assert np.array_equal(core._c_mult[:nc], rows)
@@ -132,22 +162,16 @@ def _refcount_checked():
         yield seen
 
 
-def _run(specs, vec=None, *, sample_times=(), nets=None):
-    """Run ``specs`` on one network; return everything observable.
+def _run(specs, *, sample_times=(), sanitize=False):
+    """Run ``specs`` as object flows on one network; return everything
+    observable.
 
-    ``vec`` pins the tick (True: vector core from the first flow, False:
-    per-object tick throughout); None leaves the choice to the population.
-    The network is appended to ``nets`` when given.  A spec's route is a
-    list of links (a fresh :class:`Route` per flow) or a shared ``Route``;
-    a spec with ``abort`` set is aborted that long after its activation.
+    A spec's route is a list of links (a fresh :class:`Route` per flow) or
+    a shared ``Route``; a spec with ``abort`` set is aborted that long
+    after its activation.
     """
-    if vec is not None:
-        with forced_engine(vec):
-            return _run(specs, sample_times=sample_times, nets=nets)
-    sim = Simulator()
+    sim = Simulator(sanitize=sanitize)
     net = FluidNetwork(sim)
-    if nets is not None:
-        nets.append(net)
     completions = {}
     handles = []
     for i, spec in enumerate(specs):
@@ -182,6 +206,9 @@ def _run(specs, vec=None, *, sample_times=(), nets=None):
             name="sample",
         )
     sim.run()
+    if sanitize:
+        assert sim.sanitizer.checks_run > 0
+        assert not sim.sanitizer.violations
     delivered = [f.delivered for f in handles]
     return completions, delivered, samples
 
@@ -190,161 +217,185 @@ SAMPLE_TIMES = (0.1, 0.45, 0.9, 1.7, 3.0, 6.0)
 
 
 class TestVectorOracleIdentity:
-    """Dense-window populations: vector output must equal the oracle's."""
+    """Races on the vector core equal the per-object oracle bit for bit."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_population_constant_links(self, seed):
-        specs = _random_problem(np.random.default_rng(seed))
-        classic = _run(specs, False, sample_times=SAMPLE_TIMES)
-        vector = _run(specs, True, sample_times=SAMPLE_TIMES)
-        assert vector == classic  # exact: times, bytes and sampled rates
+        _assert_race_matches_oracle(_race_problem(np.random.default_rng(seed)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_population_dynamic_links(self, seed):
-        specs = _random_problem(
-            np.random.default_rng(100 + seed), dynamic=True
+        _assert_race_matches_oracle(
+            _race_problem(np.random.default_rng(100 + seed), dynamic=True)
         )
-        classic = _run(specs, False, sample_times=SAMPLE_TIMES)
-        vector = _run(specs, True, sample_times=SAMPLE_TIMES)
-        assert vector == classic
 
     @pytest.mark.parametrize("seed", range(4))
     def test_coalesced_activation_matches_per_flow_events(self, seed):
-        """Coalesced activations behave like one event per flow: flows
-        sharing an activation instant activate in creation order, on
-        either tick, and both ticks then agree exactly."""
-        specs = _random_problem(np.random.default_rng(200 + seed))
+        """Object flows sharing an activation instant share one event and
+        activate in creation order; a race's clients sharing start slots
+        coalesce the same way and still equal the oracle exactly."""
+        rng = np.random.default_rng(200 + seed)
+        specs = _random_problem(rng)
         # Interleave creation across three shared activation instants.
         delays = (0.0, 0.25, 0.5)
         for i, spec in enumerate(specs):
             spec["delay"] = delays[i % 3]
-        for vec in (False, True):
-            sim = Simulator()
-            net = FluidNetwork(sim)
-            for i, spec in enumerate(specs):
-                net.start_flow(
-                    Route(spec["route"]), spec["size"], ramp=spec["ramp"],
-                    name=f"f{i}", activation_delay=spec["delay"],
-                )
-            seen = {}
-            # Scheduled after every activation, before the instant's tick.
-            for t in delays:
-                sim.schedule_at(
-                    t,
-                    lambda t=t: seen.__setitem__(
-                        t, [f.name for f in net.active_flows]
-                    ),
-                    name="observe",
-                )
-            with forced_engine(vec):
-                sim.run()
-            for t in delays:
-                batch = [f"f{i}" for i, s in enumerate(specs) if s["delay"] == t]
-                assert seen[t][-len(batch):] == batch
-        assert _run(specs, True, sample_times=SAMPLE_TIMES) == _run(
-            specs, False, sample_times=SAMPLE_TIMES
+        sim = Simulator()
+        net = FluidNetwork(sim)
+        for i, spec in enumerate(specs):
+            net.start_flow(
+                Route(spec["route"]), spec["size"], ramp=spec["ramp"],
+                name=f"f{i}", activation_delay=spec["delay"],
+            )
+        seen = {}
+        # Scheduled after every activation, before the instant's tick.
+        for t in delays:
+            sim.schedule_at(
+                t,
+                lambda t=t: seen.__setitem__(
+                    t, [f.name for f in net.active_flows]
+                ),
+                name="observe",
+            )
+        sim.run()
+        for t in delays:
+            batch = [f"f{i}" for i, s in enumerate(specs) if s["delay"] == t]
+            assert seen[t][-len(batch):] == batch
+        _assert_race_matches_oracle(
+            _race_problem(rng, n_clients=30, slot_times=list(delays))
         )
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_property_random_topologies(self, seed):
         rng = np.random.default_rng(seed)
-        specs = _random_problem(
-            rng,
-            n_links=int(rng.integers(2, 8)),
-            n_flows=int(rng.integers(1, 20)),
-            dynamic=bool(rng.integers(0, 2)),
-        )
-        assert _run(specs, True, sample_times=SAMPLE_TIMES) == _run(
-            specs, False, sample_times=SAMPLE_TIMES
+        n_links = int(rng.integers(2, 8))
+        _assert_race_matches_oracle(
+            _race_problem(
+                rng,
+                n_links=n_links,
+                n_routes=int(rng.integers(1, 6)),
+                n_clients=int(rng.integers(1, 20)),
+                dynamic=bool(rng.integers(0, 2)),
+            )
         )
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_property_shared_routes_and_ramps(self, seed):
-        """Flows reusing Route and ramp objects take the flush's per-route
-        path; both ticks still agree bit-for-bit, and every vector tick
-        leaves the link refcounts equal to a recount of the live rows."""
+        """Many clients on a few routes sharing ramp objects: cohorts of
+        many rows, aborted losers released with each tick's completions,
+        and every vector tick leaves the link refcounts equal to a recount
+        of the live rows."""
         rng = np.random.default_rng(seed)
-        specs = _shared_problem(
+        args = _race_problem(
             rng,
             n_links=int(rng.integers(2, 8)),
-            n_flows=int(rng.integers(1, 60)),
             n_routes=int(rng.integers(1, 5)),
+            n_clients=int(rng.integers(1, 60)),
             dynamic=bool(rng.integers(0, 2)),
+            shared_ramps=True,
         )
         with _refcount_checked():
-            vector = _run(specs, True, sample_times=SAMPLE_TIMES)
-        assert vector == _run(specs, False, sample_times=SAMPLE_TIMES)
+            columnar = _race(args)
+        assert columnar == _race(args, oracle=True)
 
     def test_shared_population_refcounts_across_compaction(self):
-        """300 flows on 4 shared routes, inside the dense window, with
-        aborts (queued releases) and enough retirements to compact: still
-        bit-identical, and the refcount recount holds after every tick."""
-        specs = _shared_problem(
-            np.random.default_rng(5), n_links=6, n_flows=300, n_routes=4,
-            dynamic=True,
+        """150 clients on 4 shared routes, inside the dense window, with
+        enough retirements to compact: still bit-identical, and the
+        refcount recount holds after every tick."""
+        args = _race_problem(
+            np.random.default_rng(5), n_clients=150, dynamic=True,
+            shared_ramps=True,
         )
         with _refcount_checked() as seen:
-            vector = _run(specs, True, sample_times=SAMPLE_TIMES)
+            columnar = _race(args)
         assert seen["compactions"] > 0
-        assert vector == _run(specs, False, sample_times=SAMPLE_TIMES)
+        assert columnar == _race(args, oracle=True)
 
     def test_abort_between_activation_and_first_tick(self):
-        """An abort landing while the flow sits in the vector engine's
-        pending buffer (activated, not yet materialised as a row) must
-        behave exactly like the classic engine's abort."""
+        """An abort landing between a flow's activation and the instant's
+        tick leaves the other flows exactly as if it had never started."""
 
-        def run(vec):
+        def run(with_victim):
             sim = Simulator()
             net = FluidNetwork(sim)
             link = Link("l0", "a", "b", CapacityTrace.constant(1e6), delay=0.01)
             keeper = net.start_flow(
                 Route([link]), 5e5, name="keeper", activation_delay=0.5
             )
-            victim = net.start_flow(
-                Route([link]), 5e5, name="victim", activation_delay=0.5
-            )
-            # Scheduled after start_flow: at t=0.5 this runs between the
-            # victim's activation event and the engine's same-instant tick.
-            sim.schedule_at(0.5, lambda: net.abort_flow(victim), name="abort")
-            with forced_engine(vec):
-                sim.run()
-            return keeper.completed_at, keeper.delivered, victim.completed_at
-
-        assert run(True) == run(False)
-
-    def test_promotion_bound_selects_engine(self, monkeypatch, pytestconfig):
-        link = Link("l0", "a", "b", CapacityTrace.constant(1e6), delay=0.01)
-
-        def promoted(sim, n_flows=1):
-            net = FluidNetwork(sim)
-            assert net.vector is False  # every network starts per-object
-            for _ in range(n_flows):
-                net.start_flow(Route([link]), 1e4, activation_delay=0.0)
+            victim = None
+            if with_victim:
+                victim = net.start_flow(
+                    Route([link]), 5e5, name="victim", activation_delay=0.5
+                )
+                # Scheduled after start_flow: at t=0.5 this runs between the
+                # victim's activation event and the same-instant tick.
+                sim.schedule_at(0.5, lambda: net.abort_flow(victim), name="abort")
             sim.run()
-            return net.vector
+            return keeper, victim
 
-        assert fluid._DENSE_MAX_FLOWS == 384
-        if not pytestconfig.getoption("--vector-engine"):
-            assert fluid._PROMOTE_ABOVE == fluid._DENSE_MAX_FLOWS
-        monkeypatch.setattr(fluid, "_PROMOTE_ABOVE", fluid._DENSE_MAX_FLOWS)
-        assert promoted(Simulator(), 384) is False
-        assert promoted(Simulator(), 385) is True
-        with forced_engine(True):
-            assert promoted(Simulator()) is True
-            assert promoted(Simulator(sanitize=True)) is True
-        with forced_engine(False):
-            assert promoted(Simulator(), 385) is False
+        keeper, victim = run(True)
+        alone, _ = run(False)
+        assert (keeper.completed_at, keeper.delivered) == (
+            alone.completed_at, alone.delivered
+        )
+        assert (victim.completed_at, victim.delivered) == (0.5, 0.0)
+
+
+def _digest(completions, samples):
+    """sha256 over completion times and sampled rates, as float hex."""
+    h = hashlib.sha256()
+    for name in sorted(completions, key=lambda n: int(n[1:])):
+        h.update(f"{name}={float(completions[name]).hex()}\n".encode())
+    for row in samples:
+        h.update((",".join(float(r).hex() for r in row) + "\n").encode())
+    return h.hexdigest()
 
 
 class TestSparseSolverWindow:
-    """Populations past the dense window use sparse water-filling: same
-    fixed point, so results agree to round-off (not necessarily bitwise)."""
+    """Past the dense window the per-object tick solves shared problems
+    with the sparse water-filling: the vector core's bits, and the dense
+    loop's fixed point to round-off."""
 
-    def test_large_population_matches_oracle(self):
+    #: The completions and samples of ``_growing_population`` as the vector
+    #: core wrote them, when populations past the window ran there.
+    GROWING_DIGEST = "277ea67c68007bd471bb0581424926735f47761d7712817f278e587db40f9276"
+
+    @staticmethod
+    def _growing_population():
+        """300 flows at t=0 and 220 more at t=1 on shared links: the second
+        batch lifts the population past 384, then it drains to zero."""
+        rng = np.random.default_rng(11)
+        specs = _random_problem(rng, n_links=8, n_flows=520, dynamic=True)
+        for i, spec in enumerate(specs):
+            spec["delay"] = 0.0 if i < 300 else 1.0
+        return specs
+
+    @staticmethod
+    def _population(specs, completions, t):
+        return sum(
+            1
+            for i, spec in enumerate(specs)
+            if spec["delay"] <= t < completions[f"f{i}"]
+        )
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_growing_population_keeps_the_core_bits(self, sanitize):
+        specs = self._growing_population()
+        completions, _delivered, samples = _run(
+            specs, sample_times=SAMPLE_TIMES, sanitize=sanitize
+        )
+        assert len(completions) == len(specs)  # everyone completes
+        assert self._population(specs, completions, 0.5) <= 384
+        assert self._population(specs, completions, 1.0) > 384
+        last = max(completions.values())
+        assert 0 < self._population(specs, completions, 0.9 * last) <= 384
+        assert _digest(completions, samples) == self.GROWING_DIGEST
+
+    def test_large_population_matches_oracle(self, monkeypatch):
         rng = np.random.default_rng(7)
-        n_flows = 420  # > _DENSE_MAX_FLOWS: forces the sparse solver
+        n_flows = 420  # > _DENSE_MAX_FLOWS: the sparse branch
         links = [
             Link(
                 f"l{i}",
@@ -366,133 +417,106 @@ class TestSparseSolverWindow:
                     "delay": float(rng.uniform(0.0, 0.5)),
                 }
             )
-        classic = _run(specs, False)
-        vector = _run(specs, True)
-        assert set(vector[0]) == set(classic[0])  # everyone completes
-        for name, t in classic[0].items():
-            assert vector[0][name] == pytest.approx(t, rel=1e-9)
-        assert vector[1] == pytest.approx(classic[1], rel=1e-9)
+        sparse = _run(specs)
+        monkeypatch.setattr(fluid, "_DENSE_MAX_FLOWS", float("inf"))
+        dense = _run(specs)
+        assert set(sparse[0]) == set(dense[0])  # everyone completes
+        for name, t in dense[0].items():
+            assert sparse[0][name] == pytest.approx(t, rel=1e-9)
+        assert sparse[1] == pytest.approx(dense[1], rel=1e-9)
 
 
 class TestBufferedAborts:
-    """Aborts of flows still in the activation buffer cost O(1): the flush
-    skips flows that are no longer active."""
+    """Aborts of flows still waiting for their activation instant: the
+    activation skips them."""
 
     def test_half_of_a_batch_aborted_before_the_first_tick(self):
         link = Link("l0", "a", "b", CapacityTrace.constant(1e6), delay=0.01)
         route = Route([link])
 
-        def run(vec):
+        def run(abort_odd):
             sim = Simulator()
             net = FluidNetwork(sim)
             flows = [
                 net.start_flow(route, 5e4 + 10.0 * i, activation_delay=0.5)
                 for i in range(2000)
+                if abort_odd or i % 2 == 0
             ]
-            for flow in flows[1::2]:
-                sim.schedule_at(0.5, lambda f=flow: net.abort_flow(f), name="abort")
-            rows = []
+            if abort_odd:
+                for flow in flows[1::2]:
+                    sim.schedule_at(0.5, lambda f=flow: net.abort_flow(f), name="abort")
+            active = []
             sim.schedule_at(
-                0.6, lambda: rows.append(net._vec and net._vec._n), name="observe"
+                0.6, lambda: active.append(len(net.active_flows)), name="observe"
             )
-            with forced_engine(vec):
-                sim.run()
-            return [f.completed_at for f in flows], [f.delivered for f in flows], rows
+            sim.run()
+            return [f.completed_at for f in flows], [f.delivered for f in flows], active
 
-        vector, classic = run(True), run(False)
-        assert vector[2] == [1000]  # one row per kept flow
-        assert vector[0][1::2] == classic[0][1::2] == [0.5] * 1000
-        assert vector[1][1::2] == classic[1][1::2] == [0.0] * 1000
-        # 1000 concurrent flows: the sparse solver, equal to round-off.
-        assert vector[0] == pytest.approx(classic[0], rel=1e-9)
-        assert vector[1] == pytest.approx(classic[1], rel=1e-9)
+        aborted, kept = run(True), run(False)
+        assert aborted[2] == kept[2] == [1000]  # one active flow per kept flow
+        assert aborted[0][1::2] == [0.5] * 1000
+        assert aborted[1][1::2] == [0.0] * 1000
+        # 1000 concurrent flows on the sparse branch, exactly as if the
+        # aborted half had never started.
+        assert aborted[0][0::2] == kept[0]
+        assert aborted[1][0::2] == kept[1]
 
 
 class TestLinkNameConflicts:
-    """Links are keyed by name.  Within one activation batch the vector
-    core's per-route interning must still refuse two same-name links with
-    different traces, and merge them when the traces are equal, exactly as
-    the per-object tick does -- also when a cached route reappears."""
+    """Links are keyed by name.  Two same-name links with different traces
+    are refused and equal traces merge, on the per-object tick (between
+    concurrent flows) and in a race (between any of its routes)."""
 
     @staticmethod
-    def _specs(order, twin_trace):
+    def _routes(twin_trace, *, twin=True):
+        """The routes over ``x`` and ``y``, and over a same-name twin of
+        ``x`` (``x`` itself when not ``twin``)."""
         shared = Link("x", "a", "b", CapacityTrace.constant(1e6), delay=0.01)
-        twin = Link("x", "a", "b", twin_trace, delay=0.01)
         other = Link("y", "b", "c", CapacityTrace.constant(2e6), delay=0.01)
-        routes = (Route([shared, other]), Route([twin]))
+        x = Link("x", "a", "b", twin_trace, delay=0.01) if twin else shared
+        return Route([shared, other]), Route([x])
+
+    @classmethod
+    def _specs(cls, order, twin_trace, *, twin=True):
+        routes = cls._routes(twin_trace, twin=twin)
         return [
             {"route": routes[k], "size": 2e5 + 1e4 * i, "ramp": None, "delay": 0.5}
             for i, k in enumerate(order)
         ]
 
+    @classmethod
+    def _race_args(cls, order, twin_trace):
+        routes = [cls._routes(twin_trace)[k] for k in order]
+        ramp = SlowStartRamp(rtt=0.04, max_window=65_536.0)
+        n = len(order) - 1
+        return dict(
+            routes=routes, ramps=[ramp] * len(routes), sizes=[2e5],
+            probe_bytes=1e4, direct=list(range(n)), relay=[n] * n,
+            size=[0] * n, slot=[0] * n, slot_times=[0.5],
+        )
+
     @pytest.mark.parametrize("order", [(0, 1), (0, 0, 1), (0, 1, 0)])
     @pytest.mark.parametrize("vec", [True, False])
     def test_different_traces_raise(self, order, vec):
-        specs = self._specs(order, CapacityTrace.constant(3e6))
-        with pytest.raises(TransferError, match="two distinct links named 'x'"):
-            _run(specs, vec)
+        match = "two distinct links named 'x'"
+        if vec:
+            args = self._race_args(order, CapacityTrace.constant(3e6))
+            with pytest.raises(TransferError, match=match):
+                FluidNetwork(Simulator()).start_races(**args)
+        else:
+            specs = self._specs(order, CapacityTrace.constant(3e6))
+            with pytest.raises(TransferError, match=match):
+                _run(specs)
 
     @pytest.mark.parametrize("order", [(0, 1), (0, 1, 0), (1, 0, 1, 0)])
     def test_equal_traces_merge(self, order):
-        specs = self._specs(order, CapacityTrace.constant(1e6))
+        twin_trace = CapacityTrace.constant(1e6)
+        # The twin is one constraint with the ``x`` it shares a name with.
+        assert _run(
+            self._specs(order, twin_trace), sample_times=SAMPLE_TIMES
+        ) == _run(self._specs(order, twin_trace, twin=False), sample_times=SAMPLE_TIMES)
+        args = self._race_args(order, twin_trace)
         nets = []
-        vector = _run(specs, True, sample_times=SAMPLE_TIMES, nets=nets)
+        columnar = _race(args, nets=nets)
         assert sorted(nets[0]._vec._lid) == ["x", "y"]
-        assert vector == _run(specs, False, sample_times=SAMPLE_TIMES)
-
-
-class TestPromotion:
-    """A network that outgrows the dense window moves to the vector core."""
-
-    def _growing_population(self):
-        """300 flows at t=0 and 220 more at t=1 on shared links: the second
-        batch lifts the population past 384, then it drains to zero."""
-        rng = np.random.default_rng(11)
-        specs = _random_problem(rng, n_links=8, n_flows=520, dynamic=True)
-        for i, spec in enumerate(specs):
-            spec["delay"] = 0.0 if i < 300 else 1.0
-        return specs
-
-    @staticmethod
-    def _population(specs, completions, t):
-        return sum(
-            1
-            for i, spec in enumerate(specs)
-            if spec["delay"] <= t < completions[f"f{i}"]
-        )
-
-    def test_promoted_run_matches_vector_and_classic_runs(self):
-        specs = self._growing_population()
-        nets = []
-        promoted = _run(specs, sample_times=SAMPLE_TIMES, nets=nets)
-        assert nets[0].vector
-        completions = promoted[0]
-        assert len(completions) == len(specs)  # everyone completes
-        assert self._population(specs, completions, 0.5) <= 384
-        assert self._population(specs, completions, 1.0) > 384
-        last = max(completions.values())
-        assert 0 < self._population(specs, completions, 0.9 * last) <= 384
-
-        # Bit-identical to the vector core from the first flow ...
-        assert promoted == _run(specs, True, sample_times=SAMPLE_TIMES)
-        # ... and within the sparse solver's round-off of the per-object
-        # tick, which solves the whole population densely.
-        classic = _run(specs, False, sample_times=SAMPLE_TIMES)
-        assert set(classic[0]) == set(completions)
-        for name, t in classic[0].items():
-            assert completions[name] == pytest.approx(t, rel=1e-9)
-        assert promoted[1] == pytest.approx(classic[1], rel=1e-9)
-
-    def test_sanitized_simulator_promotes(self):
-        link = Link("l0", "a", "b", CapacityTrace.constant(1e6), delay=0.01)
-        sim = Simulator(sanitize=True)
-        net = FluidNetwork(sim)
-        flows = [
-            net.start_flow(Route([link]), 1e3, activation_delay=0.0)
-            for _ in range(385)
-        ]
-        sim.run()
-        assert net.vector
-        assert all(f.done for f in flows)
-        assert sim.sanitizer.checks_run > 0
-        assert not sim.sanitizer.violations
+        assert columnar == _race(args, oracle=True)

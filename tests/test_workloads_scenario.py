@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.session import SessionConfig
 from repro.net.topology import wan_link_name
-from repro.util.units import HOUR, mb
+from repro.util.units import mb
 from repro.workloads.profiles import ThroughputClass
 from repro.workloads.scenario import Scenario, ScenarioSpec
 

@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.util import render_table
+from repro.util.tables import render_table
 from repro.workloads.calibration import CalibrationParams
 from repro.workloads.contention import ContentionSpec, run_contended_pair
 from repro.workloads.experiment import run_paired_transfer

@@ -16,7 +16,7 @@ from repro.sim.simulator import Simulator
 from repro.tcp.fluid import FluidNetwork
 from repro.tcp.model import SlowStartRamp
 from repro.tcp.reno import RenoConfig, simulate_reno_transfer
-from repro.util import render_table
+from repro.util.tables import render_table
 from repro.util.units import mb, mbps_to_bytes_per_s
 
 CASES = [

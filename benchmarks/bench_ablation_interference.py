@@ -11,7 +11,7 @@ with the interfering mode depressing both sides' absolute throughput.
 
 import numpy as np
 
-from repro.util import render_table
+from repro.util.tables import render_table
 from repro.workloads.experiment import run_interfering_pair, run_paired_transfer
 
 CLIENTS = ("Italy", "Sweden", "Korea", "Brazil", "Greece")

@@ -16,11 +16,11 @@ indirectly.
 
 import numpy as np
 
-from repro.trace.store import TraceStore
-from repro.util import render_table
 from repro.core.probe import ProbeMode
 from repro.core.session import SessionConfig
 from repro.http.transfer import TcpParams
+from repro.trace.store import TraceStore
+from repro.util.tables import render_table
 from repro.util.units import kb
 from repro.workloads.experiment import run_paired_transfer
 

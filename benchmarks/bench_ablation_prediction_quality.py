@@ -8,7 +8,7 @@ achievable improvement the mechanism captures.
 """
 
 from repro.analysis.prediction import prediction_quality
-from repro.util import render_kv
+from repro.util.tables import render_kv
 from repro.workloads.counterfactual import run_counterfactual_study
 
 CLIENTS = ("Italy", "Sweden", "Korea", "Brazil", "Greece", "Norway", "Russia")

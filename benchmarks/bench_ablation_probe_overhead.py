@@ -18,7 +18,7 @@ from repro.core.probe import ProbeMode
 from repro.core.random_set import UniformRandomSetPolicy
 from repro.core.session import SessionConfig
 from repro.http.transfer import TcpParams
-from repro.util import render_table
+from repro.util.tables import render_table
 from repro.workloads.experiment import Section4Study
 
 CLIENT = "Italy"

@@ -14,7 +14,8 @@ import numpy as np
 from repro.core.probe import ProbeMode
 from repro.core.session import SessionConfig
 from repro.http.transfer import TcpParams
-from repro.util import kb, render_table
+from repro.util.tables import render_table
+from repro.util.units import kb
 from repro.workloads.experiment import run_paired_transfer
 
 PROBE_SIZES_KB = (5, 20, 100, 400)

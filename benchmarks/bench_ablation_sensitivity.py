@@ -7,7 +7,7 @@ utilisation, mostly-positive selections, positive mean improvement - must
 hold everywhere; only the magnitudes may move.
 """
 
-from repro.util import render_table
+from repro.util.tables import render_table
 from repro.workloads.sweeps import calibration_sensitivity, default_variants
 
 CLIENTS = ("Italy", "Sweden", "Korea", "Brazil", "Greece", "Norway",

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.analysis.variability import variability_reduction
 from repro.trace.store import TraceStore
-from repro.util import render_table
+from repro.util.tables import render_table
 from repro.workloads.experiment import run_paired_transfer
 
 CLIENTS = ("Italy", "Sweden", "Korea", "Brazil", "Denmark", "France", "Greece", "Norway")

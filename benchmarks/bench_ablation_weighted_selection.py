@@ -8,8 +8,9 @@ at equal candidate budget, and concentrate on good relays.
 
 import numpy as np
 
-from repro.core import UniformRandomSetPolicy, UtilizationWeightedPolicy
-from repro.util import render_table
+from repro.core.random_set import UniformRandomSetPolicy
+from repro.core.weighted import UtilizationWeightedPolicy
+from repro.util.tables import render_table
 
 K = 4
 CLIENT = "Duke"

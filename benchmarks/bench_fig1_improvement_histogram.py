@@ -4,7 +4,8 @@ Paper: mean ~49%, median ~37%, 84% of mass in [0, 100]%, ~12% negative,
 conditioned on the indirect path being selected.
 """
 
-from repro.analysis import improvement_histogram, render_fig1
+from repro.analysis.improvement import improvement_histogram
+from repro.analysis.report import render_fig1
 from repro.util.svg import svg_histogram
 
 

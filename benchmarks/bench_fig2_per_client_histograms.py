@@ -6,7 +6,8 @@ Paper: most clients' distributions roughly resemble the aggregate (mass in
 
 import numpy as np
 
-from repro.analysis import per_client_histograms, render_fig2
+from repro.analysis.improvement import per_client_histograms
+from repro.analysis.report import render_fig2
 
 
 def test_fig2_per_client_histograms(benchmark, s2_store, save_artifact):

@@ -5,7 +5,8 @@ client throughput on the direct path increases" - a downward slope, both in
 aggregate and for most per-client panels.
 """
 
-from repro.analysis import improvement_vs_throughput, render_fig3
+from repro.analysis.improvement import improvement_vs_throughput
+from repro.analysis.report import render_fig3
 from repro.util.svg import svg_line_chart
 
 

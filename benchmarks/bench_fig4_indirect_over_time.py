@@ -5,7 +5,8 @@ downtrend over time.  However, there are a few small jumps that do occur."
 We quantify "no discernible trend" with the Mann-Kendall test.
 """
 
-from repro.analysis import indirect_throughput_series, render_fig4
+from repro.analysis.report import render_fig4
+from repro.analysis.timeseries import indirect_throughput_series
 from repro.util.svg import svg_line_chart
 
 

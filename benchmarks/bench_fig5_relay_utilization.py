@@ -6,11 +6,8 @@ intermediate node lies on the indirect path".
 """
 
 
-from repro.analysis import (
-    overall_average_utilization,
-    render_fig5,
-    total_utilization_stats,
-)
+from repro.analysis.report import render_fig5
+from repro.analysis.utilization import overall_average_utilization, total_utilization_stats
 from repro.util.svg import svg_grouped_bars
 
 #: The relays the paper's Fig. 5 displays.

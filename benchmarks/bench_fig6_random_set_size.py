@@ -7,7 +7,8 @@ most of the attainable improvement.
 
 import numpy as np
 
-from repro.analysis import random_set_curves, render_fig6, saturation_point
+from repro.analysis.random_set import random_set_curves, saturation_point
+from repro.analysis.report import render_fig6
 from repro.util.svg import svg_line_chart
 
 

@@ -5,7 +5,8 @@ improvement is positive 88% of the time; so throughput diversity is
 exploited ~40% of the time overall.
 """
 
-from repro.analysis import headline_stats, render_headline
+from repro.analysis.metrics import headline_stats
+from repro.analysis.report import render_headline
 
 
 def test_headline_rates(benchmark, s2_store, save_artifact):

@@ -6,8 +6,8 @@ Paper: "Indirect routing produces a throughput improvement ... ranging from
 
 import numpy as np
 
-from repro.analysis import mean_improvement_by_site
-from repro.util import render_table
+from repro.analysis.metrics import mean_improvement_by_site
+from repro.util.tables import render_table
 
 
 def test_sites_improvement_band(benchmark, multisite_store, save_artifact):

@@ -7,7 +7,8 @@ the monotone shape: each filter removes penalty points and shrinks the
 magnitudes.
 """
 
-from repro.analysis import penalty_table, render_table1
+from repro.analysis.penalties import penalty_table
+from repro.analysis.report import render_table1
 
 
 def test_table1_penalty_statistics(benchmark, s2_store, save_artifact):

@@ -6,7 +6,8 @@ fair amount of overlap" - a handful of relays serve many clients well.
 
 from collections import Counter
 
-from repro.analysis import render_table2, top_relays_per_client
+from repro.analysis.report import render_table2
+from repro.analysis.utilization import top_relays_per_client
 
 
 def test_table2_top_relays_per_client(benchmark, s2_store, save_artifact):

@@ -5,8 +5,8 @@ are the nodes that are selected the most ... this correlation is not
 perfect" (prediction error from sampling the first 100 KB).
 """
 
-from repro.analysis import (
-    render_table3,
+from repro.analysis.report import render_table3
+from repro.analysis.utilization import (
     utilization_improvement_correlation,
     utilization_vs_improvement,
 )

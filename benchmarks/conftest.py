@@ -27,7 +27,8 @@ from pathlib import Path
 
 import pytest
 
-from repro import Scenario, ScenarioSpec, Section2Study, Section4Study
+from repro.workloads.experiment import Section2Study, Section4Study
+from repro.workloads.scenario import Scenario, ScenarioSpec
 
 #: The §4 sweep's set sizes (paper Fig. 6 sweeps 1..35).
 SET_SIZES = (1, 2, 4, 6, 10, 16, 24, 35)

@@ -19,10 +19,12 @@ import sys
 
 import numpy as np
 
-from repro import Scenario, ScenarioSpec, Section4Study
-from repro.core import UniformRandomSetPolicy, UtilizationWeightedPolicy
 from repro.core.oracle import OracleBestRelayPolicy
-from repro.util import render_table
+from repro.core.random_set import UniformRandomSetPolicy
+from repro.core.weighted import UtilizationWeightedPolicy
+from repro.util.tables import render_table
+from repro.workloads.experiment import Section4Study
+from repro.workloads.scenario import Scenario, ScenarioSpec
 
 
 def main() -> None:

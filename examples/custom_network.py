@@ -9,19 +9,19 @@ penalty scenario the paper discusses in §3.1.
 
 import numpy as np
 
-from repro.core import ProbeEngine, SessionConfig, TransferSession
-from repro.http import TcpParams, WebServer
-from repro.net import (
-    CapacityTrace,
-    MarkovModulatedCapacity,
-    Node,
-    NodeKind,
-    Topology,
-)
-from repro.overlay import OverlayPathBuilder, RelayRegistry
-from repro.sim import Simulator
-from repro.tcp import FluidNetwork
-from repro.util import bytes_per_s_to_mbps, mb, mbps_to_bytes_per_s
+from repro.core.probe import ProbeEngine
+from repro.core.session import SessionConfig, TransferSession
+from repro.http.server import WebServer
+from repro.http.transfer import TcpParams
+from repro.net.capacity import MarkovModulatedCapacity
+from repro.net.node import Node, NodeKind
+from repro.net.topology import Topology
+from repro.net.trace import CapacityTrace
+from repro.overlay.paths import OverlayPathBuilder
+from repro.overlay.registry import RelayRegistry
+from repro.sim.simulator import Simulator
+from repro.tcp.fluid import FluidNetwork
+from repro.util.units import bytes_per_s_to_mbps, mb, mbps_to_bytes_per_s
 
 
 def build_world(seed: int = 7):

@@ -14,22 +14,22 @@ The paper used 100 repetitions per client (10 hours at one transfer every
 
 import sys
 
-from repro import Scenario, ScenarioSpec, Section2Study
-from repro.analysis import (
-    headline_stats,
-    improvement_histogram,
-    indirect_throughput_series,
-    penalty_table,
+from repro.analysis.improvement import improvement_histogram
+from repro.analysis.metrics import headline_stats
+from repro.analysis.penalties import penalty_table
+from repro.analysis.report import (
     render_fig1,
     render_fig4,
     render_fig5,
     render_headline,
     render_table1,
     render_table2,
-    top_relays_per_client,
-    total_utilization_stats,
 )
+from repro.analysis.timeseries import indirect_throughput_series
+from repro.analysis.utilization import top_relays_per_client, total_utilization_stats
+from repro.workloads.experiment import Section2Study
 from repro.workloads.planetlab import CLIENT_CATALOG, RELAY_CATALOG
+from repro.workloads.scenario import Scenario, ScenarioSpec
 
 
 def main() -> None:

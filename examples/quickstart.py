@@ -12,8 +12,9 @@ Run:
 
 import sys
 
-from repro import Scenario, ScenarioSpec, run_paired_transfer
-from repro.util import bytes_per_s_to_mbps
+from repro.util.units import bytes_per_s_to_mbps
+from repro.workloads.experiment import run_paired_transfer
+from repro.workloads.scenario import Scenario, ScenarioSpec
 
 
 def main() -> None:

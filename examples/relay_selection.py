@@ -15,15 +15,14 @@ every 30 s); the default here is 40 for a ~1 minute run.
 
 import sys
 
-from repro import Scenario, ScenarioSpec, Section4Study
-from repro.analysis import (
-    random_set_curves,
-    render_fig6,
-    render_table3,
-    saturation_point,
+from repro.analysis.random_set import random_set_curves, saturation_point
+from repro.analysis.report import render_fig6, render_table3
+from repro.analysis.utilization import (
     utilization_improvement_correlation,
     utilization_vs_improvement,
 )
+from repro.workloads.experiment import Section4Study
+from repro.workloads.scenario import Scenario, ScenarioSpec
 
 SET_SIZES = (1, 2, 4, 6, 10, 16, 24, 35)
 

@@ -16,7 +16,6 @@ Run:
 
 import sys
 
-from repro import Scenario, ScenarioSpec
 from repro.analysis.availability import masking_stats
 from repro.net.failures import FaultWindow
 from repro.net.topology import wan_link_name
@@ -27,6 +26,7 @@ from repro.workloads.failures import (
     plan_failures,
     run_failure_unit,
 )
+from repro.workloads.scenario import Scenario, ScenarioSpec
 
 
 def failure_masking(scenario) -> None:

@@ -30,7 +30,8 @@ system on a deterministic flow-level network simulator:
 
 Quick start (see also examples/quickstart.py)::
 
-    from repro import Scenario, ScenarioSpec, run_paired_transfer
+    from repro.workloads.experiment import run_paired_transfer
+    from repro.workloads.scenario import Scenario, ScenarioSpec
 
     scenario = Scenario.build(ScenarioSpec.section2(sites=("eBay",)), seed=1)
     record = run_paired_transfer(
@@ -38,49 +39,10 @@ Quick start (see also examples/quickstart.py)::
         repetition=0, start_time=0.0, offered=["Princeton"],
     )
     print(record.selected_via, f"{record.improvement_percent:.1f}%")
+
+Import every name from the module that defines it (DESIGN.md §3).
 """
 
 from repro._version import __version__
-from repro.core import (
-    DEFAULT_PROBE_BYTES,
-    ProbeEngine,
-    ProbeMode,
-    SessionConfig,
-    SessionResult,
-    TransferSession,
-    UniformRandomSetPolicy,
-    UtilizationWeightedPolicy,
-)
-from repro.runner import CampaignPlan, WorkUnit, execute_plan
-from repro.trace import TraceStore, TransferRecord
-from repro.workloads import (
-    CalibrationParams,
-    Scenario,
-    ScenarioSpec,
-    Section2Study,
-    Section4Study,
-    run_paired_transfer,
-)
 
-__all__ = [
-    "__version__",
-    "DEFAULT_PROBE_BYTES",
-    "ProbeMode",
-    "ProbeEngine",
-    "SessionConfig",
-    "SessionResult",
-    "TransferSession",
-    "UniformRandomSetPolicy",
-    "UtilizationWeightedPolicy",
-    "TraceStore",
-    "TransferRecord",
-    "CampaignPlan",
-    "WorkUnit",
-    "execute_plan",
-    "CalibrationParams",
-    "Scenario",
-    "ScenarioSpec",
-    "Section2Study",
-    "Section4Study",
-    "run_paired_transfer",
-]
+__all__ = ["__version__"]

@@ -1,152 +1,6 @@
 """Analysis layer: every paper table and figure computed from trace stores."""
 
-from repro.analysis.availability import (
-    AvailabilityStats,
-    MaskingStats,
-    StripeDegradationStats,
-    availability_by_mode,
-    availability_stats,
-    goodput_under_failure,
-    masking_stats,
-    recovery_times,
-    render_availability,
-    render_stripe_degradation,
-    stripe_degradation_by_k,
-    stripe_degradation_stats,
-)
-from repro.analysis.classify import (
-    DEFAULT_CV_THRESHOLD,
-    MeasuredClientProfile,
-    classify_clients,
-)
-from repro.analysis.improvement import (
-    DEFAULT_BIN_EDGES,
-    ImprovementHistogram,
-    ImprovementVsThroughput,
-    improvement_histogram,
-    improvement_vs_throughput,
-    per_client_histograms,
-)
-from repro.analysis.metrics import (
-    HeadlineStats,
-    all_improvements,
-    headline_stats,
-    improvements_when_indirect,
-    indirect_utilization,
-    mean_improvement_by_site,
-    positive_given_indirect,
-)
-from repro.analysis.mhttp import (
-    MhttpCellStats,
-    mhttp_cells,
-    render_mhttp,
-    stripe_p99_advantage,
-)
-from repro.analysis.penalties import PenaltyRow, penalty_table
-from repro.analysis.prediction import PredictionQuality, prediction_quality
-from repro.analysis.scale import (
-    ScaleTotals,
-    render_scale,
-    scale_totals,
-)
-from repro.analysis.random_set import (
-    RandomSetCurve,
-    random_set_curves,
-    saturation_point,
-)
-from repro.analysis.report import (
-    render_fig1,
-    render_fig2,
-    render_fig3,
-    render_fig4,
-    render_fig5,
-    render_fig6,
-    render_headline,
-    render_table1,
-    render_table2,
-    render_table3,
-)
-from repro.analysis.timeseries import (
-    IndirectThroughputSeries,
-    indirect_throughput_series,
-)
+# perfbench/pipeline.py imports full_report from the package.
 from repro.analysis.summary import full_report
-from repro.analysis.variability import VariabilityComparison, variability_reduction
-from repro.analysis.utilization import (
-    RelayUtilizationStats,
-    UtilizationImprovementRow,
-    client_relay_utilization,
-    overall_average_utilization,
-    top_relays_per_client,
-    total_utilization_stats,
-    utilization_improvement_correlation,
-    utilization_vs_improvement,
-)
 
-__all__ = [
-    "AvailabilityStats",
-    "availability_stats",
-    "availability_by_mode",
-    "recovery_times",
-    "goodput_under_failure",
-    "render_availability",
-    "MaskingStats",
-    "masking_stats",
-    "StripeDegradationStats",
-    "stripe_degradation_stats",
-    "stripe_degradation_by_k",
-    "render_stripe_degradation",
-    "MhttpCellStats",
-    "mhttp_cells",
-    "stripe_p99_advantage",
-    "render_mhttp",
-    "ScaleTotals",
-    "scale_totals",
-    "render_scale",
-    "improvements_when_indirect",
-    "all_improvements",
-    "indirect_utilization",
-    "positive_given_indirect",
-    "headline_stats",
-    "HeadlineStats",
-    "mean_improvement_by_site",
-    "classify_clients",
-    "MeasuredClientProfile",
-    "DEFAULT_CV_THRESHOLD",
-    "penalty_table",
-    "PenaltyRow",
-    "prediction_quality",
-    "PredictionQuality",
-    "variability_reduction",
-    "full_report",
-    "VariabilityComparison",
-    "improvement_histogram",
-    "per_client_histograms",
-    "improvement_vs_throughput",
-    "ImprovementHistogram",
-    "ImprovementVsThroughput",
-    "DEFAULT_BIN_EDGES",
-    "indirect_throughput_series",
-    "IndirectThroughputSeries",
-    "client_relay_utilization",
-    "top_relays_per_client",
-    "total_utilization_stats",
-    "overall_average_utilization",
-    "RelayUtilizationStats",
-    "utilization_vs_improvement",
-    "utilization_improvement_correlation",
-    "UtilizationImprovementRow",
-    "random_set_curves",
-    "saturation_point",
-    "RandomSetCurve",
-    "render_fig1",
-    "render_fig2",
-    "render_fig3",
-    "render_fig4",
-    "render_fig5",
-    "render_fig6",
-    "render_table1",
-    "render_table2",
-    "render_table3",
-    "render_headline",
-]
+__all__ = ["full_report"]

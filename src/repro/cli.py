@@ -33,15 +33,15 @@ import sys
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.analysis import (
-    full_report,
-    headline_stats,
+from repro.analysis.improvement import (
     improvement_histogram,
     improvement_vs_throughput,
-    indirect_throughput_series,
-    penalty_table,
     per_client_histograms,
-    random_set_curves,
+)
+from repro.analysis.metrics import headline_stats
+from repro.analysis.penalties import penalty_table
+from repro.analysis.random_set import random_set_curves
+from repro.analysis.report import (
     render_fig1,
     render_fig2,
     render_fig3,
@@ -52,18 +52,18 @@ from repro.analysis import (
     render_table1,
     render_table2,
     render_table3,
+)
+from repro.analysis.summary import full_report
+from repro.analysis.timeseries import indirect_throughput_series
+from repro.analysis.utilization import (
     top_relays_per_client,
     total_utilization_stats,
     utilization_vs_improvement,
 )
 from repro.qa.lint import iter_python_files, lint_paths
 from repro.qa.rules import INVARIANTS, RULES
-from repro.runner import (
-    CheckpointError,
-    RunnerError,
-    UnitExecutionError,
-    execute_plan,
-)
+from repro.runner.checkpoint import CheckpointError
+from repro.runner.pool import RunnerError, UnitExecutionError, execute_plan
 from repro.trace.store import TraceStore
 from repro.util.tables import render_table
 from repro.workloads.planetlab import (
@@ -768,12 +768,9 @@ def _cmd_check(args) -> int:
     import json as _json
 
     from repro.qa.files import iter_python_files as _iter_files
-    from repro.qa.flow import (
-        Baseline,
-        analyze_paths,
-        to_sarif,
-        write_baseline,
-    )
+    from repro.qa.flow import analyze_paths
+    from repro.qa.flow.baseline import Baseline, write_baseline
+    from repro.qa.flow.report import to_sarif
 
     missing = [p for p in args.paths if not os.path.exists(p)]
     if missing:
@@ -841,9 +838,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_perf(args) -> int:
     # Imported lazily: the perf package pulls in the whole simulator stack.
-    from repro.perf import BENCHES, BenchReport, run_benches
+    from repro.perf.benches import BENCHES, run_benches
     from repro.perf.report import (
         DEFAULT_TOLERANCE,
+        BenchReport,
         compare_reports,
         format_comparison,
         format_report,

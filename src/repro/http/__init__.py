@@ -1,18 +1,1 @@
 """HTTP substrate: messages, range algebra, origin servers, relay proxies."""
-
-from repro.http.messages import ByteRange, HttpRequest, HttpResponse, RangeError
-from repro.http.proxy import RelayProxy
-from repro.http.server import WebServer
-from repro.http.transfer import HttpTransfer, TcpParams, issue_download
-
-__all__ = [
-    "ByteRange",
-    "HttpRequest",
-    "HttpResponse",
-    "RangeError",
-    "WebServer",
-    "RelayProxy",
-    "HttpTransfer",
-    "TcpParams",
-    "issue_download",
-]

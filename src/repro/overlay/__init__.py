@@ -1,13 +1,1 @@
 """Overlay layer: relay registry and path construction."""
-
-from repro.overlay.monitor import PathEstimate, PathMonitor
-from repro.overlay.paths import OverlayPath, OverlayPathBuilder
-from repro.overlay.registry import RelayRegistry
-
-__all__ = [
-    "RelayRegistry",
-    "OverlayPath",
-    "OverlayPathBuilder",
-    "PathMonitor",
-    "PathEstimate",
-]

@@ -2,36 +2,13 @@
 
 ``repro.perf`` is the measurement layer behind the ``repro perf`` CLI
 subcommand: deterministic microbenchmarks for the engine's hot paths
-(allocation, trace queries, event queue, the fluid tick, the vector epoch,
-the stripe scheduler).  Where a kernel has a live reference
-implementation (``searchsorted`` trace lookups, the reference allocator,
-the classic engine under the vector one) the bench times it too, as the
-``baseline`` column.  ``repro perf --baseline`` compares a run against the
-previous recording in ``BENCH_engine.json``.
+(allocation, trace queries, event queue, the fluid tick, the stripe
+scheduler, the scenario build).  Where a kernel has a live reference
+implementation (``searchsorted`` trace lookups, the reference allocator)
+the bench times it too, as the ``baseline`` column.  ``repro perf
+--baseline`` compares a run against the previous recording in
+``BENCH_engine.json``.
 
 Wall-clock access lives only here (and at the CLI edge): the simulation
 core stays wall-clock-free per QA-D004.
 """
-
-from repro.perf.benches import BENCHES, BenchSpec, run_benches
-from repro.perf.microbench import Measurement, measure
-from repro.perf.report import (
-    BenchReport,
-    compare_reports,
-    format_comparison,
-    format_report,
-    load_report,
-)
-
-__all__ = [
-    "BENCHES",
-    "BenchSpec",
-    "run_benches",
-    "Measurement",
-    "measure",
-    "BenchReport",
-    "compare_reports",
-    "format_comparison",
-    "format_report",
-    "load_report",
-]

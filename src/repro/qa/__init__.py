@@ -23,38 +23,7 @@ Two enforcement halves:
     raise a structured :class:`~repro.qa.sanitize.InvariantViolation` instead
     of silently corrupting a run.
 
-``repro.qa.selfcheck`` (imported lazily: it pulls in the simulator stack)
-exercises every runtime invariant against synthetic violations, proving the
-instrumentation fires in this installation (``repro selfcheck``).
+``repro.qa.selfcheck`` exercises every runtime invariant against synthetic
+violations, proving the instrumentation fires in this installation
+(``repro selfcheck``).
 """
-
-from repro.qa.lint import Finding, lint_paths, lint_source
-from repro.qa.rules import INVARIANTS, RULES, Invariant, Rule
-from repro.qa.sanitize import (
-    InvariantViolation,
-    Sanitizer,
-    Violation,
-    sanitize_enabled_from_env,
-)
-from repro.qa.tolerances import (
-    BYTE_CONSERVATION_SLACK,
-    CAPACITY_RTOL,
-    PROBE_OVERSHOOT_SLACK,
-)
-
-__all__ = [
-    "Rule",
-    "Invariant",
-    "RULES",
-    "INVARIANTS",
-    "Finding",
-    "lint_paths",
-    "lint_source",
-    "Sanitizer",
-    "Violation",
-    "InvariantViolation",
-    "sanitize_enabled_from_env",
-    "CAPACITY_RTOL",
-    "BYTE_CONSERVATION_SLACK",
-    "PROBE_OVERSHOOT_SLACK",
-]

@@ -28,37 +28,11 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set
 
 from repro.qa.files import suppressed_codes_by_line
-from repro.qa.flow.baseline import (
-    Baseline,
-    BaselineEntry,
-    BaselineResult,
-    write_baseline,
-)
 from repro.qa.flow.callgraph import Project, build_project
 from repro.qa.flow.order import check_iteration_order
-from repro.qa.flow.report import (
-    FlowFinding,
-    render_text,
-    to_sarif,
-    validate_sarif,
-)
+from repro.qa.flow.report import FlowFinding
 from repro.qa.flow.spawnsafe import check_mutable_defaults, check_spawn_safety
 from repro.qa.flow.taint import check_unseeded_flow, check_wall_clock_flow
-
-__all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "BaselineResult",
-    "FlowFinding",
-    "Project",
-    "analyze_paths",
-    "analyze_project",
-    "build_project",
-    "render_text",
-    "to_sarif",
-    "validate_sarif",
-    "write_baseline",
-]
 
 
 def analyze_project(project: Project) -> List[FlowFinding]:

@@ -31,6 +31,7 @@ from repro.qa.tolerances import (
     RATE_ATOL,
 )
 from repro.sim.errors import SimulationError
+from repro.vec.solver import certify_maxmin
 
 __all__ = [
     "Violation",
@@ -274,10 +275,6 @@ class Sanitizer:
         only a failed certificate pays for the per-link loads that tell
         QA-R004 (an overloaded link) from QA-R003.
         """
-        # Local import: repro.vec pulls in the fluid engine, which imports
-        # the simulator; importing it at module scope would create a cycle.
-        from repro.vec.solver import certify_maxmin
-
         self.checks_run += 1
         m = capacities.shape[0]
 

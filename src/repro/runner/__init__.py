@@ -27,55 +27,7 @@ Typical use goes through the study drivers
     result.store.save_jsonl("s2.jsonl")
 """
 
-from repro.runner.checkpoint import (
-    CheckpointError,
-    CheckpointExistsError,
-    CheckpointMismatchError,
-    CheckpointStore,
-    merge_completed,
-)
-from repro.runner.plan import (
-    CampaignPlan,
-    WorkUnit,
-    plan_section2,
-    plan_section4_policy,
-    plan_section4_sweep,
-    policy_is_stateless,
-    section2_relay_rotation,
-)
-from repro.runner.pool import (
-    DEFAULT_CHECKPOINT_EVERY,
-    DEFAULT_MAX_RETRIES,
-    ExecutionResult,
-    RunnerError,
-    UnitExecutionError,
-    UnitFailure,
-    execute_plan,
-    run_unit,
-)
-from repro.runner.progress import ProgressReporter, RunSummary
+# perfbench/pipeline.py imports execute_plan from the package.
+from repro.runner.pool import execute_plan
 
-__all__ = [
-    "CampaignPlan",
-    "CheckpointError",
-    "CheckpointExistsError",
-    "CheckpointMismatchError",
-    "CheckpointStore",
-    "DEFAULT_CHECKPOINT_EVERY",
-    "DEFAULT_MAX_RETRIES",
-    "ExecutionResult",
-    "ProgressReporter",
-    "RunnerError",
-    "RunSummary",
-    "UnitExecutionError",
-    "UnitFailure",
-    "WorkUnit",
-    "execute_plan",
-    "merge_completed",
-    "plan_section2",
-    "plan_section4_policy",
-    "plan_section4_sweep",
-    "policy_is_stateless",
-    "run_unit",
-    "section2_relay_rotation",
-]
+__all__ = ["execute_plan"]

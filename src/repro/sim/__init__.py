@@ -1,20 +1,1 @@
 """Discrete-event simulation kernel: event queue, clock, run loop."""
-
-from repro.sim.errors import (
-    SchedulingError,
-    SimulationDeadlock,
-    SimulationError,
-    TransferError,
-)
-from repro.sim.event_queue import Event, EventQueue
-from repro.sim.simulator import Simulator
-
-__all__ = [
-    "Simulator",
-    "Event",
-    "EventQueue",
-    "SimulationError",
-    "SchedulingError",
-    "SimulationDeadlock",
-    "TransferError",
-]

@@ -12,29 +12,8 @@ subsystem over the same overlay/HTTP/fluid substrate:
     re-issue, duplicate-byte accounting) and the in-order reassembly buffer
     that proves the striped result byte-identical to a single-path fetch.
 :mod:`repro.stripe.session`
-    :class:`StripedSession`, the client driving k concurrent paths with
-    per-path in-flight windows and dead-path block reassignment (the PR 4
-    failure model: a crashed relay costs re-issued blocks, not a
-    session-level failover gap).
+    :class:`~repro.stripe.session.StripedSession`, the client driving k
+    concurrent paths with per-path in-flight windows and dead-path block
+    reassignment (DESIGN.md §8's failure model: a crashed relay costs
+    re-issued blocks, not a session-level failover gap).
 """
-
-from repro.stripe.blocks import (
-    BlockScheduler,
-    ReassemblyBuffer,
-    StripeConfig,
-    StripeIntegrityError,
-    content_digest,
-    synthetic_bytes,
-)
-from repro.stripe.session import StripeResult, StripedSession
-
-__all__ = [
-    "BlockScheduler",
-    "ReassemblyBuffer",
-    "StripeConfig",
-    "StripeIntegrityError",
-    "StripeResult",
-    "StripedSession",
-    "content_digest",
-    "synthetic_bytes",
-]

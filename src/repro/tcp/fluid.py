@@ -69,6 +69,7 @@ from repro.sim.simulator import Simulator
 from repro.tcp.flow import FlowState, FluidFlow
 from repro.tcp.maxmin import incidence_matrix, maxmin_allocate, maxmin_scalar
 from repro.tcp.model import SlowStartRamp
+from repro.vec.solver import waterfill_sparse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vec.race import ProbeRace
@@ -477,8 +478,6 @@ class FluidNetwork:
                 validate=False, fast=False, observer=obs,
             ).tolist()
         else:
-            from repro.vec.solver import waterfill_sparse  # deferred: import cycle
-
             lids, frow = state.coords
             rates = waterfill_sparse(
                 np.array(capv), lids, frow, len(flows), np.array(capl), observer=obs

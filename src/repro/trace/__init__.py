@@ -1,6 +1,1 @@
 """Measurement records and their storage."""
-
-from repro.trace.records import FailureRecord, StripeRecord, TransferRecord
-from repro.trace.store import TraceStore
-
-__all__ = ["TransferRecord", "FailureRecord", "StripeRecord", "TraceStore"]

@@ -13,8 +13,8 @@ write it.
 from __future__ import annotations
 
 import math
+from html import escape
 from typing import Dict, List, Optional, Sequence, Tuple
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -90,7 +90,7 @@ class _Canvas:
         self.add(
             f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" fill="{color}" '
             f'text-anchor="{anchor}" font-family="sans-serif"{transform}>'
-            f"{escape(s)}</text>"
+            f"{escape(s, quote=False)}</text>"
         )
 
     def axes(self, *, title: str, xlabel: str, ylabel: str,

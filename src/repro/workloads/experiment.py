@@ -179,15 +179,15 @@ def _execute(
     **kwargs: Any,
 ) -> TraceStore:
     """Run a whole plan through the campaign runner (``None`` = its default)."""
-    from repro import runner
+    from repro.runner.pool import DEFAULT_CHECKPOINT_EVERY, DEFAULT_MAX_RETRIES, execute_plan
 
-    result = runner.execute_plan(
+    result = execute_plan(
         plan,
         scenario=scenario,
         checkpoint_every=(
-            runner.DEFAULT_CHECKPOINT_EVERY if checkpoint_every is None else checkpoint_every
+            DEFAULT_CHECKPOINT_EVERY if checkpoint_every is None else checkpoint_every
         ),
-        max_retries=runner.DEFAULT_MAX_RETRIES if max_retries is None else max_retries,
+        max_retries=DEFAULT_MAX_RETRIES if max_retries is None else max_retries,
         **kwargs,
     )
     assert result.store is not None  # full plan: merge cannot be partial

@@ -5,11 +5,8 @@ Each study (``section2``, ``section4``, ``failures``, ``mhttp``, ``chaos``,
 planner and unit runner.  The CLI driver (:mod:`repro.cli`) and the
 runner's :func:`~repro.runner.pool.run_unit` read these entries and know
 nothing else about studies.  This module imports no study module;
-:func:`get_study` imports an entry's module on first use.  (The
-``repro.workloads`` package itself still imports the ``experiment``
-(section2, section4) and ``failures`` modules, so every process that
-imports it loads those two.)  Adding a study means writing its module and
-one line in :data:`STUDIES`.
+:func:`get_study` imports an entry's module on first use.  Adding a study
+means writing its module and one line in :data:`STUDIES`.
 """
 
 from __future__ import annotations

@@ -9,16 +9,16 @@ import math
 
 import pytest
 
-from repro.analysis import (
-    classify_clients,
-    headline_stats,
+from repro.analysis.classify import classify_clients
+from repro.analysis.improvement import (
     improvement_histogram,
     improvement_vs_throughput,
-    indirect_throughput_series,
-    mean_improvement_by_site,
-    penalty_table,
     per_client_histograms,
-    random_set_curves,
+)
+from repro.analysis.metrics import headline_stats, mean_improvement_by_site
+from repro.analysis.penalties import penalty_table
+from repro.analysis.random_set import random_set_curves
+from repro.analysis.report import (
     render_fig1,
     render_fig2,
     render_fig3,
@@ -29,6 +29,9 @@ from repro.analysis import (
     render_table1,
     render_table2,
     render_table3,
+)
+from repro.analysis.timeseries import indirect_throughput_series
+from repro.analysis.utilization import (
     top_relays_per_client,
     total_utilization_stats,
     utilization_vs_improvement,

@@ -16,7 +16,7 @@ from repro.analysis.chaos import (
     mechanism_separation,
     render_chaos,
 )
-from repro.chaos import RunnerFaultPlan
+from repro.chaos.runner import RunnerFaultPlan
 from repro.core.resilience import RecoveryEvent
 from repro.runner.pool import execute_plan, run_unit
 from repro.trace.records import ChaosRecord, TransferRecord

@@ -9,6 +9,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.workloads.studies import STUDIES
 
 
 class TestParser:
@@ -27,7 +28,9 @@ class TestParser:
 
 
 class TestImportDiet:
-    def test_cli_import_pulls_no_scipy_or_networkx(self):
+    @staticmethod
+    def _loaded(names):
+        """Which of ``names`` a fresh ``import repro.cli`` puts in sys.modules."""
         src = str(Path(repro.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -35,13 +38,24 @@ class TestImportDiet:
         )
         code = (
             "import sys, repro.cli; "
-            "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))"
+            f"print(sorted(m for m in {tuple(names)!r} if m in sys.modules))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip()
+
+    def test_cli_import_pulls_no_scipy_or_networkx(self):
+        assert self._loaded(("scipy", "networkx")) == "[]"
+
+    def test_cli_import_pulls_no_study_obs_reno_svg_or_network_stack(self):
+        studies = {target.partition(":")[0] for target, _ in STUDIES.values()}
+        never = (
+            "repro.obs.slo", "repro.obs.insight", "repro.tcp.reno", "repro.util.svg",
+            "urllib.request", "ssl", *sorted(studies),
+        )
+        assert self._loaded(never) == "[]"
 
 
 class TestCatalog:
@@ -321,7 +335,7 @@ class TestFullReport:
         assert "Table III" in out
 
     def test_full_report_empty(self):
-        from repro.analysis import full_report
+        from repro.analysis.summary import full_report
         from repro.trace.store import TraceStore
 
         assert "empty" in full_report(TraceStore())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import headline_stats, indirect_utilization
+from repro.analysis.metrics import headline_stats, indirect_utilization
 from repro.core.oracle import OracleBestRelayPolicy
 from repro.core.policy import SelectionPolicy
 from repro.core.random_set import UniformRandomSetPolicy
@@ -157,7 +157,7 @@ class TestHeadlineBands:
         )
         study = Section2Study(sc, repetitions=6)
         store = study.run(clients=sc.client_names[:10])
-        from repro.analysis import mean_improvement_by_site
+        from repro.analysis.metrics import mean_improvement_by_site
 
         by_site = mean_improvement_by_site(store)
         for site, imp in by_site.items():

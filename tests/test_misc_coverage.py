@@ -114,7 +114,7 @@ class TestTraceShifted:
 
 class TestSummaryModule:
     def test_full_report_orders_sections(self, section4_store):
-        from repro.analysis import full_report
+        from repro.analysis.summary import full_report
 
         text = full_report(section4_store, table3_client="Duke")
         assert text.index("Headline rates") < text.index("Figure 1")
@@ -122,7 +122,7 @@ class TestSummaryModule:
         assert "Table III" in text
 
     def test_table3_client_missing_is_skipped(self, section2_store):
-        from repro.analysis import full_report
+        from repro.analysis.summary import full_report
 
         text = full_report(section2_store, table3_client="NotAClient")
         assert "Table III" not in text

@@ -10,18 +10,17 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.perf import (
-    BENCHES,
+from repro.perf.benches import BENCHES, run_benches
+from repro.perf.microbench import Measurement, measure
+from repro.perf.report import (
+    SCHEMA,
     BenchReport,
-    Measurement,
+    Comparison,
     compare_reports,
     format_comparison,
     format_report,
     load_report,
-    measure,
-    run_benches,
 )
-from repro.perf.report import SCHEMA, Comparison
 
 
 class TestMeasure:

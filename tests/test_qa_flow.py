@@ -12,15 +12,10 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.qa.flow import (
-    Baseline,
-    BaselineEntry,
-    analyze_paths,
-    build_project,
-    to_sarif,
-    validate_sarif,
-    write_baseline,
-)
+from repro.qa.flow import analyze_paths
+from repro.qa.flow.baseline import Baseline, BaselineEntry, write_baseline
+from repro.qa.flow.callgraph import build_project
+from repro.qa.flow.report import to_sarif, validate_sarif
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

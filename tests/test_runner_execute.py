@@ -10,17 +10,12 @@ import io
 
 import pytest
 
-from repro.runner import (
-    CheckpointStore,
-    ExecutionResult,
-    ProgressReporter,
-    UnitExecutionError,
-    execute_plan,
-    plan_section2,
-    run_unit,
-)
 from repro.net.failures import FaultWindow
 from repro.net.topology import wan_link_name
+from repro.runner.checkpoint import CheckpointStore
+from repro.runner.plan import plan_section2
+from repro.runner.pool import ExecutionResult, UnitExecutionError, execute_plan, run_unit
+from repro.runner.progress import ProgressReporter
 from repro.trace.store import TraceStore
 from repro.workloads.experiment import (
     STUDY_SESSION_CONFIG,

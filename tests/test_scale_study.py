@@ -17,7 +17,8 @@ from repro.net.link import Link
 from repro.net.route import Route
 from repro.net.trace import CapacityTrace
 from repro.obs.core import OBS_DIR_ENV_VAR, OBS_ENV_VAR, reset_global_observer
-from repro.perf import BENCHES, BenchReport, BenchSpec, format_report
+from repro.perf.benches import BENCHES, BenchSpec
+from repro.perf.report import BenchReport, format_report
 from repro.sim.errors import TransferError
 from repro.sim.simulator import Simulator
 from repro.tcp.flow import FluidFlow

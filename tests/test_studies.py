@@ -1,5 +1,6 @@
 """Study registry tests: CLI driver, usage errors, unit dispatch, CI matrix."""
 
+import ast
 import os
 import re
 import subprocess
@@ -132,7 +133,14 @@ def _fresh_modules(code):
 
 
 class TestLazyStudyImports:
-    LATE = ("repro.workloads.mhttp", "repro.workloads.chaos", "repro.workloads.scale")
+    #: Every registered study's module: each loads on first use only.
+    LATE = tuple(sorted({target.partition(":")[0] for target, _ in STUDIES.values()}))
+    #: What a campaign worker never runs: the report, lint and packet-level
+    #: layers, and the standard library's network stack.
+    WORKER_NEVER = (
+        "repro.obs.slo", "repro.obs.insight", "repro.tcp.reno", "repro.qa.lint",
+        "repro.util.svg", "urllib.request", "ssl",
+    )
 
     def test_cli_import_loads_no_late_study(self):
         loaded = _fresh_modules(
@@ -146,7 +154,59 @@ class TestLazyStudyImports:
             "import sys, repro.cli; repro.cli.build_parser('chaos'); "
             f"print(*[m for m in {self.LATE!r} if m in sys.modules])"
         )
-        assert loaded == ["repro.workloads.chaos"]
+        # Every study module imports experiment's STUDY_SESSION_CONFIG.
+        assert loaded == ["repro.workloads.chaos", "repro.workloads.experiment"]
+
+    def test_worker_import_loads_no_study_or_report_module(self):
+        never = self.WORKER_NEVER + self.LATE
+        loaded = _fresh_modules(
+            "import sys, repro.runner.pool; "
+            f"print(*sorted(m for m in sys.modules if m in {never!r} "
+            "or m == 'repro.analysis' or m.startswith('repro.analysis.')))"
+        )
+        assert loaded == []
+
+
+class TestPackageInits:
+    """One import path per name: a package ``__init__.py`` is its docstring."""
+
+    #: The names a package may bind besides its docstring: perfbench imports
+    #: ``execute_plan`` and ``full_report`` from the package.
+    ALLOWED = {
+        "repro": {"__version__"},
+        "repro.analysis": {"full_report"},
+        "repro.qa.flow": {"analyze_paths", "analyze_project"},
+        "repro.runner": {"execute_plan"},
+    }
+
+    @staticmethod
+    def _exported(tree):
+        """What the module defines, and the imports its own code does not use."""
+        defined, imported, used = set(), set(), set()
+        for node in tree.body[1:]:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {(a.asname or a.name).partition(".")[0] for a in node.names}
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+                used |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            elif not (
+                isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+            ):
+                defined.add(f"<{type(node).__name__} at line {node.lineno}>")
+        return defined | (imported - used)
+
+    def test_inits_hold_only_their_docstring_and_the_allowed_names(self):
+        src = Path(repro.__file__).resolve().parent.parent
+        inits = sorted(src.glob("repro/**/__init__.py"))
+        assert len(inits) > 10
+        for path in inits:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            package = ".".join(path.parent.relative_to(src).parts)
+            assert ast.get_docstring(tree), path
+            assert self._exported(tree) == self.ALLOWED.get(package, set()), path
 
 
 def test_ci_matrix_lists_every_registered_study():

@@ -13,7 +13,7 @@ import numpy as np
 from repro.net.failures import FaultWindow
 from repro.net.topology import wan_link_name
 from repro.util.tables import render_table
-from repro.workloads.experiment import STUDY_SESSION_CONFIG
+from repro.workloads.studies import STUDY_SESSION_CONFIG
 from repro.workloads.failures import FAILURES_SESSION_CONFIG
 from repro.workloads.profiles import Variability
 

@@ -9,7 +9,7 @@ failures; this bench measures the comparable masking rate here.
 
 from repro.analysis.availability import masking_stats
 from repro.util.tables import render_kv
-from repro.workloads.experiment import STUDY_SESSION_CONFIG
+from repro.workloads.studies import STUDY_SESSION_CONFIG
 from repro.workloads.failures import FailureStudyParams, plan_failures, run_failure_unit
 
 CLIENTS = ("Italy", "Sweden", "Korea", "Brazil", "Greece")

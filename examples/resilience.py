@@ -19,7 +19,7 @@ import sys
 from repro.analysis.availability import masking_stats
 from repro.net.failures import FaultWindow
 from repro.net.topology import wan_link_name
-from repro.workloads.experiment import STUDY_SESSION_CONFIG
+from repro.workloads.studies import STUDY_SESSION_CONFIG
 from repro.workloads.failures import (
     FAILURES_SESSION_CONFIG,
     FailureStudyParams,

@@ -33,34 +33,6 @@ import sys
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.analysis.improvement import (
-    improvement_histogram,
-    improvement_vs_throughput,
-    per_client_histograms,
-)
-from repro.analysis.metrics import headline_stats
-from repro.analysis.penalties import penalty_table
-from repro.analysis.random_set import random_set_curves
-from repro.analysis.report import (
-    render_fig1,
-    render_fig2,
-    render_fig3,
-    render_fig4,
-    render_fig5,
-    render_fig6,
-    render_headline,
-    render_table1,
-    render_table2,
-    render_table3,
-)
-from repro.analysis.summary import full_report
-from repro.analysis.timeseries import indirect_throughput_series
-from repro.analysis.utilization import (
-    top_relays_per_client,
-    total_utilization_stats,
-    utilization_vs_improvement,
-)
-from repro.qa.lint import iter_python_files, lint_paths
 from repro.qa.rules import INVARIANTS, RULES
 from repro.runner.checkpoint import CheckpointError
 from repro.runner.pool import RunnerError, UnitExecutionError, execute_plan
@@ -648,6 +620,34 @@ def _run_study(args: argparse.Namespace) -> int:
 
 
 def _render_artifact(name: str, store: TraceStore, *, client: str) -> str:
+    from repro.analysis.improvement import (
+        improvement_histogram,
+        improvement_vs_throughput,
+        per_client_histograms,
+    )
+    from repro.analysis.metrics import headline_stats
+    from repro.analysis.penalties import penalty_table
+    from repro.analysis.random_set import random_set_curves
+    from repro.analysis.report import (
+        render_fig1,
+        render_fig2,
+        render_fig3,
+        render_fig4,
+        render_fig5,
+        render_fig6,
+        render_headline,
+        render_table1,
+        render_table2,
+        render_table3,
+    )
+    from repro.analysis.summary import full_report
+    from repro.analysis.timeseries import indirect_throughput_series
+    from repro.analysis.utilization import (
+        top_relays_per_client,
+        total_utilization_stats,
+        utilization_vs_improvement,
+    )
+
     if name == "all":
         return full_report(store, table3_client=client)
     if name == "headline":
@@ -745,6 +745,9 @@ def _render_rule_catalog() -> str:
 
 
 def _cmd_lint(args) -> int:
+    from repro.qa.files import iter_python_files
+    from repro.qa.lint import lint_paths
+
     if args.rules:
         print(_render_rule_catalog())
         return 0

@@ -7,10 +7,10 @@ are perfbench's job (``perfbench/run.py``).  The **optimised** number is
 the code the studies run.  A bench also reports a **baseline** where a
 live reference implementation of the same kernel exists and the tests
 hold the two equal:
-the ``searchsorted`` trace lookups (``CapacityTrace.value_at``), the
-reference allocator (``maxmin_allocate(fast=False)``, timed under its
-disjoint fast path and under ``maxmin_scalar``).  Every other bench reports
-``baseline: null``; drift over time is ``repro perf --baseline``'s job.
+the ``searchsorted`` trace lookups (``CapacityTrace.value_at``), and the
+sparse ``waterfill_sparse`` under ``maxmin_scalar``, which returns its
+bits.  Every other bench reports ``baseline: null``; drift over time is
+``repro perf --baseline``'s job.
 
 Workloads are seeded and fixed-size, so successive runs (and successive
 PRs) measure identical work.  Results are plain dicts; the ``repro perf``
@@ -31,10 +31,11 @@ from repro.perf.microbench import Measurement, measure
 from repro.sim.event_queue import Event, EventQueue
 from repro.sim.simulator import Simulator
 from repro.tcp.fluid import FluidNetwork
-from repro.tcp.maxmin import incidence_matrix, maxmin_allocate, maxmin_scalar
+from repro.tcp.maxmin import maxmin_scalar
 from repro.tcp.model import SlowStartRamp
 from repro.util.rng import derive_seed
 from repro.util.units import MB, mbps_to_bytes_per_s
+from repro.vec.solver import flow_coords, waterfill_sparse
 from repro.workloads.scale import ScaleStudyParams
 
 __all__ = ["BenchSpec", "BENCHES", "run_benches"]
@@ -173,23 +174,12 @@ def _noop() -> None:
 
 
 # --------------------------------------------------------------------------- #
-# max-min allocation: disjoint fast path and shared reference loop
+# max-min allocation: the sparse solve and the scalar solver
 # --------------------------------------------------------------------------- #
-def _random_disjoint_problem(
-    rng: np.random.Generator, n_flows: int, links_per_flow: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n_links = n_flows * links_per_flow
-    capacities = rng.uniform(1.0, 100.0, size=n_links)
-    incidence = np.zeros((n_links, n_flows), dtype=bool)
-    for j in range(n_flows):
-        incidence[j * links_per_flow : (j + 1) * links_per_flow, j] = True
-    caps = rng.uniform(1.0, 120.0, size=n_flows)
-    return capacities, incidence, caps
-
-
 def _random_shared_problem(
     rng: np.random.Generator, n_flows: int, n_links: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(capacities, lids, frow, caps)`` of flows that all cross link 0."""
     capacities = rng.uniform(1.0, 100.0, size=n_links)
     incidence = np.zeros((n_links, n_flows), dtype=bool)
     for j in range(n_flows):
@@ -198,40 +188,8 @@ def _random_shared_problem(
     # Guarantee sharing: every flow also crosses link 0.
     incidence[0, :] = True
     caps = rng.uniform(1.0, 120.0, size=n_flows)
-    return capacities, incidence, caps
-
-
-def _bench_alloc(
-    problems: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    rounds: int,
-) -> Dict[str, Any]:
-    def run_fast() -> None:
-        for c, a, caps in problems:
-            maxmin_allocate(c, a, caps, validate=False, fast=True)
-
-    def run_reference() -> None:
-        for c, a, caps in problems:
-            maxmin_allocate(c, a, caps, validate=False, fast=False)
-
-    ops = len(problems)
-    opt = measure(run_fast, ops=ops, rounds=rounds)
-    base = measure(run_reference, ops=ops, rounds=rounds)
-    return {
-        "optimised": opt.ns_per_op,
-        "baseline": base.ns_per_op,
-        **_measurement_fields(opt),
-    }
-
-
-def _bench_alloc_disjoint(quick: bool) -> Dict[str, Any]:
-    n_problems = 100 if quick else 400
-    rounds = 3 if quick else 5
-    rng = np.random.default_rng(derive_seed(_BENCH_SEED, "alloc-disjoint"))
-    problems = [
-        _random_disjoint_problem(rng, n_flows=int(rng.integers(2, 12)), links_per_flow=3)
-        for _ in range(n_problems)
-    ]
-    return _bench_alloc(problems, rounds)
+    frow, lids = np.nonzero(incidence.T)
+    return capacities, lids, frow, caps
 
 
 def _bench_alloc_shared(quick: bool) -> Dict[str, Any]:
@@ -244,7 +202,13 @@ def _bench_alloc_shared(quick: bool) -> Dict[str, Any]:
         )
         for _ in range(n_problems)
     ]
-    return _bench_alloc(problems, rounds)
+
+    def run() -> None:
+        for c, lids, frow, caps in problems:
+            waterfill_sparse(c, lids, frow, caps.size, caps)
+
+    m = measure(run, ops=len(problems), rounds=rounds)
+    return {"optimised": m.ns_per_op, "baseline": None, **_measurement_fields(m)}
 
 
 def _small_shared_problem(
@@ -336,7 +300,7 @@ def _probe_race_problem(
 
 #: Flow counts of ``alloc_small_shared``'s sweep, run on every problem
 #: shape; the tick's bound ``repro.tcp.fluid._SCALAR_MAX_FLOWS`` is read
-#: off it.
+#: off it: past the bound the tick runs ``waterfill_sparse``.
 _SMALL_SHARED_SWEEP = (2, 4, 8, 12, 16, 24, 32, 48, 64, 128)
 
 
@@ -348,23 +312,22 @@ def _bench_alloc_small_shared(quick: bool) -> Dict[str, Any]:
     def timed(
         problems: Sequence[Tuple[List[float], List[List[int]], List[float]]]
     ) -> Tuple[Measurement, Measurement]:
-        dense = [
-            (np.array(c), incidence_matrix(len(c), fl), np.array(caps))
-            for c, fl, caps in problems
+        coords = [
+            (np.array(c), *flow_coords(fl), np.array(caps)) for c, fl, caps in problems
         ]
 
         def run_scalar() -> None:
             for c, fl, caps in problems:
                 maxmin_scalar(c, fl, caps)
 
-        def run_reference() -> None:
-            for c, a, caps in dense:
-                maxmin_allocate(c, a, caps, validate=False, fast=False)
+        def run_sparse() -> None:
+            for c, lids, frow, caps in coords:
+                waterfill_sparse(c, lids, frow, caps.size, caps)
 
         ops = len(problems)
         return (
             measure(run_scalar, ops=ops, rounds=rounds),
-            measure(run_reference, ops=ops, rounds=rounds),
+            measure(run_sparse, ops=ops, rounds=rounds),
         )
 
     opt, base = timed(
@@ -375,8 +338,7 @@ def _bench_alloc_small_shared(quick: bool) -> Dict[str, Any]:
     )
     # The shapes of the traffic the per-object tick solves: paper and
     # chaos sessions, and the shared problems of more flows that scale
-    # waves and concurrent probe races bring.  The latter two share caps
-    # across many flows, so the scalar solver often falls back.
+    # waves and concurrent probe races bring.
     sweep = []
     for shape, make in (
         ("session", _small_shared_problem),
@@ -390,7 +352,7 @@ def _bench_alloc_small_shared(quick: bool) -> Dict[str, Any]:
                     "shape": shape,
                     "flows": n_flows,
                     "scalar": s_m.ns_per_op,
-                    "reference": r_m.ns_per_op,
+                    "sparse": r_m.ns_per_op,
                 }
             )
     return {
@@ -515,21 +477,15 @@ BENCHES: Dict[str, BenchSpec] = {
             _bench_event_queue,
         ),
         BenchSpec(
-            "alloc_disjoint",
-            "max-min allocation, link-disjoint flows: fast path vs reference loop",
-            "ns/op",
-            _bench_alloc_disjoint,
-        ),
-        BenchSpec(
             "alloc_shared",
-            "max-min allocation, shared links: reference loop (fast path inert)",
+            "max-min allocation, shared links: the sparse solve",
             "ns/op",
             _bench_alloc_shared,
         ),
         BenchSpec(
             "alloc_small_shared",
             "max-min allocation, few flows on a shared access link: "
-            "scalar solver vs reference loop, plus a flow-count sweep",
+            "scalar solver vs the sparse solve, plus a flow-count sweep",
             "ns/op",
             _bench_alloc_small_shared,
         ),

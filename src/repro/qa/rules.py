@@ -346,7 +346,11 @@ _INVARIANT_LIST: Tuple[Invariant, ...] = (
             "every rate vector the engine installs is feasible, cap-respecting "
             "and max-min fair (the certify_maxmin post-condition)"
         ),
-        hint="repro.tcp.maxmin.maxmin_allocate returned an invalid allocation",
+        hint=(
+            "the engine's max-min solve (repro.tcp.maxmin.maxmin_scalar, "
+            "repro.vec.solver.waterfill_sparse or the disjoint "
+            "min(bottleneck, cap) rule) returned an invalid allocation"
+        ),
     ),
     Invariant(
         code="QA-R004",

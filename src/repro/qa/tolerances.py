@@ -29,7 +29,8 @@ CAPACITY_RTOL: float = 1e-6
 BYTE_CONSERVATION_SLACK: float = 1e-3
 
 #: Absolute slack on rate non-negativity (QA-R002).  Rates come straight from
-#: ``maxmin_allocate`` which clips at zero, so no slack is actually needed;
+#: the max-min solvers, whose water-filling rounds clip each link's remaining
+#: capacity at zero, so no slack is actually needed;
 #: the constant exists so a future allocator with signed rounding error has a
 #: single place to declare it.
 RATE_ATOL: float = 0.0

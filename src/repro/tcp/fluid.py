@@ -24,24 +24,23 @@ caps and re-running the allocator.  Scalar trace queries go through
 per-link :class:`~repro.net.trace.TraceCursor` objects, which are amortised
 O(1) because event times never decrease.
 
-The solver depends on the problem.  Up to ``_DENSE_MAX_FLOWS`` flows every
-choice returns :func:`repro.tcp.maxmin.maxmin_allocate`'s rates on the same
-inputs bit for bit (DESIGN.md §7):
+The solver depends on the problem (DESIGN.md §7):
 
 * no link carries two flows (a lone flow included): each flow gets
   ``min(bottleneck, cap)`` in plain floats;
 * a shared problem of at most ``_SCALAR_MAX_FLOWS`` flows - every shared
   solve of a sequentially probing or striped session - runs
-  :func:`repro.tcp.maxmin.maxmin_scalar`, the same rounds in plain floats;
+  :func:`repro.tcp.maxmin.maxmin_scalar`, the water-filling rounds in
+  plain floats;
 * a larger shared problem - a concurrent probe race's, say - runs the
-  numpy loop itself.
+  sparse :func:`repro.vec.solver.waterfill_sparse` over the structure's
+  coordinate lists, in O(nnz) per round: the solver the vector core runs
+  on a race's rows.
 
-A shared problem of more flows runs the sparse
-:func:`repro.vec.solver.waterfill_sparse` over the structure's coordinate
-lists: the same fixed point to round-off, in O(nnz) per round, and the
-rates the vector core gives rows past the same window.  Under
-``REPRO_SANITIZE=1`` the same solver runs and the sanitizer checks the
-rates it returned.
+Both solvers sum each link's frozen caps sequentially in flow order, so
+they return the same bits and the bound between them only moves speed.
+Under ``REPRO_SANITIZE=1`` the same solvers run and the sanitizer checks
+the rates they returned.
 
 The traffic picks the tick (DESIGN.md §12).  Object flows
 (:meth:`FluidNetwork.start_flow`) always run the per-object tick above,
@@ -67,9 +66,9 @@ from repro.sim.errors import TransferError
 from repro.sim.event_queue import Event
 from repro.sim.simulator import Simulator
 from repro.tcp.flow import FlowState, FluidFlow
-from repro.tcp.maxmin import incidence_matrix, maxmin_allocate, maxmin_scalar
+from repro.tcp.maxmin import maxmin_scalar
 from repro.tcp.model import SlowStartRamp
-from repro.vec.solver import waterfill_sparse
+from repro.vec.solver import flow_coords, waterfill_sparse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vec.race import ProbeRace
@@ -81,19 +80,10 @@ _COMPLETION_SLACK = 1e-3
 #: Relative completion-time safety margin (schedule exactly, detect with slack).
 _TIME_EPS = 1e-12
 
-#: Largest shared problem either tick solves densely (the per-object tick
-#: with ``maxmin_allocate``'s numpy loop, the vector core with
-#: ``maxmin_allocate`` itself: the same bits); above it both run the sparse
-#: ``waterfill_sparse``.
-_DENSE_MAX_FLOWS = 384
 #: Largest shared (non-disjoint) problem the per-object tick solves with
-#: the plain-float ``maxmin_scalar``; larger ones run the numpy loop.  Both
-#: return the same bits, so this bound only moves speed.  Read off the
-#: ``alloc_small_shared`` bench's sweep (BENCH_engine.json): up to 12 flows
-#: the scalar solver wins 2.3-6x on session and scale-wave shapes, and
-#: concurrent probe races break even from 8 flows on; past 12 scale waves
-#: and probe races share caps across many flows, fall back to the numpy
-#: loop and lose.
+#: the plain-float ``maxmin_scalar``; larger ones run ``waterfill_sparse``.
+#: Both return the same bits, so this bound only moves speed.  Read off the
+#: ``alloc_small_shared`` bench's sweep (BENCH_engine.json, DESIGN.md §7).
 _SCALAR_MAX_FLOWS = 12
 
 
@@ -104,9 +94,8 @@ class _AllocState:
     routes are immutable while active, and capacity traces are immutable
     always, so only set membership can invalidate this.  ``disjoint`` (no
     link carries two flows) is a property of the structure and is decided
-    once here rather than on every tick.  The dense ``incidence`` matrix
-    (read by the numpy solve) and the ``coords`` lists (read by the sparse
-    solve and the sanitizer) are built on first use.
+    once here rather than on every tick.  The ``coords`` lists (read by
+    the sparse solve and the sanitizer) are built on first use.
     """
 
     __slots__ = (
@@ -116,7 +105,6 @@ class _AllocState:
         "cursors",
         "flow_links",
         "disjoint",
-        "_incidence",
         "_coords",
     )
 
@@ -136,29 +124,14 @@ class _AllocState:
         # so every link is carried once exactly when the (flow, link)
         # pairs number no more than the links.
         self.disjoint = sum(len(idxs) for idxs in flow_links) == len(links)
-        self._incidence: Optional[np.ndarray] = None
         self._coords: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    @property
-    def incidence(self) -> np.ndarray:
-        """The ``(links, flows)`` boolean incidence matrix."""
-        if self._incidence is None:
-            self._incidence = incidence_matrix(len(self.links), self.flow_links)
-        return self._incidence
 
     @property
     def coords(self) -> Tuple[np.ndarray, np.ndarray]:
         """The incidence as coordinate lists ``(lids, frow)``: entry ``i``
         says flow ``frow[i]`` crosses link ``lids[i]``."""
         if self._coords is None:
-            lids = np.fromiter(
-                (i for idxs in self.flow_links for i in idxs), dtype=np.int64
-            )
-            frow = np.repeat(
-                np.arange(len(self.flow_links), dtype=np.int64),
-                [len(idxs) for idxs in self.flow_links],
-            )
-            self._coords = (lids, frow)
+            self._coords = flow_coords(self.flow_links)
         return self._coords
 
 
@@ -458,8 +431,7 @@ class FluidNetwork:
         if state.disjoint:
             # No link is shared, so no sharing to arbitrate: each flow
             # gets min(bottleneck, cap) in plain floats, skipping numpy
-            # entirely.  Identical values to maxmin_allocate's disjoint
-            # fast path (same candidates, same exact min).
+            # entirely.
             rates: List[float] = []
             for cap, idxs in zip(capl, state.flow_links):
                 bottleneck = capv[idxs[0]]
@@ -472,11 +444,6 @@ class FluidNetwork:
                 obs.count("alloc.solve_disjoint_scalar")
         elif len(flows) <= _SCALAR_MAX_FLOWS:
             rates = maxmin_scalar(capv, state.flow_links, capl, observer=obs)
-        elif len(flows) <= _DENSE_MAX_FLOWS:
-            rates = maxmin_allocate(
-                np.array(capv), state.incidence, np.array(capl),
-                validate=False, fast=False, observer=obs,
-            ).tolist()
         else:
             lids, frow = state.coords
             rates = waterfill_sparse(

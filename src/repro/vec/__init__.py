@@ -10,14 +10,12 @@ next-breakpoint scans.
 Probe races run on it: :meth:`repro.tcp.fluid.FluidNetwork.start_races`
 hands a population's direct/relay race (:mod:`repro.vec.race`) to a
 :class:`~repro.vec.engine.VectorCore` as rows, with no flow objects, while
-object flows always run the per-object tick.  Within the dense-solver
-window (``repro.tcp.fluid._DENSE_MAX_FLOWS``) the core routes its
-allocation through the dense :func:`repro.tcp.maxmin.maxmin_allocate`,
-whose rates the per-object tick's solvers reproduce bit for bit; past it
-both ticks solve the rows with :func:`~repro.vec.solver.waterfill_sparse`,
-so a race writes the bytes of its per-object reference at any population
-(pinned by the test suite).  :func:`~repro.vec.solver.certify_maxmin`
-checks any allocation over the core's sparse incidence in O(nnz); the
-sanitizer runs it on every tick.
+object flows always run the per-object tick.  The core gives disjoint rows
+``min(bottleneck, cap)`` and solves every shared population with
+:func:`~repro.vec.solver.waterfill_sparse`, whose summation order the
+per-object tick's solvers share, so a race writes the bytes of its
+per-object reference at any population (pinned by the test suite).
+:func:`~repro.vec.solver.certify_maxmin` checks any allocation over the
+core's sparse incidence in O(nnz); the sanitizer runs it on every tick.
 See DESIGN.md §12.
 """

@@ -39,17 +39,17 @@ ticks that only move a ramp or a trace reuse it.
 
 Byte-identity contract: rows are append-only in activation order (dead rows
 are tombstoned and compacted without reordering), so the race settles
-completions in the order per-flow callbacks would run.  At populations up
-to ``_DENSE_MAX_FLOWS`` the allocation is routed through the dense
-:func:`repro.tcp.maxmin.maxmin_allocate` over row coordinates expanded from
-the cohorts, whose rates the per-object tick's solvers reproduce bit for
-bit; above it the sparse water-filling of :mod:`repro.vec.solver` solves
-one flow per live cohort, weighted by its multiplicity, and returns the
-rates the row-by-row solve would (see that module for why).  When it cannot
-(a cap round freezing two cap values on one link), the tick re-solves the
-expanded rows and counts ``vec.cohort_fallbacks``.  The per-object tick
-solves past the same window with the same rows solve, so a race equals
-its per-object reference (``tests/scale_oracle.py``) at any population.
+completions in the order per-flow callbacks would run.  When no link
+carries two live rows (no link refcount above 1) each row gets
+``min(bottleneck, cap)``, the per-object tick's rule for disjoint flows.
+Otherwise the sparse water-filling of :mod:`repro.vec.solver` solves one
+flow per live cohort, weighted by its multiplicity, and returns the rates
+the row-by-row solve would (see that module for why).  When it cannot (a
+cap round freezing two cap values on one link), the tick re-solves the
+expanded rows and counts ``vec.cohort_fallbacks``.  The per-object tick's
+shared solvers sum frozen caps in the same order as the rows solve, so a
+race equals its per-object reference (``tests/scale_oracle.py``) at any
+population.
 
 Under a sanitizer the core checks its columns on every tick: QA-R002 on
 ``delivered``/``size``/``rate`` against the previous tick's snapshot, and
@@ -69,8 +69,7 @@ import numpy as np
 from repro.net.link import Link
 from repro.net.trace import TraceCursor
 from repro.sim.errors import TransferError
-from repro.tcp.fluid import _COMPLETION_SLACK, _DENSE_MAX_FLOWS
-from repro.tcp.maxmin import maxmin_allocate
+from repro.tcp.fluid import _COMPLETION_SLACK
 from repro.vec.solver import waterfill_sparse
 
 __all__ = ["VectorCore"]
@@ -107,14 +106,19 @@ class _Gather:
     ``i`` belongs to cohort ``of[i]`` (an index into ``cohorts``).  Entry
     ``j`` of ``lids``/``frow`` says live cohort ``frow[j]`` crosses link
     ``lids[j]``; ``deg`` and ``mult`` are each live cohort's link count and
-    multiplicity.  ``coords`` caches the rows' own coordinate lists.
+    multiplicity.  ``disjoint`` says no link carries two rows.  ``coords``
+    caches the rows' own coordinate lists.
     """
 
-    __slots__ = ("rows", "n", "cohorts", "of", "lids", "frow", "deg", "mult", "coords")
+    __slots__ = (
+        "rows", "n", "cohorts", "of", "lids", "frow", "deg", "mult", "disjoint",
+        "coords",
+    )
 
-    def __init__(self, rows, n, cohorts, of, lids, frow, deg, mult) -> None:
+    def __init__(self, rows, n, cohorts, of, lids, frow, deg, mult, disjoint) -> None:
         self.rows, self.n, self.cohorts, self.of = rows, n, cohorts, of
         self.lids, self.frow, self.deg, self.mult = lids, frow, deg, mult
+        self.disjoint = disjoint
         self.coords: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def row_coords(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -365,26 +369,12 @@ class VectorCore:
             obs.span("alloc", "solve", now, now, flows=n_flows, links=n_used)
 
         m = len(self._links)
-        if n_flows <= _DENSE_MAX_FLOWS:
-            # Small population: the dense maxmin_allocate over the rows,
-            # whose rates the per-object tick's solvers reproduce bit for bit.
-            lids, frow = g.row_coords()
-            caps = c_caps[g.of]
-            ulinks, inv = np.unique(lids, return_inverse=True)
-            incidence = np.zeros((ulinks.size, n_flows), dtype=bool)
-            incidence[inv, frow] = True
-            link_counts = np.bincount(inv, minlength=ulinks.size)
-            disjoint = bool(link_counts.max(initial=0) <= 1)
-            rates = maxmin_allocate(
-                self._link_cap[ulinks],
-                incidence,
-                caps,
-                validate=False,
-                fast=disjoint,
-                observer=obs,
-            )
-            if obs is not None:
-                obs.count("vec.solve_dense")
+        if g.disjoint:
+            # No link carries two rows, so every cohort is one row and
+            # each gets min(bottleneck, cap): the per-object tick's rule.
+            bottleneck = np.full(g.cohorts.size, np.inf)
+            np.minimum.at(bottleneck, g.frow, self._link_cap[g.lids])
+            rates = np.minimum(bottleneck, c_caps)[g.of]
         else:
             # One solver flow per live cohort, unless every cohort is one
             # row; the rows' own solve when the cohort solve cannot give
@@ -460,9 +450,10 @@ class VectorCore:
         else:
             rows = np.flatnonzero(self._alive[:n])
             n_rows = int(rows.size)
+        disjoint = int(self._link_refs[: len(self._links)].max(initial=0)) <= 1
         return _Gather(
             rows, n_rows, cohorts, local[self._cohort[rows]], lids, frow, deg,
-            self._c_mult[cohorts],
+            self._c_mult[cohorts], disjoint,
         )
 
     # ------------------------------------------------------------------ #

@@ -1,18 +1,19 @@
 """Sparse progressive water-filling over a CSR flow->link incidence.
 
-This is the population-scale counterpart of the dense progressive-filling
-loop in :func:`repro.tcp.maxmin.maxmin_allocate`.  The math is identical
-round for round — the same water levels, the same freeze decisions — but
-every reduction runs over the CSR coordinate lists (``lids``/``frow``)
-instead of an L x F dense matrix, so one round costs O(nnz) independent of
-how many dead links the global link table carries.
+Both fluid ticks solve shared max-min problems here: the vector core over
+a race's rows (or cohorts, below), the per-object tick over shared
+problems past ``repro.tcp.fluid._SCALAR_MAX_FLOWS`` flows.  Each round
+finds the lowest water level - a flow's cap, or the equal share of a
+saturating link - and freezes the flows at it; every reduction runs over
+the coordinate lists (``lids``/``frow``), so one round costs O(nnz)
+independent of how many dead links the global link table carries.
 
 Reductions use :func:`numpy.bincount`, which sums sequentially in input
-order, so results are deterministic across runs.  They can differ from the
-dense loop's BLAS matvec partial sums in the last ulp, which is why both
-fluid ticks use this path only *above* ``repro.tcp.fluid._DENSE_MAX_FLOWS``
-flows: the per-object tick over its active flows, and the vector core over
-a race's rows, so the two agree bit for bit on either side of the window.
+order: a cap round subtracts from each link the caps it froze there, added
+one at a time in flow order.  That is the one summation order of the
+repo's max-min solvers - :func:`repro.tcp.maxmin.maxmin_scalar` follows it
+in plain floats - so results are deterministic across runs and equal
+across solvers bit for bit.
 
 With ``mult``, each flow stands for a *cohort* of identical rows (same
 links, same cap), and the solve returns the rows' rates bit for bit:
@@ -35,7 +36,7 @@ without an oracle solve.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,10 +45,21 @@ from repro.qa.tolerances import CAPACITY_RTOL as _RTOL
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.core import Observer
 
-__all__ = ["certify_maxmin", "waterfill_sparse"]
+__all__ = ["certify_maxmin", "flow_coords", "waterfill_sparse"]
 
 #: Relative slack when comparing rates/capacities (== repro.tcp.maxmin._EPS).
 _EPS = 1e-9
+
+
+def flow_coords(flow_links: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-flow link-index lists as coordinate lists ``(lids, frow)``:
+    entry ``i`` says flow ``frow[i]`` crosses link ``lids[i]``, in flow
+    order and each flow's links in list order."""
+    lids = np.fromiter((i for idxs in flow_links for i in idxs), dtype=np.int64)
+    frow = np.repeat(
+        np.arange(len(flow_links), dtype=np.int64), [len(idxs) for idxs in flow_links]
+    )
+    return lids, frow
 
 
 def waterfill_sparse(

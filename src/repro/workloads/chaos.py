@@ -39,9 +39,8 @@ from repro.obs.core import global_observer
 from repro.stripe.blocks import DEFAULT_BLOCK_BYTES, StripeConfig
 from repro.trace.records import ChaosRecord
 from repro.util.validation import check_positive
-from repro.workloads.experiment import STUDY_SESSION_CONFIG
 from repro.workloads.scenario import Scenario
-from repro.workloads.studies import Study
+from repro.workloads.studies import STUDY_SESSION_CONFIG, Study
 
 __all__ = [
     "STUDY",

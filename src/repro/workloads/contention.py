@@ -24,7 +24,7 @@ from repro.net.topology import wan_link_name
 from repro.tcp.cross_traffic import CrossTrafficConfig, CrossTrafficSource
 from repro.trace.records import TransferRecord
 from repro.util.validation import check_non_negative, check_positive
-from repro.workloads.experiment import STUDY_SESSION_CONFIG
+from repro.workloads.studies import STUDY_SESSION_CONFIG
 from repro.workloads.scenario import Scenario, Universe
 
 __all__ = ["ContentionSpec", "run_contended_pair"]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.session import SessionConfig
-from repro.workloads.experiment import STUDY_SESSION_CONFIG
+from repro.workloads.studies import STUDY_SESSION_CONFIG
 from repro.workloads.scenario import Scenario
 
 __all__ = ["CounterfactualRecord", "run_counterfactual_transfer"]

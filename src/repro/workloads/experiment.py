@@ -30,7 +30,7 @@ from repro.trace.records import TransferRecord
 from repro.trace.store import TraceStore
 from repro.util.units import MINUTE
 from repro.workloads.scenario import Scenario, ScenarioSpec
-from repro.workloads.studies import Study
+from repro.workloads.studies import STUDY_SESSION_CONFIG, Study
 
 __all__ = [
     "SECTION2_STUDY",
@@ -40,14 +40,8 @@ __all__ = [
     "run_paired_transfer",
     "run_paired_unit",
     "run_interfering_pair",
-    "STUDY_SESSION_CONFIG",
     "SECTION4_SESSION_CONFIG",
 ]
-
-#: Session parameters used by the studies: PlanetLab-era hosts ran with
-#: enlarged TCP buffers, so a 128 KB maximum window (not the protocol-default
-#: 64 KB) is the faithful setting for 2005 wide-area transfers.
-STUDY_SESSION_CONFIG = SessionConfig(tcp=TcpParams(max_window=131_072.0))
 
 #: §4 sessions probe candidates *sequentially*: the paper describes the
 #: multi-relay selection as "perform n preliminary download tests and see

@@ -36,9 +36,8 @@ from repro.net.failures import (
 from repro.net.topology import wan_link_name
 from repro.trace.records import FailureRecord
 from repro.util.validation import check_positive
-from repro.workloads.experiment import STUDY_SESSION_CONFIG
 from repro.workloads.scenario import Scenario
-from repro.workloads.studies import Study
+from repro.workloads.studies import STUDY_SESSION_CONFIG, Study
 
 __all__ = [
     "STUDY",

@@ -34,9 +34,8 @@ from repro.stripe.blocks import DEFAULT_BLOCK_BYTES, StripeConfig
 from repro.trace.records import StripeRecord
 from repro.util.units import kb
 from repro.util.validation import check_positive
-from repro.workloads.experiment import STUDY_SESSION_CONFIG
 from repro.workloads.scenario import Scenario
-from repro.workloads.studies import Study
+from repro.workloads.studies import STUDY_SESSION_CONFIG, Study
 
 __all__ = [
     "STUDY",

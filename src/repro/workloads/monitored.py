@@ -25,7 +25,7 @@ from repro.overlay.monitor import PathMonitor
 from repro.trace.records import TransferRecord
 from repro.trace.store import TraceStore
 from repro.util.units import kb
-from repro.workloads.experiment import STUDY_SESSION_CONFIG
+from repro.workloads.studies import STUDY_SESSION_CONFIG
 from repro.workloads.scenario import Scenario
 
 __all__ = ["MonitoredStudy"]

@@ -50,9 +50,8 @@ from repro.tcp.fluid import FluidNetwork
 from repro.tcp.model import SlowStartRamp
 from repro.trace.records import ScaleRecord
 from repro.util.units import mb, mbps_to_bytes_per_s
-from repro.workloads.experiment import STUDY_SESSION_CONFIG
 from repro.workloads.scenario import Scenario
-from repro.workloads.studies import Study
+from repro.workloads.studies import STUDY_SESSION_CONFIG, Study
 
 __all__ = [
     "STUDY",

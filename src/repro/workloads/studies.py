@@ -6,7 +6,9 @@ planner and unit runner.  The CLI driver (:mod:`repro.cli`) and the
 runner's :func:`~repro.runner.pool.run_unit` read these entries and know
 nothing else about studies.  This module imports no study module;
 :func:`get_study` imports an entry's module on first use.  Adding a study
-means writing its module and one line in :data:`STUDIES`.
+means writing its module and one line in :data:`STUDIES`.  The session
+parameters the studies share, :data:`STUDY_SESSION_CONFIG`, live here too,
+so a study module need not import another.
 """
 
 from __future__ import annotations
@@ -15,12 +17,19 @@ import importlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
+from repro.core.session import SessionConfig
+from repro.http.transfer import TcpParams
 from repro.workloads.scenario import Scenario, ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     import argparse
 
-__all__ = ["STUDIES", "Study", "get_study", "unit_runner"]
+__all__ = ["STUDIES", "STUDY_SESSION_CONFIG", "Study", "get_study", "unit_runner"]
+
+#: Session parameters used by the studies: PlanetLab-era hosts ran with
+#: enlarged TCP buffers, so a 128 KB maximum window (not the protocol-default
+#: 64 KB) is the faithful setting for 2005 wide-area transfers.
+STUDY_SESSION_CONFIG = SessionConfig(tcp=TcpParams(max_window=131_072.0))
 
 #: Registered studies in CLI order: name -> (``module:attribute`` of the
 #: :class:`Study` entry, one-line help for the subcommand).

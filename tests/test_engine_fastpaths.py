@@ -3,28 +3,26 @@
 The fluid engine's fast paths claim to be *exactly* equivalent to the
 reference semantics.  This suite holds them to that:
 
-* the disjoint allocator fast path vs the progressive-filling reference
-  loop, bit-for-bit, on random disjoint topologies (plus ``verify_maxmin``);
-* ``fast=True`` vs ``fast=False`` on arbitrary random topologies (the flag
-  may only change *how* the answer is computed, never the answer);
 * :class:`TraceCursor` vs the ``searchsorted``-based ``CapacityTrace``
   lookups on random traces and random (including backward) query sequences;
 * the link-name-collision guard: two distinct :class:`Link` objects sharing
   a name with *different* capacity traces must raise instead of silently
   merging into one constraint (regression test for an old silent merge);
 * the allocation-state cache vs a from-scratch reference solve, under
-  random flow churn over shared links, on the scalar solver and the numpy
-  loop;
-* the per-object tick's scalar solver, its numpy loop and the sanitized
-  tick, bit-for-bit on one workload.
+  random flow churn over shared links, on the scalar solver and the sparse
+  solve;
+* the per-object tick's scalar solver, its sparse solve and the sanitized
+  tick, bit-for-bit on one workload, and a concurrent-probe campaign's
+  pinned bytes.
 """
 
+import hashlib
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.link import Link
@@ -34,128 +32,12 @@ from repro.sim.errors import TransferError
 from repro.sim.simulator import Simulator
 from repro.tcp import fluid
 from repro.tcp.fluid import FluidNetwork
-from repro.tcp.maxmin import maxmin_allocate
 from repro.tcp.model import SlowStartRamp
-from tests.maxmin_oracle import verify_maxmin
-
-
-def _well_separated(values):
-    """True when all distinct constraint values differ by > 1e-6 relative.
-
-    The progressive-filling loop merges water levels within ``1e-9``
-    relative slack, so two *distinct* constraints closer than that can
-    freeze at the merged level while the fast path keeps each exact
-    bottleneck.  The documented equivalence contract excludes those
-    measure-zero coincidences; exactly-equal values are fine (both paths
-    agree).  This mirrors real campaigns, whose capacities come from
-    continuous random draws.
-    """
-    finite = sorted(v for v in values if np.isfinite(v))
-    for a, b in zip(finite, finite[1:]):
-        if a != b and b - a <= 1e-6 * max(b, 1.0):
-            return False
-    return True
-
-
-@st.composite
-def disjoint_problems(draw):
-    """Random allocation problems where no link carries two flows."""
-    n_flows = draw(st.integers(min_value=1, max_value=6))
-    links_per_flow = [draw(st.integers(min_value=1, max_value=3)) for _ in range(n_flows)]
-    n_links = sum(links_per_flow)
-    caps = draw(
-        st.lists(
-            st.floats(min_value=0.5, max_value=1000.0),
-            min_size=n_links,
-            max_size=n_links,
-        )
-    )
-    inc = np.zeros((n_links, n_flows), dtype=bool)
-    base = 0
-    for f, k in enumerate(links_per_flow):
-        inc[base : base + k, f] = True
-        base += k
-    use_caps = draw(st.booleans())
-    flow_caps = None
-    if use_caps:
-        flow_caps = np.asarray(
-            draw(
-                st.lists(
-                    st.one_of(
-                        st.floats(min_value=0.1, max_value=500.0),
-                        st.just(float("inf")),
-                    ),
-                    min_size=n_flows,
-                    max_size=n_flows,
-                )
-            )
-        )
-    return np.asarray(caps), inc, flow_caps
-
-
-@st.composite
-def arbitrary_problems(draw):
-    """Random allocation problems with arbitrary (possibly shared) links."""
-    n_links = draw(st.integers(min_value=1, max_value=5))
-    n_flows = draw(st.integers(min_value=1, max_value=6))
-    caps = draw(
-        st.lists(
-            st.floats(min_value=0.5, max_value=1000.0),
-            min_size=n_links,
-            max_size=n_links,
-        )
-    )
-    inc = np.zeros((n_links, n_flows), dtype=bool)
-    for f in range(n_flows):
-        idxs = draw(
-            st.lists(
-                st.integers(min_value=0, max_value=n_links - 1),
-                min_size=1,
-                max_size=n_links,
-                unique=True,
-            )
-        )
-        inc[idxs, f] = True
-    return np.asarray(caps), inc
+from repro.vec.solver import waterfill_sparse
+from tests.maxmin_oracle import maxmin_allocate
 
 
 class TestDisjointFastPath:
-    @settings(max_examples=200, deadline=None)
-    @given(disjoint_problems())
-    def test_identical_to_reference_loop(self, problem):
-        caps, inc, flow_caps = problem
-        constraints = list(caps) + ([] if flow_caps is None else list(flow_caps))
-        assume(_well_separated(constraints))
-        fast = maxmin_allocate(caps, inc, flow_caps, fast=True)
-        reference = maxmin_allocate(caps, inc, flow_caps, fast=False)
-        # Bit-for-bit: the byte-identity guarantee of the engine rests on
-        # the fast path producing the same floats, not merely close ones.
-        np.testing.assert_array_equal(fast, reference)
-
-    @settings(max_examples=100, deadline=None)
-    @given(disjoint_problems())
-    def test_fast_path_is_maxmin_optimal(self, problem):
-        caps, inc, flow_caps = problem
-        rates = maxmin_allocate(caps, inc, flow_caps, fast=True)
-        assert verify_maxmin(caps, inc, rates, flow_caps)
-
-    @settings(max_examples=150, deadline=None)
-    @given(arbitrary_problems())
-    def test_flag_never_changes_result(self, problem):
-        caps, inc = problem
-        assume(_well_separated(caps))
-        fast = maxmin_allocate(caps, inc, fast=True)
-        reference = maxmin_allocate(caps, inc, fast=False)
-        np.testing.assert_array_equal(fast, reference)
-
-    @settings(max_examples=100, deadline=None)
-    @given(arbitrary_problems())
-    def test_validate_flag_never_changes_result(self, problem):
-        caps, inc = problem
-        checked = maxmin_allocate(caps, inc, validate=True)
-        unchecked = maxmin_allocate(caps, inc, validate=False)
-        np.testing.assert_array_equal(checked, unchecked)
-
     def test_disjoint_respects_caps(self):
         caps = np.array([100.0, 50.0])
         inc = np.array([[True, False], [False, True]])
@@ -291,14 +173,14 @@ class TestLinkNameCollision:
 
 
 class TestEngineModeEquivalence:
-    """The per-object tick's scalar solver, its numpy loop and the
+    """The per-object tick's scalar solver, its sparse solve and the
     sanitized tick must be byte-identical in output.
 
     The sanitized leg runs the same solvers and checks every allocation
     against the max-min certificate.
     """
 
-    def _transfer_times(self, *, numpy_loop=False, sanitize=False):
+    def _transfer_times(self, *, sparse=False, sanitize=False):
         sim = Simulator(sanitize=sanitize)
         net = FluidNetwork(sim)
         shared = Link(
@@ -318,7 +200,7 @@ class TestEngineModeEquivalence:
             for i in range(3)
         ]
         flows.append(net.start_flow(Route([private[0]]), 2e3, activation_delay=0.1))
-        bound = 0 if numpy_loop else fluid._SCALAR_MAX_FLOWS
+        bound = 0 if sparse else fluid._SCALAR_MAX_FLOWS
         with mock.patch.object(fluid, "_SCALAR_MAX_FLOWS", bound):
             sim.run()
         return [f.completed_at for f in flows]
@@ -326,12 +208,14 @@ class TestEngineModeEquivalence:
     def test_byte_identical_completion_times(self):
         classic = self._transfer_times()
         # Exact float equality, not approx.
-        assert self._transfer_times(numpy_loop=True) == classic
+        assert self._transfer_times(sparse=True) == classic
         assert self._transfer_times(sanitize=True) == classic
 
 
 #: Links of the churn oracle test: integer capacity steps on a whole-second
-#: grid, so distinct fair shares are far apart (see ``_well_separated``).
+#: grid, so distinct fair shares are far apart: the solvers merge water
+#: levels within 1e-9 relative slack, where the disjoint rule keeps each
+#: exact bottleneck.
 _CHURN_LINKS = 4
 _CHURN_HORIZON = 8
 
@@ -374,11 +258,11 @@ class TestAllocCacheOracle:
 
     Flows activate, abort and complete over shared links with stepped
     capacities.  At sampled instants, strictly between engine events, every
-    active flow's rate must equal the reference progressive-filling loop
-    run on freshly built inputs: links in first-use order, capacities from
+    active flow's rate must equal ``waterfill_sparse`` run on freshly
+    built inputs: links in first-use order, capacities from
     ``CapacityTrace.value_at`` and caps from each flow's ramp.  With
-    ``numpy_loop`` every shared solve runs the numpy loop over the cached
-    incidence matrix instead of ``maxmin_scalar``.
+    ``sparse`` every shared solve runs ``waterfill_sparse`` over the cached
+    coordinate lists instead of ``maxmin_scalar``.
     """
 
     @staticmethod
@@ -389,18 +273,22 @@ class TestAllocCacheOracle:
                 if link.name not in index:
                     index[link.name] = len(links)
                     links.append(link)
-        incidence = np.zeros((len(links), len(flows)), dtype=bool)
-        for j, flow in enumerate(flows):
-            for link in flow.route.links:
-                incidence[index[link.name], j] = True
+        lids = np.array(
+            [index[link.name] for flow in flows for link in flow.route.links],
+            dtype=np.int64,
+        )
+        frow = np.repeat(
+            np.arange(len(flows), dtype=np.int64),
+            [len(flow.route.links) for flow in flows],
+        )
         capacities = np.array([link.trace.value_at(now) for link in links])
         caps = np.array([flow.cap_at(now) for flow in flows])
-        return maxmin_allocate(capacities, incidence, caps, fast=False)
+        return waterfill_sparse(capacities, lids, frow, len(flows), caps)[0]
 
-    @pytest.mark.parametrize("numpy_loop", [False, True])
+    @pytest.mark.parametrize("sparse", [False, True])
     @given(workload=churn_workloads())
     @settings(max_examples=40, deadline=None)
-    def test_rates_match_reference_solve(self, numpy_loop, workload):
+    def test_rates_match_reference_solve(self, sparse, workload):
         traces, specs = workload
         sim = Simulator()
         net = FluidNetwork(sim)
@@ -425,6 +313,37 @@ class TestAllocCacheOracle:
         # Irrational offsets keep every sample strictly between engine events.
         for i in range(40):
             sim.schedule_at(0.1 + i / math.pi * 0.8, check)
-        bound = 0 if numpy_loop else fluid._SCALAR_MAX_FLOWS
+        bound = 0 if sparse else fluid._SCALAR_MAX_FLOWS
         with mock.patch.object(fluid, "_SCALAR_MAX_FLOWS", bound):
             sim.run()
+
+
+#: sha256 of the JSONL a concurrent-probe §4 run writes (see
+#: ``TestConcurrentProbeDigest``).  Its probe races put 13-39 flows on a
+#: client's access link and freeze many caps on it in one round, so the
+#: bytes rest on every shared solve's summation order.
+CONCURRENT_PROBE_DIGEST = "dc142cdfe84a4ca5444677c5553b3453a17e5ebfb17c822ef4795420af8a3a94"
+
+
+class TestConcurrentProbeDigest:
+    """A §4 campaign that races all k candidate probes at once writes
+    pinned bytes."""
+
+    def test_records_are_pinned(self, section4_scenario, tmp_path):
+        from repro.core.random_set import UniformRandomSetPolicy
+        from repro.trace.store import TraceStore
+        from repro.workloads.experiment import Section4Study
+        from repro.workloads.studies import STUDY_SESSION_CONFIG
+
+        study = Section4Study(
+            section4_scenario, repetitions=40, config=STUDY_SESSION_CONFIG
+        )
+        store = TraceStore.merge(
+            study.run_policy(UniformRandomSetPolicy(k), clients=["Duke", "Italy"])
+            for k in (4, 10, 16, 24, 35)
+        )
+        path = tmp_path / "concurrent.jsonl"
+        store.save_jsonl(path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert len(store) == 400
+        assert digest == CONCURRENT_PROBE_DIGEST

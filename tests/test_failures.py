@@ -15,7 +15,7 @@ from repro.net.failures import (
 from repro.net.topology import wan_link_name
 from repro.net.trace import CapacityTrace
 from repro.qa.sanitize import InvariantViolation
-from repro.workloads.experiment import STUDY_SESSION_CONFIG
+from repro.workloads.studies import STUDY_SESSION_CONFIG
 from repro.workloads.failures import FailureStudyParams, plan_failures, run_failure_unit
 
 

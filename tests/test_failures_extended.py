@@ -384,7 +384,7 @@ class TestFailurePlan:
 
     def test_default_resilience_keeps_legacy_fingerprint(self, section2_scenario):
         from repro.runner.plan import CampaignPlan
-        from repro.workloads.experiment import STUDY_SESSION_CONFIG
+        from repro.workloads.studies import STUDY_SESSION_CONFIG
 
         explicit_default = dataclasses.replace(
             STUDY_SESSION_CONFIG, resilience=ResilienceConfig()

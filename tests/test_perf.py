@@ -59,7 +59,6 @@ class TestBenchRegistry:
         assert set(BENCHES) == {
             "trace_scalar",
             "event_queue",
-            "alloc_disjoint",
             "alloc_shared",
             "alloc_small_shared",
             "tick_breakpoint",
@@ -78,8 +77,8 @@ class TestBenchRegistry:
             run_benches(["no_such_bench"], quick=True)
 
     def test_quick_bench_result_shape(self):
-        results = run_benches(["alloc_disjoint"], quick=True)
-        result = results["alloc_disjoint"]
+        results = run_benches(["trace_scalar"], quick=True)
+        result = results["trace_scalar"]
         assert result["unit"] == "ns/op"
         assert result["optimised"] > 0.0
         assert result["baseline"] > 0.0
@@ -100,7 +99,7 @@ class TestBenchRegistry:
 
 
 class TestReport:
-    def _report(self, optimised, *, name="alloc_disjoint", baseline=None):
+    def _report(self, optimised, *, name="alloc_shared", baseline=None):
         bench = {"unit": "ns/op", "optimised": optimised}
         if baseline is not None:
             bench["baseline"] = baseline
@@ -109,7 +108,7 @@ class TestReport:
 
     def test_roundtrip(self, tmp_path):
         report = BenchReport.from_results(
-            {"alloc_disjoint": {"unit": "ns/op", "optimised": 123.0}}, quick=True
+            {"alloc_shared": {"unit": "ns/op", "optimised": 123.0}}, quick=True
         )
         path = str(tmp_path / "bench.json")
         report.save(path)
@@ -164,13 +163,13 @@ class TestReport:
 
     def test_format_report_smoke(self):
         text = format_report(self._report(123.0, baseline=246.0))
-        assert "alloc_disjoint" in text
+        assert "alloc_shared" in text
         assert "2.00x" in text
 
     def test_format_comparison_smoke(self):
         comparisons = [
             Comparison(
-                name="alloc_disjoint",
+                name="alloc_shared",
                 unit="ns/op",
                 current=200.0,
                 stored=100.0,
@@ -269,7 +268,7 @@ class TestSuspectCategory:
                     for cat, total in spans.items()
                 }
             }
-        return BenchReport(benches={"alloc_disjoint": bench}, quick=True)
+        return BenchReport(benches={"alloc_shared": bench}, quick=True)
 
     def test_names_worst_growing_category(self):
         current = self._report(200.0, spans={"transfer": 30.0, "tick": 1.0})

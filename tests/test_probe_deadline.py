@@ -22,16 +22,16 @@ MODES = [ProbeMode.CONCURRENT, ProbeMode.SEQUENTIAL]
 SANITIZE = [False, True]  # plain, and every tick checked by the sanitizer
 
 
-def _race(world, *, mode, deadline, sanitize=False, numpy_loop=False):
+def _race(world, *, mode, deadline, sanitize=False, sparse=False):
     """Run one direct-vs-R1 probe race; returns (sim, outcome-or-timeout).
 
-    ``numpy_loop`` solves every shared problem with the numpy loop instead
+    ``sparse`` solves every shared problem with ``waterfill_sparse`` instead
     of the plain-float ``maxmin_scalar`` (the same bits, by contract)."""
     sim = Simulator(sanitize=sanitize)
     net = FluidNetwork(sim)
     engine = ProbeEngine(net, tcp=FAST_TCP)
     paths = [world.builder.direct("C", "S"), world.builder.indirect("C", "R1", "S")]
-    bound = 0 if numpy_loop else fluid._SCALAR_MAX_FLOWS
+    bound = 0 if sparse else fluid._SCALAR_MAX_FLOWS
     try:
         with mock.patch.object(fluid, "_SCALAR_MAX_FLOWS", bound):
             out = engine.run(paths, "/f", mode=mode, deadline=deadline)
@@ -114,12 +114,12 @@ class TestDeadPathRaces:
             engine.run([w.builder.direct("C", "S")], "/f", deadline=0.0)
 
 
-#: Engine legs of the identity tests: the default solvers, the numpy loop
+#: Engine legs of the identity tests: the default solvers, the sparse solve
 #: for every shared solve, and the default solvers under the sanitizer
 #: (every solve certified).
 IDENTITY_LEGS = [
     {},
-    {"numpy_loop": True},
+    {"sparse": True},
     {"sanitize": True},
 ]
 

@@ -200,13 +200,14 @@ class TestAllocation:
 
     def test_corrupt_engine_allocation_raises_in_run(self, monkeypatch):
         """End to end: a buggy allocator is caught at the first tick."""
-        real = fluid_mod.maxmin_allocate
-        monkeypatch.setattr(
-            fluid_mod,
-            "maxmin_allocate",
-            lambda capacities, incidence, caps, **kw: real(capacities, incidence, caps, **kw) * 3.0,
-        )
-        # Two shared flows: solved by the numpy loop only above the bound.
+        real = fluid_mod.waterfill_sparse
+
+        def triple(*args, **kw):
+            rates, rounds = real(*args, **kw)
+            return rates * 3.0, rounds
+
+        monkeypatch.setattr(fluid_mod, "waterfill_sparse", triple)
+        # Two shared flows: solved by the sparse solve only above the bound.
         monkeypatch.setattr(fluid_mod, "_SCALAR_MAX_FLOWS", 0)
         with pytest.raises(InvariantViolation) as exc:
             contended_world(sanitize=True)
@@ -474,18 +475,12 @@ class TestVectorCoreChecks:
         assert sim.sanitizer.checks_run > 0
         assert sim.sanitizer.violations == []
 
-    @pytest.mark.parametrize("n_rows", [50, 400])  # dense and sparse solves
+    @pytest.mark.parametrize("n_rows", [50, 400])
     def test_halved_core_rate_fires_r003_or_r004(self, monkeypatch, n_rows):
         import repro.vec.engine as engine
 
-        real_dense, real_sparse = engine.maxmin_allocate, engine.waterfill_sparse
+        real_sparse = engine.waterfill_sparse
         solvers = []
-
-        def dense(*args, **kw):
-            solvers.append("dense")
-            rates = real_dense(*args, **kw)
-            rates[0] *= 0.5
-            return rates
 
         def sparse(*args, **kw):
             solvers.append("sparse")
@@ -494,14 +489,13 @@ class TestVectorCoreChecks:
                 rates[0] *= 0.5
             return rates, rounds
 
-        monkeypatch.setattr(engine, "maxmin_allocate", dense)
         monkeypatch.setattr(engine, "waterfill_sparse", sparse)
         sim = Simulator(sanitize=True)
         # One start slot: the first tick solves every client's direct probe.
         _race_world(n_rows, sim=sim, slots=(0.0,))
         with pytest.raises(InvariantViolation) as exc:
             sim.run()
-        assert solvers == ["dense" if n_rows <= 384 else "sparse"]
+        assert solvers == ["sparse"]
         assert exc.value.violation.code in ("QA-R003", "QA-R004")
 
     def test_delivered_count_going_down_fires_r002(self):

@@ -15,7 +15,7 @@ from repro.runner.checkpoint import (
 )
 from repro.runner.plan import plan_section2
 from repro.trace.records import TransferRecord
-from repro.workloads.experiment import STUDY_SESSION_CONFIG
+from repro.workloads.studies import STUDY_SESSION_CONFIG
 
 CLIENTS = ["Italy", "Sweden", "Taiwan"]
 

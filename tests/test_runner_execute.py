@@ -18,10 +18,10 @@ from repro.runner.pool import ExecutionResult, UnitExecutionError, execute_plan,
 from repro.runner.progress import ProgressReporter
 from repro.trace.store import TraceStore
 from repro.workloads.experiment import (
-    STUDY_SESSION_CONFIG,
     Section2Study,
     run_paired_transfer,
 )
+from repro.workloads.studies import STUDY_SESSION_CONFIG
 
 CLIENTS = ["Italy", "Sweden", "Taiwan"]
 REPS = 4

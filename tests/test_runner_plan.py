@@ -18,11 +18,10 @@ from repro.runner.plan import (
 )
 from repro.workloads.experiment import (
     SECTION4_SESSION_CONFIG,
-    STUDY_SESSION_CONFIG,
     Section2Study,
     Section4Study,
 )
-from repro.workloads.studies import get_study
+from repro.workloads.studies import STUDY_SESSION_CONFIG, get_study
 
 CLIENTS = ["Italy", "Sweden", "Taiwan"]
 

@@ -243,7 +243,7 @@ class TestFailoverDeterminism:
         )
 
     def test_engine_modes_identical(self, mini_world):
-        """The scalar shared solver and the numpy loop write the same bytes."""
+        """The scalar shared solver and the sparse solve write the same bytes."""
         sigs = []
         for bound in (fluid._SCALAR_MAX_FLOWS, 0):
             w = mini_world(

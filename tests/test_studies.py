@@ -110,7 +110,7 @@ class TestRegistry:
         assert unit_runner(unit) is run_failure_unit
 
     def test_run_unit_delegates_to_the_registry(self, section2_scenario):
-        from repro.workloads.experiment import STUDY_SESSION_CONFIG
+        from repro.workloads.studies import STUDY_SESSION_CONFIG
 
         unit = WorkUnit(
             index=0, study="section2", client="Italy", site="eBay", repetition=0,
@@ -154,8 +154,7 @@ class TestLazyStudyImports:
             "import sys, repro.cli; repro.cli.build_parser('chaos'); "
             f"print(*[m for m in {self.LATE!r} if m in sys.modules])"
         )
-        # Every study module imports experiment's STUDY_SESSION_CONFIG.
-        assert loaded == ["repro.workloads.chaos", "repro.workloads.experiment"]
+        assert loaded == ["repro.workloads.chaos"]
 
     def test_worker_import_loads_no_study_or_report_module(self):
         never = self.WORKER_NEVER + self.LATE

@@ -16,7 +16,7 @@ from repro.net.route import Route
 from repro.net.trace import CapacityTrace
 from repro.sim.simulator import Simulator
 from repro.tcp.fluid import FluidNetwork
-from tests.maxmin_oracle import verify_maxmin
+from tests.maxmin_oracle import incidence_matrix, verify_maxmin
 
 
 @st.composite
@@ -142,8 +142,8 @@ class TestInstantaneousFairness:
     @given(fluid_problems())
     def test_sanitizer_coords_match_the_dense_incidence(self, problem):
         """The coordinate lists the per-object tick hands the sanitizer and
-        its sparse solve encode exactly the dense incidence its numpy solve
-        reads."""
+        its sparse solve encode exactly the dense incidence of its per-flow
+        link lists."""
         links, flows = problem
         sim = Simulator()
         net = FluidNetwork(sim)
@@ -152,10 +152,11 @@ class TestInstantaneousFairness:
         sim.run(until=0.0)
         state = net._alloc_state
         lids, frow = state.coords
-        assert lids.size == np.count_nonzero(state.incidence)
-        dense = np.zeros_like(state.incidence)
+        incidence = incidence_matrix(len(state.links), state.flow_links)
+        assert lids.size == np.count_nonzero(incidence)
+        dense = np.zeros_like(incidence)
         dense[lids, frow] = True
-        assert np.array_equal(dense, state.incidence)
+        assert np.array_equal(dense, incidence)
 
 
 class TestSchedulingSanity:

@@ -7,10 +7,11 @@ A race must write exactly what the same population of
 (``tests/scale_oracle.py``), so these tests race random topologies and
 populations (constant and time-varying capacity, slow-start ramps,
 staggered and coalesced activations, aborted losers, compaction) on both
-and compare every result column bit for bit.  Past the dense-solver window
-both ticks run the sparse water-filling solver: the per-object tick's
-sparse branch is pinned to the digest the vector core wrote for a growing
-object-flow population, and agrees with its own dense loop to round-off.
+and compare every result column bit for bit.  Both ticks solve shared
+populations with the sparse water-filling solver's summation order: the
+per-object tick is pinned to the digest the vector core wrote for a
+growing object-flow population, and agrees with the dense reference loop
+(``tests/maxmin_oracle.py``) to round-off.
 """
 
 import hashlib
@@ -31,6 +32,7 @@ from repro.tcp import fluid
 from repro.tcp.fluid import FluidNetwork
 from repro.tcp.model import SlowStartRamp
 from repro.vec.engine import VectorCore
+from tests.maxmin_oracle import maxmin_allocate
 from tests.scale_oracle import start_oracle_races
 
 
@@ -301,7 +303,7 @@ class TestVectorOracleIdentity:
         assert columnar == _race(args, oracle=True)
 
     def test_shared_population_refcounts_across_compaction(self):
-        """150 clients on 4 shared routes, inside the dense window, with
+        """150 clients on 4 shared routes, 300 probe rows at most, with
         enough retirements to compact: still bit-identical, and the
         refcount recount holds after every tick."""
         args = _race_problem(
@@ -354,12 +356,12 @@ def _digest(completions, samples):
 
 
 class TestSparseSolverWindow:
-    """Past the dense window the per-object tick solves shared problems
-    with the sparse water-filling: the vector core's bits, and the dense
-    loop's fixed point to round-off."""
+    """Past the scalar solver's bound the per-object tick solves shared
+    problems with the sparse water-filling: the vector core's bits, and the
+    dense reference loop's fixed point to round-off."""
 
     #: The completions and samples of ``_growing_population`` as the vector
-    #: core wrote them, when populations past the window ran there.
+    #: core wrote them, when populations past 384 flows ran there.
     GROWING_DIGEST = "277ea67c68007bd471bb0581424926735f47761d7712817f278e587db40f9276"
 
     @staticmethod
@@ -395,7 +397,7 @@ class TestSparseSolverWindow:
 
     def test_large_population_matches_oracle(self, monkeypatch):
         rng = np.random.default_rng(7)
-        n_flows = 420  # > _DENSE_MAX_FLOWS: the sparse branch
+        n_flows = 420
         links = [
             Link(
                 f"l{i}",
@@ -418,7 +420,15 @@ class TestSparseSolverWindow:
                 }
             )
         sparse = _run(specs)
-        monkeypatch.setattr(fluid, "_DENSE_MAX_FLOWS", float("inf"))
+
+        def oracle(link_cap, lids, frow, n_flows, caps, **kw):
+            incidence = np.zeros((link_cap.size, n_flows), dtype=bool)
+            incidence[lids, frow] = True
+            return maxmin_allocate(link_cap, incidence, caps), 0
+
+        # Every shared solve runs the dense reference loop instead.
+        monkeypatch.setattr(fluid, "waterfill_sparse", oracle)
+        monkeypatch.setattr(fluid, "_SCALAR_MAX_FLOWS", 0)
         dense = _run(specs)
         assert set(sparse[0]) == set(dense[0])  # everyone completes
         for name, t in dense[0].items():

@@ -30,7 +30,6 @@ from repro.util.stats import finite_mean, finite_quantile
 __all__ = [
     "ChaosCellStats",
     "chaos_cells",
-    "availability_by_mechanism",
     "mechanism_separation",
     "render_chaos",
 ]
@@ -135,21 +134,6 @@ def chaos_cells(
         key: _cell(groups[key], baselines.get(key[2], math.nan))
         for key in sorted(groups)
     }
-
-
-def availability_by_mechanism(
-    records: Sequence[ChaosRecord],
-) -> Dict[Tuple[str, str], Dict[str, float]]:
-    """Availability per (family, intensity), split by mechanism.
-
-    The study's acceptance view: under at least the gray and correlated
-    families, select / failover / stripe must separate measurably.
-    """
-    cells = chaos_cells(records)
-    out: Dict[Tuple[str, str], Dict[str, float]] = {}
-    for (family, intensity, mechanism), stats in cells.items():
-        out.setdefault((family, intensity), {})[mechanism] = stats.availability
-    return out
 
 
 def mechanism_separation(

@@ -27,7 +27,6 @@ from repro.trace.store import TraceStore
 
 __all__ = [
     "improvements_when_indirect",
-    "all_improvements",
     "indirect_utilization",
     "positive_given_indirect",
     "HeadlineStats",
@@ -40,11 +39,6 @@ def improvements_when_indirect(store: TraceStore) -> np.ndarray:
     """Improvement percentages of transfers that rode the indirect path."""
     sub = store.filter(used_indirect=True)
     return sub.column("improvement_percent")
-
-
-def all_improvements(store: TraceStore) -> np.ndarray:
-    """Improvement percentages of every transfer (direct selections included)."""
-    return store.column("improvement_percent")
 
 
 def indirect_utilization(store: TraceStore) -> float:

@@ -14,7 +14,7 @@ The policies that studies run:
 
 The §2-3 campaign needs no policy: its one candidate relay per transfer
 comes from a seeded per-client rotation
-(:meth:`~repro.workloads.experiment.Section2Study.relay_rotation`).
+(:func:`~repro.runner.plan.section2_relay_rotation`).
 
 Policies see feedback through :meth:`SelectionPolicy.observe`, which reports
 the offered set and the chosen path after every transfer.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.util.validation import check_positive
 
@@ -87,19 +87,6 @@ class ByteRange:
             return None
         return self.last - self.first + 1
 
-    def remainder(self, resource_size: int) -> Optional["ByteRange"]:
-        """The range covering everything *after* this one, or ``None``.
-
-        This is the paper's two-phase fetch: after probing
-        ``first_bytes(x)``, the client requests ``remainder(n)`` =
-        ``bytes=x-(n-1)`` over the selected path.
-        """
-        resolved = self.resolve(resource_size)
-        assert resolved.last is not None
-        if resolved.last >= resource_size - 1:
-            return None
-        return ByteRange(resolved.last + 1, resource_size - 1)
-
     def __str__(self) -> str:
         return self.header_value()
 
@@ -125,20 +112,9 @@ class HttpRequest:
     byte_range: Optional[ByteRange] = None
     via: Optional[str] = None
 
-    def headers(self) -> Dict[str, str]:
-        """The request headers this message carries."""
-        h = {"Host": self.host}
-        if self.byte_range is not None:
-            h["Range"] = self.byte_range.header_value()
-        return h
-
     def forwarded(self, relay: str) -> "HttpRequest":
         """The request as re-issued by a relay proxy toward the origin."""
         return HttpRequest(self.host, self.path, self.byte_range, via=relay)
-
-    @property
-    def is_range_request(self) -> bool:
-        return self.byte_range is not None
 
 
 @dataclass(frozen=True)
@@ -161,11 +137,3 @@ class HttpResponse:
         assert length is not None
         return length
 
-    @property
-    def is_partial(self) -> bool:
-        """True for 206 Partial Content responses."""
-        return self.status == 206
-
-    def content_range_header(self) -> str:
-        """Render the ``Content-Range`` header (206 responses)."""
-        return f"bytes {self.body_range.first}-{self.body_range.last}/{self.resource_size}"

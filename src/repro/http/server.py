@@ -45,15 +45,6 @@ class WebServer:
         except KeyError:
             raise KeyError(f"server {self.name!r} has no resource {path!r}") from None
 
-    def has_resource(self, path: str) -> bool:
-        """True if ``path`` is published on this server."""
-        return path in self._resources
-
-    @property
-    def resources(self) -> Dict[str, int]:
-        """A copy of the catalogue (path -> size)."""
-        return dict(self._resources)
-
     def handle(self, request: HttpRequest) -> HttpResponse:
         """Answer a request: 200 for full GETs, 206 for satisfiable ranges.
 

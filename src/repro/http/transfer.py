@@ -64,11 +64,6 @@ class HttpTransfer:
         return self.flow.done
 
     @property
-    def completed(self) -> bool:
-        """True only for successfully completed transfers."""
-        return self.flow.completed_at is not None and self.flow.remaining == 0.0
-
-    @property
     def delivered(self) -> float:
         """Body bytes delivered so far (full size once completed).
 

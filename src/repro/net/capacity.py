@@ -55,10 +55,6 @@ class CapacityProcess(abc.ABC):
     def sample(self, duration: float, rng: np.random.Generator) -> CapacityTrace:
         """Draw one realisation covering at least ``[0, duration]``."""
 
-    @abc.abstractmethod
-    def mean_capacity(self) -> float:
-        """The process's stationary mean capacity (bytes/second)."""
-
 
 @dataclass(frozen=True)
 class ConstantCapacity(CapacityProcess):
@@ -72,9 +68,6 @@ class ConstantCapacity(CapacityProcess):
     def sample(self, duration: float, rng: np.random.Generator) -> CapacityTrace:
         check_non_negative(duration, "duration")
         return CapacityTrace.constant(self.capacity)
-
-    def mean_capacity(self) -> float:
-        return self.capacity
 
 
 @dataclass(frozen=True)
@@ -160,17 +153,6 @@ class MarkovModulatedCapacity(CapacityProcess):
         # Full validation: a zero exponential draw repeats a breakpoint.
         return CapacityTrace(np.asarray(times), values)
 
-    def mean_capacity(self) -> float:
-        pi = np.asarray(self.stationary)
-        mults = np.asarray(self.multipliers)
-        return float(self.base * np.dot(pi, mults))
-
-    @property
-    def dynamic_range(self) -> float:
-        """max/min multiplier ratio; a crude variability index."""
-        lo = min(m for m in self.multipliers if m > 0.0)
-        return max(self.multipliers) / lo
-
 
 @dataclass(frozen=True)
 class LognormalAR1Capacity(CapacityProcess):
@@ -207,11 +189,8 @@ class LognormalAR1Capacity(CapacityProcess):
             y = phi * y + e
             log_dev.append(y)
         times = np.arange(n, dtype=np.float64) * self.step
-        # Divide by the lognormal mean so mean_capacity() == base.
+        # Divide by the lognormal mean so the stationary mean is ``base``.
         correction = math.exp(0.5 * self.sigma * self.sigma)
         values = self.base * np.exp(np.asarray(log_dev)) / correction
         # The grid rises strictly from 0.0 and exp() is non-negative.
         return CapacityTrace._trusted(times, values)
-
-    def mean_capacity(self) -> float:
-        return self.base

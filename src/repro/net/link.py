@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.net.trace import CapacityTrace, TraceCursor
+from repro.net.trace import CapacityTrace
 from repro.util.units import s_to_ms
 from repro.util.validation import check_non_negative
 
@@ -55,18 +55,6 @@ class Link:
         if not isinstance(self.trace, CapacityTrace):
             raise TypeError(f"trace must be a CapacityTrace, got {type(self.trace)!r}")
         check_non_negative(self.delay, "delay")
-
-    def capacity_at(self, t: float) -> float:
-        """Available capacity (bytes/second) at time ``t``."""
-        return self.trace.value_at(t)
-
-    def capacity_cursor(self) -> TraceCursor:
-        """A monotone query cursor over this link's capacity trace.
-
-        Amortised-O(1) for the non-decreasing query times of a simulation
-        consumer; see :class:`~repro.net.trace.TraceCursor`.
-        """
-        return TraceCursor(self.trace)
 
     def with_trace(self, trace: CapacityTrace) -> "Link":
         """A copy of this link with a different capacity trace."""

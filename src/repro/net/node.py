@@ -53,17 +53,5 @@ class Node:
         if not isinstance(self.kind, NodeKind):
             raise TypeError(f"kind must be a NodeKind, got {self.kind!r}")
 
-    @property
-    def is_client(self) -> bool:
-        return self.kind is NodeKind.CLIENT
-
-    @property
-    def is_relay(self) -> bool:
-        return self.kind is NodeKind.RELAY
-
-    @property
-    def is_server(self) -> bool:
-        return self.kind is NodeKind.SERVER
-
     def __str__(self) -> str:
         return self.name

@@ -60,16 +60,6 @@ class Route:
         return self.links[0].src
 
     @property
-    def destination(self) -> str:
-        """Name of the route's last endpoint."""
-        return self.links[-1].dst
-
-    @property
-    def one_way_delay(self) -> float:
-        """Sum of link propagation delays, in seconds."""
-        return self._one_way
-
-    @property
     def rtt(self) -> float:
         """Round-trip time in seconds (2x one-way delay)."""
         return 2.0 * self._one_way
@@ -107,10 +97,6 @@ class Route:
     def bottleneck_trace(self) -> CapacityTrace:
         """Pointwise-minimum capacity over the route's links."""
         return CapacityTrace.minimum([l.trace for l in self.links])
-
-    def bottleneck_at(self, t: float) -> float:
-        """Uncontended capacity of the route at time ``t``."""
-        return min(l.capacity_at(t) for l in self.links)
 
     def shares_link_with(self, other: "Route") -> bool:
         """True if the two routes traverse at least one common link.

@@ -118,15 +118,6 @@ class Topology:
         """True if a link with this canonical name exists."""
         return name in self._links
 
-    def has_wan_link(self, src: str, dst: str) -> bool:
-        """True if the ``src -> dst`` WAN segment exists."""
-        return self.has_link(wan_link_name(src, dst))
-
-    @property
-    def nodes(self) -> List[Node]:
-        """All registered nodes (insertion order)."""
-        return list(self._nodes.values())
-
     @property
     def links(self) -> List[Link]:
         """All registered links (insertion order)."""

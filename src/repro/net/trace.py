@@ -17,7 +17,7 @@ compiled to traces ahead of simulation, which gives us:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,7 +78,7 @@ class CapacityTrace:
     def _trusted(cls, times: np.ndarray, values: np.ndarray) -> "CapacityTrace":
         """Internal constructor for inputs that already satisfy the trace
         invariants (float64, strictly increasing from 0.0, non-negative,
-        equal length).  Used by the algebra methods, whose outputs preserve
+        equal length).  Used by :meth:`minimum`, whose output preserves
         those invariants structurally, to skip revalidation and re-dedup.
         """
         self = cls.__new__(cls)
@@ -105,12 +105,6 @@ class CapacityTrace:
         """A trace with a single constant capacity."""
         check_non_negative(capacity, "capacity")
         return cls([0.0], [capacity])
-
-    @classmethod
-    def from_steps(cls, steps: Iterable[Tuple[float, float]]) -> "CapacityTrace":
-        """Build from ``(time, value)`` pairs (must start at time 0)."""
-        pairs = list(steps)
-        return cls([p[0] for p in pairs], [p[1] for p in pairs])
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -163,14 +157,6 @@ class CapacityTrace:
         idx = int(np.searchsorted(self._times, t, side="right")) - 1
         return float(self._cum[idx] + (t - self._times[idx]) * self._values[idx])
 
-    def min_over(self, t0: float, t1: float) -> float:
-        """Minimum capacity attained anywhere in ``[t0, t1]``."""
-        if t1 < t0:
-            raise ValueError(f"t1={t1} must be >= t0={t0}")
-        i0 = max(int(np.searchsorted(self._times, t0, side="right")) - 1, 0)
-        i1 = max(int(np.searchsorted(self._times, t1, side="right")) - 1, i0)
-        return float(np.min(self._values[i0 : i1 + 1]))
-
     def mean_over(self, t0: float, t1: float) -> float:
         """Time-average capacity over ``[t0, t1]`` (value at a point if t0==t1)."""
         if t1 < t0:
@@ -182,32 +168,6 @@ class CapacityTrace:
     # ------------------------------------------------------------------ #
     # algebra
     # ------------------------------------------------------------------ #
-    def scaled(self, factor: float) -> "CapacityTrace":
-        """A new trace with every capacity multiplied by ``factor >= 0``."""
-        check_non_negative(factor, "factor")
-        # Times are unchanged (already validated/deduped); scaling by a
-        # non-negative factor keeps values non-negative.
-        return CapacityTrace._trusted(self._times, self._values * factor)
-
-    def clipped(self, cap: float) -> "CapacityTrace":
-        """A new trace with capacities clipped from above at ``cap``."""
-        check_non_negative(cap, "cap")
-        return CapacityTrace._trusted(self._times, np.minimum(self._values, cap))
-
-    def shifted(self, offset: float) -> "CapacityTrace":
-        """A new trace time-shifted *left* by ``offset`` (view from t=offset).
-
-        The returned trace at time ``s`` equals this trace at ``offset + s``.
-        Used to re-base a long scenario trace to a transfer's start time.
-        """
-        check_non_negative(offset, "offset")
-        idx = max(int(np.searchsorted(self._times, offset, side="right")) - 1, 0)
-        new_times = np.concatenate(([0.0], self._times[idx + 1 :] - offset))
-        new_values = self._values[idx:]
-        # times[idx+1:] are strictly greater than offset, so new_times is
-        # strictly increasing from 0.0 and the invariants hold by construction.
-        return CapacityTrace._trusted(new_times, new_values)
-
     @staticmethod
     def minimum(traces: Sequence["CapacityTrace"]) -> "CapacityTrace":
         """Pointwise minimum of several traces (union of breakpoints)."""
@@ -236,10 +196,6 @@ class CapacityTrace:
             f"CapacityTrace(pieces={self.n_pieces}, "
             f"mean={float(np.mean(self._values)):.1f} B/s)"
         )
-
-    def cursor(self) -> "TraceCursor":
-        """A fresh :class:`TraceCursor` over this trace."""
-        return TraceCursor(self)
 
 
 class TraceCursor:

@@ -48,7 +48,6 @@ __all__ = [
     "ObsRecord",
     "Observer",
     "global_observer",
-    "install_observer",
     "observe_enabled_from_env",
     "reset_global_observer",
     "shard_directory_from_env",
@@ -480,15 +479,6 @@ class Observer:
             "dropped": self.dropped,
         }
 
-    def reset(self) -> None:
-        """Drop every metric and record (sequence numbers restart at 0)."""
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
-        self.records.clear()
-        self.dropped = 0
-        self._seq = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Observer(track={self.track!r}, records={len(self.records)}, "
@@ -518,13 +508,6 @@ def global_observer(*, create: Optional[bool] = None) -> Optional[Observer]:
     if create:
         _GLOBAL = Observer()
     return _GLOBAL
-
-
-def install_observer(observer: Observer) -> Observer:
-    """Install ``observer`` as the process-global observer and return it."""
-    global _GLOBAL
-    _GLOBAL = observer
-    return observer
 
 
 def reset_global_observer() -> None:

@@ -297,108 +297,6 @@ class ObsTrace:
             out.append(f"{metric}_count {hist.total}")
         return "\n".join(out) + "\n" if out else ""
 
-    @classmethod
-    def from_prometheus(cls, text: str) -> "ObsTrace":
-        """Parse a :meth:`to_prometheus` dump back into metrics.
-
-        The inverse of the text exporter up to what the format keeps:
-        records are gone, metric names carry the sanitised Prometheus
-        spelling (the ``repro_`` exporter prefix is stripped so a parsed
-        trace re-exports byte-identically, minus min/max-clamp precision
-        in :meth:`summarize`), and histogram min/max are approximated by the
-        first/last occupied bucket edge (an overflow observation maps to
-        ``+inf``).  Cumulative ``le`` bucket lines are de-cumulated back
-        into per-bucket counts; a decreasing cumulative series or a
-        bucket/``_count`` mismatch raises ``ValueError`` - the parse-back
-        is the format's correctness check, not a lenient scraper.
-        """
-        counters: Dict[str, float] = {}
-        gauges: Dict[str, float] = {}
-        types: Dict[str, str] = {}
-        buckets: Dict[str, List[Tuple[float, int]]] = {}
-        inf_buckets: Dict[str, int] = {}
-        sums: Dict[str, float] = {}
-        counts: Dict[str, int] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.split()
-                if len(parts) == 4 and parts[1] == "TYPE":
-                    types[parts[2]] = parts[3]
-                continue
-            name_part, _, value_part = line.rpartition(" ")
-            if not name_part:
-                raise ValueError(f"prometheus line {lineno}: expected 'name value'")
-            try:
-                value = float(value_part)
-            except ValueError:
-                raise ValueError(
-                    f"prometheus line {lineno}: bad value {value_part!r}"
-                )
-            if name_part.endswith("}") and '_bucket{le="' in name_part:
-                metric, _, label = name_part.partition('_bucket{le="')
-                metric = _strip_prom_prefix(metric)
-                le = label[:-2]  # strip '"}'
-                if le == "+Inf":
-                    inf_buckets[metric] = int(value)
-                else:
-                    buckets.setdefault(metric, []).append((float(le), int(value)))
-            elif name_part.endswith("_sum") and types.get(name_part[:-4]) == "histogram":
-                sums[_strip_prom_prefix(name_part[:-4])] = value
-            elif (
-                name_part.endswith("_count")
-                and types.get(name_part[:-6]) == "histogram"
-            ):
-                counts[_strip_prom_prefix(name_part[:-6])] = int(value)
-            elif types.get(name_part) == "gauge":
-                gauges[_strip_prom_prefix(name_part)] = value
-            else:
-                counters[_strip_prom_prefix(name_part)] = value
-        histograms: Dict[str, Histogram] = {}
-        for metric in sorted(set(buckets) | set(inf_buckets)):
-            series = buckets.get(metric, [])
-            bounds = [b for b, _ in series]
-            if bounds != sorted(bounds) or len(set(bounds)) != len(bounds):
-                raise ValueError(f"histogram {metric!r}: bucket bounds not increasing")
-            total = inf_buckets.get(metric, series[-1][1] if series else 0)
-            if metric in counts and counts[metric] != total:
-                raise ValueError(
-                    f"histogram {metric!r}: _count {counts[metric]} != "
-                    f"+Inf bucket {total}"
-                )
-            hist = Histogram(bounds=bounds or (1.0,))
-            prev = 0
-            for i, (_bound, cum) in enumerate(series):
-                if cum < prev:
-                    raise ValueError(
-                        f"histogram {metric!r}: cumulative bucket counts decrease"
-                    )
-                hist.counts[i] = cum - prev
-                prev = cum
-            if total < prev:
-                raise ValueError(
-                    f"histogram {metric!r}: +Inf bucket below last le bucket"
-                )
-            hist.counts[-1] = total - prev
-            hist.total = total
-            hist.sum = sums.get(metric, 0.0)
-            if total > 0:
-                occupied = [i for i, c in enumerate(hist.counts) if c > 0]
-                hist.min = (
-                    hist.bounds[occupied[0]]
-                    if occupied[0] < len(hist.bounds)
-                    else float("inf")
-                )
-                hist.max = (
-                    hist.bounds[occupied[-1]]
-                    if occupied[-1] < len(hist.bounds)
-                    else float("inf")
-                )
-            histograms[metric] = hist
-        return cls(counters=counters, gauges=gauges, histograms=histograms, records=[])
-
     # ------------------------------------------------------------------ #
     # human-readable summary
     # ------------------------------------------------------------------ #
@@ -461,11 +359,6 @@ class ObsTrace:
                     f" p99={hist.quantile(0.99):.6g}"
                 )
         return "\n".join(lines) + "\n"
-
-
-def _strip_prom_prefix(name: str) -> str:
-    """Undo the exporter's ``repro_`` prefix (sanitisation is lossy)."""
-    return name[len("repro_"):] if name.startswith("repro_") else name
 
 
 def _prom_name(name: str) -> str:

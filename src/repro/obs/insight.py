@@ -113,12 +113,6 @@ class SessionPhases:
     def duration(self) -> float:
         return self.end - self.start
 
-    def fraction(self, phase: str) -> float:
-        """Share of the session spent in ``phase``; NaN for zero-length."""
-        if self.duration <= 0.0:
-            return math.nan
-        return self.phases.get(phase, 0.0) / self.duration
-
 
 @dataclass(frozen=True)
 class TailAttribution:

@@ -152,10 +152,6 @@ class PathMonitor:
         self._schedule_probe(path, delay=self.period)
 
     # ------------------------------------------------------------------ #
-    def estimate(self, label: str) -> Optional[PathEstimate]:
-        """Latest estimate for a path, or ``None`` if never measured."""
-        return self._estimates.get(label)
-
     def fresh_estimates(self, now: Optional[float] = None) -> List[PathEstimate]:
         """All estimates younger than ``stale_after``, best first."""
         now = self._network.sim.now if now is None else now
@@ -175,14 +171,3 @@ class PathMonitor:
             allowed = set(among)
             candidates = [e for e in candidates if e.label in allowed]
         return candidates[0].label if candidates else None
-
-    def path_by_label(self, label: str) -> OverlayPath:
-        """The monitored path object with the given label."""
-        for p in self._paths:
-            if p.label == label:
-                return p
-        raise KeyError(f"monitor does not track path {label!r}")
-
-    @property
-    def labels(self) -> List[str]:
-        return [p.label for p in self._paths]

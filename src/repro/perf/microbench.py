@@ -39,18 +39,6 @@ class Measurement:
     #: Total wall-clock seconds spent measuring (all rounds + warm-up).
     elapsed_s: float
 
-    @property
-    def seconds_per_op(self) -> float:
-        """Best observed seconds per operation."""
-        return self.ns_per_op / NS_PER_S
-
-    @property
-    def ops_per_s(self) -> float:
-        """Best observed operation throughput."""
-        if self.ns_per_op <= 0.0:
-            return float("inf")
-        return NS_PER_S / self.ns_per_op
-
 
 def measure(
     fn: Callable[[], Any],

@@ -21,6 +21,10 @@ what arguments, and what flows back.  This module builds that picture:
   candidate).  Name matching over-approximates the true graph, which is the
   right bias for a checker: it may follow impossible edges but never misses
   a real one.
+* **References** - every other ``Name``/``Attribute`` load that resolves the
+  same way (a callback passed as an argument, a registry entry, a property
+  read) is a reference edge.  Code that runs on import (module and class
+  bodies, decorators, defaults) names the roots every tree starts from.
 
 The graph is deliberately flow-insensitive and type-free - no inference
 engine, no third-party dependencies - because the downstream passes only
@@ -32,7 +36,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.qa.files import iter_python_files, read_source
 
@@ -182,6 +186,10 @@ class Project:
         self.classes: Dict[str, ClassInfo] = {}
         self.calls_by_caller: Dict[str, List[CallSite]] = {}
         self.callers_of: Dict[str, List[CallSite]] = {}
+        #: Caller qualname (or module name, for import-time code) -> every
+        #: qualname it names without calling.  Kept apart from the call
+        #: sites because the taint passes read call-site arguments.
+        self.refs_by_caller: Dict[str, Set[str]] = {}
         #: method name -> qualnames of every class method with that name.
         self._method_index: Dict[str, List[str]] = {}
 
@@ -214,12 +222,6 @@ class Project:
     def callers(self, qualname: str) -> List[CallSite]:
         return self.callers_of.get(qualname, [])
 
-    def class_of_method(self, qualname: str) -> Optional[ClassInfo]:
-        info = self.functions.get(qualname)
-        if info is None or info.cls is None:
-            return None
-        return self.classes.get(info.cls)
-
     def resolve_in_module(self, module: ModuleInfo, name: str) -> Optional[str]:
         """Resolve a bare name in module scope to a known qualname."""
         if name in module.functions:
@@ -234,7 +236,12 @@ class Project:
         return None
 
     def reachable_from(self, entries: Iterable[str]) -> Set[str]:
-        """Transitive closure of callees (and constructors) from ``entries``."""
+        """Transitive closure of callees and references from ``entries``.
+
+        A reached class reaches its dunder methods and the ``visit_*`` /
+        ``generic_visit`` methods its dispatcher calls; any other method
+        is reached only by name.  A reached ``__init__`` reaches its class.
+        """
         seen: Set[str] = set()
         stack = [e for e in entries if e in self.functions or e in self.classes]
         while stack:
@@ -243,28 +250,30 @@ class Project:
                 continue
             seen.add(cur)
             for site in self.calls_in(cur):
-                for callee in site.callees:
-                    if callee not in seen:
-                        stack.append(callee)
+                stack.extend(site.callees)
+            stack.extend(self.refs_by_caller.get(cur, ()))
             cls = self.classes.get(cur)
             if cls is not None:
-                for qual in cls.methods.values():
-                    if qual not in seen:
-                        stack.append(qual)
+                stack.extend(
+                    qual for name, qual in cls.methods.items() if _reached_with_class(name)
+                )
+            info = self.functions.get(cur)
+            if info is not None and info.name == "__init__" and info.cls is not None:
+                stack.append(info.cls)
         return seen
 
     def entry_points(self) -> Tuple[str, ...]:
         """Study/CLI entry points for reachability filters.
 
         CLI command handlers, ``main`` functions, study ``run*`` methods,
-        the campaign executor, worker bootstraps, and every function a
-        study registry entry names (a module-level ``Study(...)``: the CLI
-        and the runner reach its planner and unit runner only through the
-        registry).  When the analyzed tree contains none of these (e.g. a
-        test fixture package), every module-level function is treated as
-        an entry point so the passes still have a root set.
+        the campaign executor and worker bootstraps, plus everything that
+        import-time code names (module and class bodies, decorators,
+        defaults: a study registry entry, a bench table).  When the
+        analyzed tree contains none of the named entry points (e.g. a test
+        fixture package), every module-level function is one as well so
+        the passes still have a root set.
         """
-        entries: List[str] = list(self._registered_functions())
+        entries: List[str] = []
         for info in self.functions.values():
             base = info.name
             mod_tail = info.module.rsplit(".", 1)[-1]
@@ -284,22 +293,18 @@ class Project:
                 for info in self.functions.values()
                 if info.cls is None and not info.nested
             ]
+        for module in self.modules:
+            entries.extend(self.refs_by_caller.get(module, ()))
         return tuple(sorted(set(entries)))
 
-    def _registered_functions(self) -> Iterable[str]:
-        """Functions passed by keyword to a module-level ``Study(...)``."""
-        for module in self.modules.values():
-            for stmt in module.tree.body:
-                if not (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call)):
-                    continue
-                written = dotted_name(stmt.value.func)
-                if written is None or written.rsplit(".", 1)[-1] != "Study":
-                    continue
-                for keyword in stmt.value.keywords:
-                    if isinstance(keyword.value, ast.Name):
-                        target = self.resolve_in_module(module, keyword.value.id)
-                        if target in self.functions:
-                            yield target
+
+def _reached_with_class(method: str) -> bool:
+    """True for methods the runtime calls on a class nobody names them on."""
+    return (
+        (method.startswith("__") and method.endswith("__"))
+        or method.startswith("visit_")
+        or method == "generic_visit"
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -466,32 +471,96 @@ class _DefCollector(ast.NodeVisitor):
 # --------------------------------------------------------------------------- #
 # call resolution
 # --------------------------------------------------------------------------- #
-class _CallCollector(ast.NodeVisitor):
-    """Resolve every call expression inside one function body."""
+def _nested_defs(func: FunctionInfo) -> Dict[str, str]:
+    """Name -> qualname of the defs in ``func``'s own body, at any depth of
+    ``if``/``for``/``with`` but not inside nested defs or classes."""
+    out: Dict[str, str] = {}
+    stack = list(ast.iter_child_nodes(func.node))
+    while stack:
+        child = stack.pop()
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out[child.name] = f"{func.qualname}.{child.name}"
+        elif not isinstance(child, (ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(child))
+    return out
 
-    def __init__(self, project: Project, module: ModuleInfo, func: FunctionInfo):
+
+class _CallCollector(ast.NodeVisitor):
+    """Resolve every call and reference inside one function body.
+
+    With ``func=None`` it walks a module's import-time code instead: the
+    module body, class bodies, and the decorators and defaults of each
+    def.  That code's names are recorded as references of the module; its
+    calls are not call sites (no pass reads arguments at import time).
+    """
+
+    def __init__(
+        self, project: Project, module: ModuleInfo, func: Optional[FunctionInfo]
+    ):
         self.project = project
         self.module = module
         self.func = func
-        #: Names defined locally inside this function (nested defs).
+        self.caller = module.name if func is None else func.qualname
+        #: Defs visible as bare names: this function's nested defs, then
+        #: those of each enclosing function (a closure calls its siblings).
         self.local_funcs: Dict[str, str] = {}
-        node = func.node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.local_funcs[child.name] = f"{func.qualname}.{child.name}"
+        scope = func
+        while scope is not None:
+            for name, qual in _nested_defs(scope).items():
+                self.local_funcs.setdefault(name, qual)
+            parent = scope.qualname.rsplit(".", 1)[0]
+            scope = project.functions.get(parent) if scope.nested else None
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        return  # nested bodies are collected under their own FunctionInfo
+        # Nested bodies are collected under their own FunctionInfo; at
+        # import time only the decorators and defaults run.
+        if self.func is None:
+            self._visit_def_header(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        return
+        if self.func is None:
+            self._visit_def_header(node)
+
+    def _visit_def_header(self, node: Union[ast.FunctionDef, ast.AsyncFunctionDef]) -> None:
+        defaults = [*node.args.defaults, *node.args.kw_defaults]
+        for expr in [*node.decorator_list, *defaults]:
+            if expr is not None:
+                self.visit(expr)
 
     def visit_Call(self, node: ast.Call) -> None:
+        if self.func is None:
+            self.generic_visit(node)
+            return
         site = self._resolve(node)
         self.project.calls_by_caller.setdefault(self.func.qualname, []).append(site)
         for callee in site.callees:
             self.project.callers_of.setdefault(callee, []).append(site)
-        self.generic_visit(node)
+        # The callee expression is the call edge; its receiver is a reference.
+        if isinstance(node.func, ast.Attribute):
+            self.visit(node.func.value)
+        elif not isinstance(node.func, ast.Name):
+            self.visit(node.func)
+        for arg in node.args:
+            self.visit(arg)
+        for keyword in node.keywords:
+            self.visit(keyword)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if not isinstance(node.ctx, ast.Load):
+            return
+        target = self.local_funcs.get(node.id) or self.project.resolve_in_module(
+            self.module, node.id
+        )
+        if target is not None:
+            self._refer((target,))
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if isinstance(node.ctx, ast.Load):
+            self._refer(self._resolve_attribute(node)[0])
+        self.visit(node.value)
+
+    def _refer(self, targets: Iterable[str]) -> None:
+        self.project.refs_by_caller.setdefault(self.caller, set()).update(targets)
 
     def _constructor_target(self, class_qual: str) -> Tuple[Tuple[str, ...], str]:
         cls = self.project.classes.get(class_qual)
@@ -544,6 +613,7 @@ class _CallCollector(ast.NodeVisitor):
         if (
             isinstance(func.value, ast.Name)
             and func.value.id in ("self", "cls")
+            and self.func is not None
             and self.func.cls is not None
         ):
             resolved = self._lookup_method(self.func.cls, func.attr, set())
@@ -608,8 +678,10 @@ def build_project(paths: Sequence[str]) -> Project:
         _collect_imports(module)
         _DefCollector(project, module).visit(tree)
     project._index_methods()
-    # Pass 2: resolve calls, now that every definition is known.
+    # Pass 2: resolve calls and references, now that every definition is
+    # known.
     for module in project.modules.values():
+        _CallCollector(project, module, None).visit(module.tree)
         for qual, info in list(project.functions.items()):
             if info.module != module.name:
                 continue

@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.qa.rules import RULES
 
-__all__ = ["FlowFinding", "render_text", "to_sarif", "validate_sarif"]
+__all__ = ["FlowFinding", "to_sarif", "validate_sarif"]
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
@@ -57,13 +57,6 @@ class FlowFinding:
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.code)
-
-
-def render_text(
-    findings: Sequence[FlowFinding], *, hints: bool = True
-) -> str:
-    """Human-readable report, one block per finding."""
-    return "\n".join(f.format(hints=hints) for f in findings)
 
 
 # --------------------------------------------------------------------------- #

@@ -232,7 +232,6 @@ ARTEFACT_CTORS: Set[str] = {
 #: Method/function basenames that persist their arguments.
 ARTEFACT_CALLS: Set[str] = {
     "save_jsonl",
-    "save_csv",
     "write_manifest",
     "span",
     "event",

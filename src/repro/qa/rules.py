@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-__all__ = ["Rule", "Invariant", "RULES", "INVARIANTS", "rule", "invariant"]
+__all__ = ["Rule", "Invariant", "RULES", "INVARIANTS"]
 
 #: Library subpackages that constitute the simulation core: wall-clock access
 #: is banned there outright (QA-D004).
@@ -315,7 +315,7 @@ _RULE_LIST: Tuple[Rule, ...] = (
         ),
         scope="library",
         example_bad="sim._now = 0.0",
-        example_good="sim.reset(start_time=0.0)",
+        example_good="sim = Simulator(start_time=0.0)",
     ),
 )
 
@@ -424,13 +424,3 @@ def _index_invariants(invs: Tuple[Invariant, ...]) -> Dict[str, Invariant]:
 RULES: Dict[str, Rule] = _index_rules(_RULE_LIST)
 #: Code -> runtime invariant, in catalogue order.
 INVARIANTS: Dict[str, Invariant] = _index_invariants(_INVARIANT_LIST)
-
-
-def rule(code: str) -> Rule:
-    """Look up a lint rule by its ``QA-*`` code."""
-    return RULES[code]
-
-
-def invariant(code: str) -> Invariant:
-    """Look up a runtime invariant by its ``QA-R*`` code."""
-    return INVARIANTS[code]

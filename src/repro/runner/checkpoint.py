@@ -140,7 +140,6 @@ class CheckpointStore:
         self.num_shards = num_shards
         self._handles: Dict[int, IO[str]] = {}
         self._dirty: Dict[int, bool] = {}
-        self._appended = 0
         #: Corrupted shards set aside by the last :meth:`completed_units`.
         self.quarantines: List[ShardQuarantine] = []
 
@@ -251,12 +250,6 @@ class CheckpointStore:
         )
         handle.write("\n")
         self._dirty[shard] = True
-        self._appended += 1
-
-    @property
-    def appended(self) -> int:
-        """Units appended through this handle (excludes pre-existing ones)."""
-        return self._appended
 
     def flush(self) -> None:
         """Flush and fsync every dirty shard handle."""
@@ -348,14 +341,6 @@ class CheckpointStore:
             n += 1
         os.replace(path, target)
         return target
-
-    def merge(self, plan: CampaignPlan) -> TraceStore:
-        """Merge all shards into one store ordered by the plan's sort key.
-
-        Every plan unit must be present and carry the expected unit id.
-        """
-        done = self.completed_units()
-        return merge_completed(plan, done)
 
     # ------------------------------------------------------------------ #
     # summary

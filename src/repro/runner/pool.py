@@ -479,9 +479,15 @@ def _run_parallel(
             handle.head_since = state.clock()
             if state.obs is not None:
                 dispatched = enqueued_at.pop(unit.index, started_at)
+                # 1-2-5 steps: waits are milliseconds to seconds, and a
+                # decade bucket's upper edge would read them all as 0.1 s.
                 state.obs.observe_value(
                     "runner.queue_wait_seconds",
                     max(0.0, started_at - dispatched),
+                    bounds=(
+                        1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 0.01, 0.02, 0.05,
+                        0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0,
+                    ),
                 )
                 state.unit_span(
                     unit, started_at, handle.head_since,

@@ -186,9 +186,6 @@ class ProgressReporter:
             f"({self.worker_failures[worker]} failure(s) there); {verb}\n"
         )
 
-    def note(self, message: str) -> None:
-        self._write(f"[{self._label}] {message}\n")
-
     def finish(self) -> None:
         self._emit(force=True)
         if self._tty and self._enabled:

@@ -213,12 +213,6 @@ class Simulator:
             if predicate():
                 return self._now
 
-    def reset(self, *, start_time: float = 0.0) -> None:
-        """Drop all pending events and rewind the clock (for reuse in tests)."""
-        self._queue.clear()
-        self._now = float(start_time)
-        self._processed = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Simulator(now={self._now:.6f}, pending={self.pending_events}, "

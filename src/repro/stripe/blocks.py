@@ -144,10 +144,6 @@ class BlockScheduler:
         last = min(first + self._block_bytes, self._size) - 1
         return ByteRange(first, last)
 
-    def block_length(self, block: int) -> int:
-        """Payload bytes of block ``block`` (the last block may be short)."""
-        return self.block_range(block).length
-
     @property
     def complete(self) -> bool:
         """True once every block has been committed."""

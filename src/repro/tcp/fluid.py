@@ -184,11 +184,6 @@ class FluidNetwork:
         """The simulator this network schedules on."""
         return self._sim
 
-    @property
-    def active_flows(self) -> List[FluidFlow]:
-        """Currently active (transferring) flows."""
-        return list(self._active.values())
-
     # ------------------------------------------------------------------ #
     # user API
     # ------------------------------------------------------------------ #

@@ -15,13 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_positive
 
 __all__ = [
     "MSS",
     "DEFAULT_INITIAL_WINDOW",
     "DEFAULT_MAX_WINDOW",
-    "ideal_transfer_time",
     "SlowStartRamp",
 ]
 
@@ -33,42 +32,6 @@ DEFAULT_INITIAL_WINDOW: float = 2.0 * MSS
 
 #: Default maximum window in bytes (64 KB classic receive window).
 DEFAULT_MAX_WINDOW: float = 65_536.0
-
-
-def ideal_transfer_time(
-    size: float,
-    capacity: float,
-    rtt: float,
-    *,
-    initial_window: float = DEFAULT_INITIAL_WINDOW,
-    max_window: float = float("inf"),
-) -> float:
-    """Transfer time under slow start followed by capacity-limited delivery.
-
-    A fluid idealisation: rate ramps as ``w0 * 2^k / rtt`` per round until it
-    reaches ``min(capacity, max_window / rtt)``, then stays there.  This is
-    the closed-form counterpart of the simulator's per-flow rate cap and is
-    used in tests to validate the engine on a single uncontended link.
-    """
-    check_non_negative(size, "size")
-    check_positive(capacity, "capacity")
-    check_positive(rtt, "rtt")
-    if size == 0.0:
-        return 0.0
-    ceiling = min(capacity, max_window / rtt if max_window != float("inf") else float("inf"))
-    if ceiling <= 0.0:
-        raise ValueError("effective rate ceiling must be positive")
-    t = 0.0
-    delivered = 0.0
-    rate = initial_window / rtt
-    while rate < ceiling:
-        step_bytes = rate * rtt
-        if delivered + step_bytes >= size:
-            return t + (size - delivered) / rate
-        delivered += step_bytes
-        t += rtt
-        rate *= 2.0
-    return t + (size - delivered) / ceiling
 
 
 @dataclass(frozen=True)
@@ -99,11 +62,6 @@ class SlowStartRamp:
             "_rounds_to_peak",
             int(math.ceil(math.log2(self.max_window / self.initial_window))),
         )
-
-    @property
-    def peak_rate(self) -> float:
-        """The window-limited ceiling ``W_max / RTT``."""
-        return self.max_window / self.rtt
 
     # Relative slack when mapping elapsed time to a doubling round: event
     # times accumulate float error, so an elapsed value one ulp short of a

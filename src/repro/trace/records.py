@@ -370,13 +370,6 @@ class StripeRecord(TransferRecord):
         return self.outcome == "degraded"
 
     @property
-    def delivered_fraction(self) -> float:
-        """Payload delivered relative to the object size (1.0 when whole)."""
-        if self.file_bytes <= 0.0:
-            return 0.0
-        return min(self.bytes_received, self.file_bytes) / self.file_bytes
-
-    @property
     def wasted_fraction(self) -> float:
         """Duplicate/discarded bytes relative to the object size."""
         if self.file_bytes <= 0.0:
@@ -627,13 +620,6 @@ class ScaleRecord(TransferRecord):
         if self.n_clients == 0:
             return 0.0
         return self.n_indirect / self.n_clients
-
-    @property
-    def sim_transfers_per_sec(self) -> float:
-        """Completed transfers per *simulated* second (0 for empty waves)."""
-        if self.makespan <= 0.0:
-            return 0.0
-        return self.n_completed / self.makespan
 
     @property
     def sort_key(self) -> Tuple:

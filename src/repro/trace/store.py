@@ -3,12 +3,11 @@
 The analysis layer consumes measurements as numpy arrays;
 :class:`TraceStore` provides filtered views and column extraction so every
 figure/table computation is a vectorised pass over the selected rows.
-Persistence uses JSON Lines (self-describing, diff-friendly) and CSV.
+Persistence uses JSON Lines (self-describing, diff-friendly).
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Optional, Union
@@ -94,24 +93,6 @@ class TraceStore:
         return groups
 
     # ------------------------------------------------------------------ #
-    # merging
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def merge(cls, stores: Iterable["TraceStore"]) -> "TraceStore":
-        """Combine stores into one, ordered by the records' stable sort key.
-
-        Because :attr:`TransferRecord.sort_key` is a total order over a
-        campaign's coordinates, merging the same records partitioned any
-        way (per-shard outputs, per-client stores, resumed fragments)
-        yields an identical sequence - the property the campaign runner's
-        shard merge relies on.  Duplicate records are kept; deduplicate
-        upstream if shards may overlap.
-        """
-        records = [r for store in stores for r in store]
-        records.sort(key=lambda r: r.sort_key)
-        return cls(records)
-
-    # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #
     def save_jsonl(self, path: PathLike, *, append: bool = False) -> None:
@@ -119,7 +100,8 @@ class TraceStore:
 
         ``append=True`` adds to an existing file instead of truncating -
         the idiom for accumulating shard outputs into one store file
-        (pair with :meth:`merge` / a stable sort for determinism).
+        (pair with a sort on :attr:`TransferRecord.sort_key` for
+        determinism).
         """
         p = Path(path)
         with p.open("a" if append else "w", encoding="utf-8") as fh:
@@ -137,62 +119,4 @@ class TraceStore:
                 line = line.strip()
                 if line:
                     store.append(TransferRecord.from_dict(json.loads(line)))
-        return store
-
-    _CSV_FIELDS = (
-        "study",
-        "client",
-        "site",
-        "repetition",
-        "start_time",
-        "set_size",
-        "offered",
-        "selected_via",
-        "direct_throughput",
-        "selected_throughput",
-        "end_to_end_throughput",
-        "probe_overhead",
-        "file_bytes",
-        "direct_class",
-        "direct_variability",
-    )
-
-    def save_csv(self, path: PathLike) -> None:
-        """Write a flat CSV (offered set is pipe-joined)."""
-        p = Path(path)
-        with p.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=self._CSV_FIELDS)
-            writer.writeheader()
-            for r in self._records:
-                d = r.to_dict()
-                d["offered"] = "|".join(d["offered"])
-                d["selected_via"] = d["selected_via"] or ""
-                writer.writerow({k: d[k] for k in self._CSV_FIELDS})
-
-    @classmethod
-    def load_csv(cls, path: PathLike) -> "TraceStore":
-        """Read a store written by :meth:`save_csv`."""
-        p = Path(path)
-        store = cls()
-        with p.open("r", newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                store.append(
-                    TransferRecord(
-                        study=row["study"],
-                        client=row["client"],
-                        site=row["site"],
-                        repetition=int(row["repetition"]),
-                        start_time=float(row["start_time"]),
-                        set_size=int(row["set_size"]),
-                        offered=tuple(x for x in row["offered"].split("|") if x),
-                        selected_via=row["selected_via"] or None,
-                        direct_throughput=float(row["direct_throughput"]),
-                        selected_throughput=float(row["selected_throughput"]),
-                        end_to_end_throughput=float(row["end_to_end_throughput"]),
-                        probe_overhead=float(row["probe_overhead"]),
-                        file_bytes=float(row["file_bytes"]),
-                        direct_class=row["direct_class"],
-                        direct_variability=row["direct_variability"],
-                    )
-                )
         return store

@@ -16,7 +16,7 @@ share one ``Generator`` across logically distinct processes.
 from __future__ import annotations
 
 import hashlib
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -87,10 +87,6 @@ class SeedBank:
         ``bank.child("workload")`` cannot collide with ``bank.child("net")``.
         """
         return SeedBank(self.seed(*labels))
-
-    def spawn_generators(self, label: Label, n: int) -> Tuple[np.random.Generator, ...]:
-        """Return ``n`` independent generators under a common label."""
-        return tuple(self.generator(label, i) for i in range(int(n)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SeedBank(root_seed={self._root})"

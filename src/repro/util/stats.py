@@ -21,7 +21,6 @@ __all__ = [
     "percent_histogram",
     "fraction_between",
     "fraction_below",
-    "percentile",
     "coefficient_of_variation",
     "finite_mean",
     "finite_quantile",
@@ -50,10 +49,6 @@ class Summary:
     std: float
     minimum: float
     maximum: float
-
-    def as_tuple(self) -> Tuple[int, float, float, float, float, float]:
-        """Return ``(count, mean, median, std, min, max)``."""
-        return (self.count, self.mean, self.median, self.std, self.minimum, self.maximum)
 
 
 _EMPTY_SUMMARY = Summary(0, float("nan"), float("nan"), float("nan"), float("nan"), float("nan"))
@@ -124,16 +119,6 @@ def fraction_below(values: Sequence[float], threshold: float) -> float:
     if arr.size == 0:
         return float("nan")
     return float(np.mean(arr < threshold))
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0-100) of ``values`` (NaN when empty)."""
-    arr = _as_array(values)
-    if arr.size == 0:
-        return float("nan")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"q must lie in [0, 100], got {q!r}")
-    return float(np.percentile(arr, q))
 
 
 def coefficient_of_variation(values: Sequence[float]) -> float:

@@ -13,7 +13,6 @@ from typing import Any, Sequence
 import numpy as np
 
 __all__ = [
-    "require",
     "check_positive",
     "check_non_negative",
     "check_in_range",
@@ -21,12 +20,6 @@ __all__ = [
     "check_sorted",
     "check_same_length",
 ]
-
-
-def require(condition: bool, message: str) -> None:
-    """Raise :class:`ValueError` with ``message`` unless ``condition`` holds."""
-    if not condition:
-        raise ValueError(message)
 
 
 def check_positive(value: float, name: str) -> float:

@@ -20,7 +20,7 @@ network conditions without interfering.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.core.policy import SelectionPolicy
 from repro.core.probe import ProbeMode
@@ -220,12 +220,6 @@ class Section2Study:
                 f"schedule needs {needed:.0f}s but scenario horizon is "
                 f"{self.scenario.spec.horizon:.0f}s"
             )
-
-    def relay_rotation(self, client: str) -> List[str]:
-        """The seeded per-client order in which relays take the indirect path."""
-        from repro.runner.plan import section2_relay_rotation
-
-        return section2_relay_rotation(self.scenario, client)
 
     def plan(
         self,

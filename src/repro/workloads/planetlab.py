@@ -12,7 +12,7 @@ DESIGN.md §2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 __all__ = [
     "CatalogEntry",
@@ -128,12 +128,3 @@ SITES: Tuple[str, ...] = ("eBay", "Google", "Microsoft", "Yahoo")
 #: The paper's detailed analyses all use the eBay data set.
 DEFAULT_SITE: str = "eBay"
 
-
-def client_names() -> List[str]:
-    """Names of all Table IV clients."""
-    return [e.name for e in CLIENT_CATALOG]
-
-
-def relay_names() -> List[str]:
-    """Names of all Table V relays."""
-    return [e.name for e in RELAY_CATALOG]

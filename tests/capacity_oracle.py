@@ -4,7 +4,9 @@
 :class:`repro.net.capacity.LognormalAR1Capacity` draw the same RNG stream
 and return the same trace bits as these loops, without their per-step
 ``rng.choice`` validation and numpy-scalar arithmetic.  The loops are kept
-here - and only here - as the oracle the samplers are checked against.
+here - and only here - as the oracle the samplers are checked against,
+next to the processes' analytic stationary means that calibration tests
+compare against.
 """
 
 import math
@@ -12,6 +14,11 @@ from typing import List
 
 import numpy as np
 
+from repro.net.capacity import (
+    ConstantCapacity,
+    LognormalAR1Capacity,
+    MarkovModulatedCapacity,
+)
 from repro.net.trace import CapacityTrace
 
 
@@ -55,3 +62,20 @@ def ar1_sample(proc, duration: float, rng: np.random.Generator) -> CapacityTrace
     correction = math.exp(0.5 * proc.sigma * proc.sigma)
     values = proc.base * np.exp(log_dev) / correction
     return CapacityTrace(times, values)
+
+
+def mean_capacity(proc) -> float:
+    """The stationary mean capacity (bytes/second) of a capacity process."""
+    if isinstance(proc, ConstantCapacity):
+        return proc.capacity
+    if isinstance(proc, LognormalAR1Capacity):
+        return proc.base
+    pi = np.asarray(proc.stationary)
+    mults = np.asarray(proc.multipliers)
+    return float(proc.base * np.dot(pi, mults))
+
+
+def dynamic_range(proc: MarkovModulatedCapacity) -> float:
+    """max/min positive multiplier ratio; a crude variability index."""
+    lo = min(m for m in proc.multipliers if m > 0.0)
+    return max(proc.multipliers) / lo

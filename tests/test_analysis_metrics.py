@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.analysis.metrics import (
-    all_improvements,
     headline_stats,
     improvements_when_indirect,
     indirect_utilization,
@@ -49,9 +48,6 @@ class TestImprovements:
     def test_conditional_improvements(self):
         imps = improvements_when_indirect(store())
         assert sorted(imps.tolist()) == pytest.approx([-20.0, 50.0, 100.0])
-
-    def test_all_improvements_include_direct(self):
-        assert all_improvements(store()).size == 4
 
     def test_utilization(self):
         assert indirect_utilization(store()) == pytest.approx(0.75)

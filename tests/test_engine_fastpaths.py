@@ -76,7 +76,7 @@ class TestTraceCursor:
     @given(trace_and_queries())
     def test_matches_searchsorted_forward(self, case):
         trace, queries = case
-        cursor = trace.cursor()
+        cursor = TraceCursor(trace)
         for t in sorted(queries):
             assert cursor.value_at(t) == trace.value_at(t)
             assert cursor.next_change_after(t) == trace.next_change_after(t)
@@ -88,14 +88,14 @@ class TestTraceCursor:
         # contract is amortised O(1) for monotone queries but *correct* for
         # any order.
         trace, queries = case
-        cursor = trace.cursor()
+        cursor = TraceCursor(trace)
         for t in queries:
             assert cursor.value_at(t) == trace.value_at(t)
             assert cursor.next_change_after(t) == trace.next_change_after(t)
 
     def test_explicit_backward_seek(self):
-        trace = CapacityTrace.from_steps([(0.0, 10.0), (1.0, 20.0), (2.0, 30.0)])
-        cursor = trace.cursor()
+        trace = CapacityTrace([0.0, 1.0, 2.0], [10.0, 20.0, 30.0])
+        cursor = TraceCursor(trace)
         assert cursor.value_at(5.0) == 30.0  # advance to the last piece
         assert cursor.value_at(0.5) == 10.0  # seek back to the first
         assert cursor.next_change_after(0.5) == 1.0
@@ -107,13 +107,6 @@ class TestTraceCursor:
         assert cursor.trace is trace
         assert cursor.value_at(0.0) == 100.0
         assert cursor.next_change_after(0.0) == float("inf")
-
-    def test_link_capacity_cursor(self):
-        trace = CapacityTrace.from_steps([(0.0, 10.0), (1.0, 20.0)])
-        link = Link("l", "a", "b", trace)
-        cursor = link.capacity_cursor()
-        assert cursor.trace is trace
-        assert cursor.value_at(1.5) == 20.0
 
 
 class TestLinkNameCollision:
@@ -187,7 +180,7 @@ class TestEngineModeEquivalence:
             "shared",
             "a",
             "b",
-            CapacityTrace.from_steps([(0.0, 1000.0), (5.0, 400.0), (12.0, 1500.0)]),
+            CapacityTrace([0.0, 5.0, 12.0], [1000.0, 400.0, 1500.0]),
         )
         private = [
             Link(f"p{i}", "b", "c", CapacityTrace.constant(300.0 + 100.0 * i))
@@ -224,11 +217,12 @@ _CHURN_HORIZON = 8
 def churn_workloads(draw):
     """Step traces on a few links plus flows that start, abort and finish."""
     traces = [
-        CapacityTrace.from_steps(
+        CapacityTrace(
+            [float(t) for t in range(_CHURN_HORIZON)],
             [
-                (float(t), 100.0 * draw(st.integers(min_value=1, max_value=40)))
-                for t in range(_CHURN_HORIZON)
-            ]
+                100.0 * draw(st.integers(min_value=1, max_value=40))
+                for _ in range(_CHURN_HORIZON)
+            ],
         )
         for _ in range(_CHURN_LINKS)
     ]
@@ -305,7 +299,7 @@ class TestAllocCacheOracle:
                 sim.schedule_at(0.5 * abort + 0.25, lambda f=flow: net.abort_flow(f))
 
         def check():
-            active = net.active_flows
+            active = list(net._active.values())
             if active:
                 expected = self._reference_rates(active, sim.now)
                 assert [f.rate for f in active] == expected.tolist()
@@ -338,10 +332,12 @@ class TestConcurrentProbeDigest:
         study = Section4Study(
             section4_scenario, repetitions=40, config=STUDY_SESSION_CONFIG
         )
-        store = TraceStore.merge(
-            study.run_policy(UniformRandomSetPolicy(k), clients=["Duke", "Italy"])
+        records = [
+            r
             for k in (4, 10, 16, 24, 35)
-        )
+            for r in study.run_policy(UniformRandomSetPolicy(k), clients=["Duke", "Italy"])
+        ]
+        store = TraceStore(sorted(records, key=lambda r: r.sort_key))
         path = tmp_path / "concurrent.jsonl"
         store.save_jsonl(path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()

@@ -60,7 +60,8 @@ class TestApplyOutages:
     def test_swallows_interior_breakpoints(self):
         base = CapacityTrace([0.0, 11.0, 12.0], [100.0, 150.0, 200.0])
         t = apply_fault_windows(base, [FaultWindow(10.0, 5.0)])
-        assert t.min_over(10.0, 14.999) == 0.0
+        assert not any(10.0 < b < 15.0 for b in t.times)
+        assert float(np.max(t.values_at([10.0, 11.0, 12.0, 14.999]))) == 0.0
         assert t.value_at(11.5) == 0.0
 
     def test_multiple_outages(self):

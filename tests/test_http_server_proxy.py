@@ -57,12 +57,6 @@ class TestWebServer:
         s.publish("/big", 100)
         assert s.resource_size("/big") == 100
 
-    def test_catalogue_copy(self):
-        s = server()
-        cat = s.resources
-        cat["/other"] = 1
-        assert not s.has_resource("/other")
-
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             WebServer("")

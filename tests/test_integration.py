@@ -169,8 +169,3 @@ class TestPersistenceAtScale:
         section2_store.save_jsonl(tmp_path / "c.jsonl")
         loaded = TraceStore.load_jsonl(tmp_path / "c.jsonl")
         assert loaded.records == section2_store.records
-
-    def test_csv_round_trip(self, section4_store, tmp_path):
-        section4_store.save_csv(tmp_path / "c.csv")
-        loaded = TraceStore.load_csv(tmp_path / "c.csv")
-        assert loaded.records == section4_store.records

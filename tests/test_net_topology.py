@@ -14,10 +14,6 @@ def C(v=1000.0):
 
 
 class TestNode:
-    def test_kinds(self):
-        n = Node("X", NodeKind.CLIENT)
-        assert n.is_client and not n.is_relay and not n.is_server
-
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             Node("", NodeKind.CLIENT)
@@ -38,8 +34,8 @@ class TestNode:
 class TestLink:
     def test_capacity_at(self):
         l = Link("l", "a", "b", CapacityTrace([0.0, 5.0], [10.0, 20.0]))
-        assert l.capacity_at(0.0) == 10.0
-        assert l.capacity_at(6.0) == 20.0
+        assert l.trace.value_at(0.0) == 10.0
+        assert l.trace.value_at(6.0) == 20.0
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
@@ -52,7 +48,7 @@ class TestLink:
     def test_with_trace(self):
         l = Link("l", "a", "b", C(1.0), delay=0.5)
         l2 = l.with_trace(C(9.0))
-        assert l2.capacity_at(0) == 9.0
+        assert l2.trace.value_at(0) == 9.0
         assert l2.delay == 0.5 and l2.name == l.name
 
     def test_identity_by_name(self):
@@ -170,5 +166,5 @@ class TestTopology:
 
     def test_has_wan_link(self):
         topo = self.build()
-        assert topo.has_wan_link("S", "C")
-        assert not topo.has_wan_link("C", "S")  # data direction only
+        assert topo.has_link(wan_link_name("S", "C"))
+        assert not topo.has_link(wan_link_name("C", "S"))  # data direction only

@@ -37,11 +37,6 @@ class TestConstruction:
         assert t.value_at(0.0) == 100.0
         assert t.value_at(1e9) == 100.0
 
-    def test_from_steps(self):
-        t = CapacityTrace.from_steps([(0.0, 1.0), (10.0, 2.0)])
-        assert t.value_at(5.0) == 1.0
-        assert t.value_at(10.0) == 2.0  # right-continuous
-
     def test_must_start_at_zero(self):
         with pytest.raises(ValueError, match="times\\[0\\]"):
             CapacityTrace([1.0], [5.0])
@@ -89,12 +84,6 @@ class TestLookup:
         assert t.next_change_after(1.0) == 2.0
         assert t.next_change_after(2.0) == float("inf")
 
-    def test_min_over(self):
-        t = CapacityTrace([0.0, 1.0, 2.0], [10.0, 1.0, 20.0])
-        assert t.min_over(0.0, 0.5) == 10.0
-        assert t.min_over(0.5, 3.0) == 1.0
-        assert t.min_over(2.5, 3.0) == 20.0
-
 
 class TestIntegration:
     def test_integrate_constant(self):
@@ -126,36 +115,14 @@ class TestIntegration:
     def test_integral_bounded_by_extremes(self, t, start, width):
         end = start + width
         integral = t.integrate(start, end)
-        lo = t.min_over(start, end) * width
+        first = max(int(np.searchsorted(t.times, start, side="right")) - 1, 0)
+        last = int(np.searchsorted(t.times, end, side="right")) - 1
+        lo = float(np.min(t.values[first : last + 1])) * width
         hi = float(np.max(t.values)) * width
         assert lo - 1e-6 <= integral <= hi + max(1e-6, 1e-9 * hi)
 
 
 class TestAlgebra:
-    def test_scaled(self):
-        t = CapacityTrace([0.0, 1.0], [2.0, 4.0]).scaled(0.5)
-        assert t.value_at(0.0) == 1.0 and t.value_at(1.5) == 2.0
-
-    def test_scaled_negative_raises(self):
-        with pytest.raises(ValueError):
-            CapacityTrace.constant(1.0).scaled(-1.0)
-
-    def test_clipped(self):
-        t = CapacityTrace([0.0, 1.0], [2.0, 9.0]).clipped(5.0)
-        assert t.value_at(2.0) == 5.0
-
-    def test_shifted(self):
-        t = CapacityTrace([0.0, 10.0, 20.0], [1.0, 2.0, 3.0]).shifted(15.0)
-        assert t.value_at(0.0) == 2.0
-        assert t.value_at(5.0) == 3.0
-        assert t.times[0] == 0.0
-
-    def test_shift_equivalence(self):
-        t = CapacityTrace([0.0, 10.0, 20.0], [1.0, 2.0, 3.0])
-        s = t.shifted(7.0)
-        for u in (0.0, 2.9, 3.0, 13.0, 50.0):
-            assert s.value_at(u) == t.value_at(7.0 + u)
-
     def test_minimum(self):
         a = CapacityTrace([0.0, 10.0], [5.0, 1.0])
         b = CapacityTrace([0.0, 5.0], [3.0, 2.0])

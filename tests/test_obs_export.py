@@ -133,6 +133,27 @@ class TestPrometheus:
         assert 'repro_runner_queue_wait_seconds_bucket{le="+Inf"} 1' in text
         assert "repro_runner_queue_wait_seconds_count 1" in text
 
+    def test_histogram_buckets_are_cumulative(self):
+        obs = Observer()
+        for v in (0.5, 5.0, 5.0, 50.0):
+            obs.observe_value("session.duration", v)
+        assert ObsTrace.from_observer(obs).to_prometheus() == (
+            "# TYPE repro_session_duration histogram\n"
+            'repro_session_duration_bucket{le="1e-06"} 0\n'
+            'repro_session_duration_bucket{le="1e-05"} 0\n'
+            'repro_session_duration_bucket{le="0.0001"} 0\n'
+            'repro_session_duration_bucket{le="0.001"} 0\n'
+            'repro_session_duration_bucket{le="0.01"} 0\n'
+            'repro_session_duration_bucket{le="0.1"} 0\n'
+            'repro_session_duration_bucket{le="1"} 1\n'
+            'repro_session_duration_bucket{le="10"} 3\n'
+            'repro_session_duration_bucket{le="100"} 4\n'
+            'repro_session_duration_bucket{le="1000"} 4\n'
+            'repro_session_duration_bucket{le="+Inf"} 4\n'
+            "repro_session_duration_sum 60.5\n"
+            "repro_session_duration_count 4\n"
+        )
+
 
 class TestSummarize:
     def test_mentions_spans_counters_histograms(self):
@@ -214,52 +235,3 @@ class TestHistogramQuantileEdges:
             h.quantile(-0.1)
         with pytest.raises(ValueError):
             h.quantile(1.1)
-
-
-class TestPrometheusParseBack:
-    def test_round_trip_is_byte_identical(self):
-        trace = ObsTrace.from_observer(make_observer())
-        text = trace.to_prometheus()
-        back = ObsTrace.from_prometheus(text)
-        # Exposition names are sanitised (dots become underscores), so the
-        # guarantee is byte-identical *re-export*, not identical keys.
-        assert back.to_prometheus() == text
-        assert back.counters == {"engine_ticks": 3.0}
-        assert back.gauges == {"sim_queue_depth": 4.0}
-        hist = back.histograms["runner_queue_wait_seconds"]
-        assert hist.total == 1
-        assert hist.sum == 0.25
-
-    def test_decumulates_bucket_counts(self):
-        obs = Observer()
-        for v in (0.5, 5.0, 5.0, 50.0):
-            obs.observe_value("session.duration", v)
-        back = ObsTrace.from_prometheus(ObsTrace.from_observer(obs).to_prometheus())
-        orig = obs.histograms["session.duration"]
-        assert back.histograms["session_duration"].counts == orig.counts
-
-    def test_garbage_line_raises(self):
-        with pytest.raises(ValueError):
-            ObsTrace.from_prometheus("repro_x{bad\n")
-
-    def test_decreasing_cumulative_counts_raise(self):
-        text = (
-            "# TYPE repro_h histogram\n"
-            'repro_h_bucket{le="1"} 5\n'
-            'repro_h_bucket{le="+Inf"} 3\n'
-            "repro_h_sum 1.0\n"
-            "repro_h_count 3\n"
-        )
-        with pytest.raises(ValueError):
-            ObsTrace.from_prometheus(text)
-
-    def test_count_mismatch_raises(self):
-        text = (
-            "# TYPE repro_h histogram\n"
-            'repro_h_bucket{le="1"} 1\n'
-            'repro_h_bucket{le="+Inf"} 2\n'
-            "repro_h_sum 1.0\n"
-            "repro_h_count 9\n"
-        )
-        with pytest.raises(ValueError):
-            ObsTrace.from_prometheus(text)

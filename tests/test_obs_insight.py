@@ -138,7 +138,6 @@ class TestDecomposeSynthetic:
         s = attribute_trace(self._trace(build))[0]
         assert s.duration == 0.0
         assert math.fsum(s.phases.values()) == 0.0
-        assert math.isnan(s.fraction("transfer"))
 
     def test_child_intervals_clipped_to_session(self):
         def build(obs):

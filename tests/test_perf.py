@@ -11,7 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.perf.benches import BENCHES, run_benches
-from repro.perf.microbench import Measurement, measure
+from repro.perf.microbench import measure
 from repro.perf.report import (
     SCHEMA,
     BenchReport,
@@ -30,15 +30,6 @@ class TestMeasure:
         assert m.ops == 10
         assert m.rounds == 3
         assert m.elapsed_s >= 0.0
-
-    def test_derived_properties(self):
-        m = Measurement(ns_per_op=500.0, ops=100, rounds=5, elapsed_s=0.1)
-        assert m.seconds_per_op == pytest.approx(5e-7)
-        assert m.ops_per_s == pytest.approx(2e6)
-
-    def test_zero_ns_per_op_throughput_is_inf(self):
-        m = Measurement(ns_per_op=0.0, ops=1, rounds=1, elapsed_s=0.0)
-        assert m.ops_per_s == float("inf")
 
     def test_rejects_nonpositive_ops(self):
         with pytest.raises(ValueError, match="ops"):

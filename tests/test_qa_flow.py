@@ -30,6 +30,12 @@ def make_pkg(tmp_path, files):
     return str(pkg)
 
 
+@pytest.fixture(scope="module")
+def src_project():
+    """The call graph of the repository's own ``src`` tree (built once)."""
+    return build_project([str(REPO_ROOT / "src")])
+
+
 def by_code(findings, code):
     return [f for f in findings if f.code == code]
 
@@ -227,6 +233,134 @@ class TestUnseededFlow:
         assert by_code(findings, "QA-F001") == []
 
 
+#: ``src`` defs that no code in the four trees reaches, each with the reason
+#: it stays.
+UNREACHED_SRC_DEFS = {
+    "repro.qa.flow.report.validate_sarif": (
+        "CI's repro-check step runs it on the SARIF file it uploads"
+    ),
+}
+
+
+class TestReachability:
+    """A def is reached when reached code calls it *or names it*."""
+
+    @staticmethod
+    def reach(tmp_path, files):
+        project = build_project([make_pkg(tmp_path, files)])
+        return project.reachable_from(project.entry_points())
+
+    def test_function_passed_as_callback_is_reachable(self, tmp_path):
+        reached = self.reach(
+            tmp_path,
+            {
+                "study.py": (
+                    "def main(sim):\n"
+                    "    sim.schedule(1.0, tick)\n"
+                    "\n"
+                    "\n"
+                    "def tick():\n"
+                    "    return 1\n"
+                )
+            },
+        )
+        assert "fixpkg.study.tick" in reached
+
+    def test_method_nothing_names_is_unreachable_on_a_reached_class(self, tmp_path):
+        reached = self.reach(
+            tmp_path,
+            {
+                "box.py": (
+                    "class Box:\n"
+                    "    def __repr__(self):\n"
+                    "        return 'Box'\n"
+                    "\n"
+                    "    def used(self):\n"
+                    "        return 1\n"
+                    "\n"
+                    "    def dead(self):\n"
+                    "        return 2\n"
+                ),
+                "study.py": (
+                    "from fixpkg.box import Box\n"
+                    "\n"
+                    "\n"
+                    "def main():\n"
+                    "    return Box().used()\n"
+                ),
+            },
+        )
+        assert "fixpkg.box.Box" in reached
+        assert "fixpkg.box.Box.__repr__" in reached
+        assert "fixpkg.box.Box.used" in reached
+        assert "fixpkg.box.Box.dead" not in reached
+
+    def test_property_that_is_only_read_is_reachable(self, tmp_path):
+        reached = self.reach(
+            tmp_path,
+            {
+                "box.py": (
+                    "class Box:\n"
+                    "    @property\n"
+                    "    def size(self):\n"
+                    "        return 3\n"
+                ),
+                "study.py": (
+                    "def main(box):\n"
+                    "    return box.size + 1\n"
+                ),
+            },
+        )
+        assert "fixpkg.box.Box.size" in reached
+
+    def test_visitor_methods_of_a_reached_node_visitor_are_reachable(self, tmp_path):
+        reached = self.reach(
+            tmp_path,
+            {
+                "walk.py": (
+                    "import ast\n"
+                    "\n"
+                    "\n"
+                    "class Walker(ast.NodeVisitor):\n"
+                    "    def __init__(self):\n"
+                    "        self.calls = 0\n"
+                    "\n"
+                    "    def visit_Call(self, node):\n"
+                    "        self.calls += 1\n"
+                    "\n"
+                    "\n"
+                    "def main(tree):\n"
+                    "    Walker().visit(tree)\n"
+                ),
+            },
+        )
+        assert "fixpkg.walk.Walker.visit_Call" in reached
+
+    def test_engine_hot_paths_reachable_on_real_tree(self, src_project):
+        reached = src_project.reachable_from(src_project.entry_points())
+        assert "repro.vec.engine.VectorCore.tick" in reached
+        assert "repro.vec.solver.waterfill_sparse" in reached
+
+    def test_src_has_no_unreached_defs(self):
+        """Every ``src`` def is reached from the CLI, a study, a bench, an
+        example or perfbench, or is allow-listed here with its reason."""
+        src = REPO_ROOT / "src"
+        trees = [src] + [REPO_ROOT / d for d in ("benchmarks", "examples", "perfbench")]
+        project = build_project([str(tree) for tree in trees])
+        outside = [
+            qual
+            for qual, info in project.functions.items()
+            if not Path(info.path).resolve().is_relative_to(src)
+        ]
+        reached = project.reachable_from([*outside, *project.entry_points()])
+        unreached = {
+            qual
+            for qual, info in project.functions.items()
+            if qual not in reached and Path(info.path).resolve().is_relative_to(src)
+        }
+        assert unreached == set(UNREACHED_SRC_DEFS)
+
+
 class TestWallClockFlow:
     def test_cross_module_wall_value_in_sink_call(self, full_fixture):
         pkg, findings = full_fixture
@@ -379,17 +513,15 @@ class TestRealTree:
         assert result.new == [], [f.format(hints=False) for f in result.new]
         assert result.stale == [], [e.to_dict() for e in result.stale]
 
-    def test_project_covers_repo_modules(self):
-        project = build_project([str(REPO_ROOT / "src")])
-        assert "repro.workloads.failures" in project.modules
+    def test_project_covers_repo_modules(self, src_project):
+        assert "repro.workloads.failures" in src_project.modules
         assert any(
-            q.endswith("execute_plan") for q in project.entry_points()
+            q.endswith("execute_plan") for q in src_project.entry_points()
         )
 
-    def test_registered_unit_runners_are_reachable(self):
+    def test_registered_unit_runners_are_reachable(self, src_project):
         """Runners dispatched through the study registry stay analyzed."""
-        project = build_project([str(REPO_ROOT / "src")])
-        reachable = project.reachable_from(project.entry_points())
+        reachable = src_project.reachable_from(src_project.entry_points())
         for qualname in (
             "repro.workloads.experiment.run_paired_transfer",
             "repro.workloads.failures.run_failure_unit",

@@ -205,7 +205,7 @@ class TestMerge:
             # Complete everything in scrambled order; merge must not care.
             write_units(store, plan, reversed(range(len(plan))))
         store = CheckpointStore.open_or_create(tmp_path / "ck", plan, resume=True)
-        merged = store.merge(plan)
+        merged = merge_completed(plan, store.completed_units())
         assert [(r.client, r.repetition) for r in merged] == [
             (u.client, u.repetition) for u in plan.units
         ]

@@ -12,6 +12,7 @@ import pytest
 
 from repro.net.failures import FaultWindow
 from repro.net.topology import wan_link_name
+from repro.obs.core import OBS_ENV_VAR, Histogram, global_observer, reset_global_observer
 from repro.runner.checkpoint import CheckpointStore
 from repro.runner.plan import plan_section2
 from repro.runner.pool import ExecutionResult, UnitExecutionError, execute_plan, run_unit
@@ -89,6 +90,30 @@ class TestParallelByteIdentity:
         assert store_bytes(tmp_path, result.store, f"j{jobs}.jsonl") == store_bytes(
             tmp_path, serial_result.store, "j1.jsonl"
         )
+
+
+class TestQueueWaitHistogram:
+    def test_typical_waits_get_distinct_p50s(self, plan, monkeypatch):
+        """The pool's queue-wait buckets resolve waits of about 3, 15 and
+        30 ms; decade buckets read the last two as the same 0.1 s edge."""
+        monkeypatch.setenv(OBS_ENV_VAR, "1")
+        reset_global_observer()
+        try:
+            execute_plan(plan, jobs=2)
+            observer = global_observer(create=False)
+            bounds = observer.histograms["runner.queue_wait_seconds"].bounds
+        finally:
+            reset_global_observer()
+        p50s = []
+        for typical in (0.003, 0.015, 0.03):
+            hist = Histogram(bounds)
+            for k in range(9):
+                hist.observe(typical * (0.9 + 0.025 * k))
+            hist.observe(0.5)  # a worker's start-up wait
+            p50 = hist.quantile(0.5)
+            assert typical < p50 < 2.0 * typical
+            p50s.append(p50)
+        assert len(set(p50s)) == 3
 
 
 class TestWorkersRunTheCallersScenario:

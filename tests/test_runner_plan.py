@@ -54,13 +54,6 @@ class TestSection2Plan:
         assert [u.index for u in s2_plan.units] == list(range(len(s2_plan)))
         assert [u.sort_key for u in s2_plan.units] == sorted(u.sort_key for u in s2_plan.units)
 
-    def test_rotation_matches_study_method(self, section2_scenario):
-        study = Section2Study(section2_scenario, repetitions=3)
-        for client in CLIENTS:
-            assert study.relay_rotation(client) == section2_relay_rotation(
-                section2_scenario, client
-            )
-
     def test_study_plan_equals_planner(self, section2_scenario, s2_plan):
         study = Section2Study(section2_scenario, repetitions=3, interval=360.0)
         assert study.plan(sites=["eBay"], clients=CLIENTS) == s2_plan

@@ -84,12 +84,10 @@ class TestScaleRecord:
     def test_derived_properties(self):
         rec = _record()
         assert rec.indirect_fraction == pytest.approx(0.3)
-        assert rec.sim_transfers_per_sec == pytest.approx(50.0)
         empty = _record(
             n_clients=0, n_completed=0, n_direct=0, n_indirect=0, makespan=0.0
         )
         assert empty.indirect_fraction == 0.0
-        assert empty.sim_transfers_per_sec == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -128,11 +128,3 @@ class TestSafety:
         with pytest.raises(SimulationDeadlock, match="max_events"):
             sim.run()
 
-    def test_reset(self):
-        sim = Simulator()
-        sim.schedule_at(1.0, lambda: None)
-        sim.run()
-        sim.reset()
-        assert sim.now == 0.0
-        assert sim.events_processed == 0
-        assert sim.pending_events == 0

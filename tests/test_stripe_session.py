@@ -14,8 +14,7 @@ from repro.net.failures import FaultWindow, apply_fault_windows
 from repro.net.trace import CapacityTrace
 from repro.obs.core import (
     OBS_ENV_VAR,
-    Observer,
-    install_observer,
+    global_observer,
     reset_global_observer,
 )
 from repro.stripe.blocks import StripeConfig
@@ -150,7 +149,7 @@ class TestStripeObservability:
     def test_spans_and_counters_emitted(self, mini_world, monkeypatch):
         monkeypatch.setenv(OBS_ENV_VAR, "1")
         reset_global_observer()
-        obs = install_observer(Observer())
+        obs = global_observer(create=True)
         try:
             world = mini_world(direct_mbps=1.0, relay_mbps={"R1": 2.0})
             res = _download(world, ["R1"])
@@ -172,7 +171,7 @@ class TestStripeObservability:
         reset_global_observer()
         plain = _download(world, ["R1", "R2"])
         monkeypatch.setenv(OBS_ENV_VAR, "1")
-        install_observer(Observer())
+        global_observer(create=True)
         try:
             observed = _download(world, ["R1", "R2"])
         finally:

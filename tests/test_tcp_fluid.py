@@ -9,7 +9,8 @@ from repro.sim.errors import TransferError
 from repro.sim.simulator import Simulator
 from repro.tcp.flow import FlowState
 from repro.tcp.fluid import FluidNetwork
-from repro.tcp.model import SlowStartRamp, ideal_transfer_time
+from repro.tcp.model import SlowStartRamp
+from tests.tcp_oracle import ideal_transfer_time
 
 
 def C(v):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.tcp.model import SlowStartRamp, ideal_transfer_time
+from repro.tcp.model import SlowStartRamp
+from tests.tcp_oracle import ideal_transfer_time
 
 
 class TestIdealTransferTime:
@@ -49,7 +50,7 @@ class TestSlowStartRamp:
 
     def test_cap_saturates_at_peak(self):
         r = self.ramp()
-        assert r.cap_at(100.0) == pytest.approx(r.peak_rate)
+        assert r.cap_at(100.0) == pytest.approx(r.max_window / r.rtt)
 
     def test_cap_before_activation_zero(self):
         assert self.ramp().cap_at(-1.0) == 0.0
@@ -82,7 +83,7 @@ class TestSlowStartRamp:
 
     def test_cap_never_overflows_for_huge_elapsed(self):
         r = self.ramp()
-        assert r.cap_at(1e9) == pytest.approx(r.peak_rate)
+        assert r.cap_at(1e9) == pytest.approx(r.max_window / r.rtt)
 
     def test_rounds_to_peak(self):
         r = SlowStartRamp(rtt=0.1, initial_window=1000.0, max_window=8000.0)

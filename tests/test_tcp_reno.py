@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.tcp.model import ideal_transfer_time
 from repro.tcp.reno import RenoConfig, simulate_reno_transfer
+from tests.tcp_oracle import ideal_transfer_time
 
 
 def config(**kw):

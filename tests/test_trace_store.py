@@ -145,23 +145,6 @@ class TestSortKeyAndMerge:
         rows = self.campaign()
         assert sorted(rows, key=lambda r: r.sort_key) == rows
 
-    def test_merge_is_partition_invariant(self):
-        """Any split of a campaign into sub-stores merges back identically."""
-        rows = self.campaign()
-        partitions = [
-            [rows[:3], rows[3:]],
-            [rows[::2], rows[1::2]],
-            [list(reversed(rows)), []],
-            [[r] for r in reversed(rows)],
-        ]
-        for parts in partitions:
-            merged = TraceStore.merge(TraceStore(p) for p in parts)
-            assert merged.records == rows
-
-    def test_merge_keeps_duplicates(self):
-        r = record()
-        merged = TraceStore.merge([TraceStore([r]), TraceStore([r])])
-        assert len(merged) == 2
 
 
 class TestPersistence:
@@ -172,24 +155,10 @@ class TestPersistence:
         loaded = TraceStore.load_jsonl(path)
         assert loaded.records == s.records
 
-    def test_csv_round_trip(self, tmp_path):
-        s = TraceStore(
-            [
-                record(),
-                record(selected_via=None, offered=("A", "B"), set_size=2),
-            ]
-        )
-        path = tmp_path / "t.csv"
-        s.save_csv(path)
-        loaded = TraceStore.load_csv(path)
-        assert loaded.records == s.records
-
     def test_empty_round_trips(self, tmp_path):
         s = TraceStore()
         s.save_jsonl(tmp_path / "e.jsonl")
-        s.save_csv(tmp_path / "e.csv")
         assert len(TraceStore.load_jsonl(tmp_path / "e.jsonl")) == 0
-        assert len(TraceStore.load_csv(tmp_path / "e.csv")) == 0
 
     def test_jsonl_is_line_oriented(self, tmp_path):
         s = TraceStore([record(), record()])
@@ -198,14 +167,14 @@ class TestPersistence:
         assert len(path.read_text().strip().splitlines()) == 2
 
     def test_jsonl_append_accumulates_shards(self, tmp_path):
-        """append=True + a final merge equals saving the whole store at once."""
+        """append=True + a final sort equals saving the whole store at once."""
         rows = [record(repetition=i) for i in range(6)]
         path = tmp_path / "acc.jsonl"
         TraceStore(rows[4:]).save_jsonl(path)
         TraceStore(rows[:2]).save_jsonl(path, append=True)
         TraceStore(rows[2:4]).save_jsonl(path, append=True)
-        merged = TraceStore.merge([TraceStore.load_jsonl(path)])
-        assert merged.records == rows
+        merged = sorted(TraceStore.load_jsonl(path), key=lambda r: r.sort_key)
+        assert merged == rows
 
     def test_jsonl_default_truncates(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -60,13 +60,6 @@ class TestSeedBank:
         g1_again = SeedBank(11).generator("a")
         assert np.array_equal(g1.random(4), g1_again.random(4))
 
-    def test_spawn_generators_independent(self):
-        bank = SeedBank(3)
-        gens = bank.spawn_generators("workers", 4)
-        assert len(gens) == 4
-        draws = [g.random() for g in gens]
-        assert len(set(draws)) == 4
-
     def test_equality_and_hash(self):
         assert SeedBank(1) == SeedBank(1)
         assert SeedBank(1) != SeedBank(2)

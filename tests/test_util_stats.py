@@ -12,7 +12,6 @@ from repro.util.stats import (
     fraction_below,
     fraction_between,
     percent_histogram,
-    percentile,
     rms,
     summarize,
 )
@@ -38,10 +37,6 @@ class TestSummarize:
         s = summarize([])
         assert s.count == 0
         assert math.isnan(s.mean) and math.isnan(s.median)
-
-    def test_as_tuple(self):
-        s = summarize([5.0])
-        assert s.as_tuple() == (1, 5.0, 5.0, 0.0, 5.0, 5.0)
 
     @given(st.lists(finite_floats, min_size=1, max_size=50))
     def test_min_le_median_le_max(self, xs):
@@ -100,18 +95,6 @@ class TestFractions:
     def test_empty_nan(self):
         assert math.isnan(fraction_between([], 0, 1))
         assert math.isnan(fraction_below([], 0))
-
-
-class TestPercentile:
-    def test_median_equivalence(self):
-        assert percentile([1, 2, 3], 50) == pytest.approx(2.0)
-
-    def test_out_of_range_q(self):
-        with pytest.raises(ValueError):
-            percentile([1], 101)
-
-    def test_empty_nan(self):
-        assert math.isnan(percentile([], 50))
 
 
 class TestCoefficientOfVariation:

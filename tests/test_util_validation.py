@@ -10,7 +10,6 @@ from repro.util.validation import (
     check_probability,
     check_same_length,
     check_sorted,
-    require,
 )
 
 
@@ -45,15 +44,6 @@ class TestScalarChecks:
 
     def test_casts_to_float(self):
         assert isinstance(check_positive(3, "x"), float)
-
-
-class TestRequire:
-    def test_passes(self):
-        require(True, "nope")
-
-    def test_fails(self):
-        with pytest.raises(ValueError, match="nope"):
-            require(False, "nope")
 
 
 class TestSequences:

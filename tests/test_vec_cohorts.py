@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.net.link import Link
 from repro.net.route import Route
 from repro.net.trace import CapacityTrace
-from repro.obs.core import Observer, install_observer, reset_global_observer
+from repro.obs.core import Observer, global_observer, reset_global_observer
 from repro.sim.simulator import Simulator
 from repro.tcp.fluid import FluidNetwork
 from repro.tcp.model import SlowStartRamp
@@ -161,7 +161,8 @@ def _rows_only(monkeypatch):
 def observer(monkeypatch):
     """The process-global observer every simulator of the test binds."""
     monkeypatch.setenv("REPRO_OBS", "1")
-    obs = install_observer(Observer())
+    reset_global_observer()
+    obs = global_observer(create=True)
     yield obs
     reset_global_observer()
 
@@ -200,7 +201,7 @@ class TestEngineFallback:
         counts = dict(observer.counters)
         assert counts.get("vec.cohort_fallbacks", 0.0) > 0
         reset_global_observer()
-        rows = install_observer(Observer())
+        rows = global_observer(create=True)
         _rows_only(monkeypatch)
         assert self._run(sanitize) == cohorts
         assert counts["vec.solver_rounds"] == rows.counter("vec.solver_rounds")

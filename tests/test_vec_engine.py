@@ -255,7 +255,7 @@ class TestVectorOracleIdentity:
             sim.schedule_at(
                 t,
                 lambda t=t: seen.__setitem__(
-                    t, [f.name for f in net.active_flows]
+                    t, [f.name for f in net._active.values()]
                 ),
                 name="observe",
             )
@@ -457,7 +457,7 @@ class TestBufferedAborts:
                     sim.schedule_at(0.5, lambda f=flow: net.abort_flow(f), name="abort")
             active = []
             sim.schedule_at(
-                0.6, lambda: active.append(len(net.active_flows)), name="observe"
+                0.6, lambda: active.append(len(net._active)), name="observe"
             )
             sim.run()
             return [f.completed_at for f in flows], [f.delivered for f in flows], active

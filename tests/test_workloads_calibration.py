@@ -11,6 +11,7 @@ from repro.workloads.calibration import (
     DEFAULT_SITE_PROFILES,
 )
 from repro.workloads.profiles import ClientProfile, ThroughputClass, Variability
+from tests.capacity_oracle import dynamic_range, mean_capacity
 
 
 def calibrator(seed=0, params=None):
@@ -108,7 +109,7 @@ class TestProcesses:
         cal = calibrator()
         site = DEFAULT_SITE_PROFILES["eBay"]
         proc = cal.direct_wan_process(self.profile(), site)
-        assert proc.mean_capacity() == pytest.approx(
+        assert mean_capacity(proc) == pytest.approx(
             mbps_to_bytes_per_s(1.0), rel=0.15
         )
 
@@ -117,14 +118,14 @@ class TestProcesses:
         p = self.profile()
         google = cal.direct_wan_process(p, DEFAULT_SITE_PROFILES["Google"])
         ms = cal.direct_wan_process(p, DEFAULT_SITE_PROFILES["Microsoft"])
-        assert google.mean_capacity() > ms.mean_capacity()
+        assert mean_capacity(google) > mean_capacity(ms)
 
     def test_high_variability_has_wider_range(self):
         cal = calibrator()
         site = DEFAULT_SITE_PROFILES["eBay"]
         low = cal.direct_wan_process(self.profile(var=Variability.LOW), site)
         high = cal.direct_wan_process(self.profile(var=Variability.HIGH), site)
-        assert high.dynamic_range > low.dynamic_range
+        assert dynamic_range(high) > dynamic_range(low)
 
     def test_overlay_process_stable(self):
         cal = calibrator()
@@ -142,12 +143,12 @@ class TestProcesses:
         cal = calibrator()
         params = CalibrationParams()
         proc = cal.relay_server_process("Texas", DEFAULT_SITE_PROFILES["eBay"])
-        assert proc.mean_capacity() >= mbps_to_bytes_per_s(params.relay_server_mbps[0])
+        assert mean_capacity(proc) >= mbps_to_bytes_per_s(params.relay_server_mbps[0])
 
     def test_access_processes(self):
         cal = calibrator()
         p = self.profile()
-        assert cal.client_access_process(p).mean_capacity() == p.access_capacity
-        assert cal.relay_access_process("Texas").mean_capacity() == mbps_to_bytes_per_s(
+        assert mean_capacity(cal.client_access_process(p)) == p.access_capacity
+        assert mean_capacity(cal.relay_access_process("Texas")) == mbps_to_bytes_per_s(
             CalibrationParams().relay_access_mbps
         )

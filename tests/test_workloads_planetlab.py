@@ -8,8 +8,6 @@ from repro.workloads.planetlab import (
     SECTION4_CLIENTS,
     SECTION4_RELAY_CATALOG,
     SITES,
-    client_names,
-    relay_names,
 )
 
 
@@ -18,7 +16,7 @@ class TestClientCatalog:
         assert len(CLIENT_CATALOG) == 22  # Table IV
 
     def test_names_unique(self):
-        assert len(set(client_names())) == 22
+        assert len({e.name for e in CLIENT_CATALOG}) == 22
 
     def test_known_entries(self):
         by_name = {e.name: e for e in CLIENT_CATALOG}
@@ -83,6 +81,3 @@ class TestSection4Catalog:
 class TestSites:
     def test_four_sites(self):
         assert SITES == ("eBay", "Google", "Microsoft", "Yahoo")
-
-    def test_helper_lists(self):
-        assert relay_names() == [e.name for e in RELAY_CATALOG]

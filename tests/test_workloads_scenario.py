@@ -50,11 +50,11 @@ class TestBuild:
     def test_all_wan_segments_present(self, section2_scenario):
         sc = section2_scenario
         for client in sc.client_names:
-            assert sc.topology.has_wan_link("eBay", client)
+            assert sc.topology.has_link(wan_link_name("eBay", client))
             for relay in sc.relay_names:
-                assert sc.topology.has_wan_link(relay, client)
+                assert sc.topology.has_link(wan_link_name(relay, client))
         for relay in sc.relay_names:
-            assert sc.topology.has_wan_link("eBay", relay)
+            assert sc.topology.has_link(wan_link_name("eBay", relay))
 
     def test_resource_published_everywhere(self, section2_scenario):
         sc = section2_scenario

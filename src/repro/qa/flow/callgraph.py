@@ -638,11 +638,7 @@ class _CallCollector(ast.NodeVisitor):
             return cls.methods[name]
         module = self.modules_of(cls.module)
         for base in cls.bases:
-            base_qual: Optional[str] = None
-            if module is not None:
-                base_qual = self.project.resolve_in_module(module, base.split(".")[0])
-                if base_qual is not None and "." in base:
-                    base_qual = base_qual  # alias chains beyond one hop: skip
+            base_qual = None if module is None else self._resolve_base(module, base)
             if base_qual is None and base in self.project.classes:
                 base_qual = base
             if base_qual is not None:
@@ -650,6 +646,21 @@ class _CallCollector(ast.NodeVisitor):
                 if found is not None:
                     return found
         return None
+
+    def _resolve_base(self, module: ModuleInfo, base: str) -> Optional[str]:
+        """The qualname a base class written ``Name`` or ``alias.Name`` (or
+        ``alias.sub.Name``) names in ``module``'s scope."""
+        head, _, rest = base.partition(".")
+        if not rest:
+            return self.project.resolve_in_module(module, head)
+        target = module.imports.get(head)
+        if target is None:
+            return None
+        owner, _, name = f"{target}.{rest}".rpartition(".")
+        owner_module = self.modules_of(owner)
+        if owner_module is None:
+            return None
+        return self.project.resolve_in_module(owner_module, name)
 
     def modules_of(self, name: str) -> Optional[ModuleInfo]:
         return self.project.modules.get(name)

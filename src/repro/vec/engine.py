@@ -28,6 +28,18 @@ trace cursors.  The simulator's event queue is only touched at epoch
 boundaries — exactly one pending ``fluid-tick`` event, as in the per-object
 tick.
 
+Every population-sized step of a tick runs over the first ``n`` rows of the
+columns, dead rows included, and writes into two work columns sized with
+the row capacity (``_work`` and ``_flag``; they hold nothing between ticks),
+so a tick that leaves the rows as they were allocates nothing the size of
+the population.  That rests on one invariant: a dead row reads rate 0.
+``_release_rows`` zeroes it, and the rate column is rewritten by one
+``take`` of the per-cohort rates with a 0 appended, which every dead row
+reads.  So a dead row accrues nothing, and in the next-completion scan its
+``remaining / rate`` is ``inf`` (or NaN with nothing remaining), which
+``fmin`` passes over.  Only a rows solve, when the cohort solve cannot give
+its bits, scatters rates into the live rows.
+
 Rows enter and leave by the column.  The race
 (:class:`repro.vec.race.ProbeRace`) buffers its activations and flushes
 them at the next tick through :meth:`VectorCore._append_rows`; it settles
@@ -55,8 +67,10 @@ Under a sanitizer the core checks its columns on every tick: QA-R002 on
 ``delivered``/``size``/``rate`` against the previous tick's snapshot, and
 QA-R006, QA-R004 and QA-R003 on the solve's row coordinates, caps and rates
 through :func:`repro.vec.solver.certify_maxmin`, so the cohort solve is
-certified row by row.  The checks only read, so a sanitized race solves
-exactly like a plain one.
+certified row by row.  The snapshot column ``_snap`` exists only when the
+simulator has a sanitizer, which is fixed when the simulator is built, so
+a plain run neither writes, grows nor compacts it.  The checks only read,
+so a sanitized race solves exactly like a plain one.
 """
 
 from __future__ import annotations
@@ -102,30 +116,42 @@ class _Gather:
     """The live population's solver problem, kept until the rows change.
 
     ``rows`` (a slice or index array, ``n`` of them) are the live rows in
-    activation order and ``cohorts`` the live cohorts in table order; row
-    ``i`` belongs to cohort ``of[i]`` (an index into ``cohorts``).  Entry
-    ``j`` of ``lids``/``frow`` says live cohort ``frow[j]`` crosses link
-    ``lids[j]``; ``deg`` and ``mult`` are each live cohort's link count and
-    multiplicity.  ``disjoint`` says no link carries two rows.  ``coords``
-    caches the rows' own coordinate lists.
+    activation order and ``cohorts`` the live cohorts in table order.  Row
+    ``i`` of the core's columns belongs to live cohort ``of_all[i]`` (an
+    index into ``cohorts``); a dead row reads ``cohorts.size``, one past
+    the last, so a rate per cohort with a 0 appended expands to the whole
+    rate column by one ``take``.  Entry ``j`` of ``lids``/``frow`` says live
+    cohort ``frow[j]`` crosses link ``lids[j]``; ``deg`` and ``mult`` are
+    each live cohort's link count and multiplicity.  ``disjoint`` says no
+    link carries two rows.  ``of`` (the live rows' cohorts) and ``coords``
+    (the rows' own coordinate lists) are built on first use: only a row
+    solve and the sanitizer read them.
     """
 
     __slots__ = (
-        "rows", "n", "cohorts", "of", "lids", "frow", "deg", "mult", "disjoint",
-        "coords",
+        "rows", "n", "cohorts", "of_all", "lids", "frow", "deg", "mult",
+        "disjoint", "of", "coords",
     )
 
-    def __init__(self, rows, n, cohorts, of, lids, frow, deg, mult, disjoint) -> None:
-        self.rows, self.n, self.cohorts, self.of = rows, n, cohorts, of
+    def __init__(self, rows, n, cohorts, of_all, lids, frow, deg, mult, disjoint) -> None:
+        self.rows, self.n, self.cohorts, self.of_all = rows, n, cohorts, of_all
         self.lids, self.frow, self.deg, self.mult = lids, frow, deg, mult
         self.disjoint = disjoint
+        self.of: Optional[np.ndarray] = None
         self.coords: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def live_of(self) -> np.ndarray:
+        """Each live row's cohort, an index into ``cohorts``."""
+        if self.of is None:
+            self.of = self.of_all[self.rows]
+        return self.of
 
     def row_coords(self) -> Tuple[np.ndarray, np.ndarray]:
         """The rows' ``(lids, frow)``, each row's links in route order."""
         if self.coords is None:
-            rdeg = self.deg[self.of]
-            start = (np.cumsum(self.deg) - self.deg)[self.of]
+            of = self.live_of()
+            rdeg = self.deg[of]
+            start = (np.cumsum(self.deg) - self.deg)[of]
             self.coords = (
                 self.lids[_segments(start, rdeg)],
                 np.repeat(np.arange(self.n, dtype=np.int64), rdeg),
@@ -145,8 +171,13 @@ class VectorCore:
         self._alive = np.empty(_GROW_MIN, dtype=bool)
         self._cohort = np.empty(_GROW_MIN, dtype=np.int64)
         #: Delivered bytes at the previous tick: the sanitizer's QA-R002
-        #: baseline, read only when one is armed.
-        self._snap = np.empty(_GROW_MIN)
+        #: baseline.  A simulator's sanitizer is fixed at its construction,
+        #: so a plain run never keeps one.
+        self._snap = None if net._sim.sanitizer is None else np.empty(_GROW_MIN)
+        #: Work columns for the tick's column arithmetic: they hold nothing
+        #: between ticks, so a step writes into them instead of allocating.
+        self._work = np.empty(_GROW_MIN)
+        self._flag = np.empty(_GROW_MIN, dtype=bool)
         #: A race row's client and kind (see repro.vec.race).
         self._client = np.empty(_GROW_MIN, dtype=np.int64)
         self._kind = np.empty(_GROW_MIN, dtype=np.int8)
@@ -190,10 +221,13 @@ class VectorCore:
         self._rate = _grow(self._rate, need)
         self._alive = _grow(self._alive, need)
         self._cohort = _grow(self._cohort, need)
-        self._snap = _grow(self._snap, need)
+        if self._snap is not None:
+            self._snap = _grow(self._snap, need)
         self._client = _grow(self._client, need)
         self._kind = _grow(self._kind, need)
-        self._row_cap = int(self._size.shape[0])
+        self._row_cap = cap = int(self._size.shape[0])
+        self._work = np.empty(cap)
+        self._flag = np.empty(cap, dtype=bool)
 
     def _grow_cohorts(self, need: int) -> None:
         self._c_act = _grow(self._c_act, need)
@@ -242,7 +276,8 @@ class VectorCore:
         self._cohort[row0:row] = cohort + c0
         self._size[row0:row] = size
         self._deliv[row0:row] = 0.0
-        self._snap[row0:row] = 0.0
+        if self._snap is not None:
+            self._snap[row0:row] = 0.0
         self._rate[row0:row] = 0.0
         self._alive[row0:row] = True
         self._n = row
@@ -313,9 +348,7 @@ class VectorCore:
         # completion scan, exactly where the per-object tick would see them.
         n = self._n
         if n and now > self._accrued_at:
-            dt = now - self._accrued_at
-            d = self._deliv[:n]
-            np.minimum(self._size[:n], d + self._rate[:n] * dt, out=d)
+            self._accrue(n, now - self._accrued_at)
         self._accrued_at = now
         race = self._race
         if race.pending:
@@ -334,10 +367,7 @@ class VectorCore:
         # them by the column (repro.vec.race) and they are released with the
         # probes they beat.
         if n:
-            done = np.flatnonzero(
-                self._alive[:n]
-                & (self._size[:n] - self._deliv[:n] <= _COMPLETION_SLACK)
-            )
+            done = self._completed(n)
             net.completed_count += done.size
             if done.size:
                 self._release_rows(race.complete(done, now))
@@ -345,8 +375,9 @@ class VectorCore:
         if not race.live:
             return
 
-        if self._dead > _GROW_MIN and self._dead * 2 > self._n:
+        if self._dead > _GROW_MIN and self._dead * 2 > n:
             self._compact()
+            n = self._n
             if obs is not None:
                 obs.count("vec.compactions")
 
@@ -356,7 +387,6 @@ class VectorCore:
         g = self._gathered
         rows, n_flows = g.rows, g.n
         c_caps, ramp_next = self._ramp(g.cohorts, now)
-        caps = None  # the rows' caps, expanded only where a row solve needs them
 
         # Refresh time-varying link capacities through their cursors.
         for lid, cursor in sorted(self._dyn.items()):
@@ -374,7 +404,7 @@ class VectorCore:
             # each gets min(bottleneck, cap): the per-object tick's rule.
             bottleneck = np.full(g.cohorts.size, np.inf)
             np.minimum.at(bottleneck, g.frow, self._link_cap[g.lids])
-            rates = np.minimum(bottleneck, c_caps)[g.of]
+            c_rates = np.minimum(bottleneck, c_caps)
         else:
             # One solver flow per live cohort, unless every cohort is one
             # row; the rows' own solve when the cohort solve cannot give
@@ -389,29 +419,27 @@ class VectorCore:
                     obs.count("vec.cohort_fallbacks")
             if c_rates is None:
                 lids, frow = g.row_coords()
-                caps = c_caps[g.of]
                 rates, _ = waterfill_sparse(
-                    self._link_cap[:m], lids, frow, n_flows, caps, observer=obs
+                    self._link_cap[:m], lids, frow, n_flows, c_caps[g.live_of()],
+                    observer=obs,
                 )
-            else:
-                rates = c_rates[g.of]
+                self._rate[rows] = rates
             if obs is not None:
                 obs.count("vec.solve_sparse")
+        if c_rates is not None:
+            self._expand_rates(g, c_rates)
         if sanitizer is not None:
             lids, frow = g.row_coords()
             sanitizer.check_allocation(
-                now, self._link_cap[:m], lids, frow,
-                c_caps[g.of] if caps is None else caps, rates,
-                [link.name for link in self._links],
+                now, self._link_cap[:m], lids, frow, c_caps[g.live_of()],
+                self._rate[rows], [link.name for link in self._links],
             )
-        self._rate[rows] = rates
 
         # 4. Next wake-up: first completion, ramp increase or trace change.
         next_time = ramp_next
-        pos = rates > 0.0
-        if pos.any():
-            t_done = now + (self._size[rows][pos] - self._deliv[rows][pos]) / rates[pos]
-            next_time = min(float(t_done.min()), next_time)
+        first = self._first_completion(n)
+        if math.isfinite(first):
+            next_time = min(now + first, next_time)
         for lid, cursor in sorted(self._dyn.items()):
             if self._link_refs[lid] > 0:
                 nxt = cursor.next_change_after(now)
@@ -427,6 +455,45 @@ class VectorCore:
         net._tick_event = sim.schedule_at(
             max(next_time, now + min_step), net._tick_cb, name="fluid-tick"
         )
+
+    # ------------------------------------------------------------------ #
+    # column steps over the first ``n`` rows, through the work columns
+    # ------------------------------------------------------------------ #
+    def _accrue(self, n: int, dt: float) -> None:
+        """``delivered = min(size, delivered + rate*dt)`` in place."""
+        w = self._work[:n]
+        np.multiply(self._rate[:n], dt, out=w)
+        np.add(self._deliv[:n], w, out=w)
+        np.minimum(self._size[:n], w, out=self._deliv[:n])
+
+    def _completed(self, n: int) -> np.ndarray:
+        """The live rows within the completion slack, ascending."""
+        w = self._work[:n]
+        flag = self._flag[:n]
+        np.subtract(self._size[:n], self._deliv[:n], out=w)
+        np.less_equal(w, _COMPLETION_SLACK, out=flag)
+        np.logical_and(self._alive[:n], flag, out=flag)
+        return np.flatnonzero(flag)
+
+    def _expand_rates(self, g: _Gather, c_rates: np.ndarray) -> None:
+        """Give every row its cohort's rate and every dead row 0."""
+        n = g.of_all.size
+        np.take(np.append(c_rates, 0.0), g.of_all, out=self._rate[:n], mode="clip")
+
+    def _first_completion(self, n: int) -> float:
+        """The least time to completion over the rows at their rates.
+
+        A row at rate 0 gives ``inf``, or NaN when nothing remains, and
+        ``fmin`` skips NaN, so no mask is needed: dead rows hold rate 0.
+        The result is NaN or ``inf`` when no row completes.  ``x / r`` and
+        ``now + x`` both round monotonically, so ``now`` plus this equals
+        the least of ``now + remaining / rate`` bit for bit.
+        """
+        w = self._work[:n]
+        np.subtract(self._size[:n], self._deliv[:n], out=w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(w, self._rate[:n], out=w)
+        return float(np.fmin.reduce(w))
 
     def _gather(self) -> _Gather:
         """The live population's solver problem, in activation order.
@@ -444,16 +511,19 @@ class VectorCore:
         frow = np.repeat(np.arange(cohorts.size, dtype=np.int64), deg)
         local = np.empty(nc, dtype=np.int64)
         local[cohorts] = np.arange(cohorts.size)
+        of_all = local[self._cohort[:n]]
         if self._dead == 0:
             rows = slice(0, n)
             n_rows = n
         else:
-            rows = np.flatnonzero(self._alive[:n])
+            dead = ~self._alive[:n]
+            of_all[dead] = cohorts.size
+            rows = np.flatnonzero(~dead)
             n_rows = int(rows.size)
         disjoint = int(self._link_refs[: len(self._links)].max(initial=0)) <= 1
         return _Gather(
-            rows, n_rows, cohorts, local[self._cohort[rows]], lids, frow, deg,
-            self._c_mult[cohorts], disjoint,
+            rows, n_rows, cohorts, of_all, lids, frow, deg, self._c_mult[cohorts],
+            disjoint,
         )
 
     # ------------------------------------------------------------------ #
@@ -490,7 +560,8 @@ class VectorCore:
             self._size, self._deliv, self._rate, self._snap,
             self._cohort, self._client, self._kind,
         ):
-            arr[:k] = arr[:n][keep]
+            if arr is not None:
+                arr[:k] = arr[:n][keep]
         self._race.renumber(keep)  # before ``keep``, a view, is overwritten
         self._alive[:k] = True
         self._n = k

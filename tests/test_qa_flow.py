@@ -336,6 +336,49 @@ class TestReachability:
         )
         assert "fixpkg.walk.Walker.visit_Call" in reached
 
+    @pytest.mark.parametrize(
+        "imports, base",
+        [
+            ("from fixpkg import base as mod\n", "mod.Base"),
+            ("import fixpkg.base as mod\n", "mod.Base"),
+            ("import fixpkg\n", "fixpkg.base.Base"),
+        ],
+        ids=["from-import-alias", "import-alias", "full-path"],
+    )
+    def test_self_call_resolves_through_a_dotted_base(self, tmp_path, imports, base):
+        """``self.m()`` on a subclass of ``mod.Base`` is the inherited
+        ``Base.m``, not every method named ``m``."""
+        project = build_project(
+            [
+                make_pkg(
+                    tmp_path,
+                    {
+                        "base.py": (
+                            "class Base:\n"
+                            "    def m(self):\n"
+                            "        return 1\n"
+                        ),
+                        "other.py": (
+                            "class Other:\n"
+                            "    def m(self):\n"
+                            "        return 2\n"
+                        ),
+                        "sub.py": (
+                            f"{imports}"
+                            "\n"
+                            "\n"
+                            f"class Sub({base}):\n"
+                            "    def run(self):\n"
+                            "        return self.m()\n"
+                        ),
+                    },
+                )
+            ]
+        )
+        (site,) = project.calls_in("fixpkg.sub.Sub.run")
+        assert site.callees == ("fixpkg.base.Base.m",)
+        assert site.kind == "method"
+
     def test_engine_hot_paths_reachable_on_real_tree(self, src_project):
         reached = src_project.reachable_from(src_project.entry_points())
         assert "repro.vec.engine.VectorCore.tick" in reached

@@ -15,6 +15,8 @@ growing object-flow population, and agrees with the dense reference loop
 """
 
 import hashlib
+import math
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -29,7 +31,7 @@ from repro.net.trace import CapacityTrace
 from repro.sim.errors import TransferError
 from repro.sim.simulator import Simulator
 from repro.tcp import fluid
-from repro.tcp.fluid import FluidNetwork
+from repro.tcp.fluid import _COMPLETION_SLACK, FluidNetwork
 from repro.tcp.model import SlowStartRamp
 from repro.vec.engine import VectorCore
 from tests.maxmin_oracle import maxmin_allocate
@@ -530,3 +532,186 @@ class TestLinkNameConflicts:
         columnar = _race(args, nets=nets)
         assert sorted(nets[0]._vec._lid) == ["x", "y"]
         assert columnar == _race(args, oracle=True)
+
+
+def _column_core(rng, *, n_rows=400, n_links=5, n_routes=4):
+    """A vector core holding two batches of random rows on random routes,
+    with delivered bytes, tombstones and rates drawn to cover every case
+    the tick's column steps meet: live rows at rate 0 (just flushed),
+    completed rows released with nothing left, aborted partners released
+    with bytes left, and rates over many magnitudes."""
+    core = VectorCore(FluidNetwork(Simulator(sanitize=False)))
+    links = [
+        Link(f"l{i}", f"a{i}", f"b{i}", CapacityTrace.constant(1e6), delay=0.01)
+        for i in range(n_links)
+    ]
+    lid = np.array([core._intern_link(link) for link in links], dtype=np.int64)
+    picks = [
+        rng.choice(n_links, size=int(rng.integers(1, 4)), replace=False)
+        for _ in range(n_routes)
+    ]
+    rl = np.concatenate([lid[p] for p in picks])
+    rd = np.array([p.size for p in picks], dtype=np.int64)
+    for batch in range(2):
+        k = int(rng.integers(1, 2 * n_routes))
+        rows = n_rows // 2
+        cohort = rng.permutation(
+            np.concatenate([np.arange(k), rng.integers(0, k, size=rows - k)])
+        )
+        route = rng.integers(0, n_routes, size=k)
+        ramp = np.tile([0.05, 4096.0, 65536.0, 4.0], (k, 1))
+        core._append_rows(
+            cohort, rl, rd, route, ramp, np.full(k, float(batch)),
+            rng.uniform(1e3, 1e6, size=rows),
+        )
+    n, nc = core._n, core._nc
+    mult = np.bincount(core._cohort[:n], minlength=nc)
+    core._link_refs[: lid.size] = np.bincount(
+        core._link_idx[: core._nnz],
+        weights=np.repeat(mult, np.diff(core._indptr[: nc + 1])),
+        minlength=lid.size,
+    ).astype(np.int64)
+    size = core._size[:n]
+    frac = rng.uniform(0.0, 1.0, size=n)
+    frac[rng.random(n) < 0.2] = 1.0  # nothing left
+    core._deliv[:n] = np.minimum(size, size * frac)
+    core._rate[:n] = 10.0 ** rng.uniform(-3.0, 9.0, size=n)
+    core._rate[:n][rng.random(n) < 0.1] = 0.0
+    dead = np.flatnonzero(rng.random(n) < 0.3)
+    core._release_rows(dead)
+    return core
+
+
+def _old_expanded_rates(core, g, c_rates):
+    """The rate column as the tick once wrote it: the live rows' cohort
+    rates gathered, then scattered into the live rows."""
+    rate = core._rate[: core._n].copy()
+    rate[g.rows] = c_rates[g.live_of()]
+    return rate
+
+
+def _old_next_completion(core, rows, now):
+    """The first completion as the tick once computed it: over the live
+    rows with a positive rate, ``now + remaining / rate``; None if none."""
+    rates = core._rate[rows]
+    pos = rates > 0.0
+    if not pos.any():
+        return None
+    t_done = now + (core._size[rows][pos] - core._deliv[rows][pos]) / rates[pos]
+    return float(t_done.min())
+
+
+class TestColumnSteps:
+    """The tick's column steps, run over every row through work columns,
+    equal the masked and gathered expressions they replace bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_steps_equal_the_masked_expressions(self, seed):
+        rng = np.random.default_rng(3000 + seed)
+        core = _column_core(rng, n_rows=int(rng.integers(8, 600)))
+        n = core._n
+        alive = core._alive[:n]
+        assert not alive.all() and alive.any()
+        dead = ~alive
+        rem = core._size[:n] - core._deliv[:n]
+        assert (dead & (rem == 0.0)).any() and (dead & (rem > 0.0)).any()
+        assert (core._rate[:n][dead] == 0.0).all()
+
+        # Rates: one take over the whole column against gather + scatter.
+        g = core._gather()
+        c_rates = 10.0 ** rng.uniform(-3.0, 9.0, size=g.cohorts.size)
+        c_rates[rng.random(c_rates.size) < 0.2] = 0.0
+        expected = _old_expanded_rates(core, g, c_rates)
+        core._expand_rates(g, c_rates)
+        assert core._rate[:n].tobytes() == expected.tobytes()
+
+        # Next wake-up, at several instants.
+        for now in (0.0, 1.0, float(rng.uniform(0.0, 1e4)), 123456.789):
+            old = _old_next_completion(core, g.rows, now)
+            first = core._first_completion(n)
+            new = now + first if math.isfinite(first) else None
+            assert new == old
+            if new is not None:
+                assert float(new).hex() == float(old).hex()
+
+        # Accrual, then the completion scan.
+        dt = float(rng.uniform(1e-6, 5.0))
+        expected = np.minimum(core._size[:n], core._deliv[:n] + core._rate[:n] * dt)
+        core._accrue(n, dt)
+        assert core._deliv[:n].tobytes() == expected.tobytes()
+        expected = np.flatnonzero(
+            core._alive[:n] & (core._size[:n] - core._deliv[:n] <= _COMPLETION_SLACK)
+        )
+        assert np.array_equal(core._completed(n), expected)
+
+    def test_no_row_at_a_positive_rate_gives_no_completion(self):
+        core = _column_core(np.random.default_rng(1), n_rows=100)
+        n = core._n
+        core._rate[:n] = 0.0
+        assert not math.isfinite(core._first_completion(n))
+        assert _old_next_completion(core, np.flatnonzero(core._alive[:n]), 1.0) is None
+
+    def test_deadlock_still_raises_with_every_live_rate_zero(self):
+        """One client races two routes over a dead link while another
+        completes over live ones: once the stuck rows' ramps peak, nothing
+        will change, and the tick says so."""
+        live = Link("up", "a", "b", CapacityTrace.constant(1e6), delay=0.01)
+        zero = Link("down", "a", "c", CapacityTrace.constant(0.0), delay=0.01)
+        routes = [Route([live]), Route([zero])]
+        ramp = SlowStartRamp(rtt=0.04, max_window=65_536.0)
+        sim = Simulator()
+        net = FluidNetwork(sim)
+        race = net.start_races(
+            routes=routes, ramps=[ramp, ramp], sizes=[5e4], probe_bytes=1e4,
+            direct=[0, 1], relay=[0, 1], size=[0, 0], slot=[0, 0],
+            slot_times=[0.0],
+        )
+        with pytest.raises(TransferError, match="deadlock"):
+            sim.run()
+        assert race.n_completed == 1
+        core = net._vec
+        assert not core._alive[: core._n].all()  # the finished client's rows
+
+
+class TestSteadyTickAllocation:
+    """A tick that neither flushes, releases, compacts nor re-gathers
+    writes through the core's work columns: it allocates nothing the size
+    of the population."""
+
+    def test_steady_tick_allocates_no_row_column(self):
+        shared = Link("x", "s", "m", CapacityTrace.constant(1e6), delay=0.01)
+        routes = [
+            Route([shared, Link(f"y{i}", "m", f"c{i}", CapacityTrace.constant(1e7),
+                                delay=0.01)])
+            for i in range(2)
+        ]
+        ramp = SlowStartRamp(rtt=0.05, max_window=262_144.0)
+        n_clients = 25_000
+        sim = Simulator(sanitize=False)
+        net = FluidNetwork(sim)
+        net.start_races(
+            routes=routes, ramps=[ramp, ramp], sizes=[1e6], probe_bytes=1e5,
+            direct=[0] * n_clients, relay=[1] * n_clients, size=[0] * n_clients,
+            slot=[0] * n_clients, slot_times=[0.0],
+        )
+        tick = VectorCore.tick
+        steady = []
+
+        def traced_tick(core):
+            before = (core._gathered, core._n, core._dead, bool(core._race.pending))
+            tracemalloc.start()
+            try:
+                tick(core)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            after = (core._gathered, core._n, core._dead, False)
+            if before[0] is not None and before == after:
+                steady.append((core._n, peak))
+
+        with mock.patch.object(VectorCore, "tick", traced_tick):
+            sim.run(until=0.5)
+        assert steady
+        for n, peak in steady:
+            assert n >= 50_000
+            assert peak < n * 8

@@ -13,9 +13,9 @@ import numpy as np
 from repro.net.failures import FaultWindow
 from repro.net.topology import wan_link_name
 from repro.util.tables import render_table
-from repro.workloads.studies import STUDY_SESSION_CONFIG
-from repro.workloads.failures import FAILURES_SESSION_CONFIG
+from repro.workloads.faulted import RESILIENT_SESSION_CONFIG
 from repro.workloads.profiles import Variability
+from repro.workloads.studies import STUDY_SESSION_CONFIG
 
 REPS = 10
 INTERVAL = 360.0
@@ -73,7 +73,7 @@ def _run(scenario):
                 100.0 * (plain.end_to_end_throughput - direct) / direct
             )
 
-            adaptive_u = world.universe(start, config=FAILURES_SESSION_CONFIG)
+            adaptive_u = world.universe(start, config=RESILIENT_SESSION_CONFIG)
             result = adaptive_u.session.download(
                 client, "eBay", scenario.resource, [relay]
             )

@@ -21,11 +21,11 @@ from repro.net.failures import FaultWindow
 from repro.net.topology import wan_link_name
 from repro.workloads.studies import STUDY_SESSION_CONFIG
 from repro.workloads.failures import (
-    FAILURES_SESSION_CONFIG,
     FailureStudyParams,
     plan_failures,
     run_failure_unit,
 )
+from repro.workloads.faulted import RESILIENT_SESSION_CONFIG
 from repro.workloads.scenario import Scenario, ScenarioSpec
 
 
@@ -63,7 +63,7 @@ def mid_transfer_failover(scenario) -> None:
     plain = degraded.universe(0.0, config=STUDY_SESSION_CONFIG).session.download(
         client, site, degraded.resource, [relay]
     )
-    resilient = degraded.universe(0.0, config=FAILURES_SESSION_CONFIG).session.download(
+    resilient = degraded.universe(0.0, config=RESILIENT_SESSION_CONFIG).session.download(
         client, site, degraded.resource, [relay]
     )
     switches = [

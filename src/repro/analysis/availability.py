@@ -161,11 +161,6 @@ def availability_stats(records: Sequence[FailureRecord]) -> AvailabilityStats:
         else math.nan
     )
     ttrs = recovery_times(records)
-    requested = sum(r.file_bytes for r in records)
-    delivered = sum(min(r.bytes_received, r.file_bytes) for r in records)
-    byte_unavailability = (
-        1.0 - delivered / requested if requested > 0.0 else math.nan
-    )
     return AvailabilityStats(
         n_sessions=n,
         n_completed=n_completed,
@@ -177,7 +172,7 @@ def availability_stats(records: Sequence[FailureRecord]) -> AvailabilityStats:
         median_ttr=finite_quantile(ttrs, 0.5),
         p95_ttr=finite_quantile(ttrs, 0.95),
         mean_goodput_under_failure=finite_mean(goodput_under_failure(records)),
-        byte_unavailability=byte_unavailability,
+        byte_unavailability=byte_unavailability(records),
     )
 
 
@@ -362,8 +357,6 @@ def stripe_degradation_stats(
         and goodput_clean > 0.0
         else math.nan
     )
-    requested = sum(r.file_bytes for r in rows)
-    delivered = sum(min(r.bytes_received, r.file_bytes) for r in rows)
     return StripeDegradationStats(
         n_sessions=len(rows),
         n_clean=len(clean),
@@ -373,9 +366,7 @@ def stripe_degradation_stats(
         mean_goodput_clean=goodput_clean,
         mean_goodput_degraded=goodput_degraded,
         goodput_retained=retained,
-        byte_unavailability=(
-            1.0 - delivered / requested if requested > 0.0 else math.nan
-        ),
+        byte_unavailability=byte_unavailability(rows),
     )
 
 

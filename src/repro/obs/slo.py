@@ -27,7 +27,8 @@ by the optional ``mechanism`` / ``fault_family`` / ``intensity`` /
 ``failure_mode`` keys first; chaos artefacts are evaluated through
 :func:`repro.analysis.chaos.chaos_cells` (so the SLO numbers are, by
 construction, the study's numbers) and failure artefacts through
-:func:`repro.analysis.availability.availability_stats`.
+:func:`repro.analysis.availability.availability_stats`; other rows (mHTTP's)
+read :attr:`~repro.trace.records.FaultedRecord.available` and their durations.
 
 Trace-based metrics (``--trace``): ``probe_overhead_fraction``,
 ``phase_fraction:<phase>``, ``tail_phase_fraction:<phase>`` (at the

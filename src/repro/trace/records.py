@@ -10,6 +10,10 @@ under a ``record_type`` tag (see :class:`FailureRecord`): serialised rows of
 a subclass carry the tag, while plain rows stay exactly as before, so old
 artefacts and checkpoints load unchanged and `TransferRecord.from_dict`
 round-trips every registered type from a single entry point.
+
+The fault studies' rows (:class:`FailureRecord`, :class:`StripeRecord`,
+:class:`ChaosRecord`) share the untagged base :class:`FaultedRecord`.  Rows
+are dumped with sorted keys, so where a column is declared moves no byte.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from repro.core.resilience import RecoveryEvent
 
 __all__ = [
     "TransferRecord",
+    "FaultedRecord",
     "FailureRecord",
     "StripeRecord",
     "ScaleRecord",
@@ -183,54 +188,42 @@ class TransferRecord:
 
 
 @dataclass(frozen=True)
-class FailureRecord(TransferRecord):
-    """One paired measurement from the failure/availability study.
+class FaultedRecord(TransferRecord):
+    """The columns every fault study's row shares.
 
-    Extends :class:`TransferRecord` with the resilient protocol's outcome
-    data.  Unlike the base record, zero throughputs and durations are legal
-    here - an aborted session delivered nothing, and that is precisely the
-    signal the availability analysis aggregates.
+    A fault-study unit runs a direct-only control and one mechanism arm
+    on the same fault-injected scenario (see :mod:`repro.workloads.faulted`).
+    Unlike the base record, zero throughputs and durations are legal here:
+    an aborted session delivered nothing, and that is precisely the signal
+    the availability analyses aggregate.
+
+    This class has no ``record_type`` of its own and is never registered
+    or written: :class:`FailureRecord`, :class:`StripeRecord` and
+    :class:`ChaosRecord` are the rows on disk.
 
     Attributes
     ----------
-    failure_mode:
-        What was injected for this unit: ``"none"``, ``"link"`` (direct WAN
-        flap), ``"node"`` (relay crash) or ``"both"``.
     outcome / direct_outcome:
-        :class:`~repro.core.resilience.SessionOutcome` values of the
-        selector and control sessions (as strings, for the wire format).
-    n_failovers / n_reprobes:
-        Recovery actions the selector session took.
+        :class:`~repro.core.resilience.SessionOutcome` values of the arm
+        and control sessions (as strings, for the wire format).
     bytes_received:
-        Payload the selector actually delivered (equals ``file_bytes``
-        unless the session aborted).
+        Payload the arm actually delivered (equals ``file_bytes`` unless
+        the session aborted).
     direct_duration / selected_duration:
-        Wall durations of the control and selector sessions, seconds.
-    time_to_recover:
-        Seconds from the selector's first stall to the recovery action that
-        answered it; NaN when it never stalled or never recovered.
-    outage_overlap:
-        True when the control session overlapped an injected outage.
+        Wall durations of the control and arm sessions, seconds.
     recovery_events:
-        The selector session's recovery timeline.
+        The arm session's recovery timeline.
     """
 
-    RECORD_TYPE: ClassVar[str] = "failure"
-
-    failure_mode: str = "none"
     outcome: str = "completed"
     direct_outcome: str = "completed"
-    n_failovers: int = 0
-    n_reprobes: int = 0
     bytes_received: float = 0.0
     direct_duration: float = 0.0
     selected_duration: float = 0.0
-    time_to_recover: float = math.nan
-    outage_overlap: bool = False
     recovery_events: Tuple[RecoveryEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        # Deliberately looser than the base class: failure studies produce
+        # Deliberately looser than the base class: fault studies produce
         # legitimate zero-throughput (aborted) rows.
         if self.direct_throughput < 0.0:
             raise ValueError("direct_throughput must be >= 0")
@@ -243,17 +236,24 @@ class FailureRecord(TransferRecord):
 
     @property
     def aborted(self) -> bool:
-        """True when the selector session gave up."""
+        """True when the arm session gave up."""
         return self.outcome == "aborted"
 
     @property
-    def recovered(self) -> bool:
-        """True when the selector completed only via recovery actions."""
-        return self.outcome == "failed_over"
+    def delivered_fraction(self) -> float:
+        """Payload delivered relative to the object size (1.0 when whole)."""
+        if self.file_bytes <= 0.0:
+            return 0.0
+        return min(self.bytes_received, self.file_bytes) / self.file_bytes
+
+    @property
+    def available(self) -> bool:
+        """The availability bit: the arm delivered the whole object."""
+        return not self.aborted and self.delivered_fraction >= 1.0
 
     @property
     def speedup(self) -> float:
-        """Control duration / selector duration (>1 = selector faster).
+        """Control duration / arm duration (>1 = arm faster).
 
         NaN when either duration is non-positive (degenerate or aborted
         sessions have no meaningful duration ratio) - never raises.
@@ -268,23 +268,52 @@ class FailureRecord(TransferRecord):
         return d
 
     @classmethod
-    def _decode(cls, d: Dict[str, Any]) -> "FailureRecord":
-        d["offered"] = tuple(d["offered"])
+    def _decode(cls, d: Dict[str, Any]) -> "TransferRecord":
         d["recovery_events"] = tuple(
             RecoveryEvent.from_dict(e) for e in d.get("recovery_events", ())
         )
-        return cls(**d)
+        return super()._decode(d)
 
 
 @dataclass(frozen=True)
-class StripeRecord(TransferRecord):
+class FailureRecord(FaultedRecord):
+    """One paired measurement from the failure/availability study.
+
+    Attributes
+    ----------
+    failure_mode:
+        What was injected for this unit: ``"none"``, ``"link"`` (direct WAN
+        flap), ``"node"`` (relay crash) or ``"both"``.
+    n_failovers / n_reprobes:
+        Recovery actions the selector session took.
+    time_to_recover:
+        Seconds from the selector's first stall to the recovery action that
+        answered it; NaN when it never stalled or never recovered.
+    outage_overlap:
+        True when the control session overlapped an injected outage.
+    """
+
+    RECORD_TYPE: ClassVar[str] = "failure"
+
+    failure_mode: str = "none"
+    n_failovers: int = 0
+    n_reprobes: int = 0
+    time_to_recover: float = math.nan
+    outage_overlap: bool = False
+
+    @property
+    def recovered(self) -> bool:
+        """True when the selector completed only via recovery actions."""
+        return self.outcome == "failed_over"
+
+
+@dataclass(frozen=True)
+class StripeRecord(FaultedRecord):
     """One paired measurement from the mHTTP striping study.
 
     Each row compares one mechanism run (probe-race *select-one* or
     *stripe-k*) against the direct control on the same - possibly
-    failure-injected - scenario.  As with :class:`FailureRecord`, zero
-    throughputs and durations are legal: an aborted session delivered
-    nothing and the analysis wants to see that.
+    failure-injected - scenario.
 
     Attributes
     ----------
@@ -305,21 +334,11 @@ class StripeRecord(TransferRecord):
     failure_mode:
         Injection for this unit: ``"none"`` or ``"node"`` (primary-relay
         crash timed to hit the transfer - the PR 4 failure model).
-    outcome / direct_outcome:
-        :class:`~repro.core.resilience.SessionOutcome` strings of the
-        mechanism and control sessions.
-    bytes_received:
-        Payload the mechanism session delivered.
-    direct_duration / selected_duration:
-        Wall durations of the control and mechanism sessions, seconds.
     outage_overlap:
         True when the mechanism session overlapped an injected outage.
     bytes_by_path:
         Committed payload per path label (``("direct", ...)`` first for
         stripe rows; empty for select rows) - the load-balance picture.
-    recovery_events:
-        The mechanism session's recovery timeline (``path_dead`` /
-        ``reissue`` for stripes; failover events for select rows).
     """
 
     RECORD_TYPE: ClassVar[str] = "stripe"
@@ -333,36 +352,17 @@ class StripeRecord(TransferRecord):
     n_duplicate_blocks: int = 0
     n_path_failures: int = 0
     failure_mode: str = "none"
-    outcome: str = "completed"
-    direct_outcome: str = "completed"
-    bytes_received: float = 0.0
-    direct_duration: float = 0.0
-    selected_duration: float = 0.0
     outage_overlap: bool = False
     bytes_by_path: Tuple[Tuple[str, float], ...] = ()
-    recovery_events: Tuple[RecoveryEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        # Loosened like FailureRecord: aborted rows carry legitimate zeros.
         if self.mechanism not in ("select", "stripe"):
             raise ValueError(
                 f"mechanism must be 'select' or 'stripe', got {self.mechanism!r}"
             )
-        if self.direct_throughput < 0.0:
-            raise ValueError("direct_throughput must be >= 0")
-        if self.selected_throughput < 0.0:
-            raise ValueError("selected_throughput must be >= 0")
         if self.wasted_bytes < 0.0:
             raise ValueError("wasted_bytes must be >= 0")
-        if self.selected_via is not None and self.selected_via not in self.offered:
-            raise ValueError(
-                f"selected relay {self.selected_via!r} not in offered set {self.offered}"
-            )
-
-    @property
-    def aborted(self) -> bool:
-        """True when the mechanism session gave up."""
-        return self.outcome == "aborted"
+        super().__post_init__()
 
     @property
     def degraded(self) -> bool:
@@ -375,16 +375,6 @@ class StripeRecord(TransferRecord):
         if self.file_bytes <= 0.0:
             return 0.0
         return self.wasted_bytes / self.file_bytes
-
-    @property
-    def speedup(self) -> float:
-        """Control duration / mechanism duration (>1 = mechanism faster).
-
-        NaN when either duration is non-positive - never raises.
-        """
-        if self.selected_duration <= 0.0 or self.direct_duration <= 0.0:
-            return math.nan
-        return self.direct_duration / self.selected_duration
 
     @property
     def sort_key(self) -> Tuple:
@@ -400,30 +390,23 @@ class StripeRecord(TransferRecord):
     def to_dict(self) -> Dict[str, Any]:
         d = super().to_dict()
         d["bytes_by_path"] = [[label, got] for label, got in self.bytes_by_path]
-        d["recovery_events"] = [e.to_dict() for e in self.recovery_events]
         return d
 
     @classmethod
-    def _decode(cls, d: Dict[str, Any]) -> "StripeRecord":
-        d["offered"] = tuple(d["offered"])
+    def _decode(cls, d: Dict[str, Any]) -> "TransferRecord":
         d["bytes_by_path"] = tuple(
             (str(label), float(got)) for label, got in d.get("bytes_by_path", ())
         )
-        d["recovery_events"] = tuple(
-            RecoveryEvent.from_dict(e) for e in d.get("recovery_events", ())
-        )
-        return cls(**d)
+        return super()._decode(d)
 
 
 @dataclass(frozen=True)
-class ChaosRecord(TransferRecord):
+class ChaosRecord(FaultedRecord):
     """One measurement cell of the chaos resilience study.
 
     Each row compares one mechanism arm (``select``, ``failover`` or
     ``stripe``) against the direct control on the same fault-injected
-    scenario.  As with :class:`FailureRecord`, zero throughputs and
-    durations are legal - an aborted session delivered nothing, and the
-    resilience analysis wants exactly that signal.
+    scenario.
 
     Attributes
     ----------
@@ -437,17 +420,10 @@ class ChaosRecord(TransferRecord):
         ``"severe"`` intensity (``"none"`` rows are the in-cell baseline).
     stripe_k:
         Paths the mechanism had available, direct included.
-    outcome / direct_outcome:
-        :class:`~repro.core.resilience.SessionOutcome` strings of the
-        mechanism and control sessions.
     n_failovers / n_path_failures:
         Recovery actions: failover switches for select/failover rows,
         stripe paths declared dead for stripe rows (both columns kept so
         the analysis can tell them apart).
-    bytes_received:
-        Payload the mechanism session delivered.
-    direct_duration / selected_duration:
-        Wall durations of the control and mechanism sessions, seconds.
     time_to_recover:
         Seconds from the first stall (or dead stripe path) to the recovery
         action that answered it; NaN when nothing stalled or nothing
@@ -457,8 +433,6 @@ class ChaosRecord(TransferRecord):
         in the unit's fault plan was degraded or dark.
     fault_overlap:
         True when the mechanism session overlapped a fault window.
-    recovery_events:
-        The mechanism session's recovery timeline.
     """
 
     RECORD_TYPE: ClassVar[str] = "chaos"
@@ -470,61 +444,20 @@ class ChaosRecord(TransferRecord):
     fault_family: str = "none"
     intensity: str = "mild"
     stripe_k: int = 0
-    outcome: str = "completed"
-    direct_outcome: str = "completed"
     n_failovers: int = 0
     n_path_failures: int = 0
-    bytes_received: float = 0.0
-    direct_duration: float = 0.0
-    selected_duration: float = 0.0
     time_to_recover: float = math.nan
     fault_downtime: float = 0.0
     fault_overlap: bool = False
-    recovery_events: Tuple[RecoveryEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        # Loosened like FailureRecord: aborted rows carry legitimate zeros.
         if self.mechanism not in self.MECHANISMS:
             raise ValueError(
                 f"mechanism must be one of {self.MECHANISMS}, got {self.mechanism!r}"
             )
-        if self.direct_throughput < 0.0:
-            raise ValueError("direct_throughput must be >= 0")
-        if self.selected_throughput < 0.0:
-            raise ValueError("selected_throughput must be >= 0")
         if self.fault_downtime < 0.0:
             raise ValueError("fault_downtime must be >= 0")
-        if self.selected_via is not None and self.selected_via not in self.offered:
-            raise ValueError(
-                f"selected relay {self.selected_via!r} not in offered set {self.offered}"
-            )
-
-    @property
-    def aborted(self) -> bool:
-        """True when the mechanism session gave up."""
-        return self.outcome == "aborted"
-
-    @property
-    def delivered_fraction(self) -> float:
-        """Payload delivered relative to the object size (1.0 when whole)."""
-        if self.file_bytes <= 0.0:
-            return 0.0
-        return min(self.bytes_received, self.file_bytes) / self.file_bytes
-
-    @property
-    def available(self) -> bool:
-        """The availability bit: the mechanism delivered the whole object."""
-        return not self.aborted and self.delivered_fraction >= 1.0
-
-    @property
-    def speedup(self) -> float:
-        """Control duration / mechanism duration (>1 = mechanism faster).
-
-        NaN when either duration is non-positive - never raises.
-        """
-        if self.selected_duration <= 0.0 or self.direct_duration <= 0.0:
-            return math.nan
-        return self.direct_duration / self.selected_duration
+        super().__post_init__()
 
     @property
     def sort_key(self) -> Tuple:
@@ -536,19 +469,6 @@ class ChaosRecord(TransferRecord):
         order (the ``--jobs`` byte-identity requirement).
         """
         return (*super().sort_key, self.mechanism, self.fault_family, self.intensity)
-
-    def to_dict(self) -> Dict[str, Any]:
-        d = super().to_dict()
-        d["recovery_events"] = [e.to_dict() for e in self.recovery_events]
-        return d
-
-    @classmethod
-    def _decode(cls, d: Dict[str, Any]) -> "ChaosRecord":
-        d["offered"] = tuple(d["offered"])
-        d["recovery_events"] = tuple(
-            RecoveryEvent.from_dict(e) for e in d.get("recovery_events", ())
-        )
-        return cls(**d)
 
 
 @dataclass(frozen=True)

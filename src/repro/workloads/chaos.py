@@ -31,21 +31,20 @@ from repro.chaos.faults import (
     degraded_seconds,
     plan_spans,
 )
-from repro.core.resilience import RecoveryEvent, ResilienceConfig, recovery_time_of
+from repro.core.resilience import RecoveryEvent, recovery_time_of
 from repro.core.session import SessionConfig
 from repro.net.failures import FaultWindow
 from repro.net.topology import wan_link_name
 from repro.obs.core import global_observer
-from repro.stripe.blocks import DEFAULT_BLOCK_BYTES, StripeConfig
 from repro.trace.records import ChaosRecord
 from repro.util.validation import check_positive
+from repro.workloads.faulted import RESILIENT_SESSION_CONFIG, StripeArmParams, run_arm
 from repro.workloads.scenario import Scenario
-from repro.workloads.studies import STUDY_SESSION_CONFIG, Study
+from repro.workloads.studies import Study
 
 __all__ = [
     "STUDY",
     "CHAOS_MECHANISMS",
-    "CHAOS_RESILIENCE",
     "CHAOS_SESSION_CONFIG",
     "ChaosStudyParams",
     "chaos_cells",
@@ -58,37 +57,25 @@ __all__ = [
 #: The three rival mechanisms compared on every fault cell.
 CHAOS_MECHANISMS = ("select", "failover", "stripe")
 
-#: Resilience settings for the failover arm (identical to the mHTTP
-#: study's select arm - the PR 4 protocol); the select arm runs the same
-#: deadlines with mid-transfer failover switched off.
-CHAOS_RESILIENCE = ResilienceConfig(
-    probe_deadline=30.0,
-    failover=True,
-    transfer_deadline=1800.0,
-)
-
-CHAOS_SESSION_CONFIG = dataclasses.replace(
-    STUDY_SESSION_CONFIG, resilience=CHAOS_RESILIENCE
-)
+#: The failover arm's protocol; the select arm switches failover off.  The
+#: name stays because perfbench/pipeline.py imports it.
+CHAOS_SESSION_CONFIG = RESILIENT_SESSION_CONFIG
 
 
 @dataclass(frozen=True)
-class ChaosStudyParams:
+class ChaosStudyParams(StripeArmParams):
     """Plan-level parameters of the chaos study (``CampaignPlan.extra``).
 
     Hashed into the campaign fingerprint, so runs with different stripe
     geometry or fault timing can never share a checkpoint.  Fault onset is
     uniform in ``[onset_delay_min, onset_delay_max]`` seconds after the
     unit starts - like the mHTTP crash model, sharp enough that every
-    injected fault actually intersects the session it targets.
+    injected fault actually intersects the session it targets.  The stripe
+    geometry comes from :class:`~repro.workloads.faulted.StripeArmParams`.
     """
 
-    block_bytes: float = DEFAULT_BLOCK_BYTES
-    window: int = 2
-    max_copies: int = 2
     onset_delay_min: float = 4.0
     onset_delay_max: float = 30.0
-    transfer_deadline: float = 1800.0
 
     def __post_init__(self) -> None:
         if self.onset_delay_min < 0.0 or self.onset_delay_max < self.onset_delay_min:
@@ -96,17 +83,7 @@ class ChaosStudyParams:
                 "onset delay bounds must satisfy 0 <= min <= max, got "
                 f"[{self.onset_delay_min}, {self.onset_delay_max}]"
             )
-        if self.transfer_deadline <= 0.0:
-            raise ValueError("transfer_deadline must be positive")
-
-    def stripe_config(self) -> StripeConfig:
-        """The striped-session configuration all stripe arms run with."""
-        return StripeConfig(
-            block_bytes=self.block_bytes,
-            window=self.window,
-            max_copies=self.max_copies,
-            transfer_deadline=self.transfer_deadline,
-        )
+        super().__post_init__()
 
 
 def chaos_cells(
@@ -191,7 +168,7 @@ def plan_chaos(
     k: int = 3,
     families: Sequence[str] = FAULT_FAMILIES,
     intensities: Sequence[str] = FAULT_INTENSITIES,
-    config: SessionConfig = CHAOS_SESSION_CONFIG,
+    config: SessionConfig = RESILIENT_SESSION_CONFIG,
     params: ChaosStudyParams = ChaosStudyParams(),
     site: str = "eBay",
     clients: Optional[Sequence[str]] = None,
@@ -277,11 +254,12 @@ def run_chaos_unit(
 ) -> ChaosRecord:
     """Execute one chaos-study unit on a freshly fault-injected scenario.
 
-    The direct control re-runs on the *same* faulted scenario, then the
-    unit's mechanism arm runs over its offered relays.  The select arm is
-    the failover arm with mid-transfer recovery switched off - identical
-    deadlines, identical probe race - so any separation between the two
-    columns is attributable to the recovery protocol alone.
+    :func:`~repro.workloads.faulted.run_arm` re-runs the direct control on
+    the *same* faulted scenario, then the unit's mechanism arm over its
+    offered relays.  The select arm is the failover arm with mid-transfer
+    recovery switched off - identical deadlines, identical probe race - so
+    any separation between the two columns is attributable to the recovery
+    protocol alone (the control reads no failover setting).
     """
     if params is None:
         params = ChaosStudyParams()
@@ -316,85 +294,33 @@ def run_chaos_unit(
                     factor=w.factor,
                 )
 
-    control = faulted.universe(unit.start_time, config=config)
-    ctrl = control.session.download_direct(unit.client, unit.site, faulted.resource)
-
-    if mechanism in ("select", "failover"):
-        arm_config = config
-        if mechanism == "select":
-            arm_config = dataclasses.replace(
-                config,
-                resilience=dataclasses.replace(config.resilience, failover=False),
-            )
-        selector = faulted.universe(
-            unit.start_time,
-            config=arm_config,
-            noise_labels=(unit.study, unit.client, unit.site, unit.repetition),
+    if mechanism == "select":
+        config = dataclasses.replace(
+            config, resilience=dataclasses.replace(config.resilience, failover=False)
         )
-        sel = selector.session.download(
-            unit.client, unit.site, faulted.resource, list(unit.offered)
-        )
-        events = sel.recovery_events
-        interval = (sel.requested_at, sel.completed_at)
-        mech_fields = dict(
-            selected_via=sel.selected_via,
-            selected_throughput=sel.transfer_throughput,
-            end_to_end_throughput=sel.end_to_end_throughput,
-            probe_overhead=sel.probe_overhead_seconds,
-            outcome=sel.outcome.value,
+    stripe = params.stripe_config() if mechanism == "stripe" else None
+    _ctrl, arm, columns = run_arm(faulted, config, unit, stripe)
+    events = arm.recovery_events
+    if stripe is None:
+        own: Dict[str, Any] = dict(
             n_failovers=sum(1 for e in events if e.kind == "failover"),
-            n_path_failures=0,
-            bytes_received=sel.delivered,
-            selected_duration=sel.duration,
             time_to_recover=recovery_time_of(events),
         )
     else:
-        striper = faulted.universe(unit.start_time, config=config)
-        res = striper.session.download_striped(
-            unit.client,
-            unit.site,
-            faulted.resource,
-            list(unit.offered),
-            stripe=params.stripe_config(),
-        )
-        events = res.recovery_events
-        interval = (res.requested_at, res.completed_at)
-        mech_fields = dict(
-            selected_via=None,
-            # A stripe has no probe/bulk split: its one throughput is the
-            # whole-session goodput, recorded in both columns.
-            selected_throughput=res.end_to_end_throughput,
-            end_to_end_throughput=res.end_to_end_throughput,
-            probe_overhead=0.0,
-            outcome=res.outcome.value,
-            n_failovers=0,
-            n_path_failures=len(res.failed_paths),
-            bytes_received=res.delivered,
-            selected_duration=res.duration,
+        own = dict(
+            n_path_failures=len(arm.failed_paths),
             time_to_recover=_stripe_recovery_time(events),
         )
-
-    downtime = degraded_seconds(spans, interval[0], interval[1])
+    downtime = degraded_seconds(spans, arm.requested_at, arm.completed_at)
     return ChaosRecord(
-        study=unit.study,
-        client=unit.client,
-        site=unit.site,
-        repetition=unit.repetition,
-        start_time=unit.start_time,
-        set_size=len(unit.offered),
-        offered=unit.offered,
-        direct_throughput=ctrl.end_to_end_throughput,
-        file_bytes=ctrl.size,
+        **columns,
+        **own,
         mechanism=mechanism,
         fault_family=family,
         intensity=intensity,
         stripe_k=len(unit.offered) + 1,
-        direct_outcome=ctrl.outcome.value,
-        direct_duration=ctrl.duration,
         fault_downtime=downtime,
         fault_overlap=downtime > 0.0,
-        recovery_events=events,
-        **mech_fields,
     )
 
 

@@ -11,7 +11,8 @@ study (`repro failures`) that measures both:
 :func:`plan_failures` decomposes the study into fingerprinted
 :class:`~repro.runner.plan.WorkUnit`\\ s cycling through the injection modes
 (healthy, direct-link flap, relay crash, both - or any subset of them), and
-:func:`run_failure_unit` executes one unit: a direct-only control and a
+:func:`run_failure_unit` executes one unit through
+:func:`~repro.workloads.faulted.run_arm`: a direct-only control and a
 selecting client on the same degraded scenario, emitting one
 :class:`~repro.trace.records.FailureRecord` for
 :mod:`repro.analysis.availability`.  Every random draw is derived from
@@ -21,11 +22,10 @@ count or execution order.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.resilience import ResilienceConfig, recovery_time_of
+from repro.core.resilience import recovery_time_of
 from repro.core.session import SessionConfig
 from repro.net.failures import (
     FaultWindow,
@@ -36,14 +36,13 @@ from repro.net.failures import (
 from repro.net.topology import wan_link_name
 from repro.trace.records import FailureRecord
 from repro.util.validation import check_positive
+from repro.workloads.faulted import RESILIENT_SESSION_CONFIG, run_arm
 from repro.workloads.scenario import Scenario
-from repro.workloads.studies import STUDY_SESSION_CONFIG, Study
+from repro.workloads.studies import Study
 
 __all__ = [
     "STUDY",
     "FAILURE_MODES",
-    "FAILURES_RESILIENCE",
-    "FAILURES_SESSION_CONFIG",
     "FailureStudyParams",
     "failure_outage_plan",
     "plan_failures",
@@ -53,19 +52,6 @@ __all__ = [
 
 #: Injection modes the study cycles through, one per repetition slot.
 FAILURE_MODES = ("none", "link", "node", "both")
-
-#: The resilient protocol configuration the availability study runs with:
-#: probes give up after 30 s, stalled bulk phases fail over, and a whole
-#: session is bounded at 30 simulated minutes.
-FAILURES_RESILIENCE = ResilienceConfig(
-    probe_deadline=30.0,
-    failover=True,
-    transfer_deadline=1800.0,
-)
-
-FAILURES_SESSION_CONFIG = dataclasses.replace(
-    STUDY_SESSION_CONFIG, resilience=FAILURES_RESILIENCE
-)
 
 
 @dataclass(frozen=True)
@@ -139,7 +125,7 @@ def plan_failures(
     *,
     repetitions: int,
     interval: float,
-    config: SessionConfig = FAILURES_SESSION_CONFIG,
+    config: SessionConfig = RESILIENT_SESSION_CONFIG,
     params: FailureStudyParams = FailureStudyParams(),
     site: str = "eBay",
     clients: Optional[Sequence[str]] = None,
@@ -226,49 +212,22 @@ def run_failure_unit(
         mode=mode,
     )
     degraded = scenario.with_faults(outage_plan) if outage_plan else scenario
-    all_outages = [o for outages in outage_plan.values() for o in outages]
-
-    control = degraded.universe(unit.start_time, config=config)
-    ctrl = control.session.download_direct(unit.client, unit.site, degraded.resource)
-
-    selector = degraded.universe(
-        unit.start_time,
-        config=config,
-        noise_labels=(unit.study, unit.client, unit.site, unit.repetition),
-    )
-    sel = selector.session.download(
-        unit.client, unit.site, degraded.resource, list(unit.offered)
-    )
-
+    ctrl, sel, columns = run_arm(degraded, config, unit)
+    # Masking compares the arm against the control's pain, so overlap is
+    # measured on the control's interval.
     overlap = any(
-        o.overlaps(ctrl.requested_at, ctrl.completed_at) for o in all_outages
+        o.overlaps(ctrl.requested_at, ctrl.completed_at)
+        for outages in outage_plan.values()
+        for o in outages
     )
     events = sel.recovery_events
     return FailureRecord(
-        study=unit.study,
-        client=unit.client,
-        site=unit.site,
-        repetition=unit.repetition,
-        start_time=unit.start_time,
-        set_size=len(unit.offered),
-        offered=unit.offered,
-        selected_via=sel.selected_via,
-        direct_throughput=ctrl.end_to_end_throughput,
-        selected_throughput=sel.transfer_throughput,
-        end_to_end_throughput=sel.end_to_end_throughput,
-        probe_overhead=sel.probe_overhead_seconds,
-        file_bytes=sel.size,
+        **columns,
         failure_mode=mode,
-        outcome=sel.outcome.value,
-        direct_outcome=ctrl.outcome.value,
         n_failovers=sum(1 for e in events if e.kind == "failover"),
         n_reprobes=sum(1 for e in events if e.kind == "reprobe"),
-        bytes_received=sel.delivered,
-        direct_duration=ctrl.duration,
-        selected_duration=sel.duration,
         time_to_recover=recovery_time_of(events),
         outage_overlap=overlap,
-        recovery_events=events,
     )
 
 

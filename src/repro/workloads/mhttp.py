@@ -13,36 +13,33 @@ the two mechanisms side by side on identical scenarios:
   same direct-plus-(k-1)-relay path set.
 
 Each unit also runs the direct-only control on the same (possibly
-failure-injected) scenario, and emits one
-:class:`~repro.trace.records.StripeRecord` row.  Failure injection cycles
-``none`` / ``node`` by repetition slot: ``node`` crashes the unit's
-primary relay *during the transfer window* - crash timing is drawn from
-stable per-slot seed-bank labels, so select-k and stripe-k face the exact
-same outage and the whole study is byte-identical for any worker count.
+failure-injected) scenario through :func:`~repro.workloads.faulted.run_arm`,
+and emits one :class:`~repro.trace.records.StripeRecord` row.  Failure
+injection cycles ``none`` / ``node`` by repetition slot: ``node`` crashes
+the unit's primary relay *during the transfer window* - crash timing is
+drawn from stable per-slot seed-bank labels, so select-k and stripe-k face
+the exact same outage and the whole study is byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.resilience import ResilienceConfig
 from repro.core.session import SessionConfig
 from repro.net.failures import FaultWindow, node_outage_plan
-from repro.stripe.blocks import DEFAULT_BLOCK_BYTES, StripeConfig
 from repro.trace.records import StripeRecord
 from repro.util.units import kb
 from repro.util.validation import check_positive
+from repro.workloads.faulted import RESILIENT_SESSION_CONFIG, StripeArmParams, run_arm
 from repro.workloads.scenario import Scenario
-from repro.workloads.studies import STUDY_SESSION_CONFIG, Study
+from repro.workloads.studies import Study
 
 __all__ = [
     "STUDY",
     "MHTTP_MODES",
     "MHTTP_MECHANISMS",
-    "MHTTP_RESILIENCE",
-    "MHTTP_SESSION_CONFIG",
     "MhttpStudyParams",
     "mhttp_outage_plan",
     "parse_mhttp_variant",
@@ -56,25 +53,14 @@ MHTTP_MODES = ("none", "node")
 #: The two rival mechanisms compared on every (client, slot, k) coordinate.
 MHTTP_MECHANISMS = ("select", "stripe")
 
-#: Resilience settings for the select-one arm - the PR 4 failure model the
-#: stripe is measured against (identical to the availability study's).
-MHTTP_RESILIENCE = ResilienceConfig(
-    probe_deadline=30.0,
-    failover=True,
-    transfer_deadline=1800.0,
-)
-
-MHTTP_SESSION_CONFIG = dataclasses.replace(
-    STUDY_SESSION_CONFIG, resilience=MHTTP_RESILIENCE
-)
-
 
 @dataclass(frozen=True)
-class MhttpStudyParams:
+class MhttpStudyParams(StripeArmParams):
     """Plan-level parameters of the mHTTP study (``CampaignPlan.extra``).
 
     Hashed into the campaign fingerprint, so runs with different stripe
-    geometry or crash processes can never share a checkpoint.
+    geometry or crash processes can never share a checkpoint.  The stripe
+    geometry comes from :class:`~repro.workloads.faulted.StripeArmParams`.
 
     The crash model is deliberately sharper than the availability study's
     Poisson processes: the ``node`` mode crashes the unit's primary relay
@@ -84,14 +70,10 @@ class MhttpStudyParams:
     which starves the tail-latency comparison of affected samples).
     """
 
-    block_bytes: float = DEFAULT_BLOCK_BYTES
-    window: int = 2
-    max_copies: int = 2
     #: Crash onset is uniform in [min, max] seconds after the unit starts.
     crash_delay_min: float = 4.0
     crash_delay_max: float = 30.0
     crash_duration: float = 240.0
-    transfer_deadline: float = 1800.0
 
     def __post_init__(self) -> None:
         if self.crash_delay_min < 0.0 or self.crash_delay_max < self.crash_delay_min:
@@ -100,17 +82,7 @@ class MhttpStudyParams:
                 f"[{self.crash_delay_min}, {self.crash_delay_max}]"
             )
         check_positive(self.crash_duration, "crash_duration")
-        # Validate the stripe geometry at plan time, not inside every unit.
-        self.stripe_config()
-
-    def stripe_config(self) -> StripeConfig:
-        """The striped-session configuration all stripe units run with."""
-        return StripeConfig(
-            block_bytes=self.block_bytes,
-            window=self.window,
-            max_copies=self.max_copies,
-            transfer_deadline=self.transfer_deadline,
-        )
+        super().__post_init__()
 
 
 def parse_mhttp_variant(variant: str) -> Tuple[str, int, str]:
@@ -168,7 +140,7 @@ def plan_mhttp(
     repetitions: int,
     interval: float,
     ks: Sequence[int] = (2, 3, 4),
-    config: SessionConfig = MHTTP_SESSION_CONFIG,
+    config: SessionConfig = RESILIENT_SESSION_CONFIG,
     params: MhttpStudyParams = MhttpStudyParams(),
     site: str = "eBay",
     clients: Optional[Sequence[str]] = None,
@@ -268,81 +240,33 @@ def run_mhttp_unit(
         start_time=unit.start_time,
     )
     degraded = scenario.with_faults(outage_plan) if outage_plan else scenario
-    all_outages = [o for outages in outage_plan.values() for o in outages]
-
-    control = degraded.universe(unit.start_time, config=config)
-    ctrl = control.session.download_direct(unit.client, unit.site, degraded.resource)
-
-    if mechanism == "select":
-        selector = degraded.universe(
-            unit.start_time,
-            config=config,
-            noise_labels=(unit.study, unit.client, unit.site, unit.repetition),
-        )
-        sel = selector.session.download(
-            unit.client, unit.site, degraded.resource, list(unit.offered)
-        )
-        events = sel.recovery_events
-        interval = (sel.requested_at, sel.completed_at)
-        mech_fields = dict(
-            selected_via=sel.selected_via,
-            selected_throughput=sel.transfer_throughput,
-            end_to_end_throughput=sel.end_to_end_throughput,
-            probe_overhead=sel.probe_overhead_seconds,
-            outcome=sel.outcome.value,
-            n_path_failures=sum(1 for e in events if e.kind == "failover"),
-            bytes_received=sel.delivered,
-            selected_duration=sel.duration,
+    stripe = params.stripe_config() if mechanism == "stripe" else None
+    _ctrl, arm, columns = run_arm(degraded, config, unit, stripe)
+    if stripe is None:
+        own: Dict[str, Any] = dict(
+            n_path_failures=sum(1 for e in arm.recovery_events if e.kind == "failover")
         )
     else:
-        striper = degraded.universe(unit.start_time, config=config)
-        res = striper.session.download_striped(
-            unit.client,
-            unit.site,
-            degraded.resource,
-            list(unit.offered),
-            stripe=params.stripe_config(),
+        own = dict(
+            n_path_failures=len(arm.failed_paths),
+            block_bytes=arm.block_bytes,
+            n_blocks=arm.n_blocks,
+            wasted_bytes=arm.wasted_bytes,
+            n_reissues=arm.n_reissues,
+            n_duplicate_blocks=arm.n_duplicate_blocks,
+            bytes_by_path=arm.bytes_by_path,
         )
-        events = res.recovery_events
-        interval = (res.requested_at, res.completed_at)
-        mech_fields = dict(
-            selected_via=None,
-            # A stripe has no probe/bulk split: its one throughput is the
-            # whole-session goodput, recorded in both columns.
-            selected_throughput=res.end_to_end_throughput,
-            end_to_end_throughput=res.end_to_end_throughput,
-            probe_overhead=0.0,
-            outcome=res.outcome.value,
-            n_path_failures=len(res.failed_paths),
-            bytes_received=res.delivered,
-            selected_duration=res.duration,
-            block_bytes=res.block_bytes,
-            n_blocks=res.n_blocks,
-            wasted_bytes=res.wasted_bytes,
-            n_reissues=res.n_reissues,
-            n_duplicate_blocks=res.n_duplicate_blocks,
-            bytes_by_path=res.bytes_by_path,
-        )
-
-    overlap = any(o.overlaps(*interval) for o in all_outages)
     return StripeRecord(
-        study=unit.study,
-        client=unit.client,
-        site=unit.site,
-        repetition=unit.repetition,
-        start_time=unit.start_time,
-        set_size=len(unit.offered),
-        offered=unit.offered,
-        direct_throughput=ctrl.end_to_end_throughput,
-        file_bytes=ctrl.size,
+        **columns,
+        **own,
         mechanism=mechanism,
         stripe_k=k,
         failure_mode=mode,
-        direct_outcome=ctrl.outcome.value,
-        direct_duration=ctrl.duration,
-        outage_overlap=overlap,
-        recovery_events=events,
-        **mech_fields,
+        outage_overlap=any(
+            o.overlaps(arm.requested_at, arm.completed_at)
+            for outages in outage_plan.values()
+            for o in outages
+        ),
     )
 
 

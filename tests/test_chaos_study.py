@@ -21,13 +21,13 @@ from repro.runner.pool import execute_plan, run_unit
 from repro.trace.records import ChaosRecord, TransferRecord
 from repro.trace.store import TraceStore
 from repro.workloads.chaos import (
-    CHAOS_SESSION_CONFIG,
     ChaosStudyParams,
     chaos_cells,
     chaos_fault_plan,
     parse_chaos_variant,
     plan_chaos,
 )
+from repro.workloads.faulted import RESILIENT_SESSION_CONFIG
 
 FAMILIES = ("none", "gray")
 INTENSITIES = ("mild",)
@@ -42,7 +42,7 @@ def plan(section2_scenario):
         k=3,
         families=FAMILIES,
         intensities=INTENSITIES,
-        config=CHAOS_SESSION_CONFIG,
+        config=RESILIENT_SESSION_CONFIG,
         clients=["Italy"],
     )
 
@@ -180,7 +180,7 @@ class TestPlanner:
 
     def test_run_unit_dispatch(self, plan, section2_scenario):
         unit = next(u for u in plan.units if u.variant == "failover+gray:mild")
-        rec = run_unit(section2_scenario, CHAOS_SESSION_CONFIG, unit, plan.extra)
+        rec = run_unit(section2_scenario, RESILIENT_SESSION_CONFIG, unit, plan.extra)
         assert isinstance(rec, ChaosRecord)
         assert rec.mechanism == "failover"
         assert rec.fault_family == "gray"

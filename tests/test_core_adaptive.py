@@ -2,7 +2,8 @@
 
 Mid-transfer switching is the failover half of the resilient session
 protocol: these run :class:`TransferSession` with the availability study's
-``FAILURES_RESILIENCE`` (default watchdog timing, failover on).
+resilience (``RESILIENT_SESSION_CONFIG``: default watchdog timing,
+failover on).
 """
 
 from repro.core.resilience import SessionOutcome
@@ -12,10 +13,10 @@ from repro.net.trace import CapacityTrace
 from repro.sim.simulator import Simulator
 from repro.tcp.fluid import FluidNetwork
 from repro.util.units import mb, mbps_to_bytes_per_s
-from repro.workloads.failures import FAILURES_RESILIENCE
+from repro.workloads.faulted import RESILIENT_SESSION_CONFIG
 
 FAST_TCP = TcpParams(max_window=262_144.0)
-ADAPTIVE = SessionConfig(tcp=FAST_TCP, resilience=FAILURES_RESILIENCE)
+ADAPTIVE = SessionConfig(tcp=FAST_TCP, resilience=RESILIENT_SESSION_CONFIG.resilience)
 
 
 def adaptive_session(w, config=ADAPTIVE):

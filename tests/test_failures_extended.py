@@ -30,12 +30,12 @@ from repro.trace.records import FailureRecord, TransferRecord
 from repro.trace.store import TraceStore
 from repro.workloads.failures import (
     FAILURE_MODES,
-    FAILURES_SESSION_CONFIG,
     FailureStudyParams,
     failure_outage_plan,
     plan_failures,
     run_failure_unit,
 )
+from repro.workloads.faulted import RESILIENT_SESSION_CONFIG
 
 
 def _zero_measure(trace: CapacityTrace, t0: float, t1: float) -> float:
@@ -431,10 +431,10 @@ class TestRunFailureUnits:
     def test_unit_execution_is_deterministic(self, section2_scenario, small_plan):
         unit = small_plan.units[2]  # the node-crash variant
         first = run_failure_unit(
-            section2_scenario, FAILURES_SESSION_CONFIG, unit, small_plan.extra
+            section2_scenario, RESILIENT_SESSION_CONFIG, unit, small_plan.extra
         )
         second = run_failure_unit(
-            section2_scenario, FAILURES_SESSION_CONFIG, unit, small_plan.extra
+            section2_scenario, RESILIENT_SESSION_CONFIG, unit, small_plan.extra
         )
         # JSON text comparison: NaN fields (an unrecovered session's
         # time-to-recover) would fail a plain dict equality.

@@ -12,7 +12,7 @@ from repro.sim.simulator import Simulator
 from repro.tcp import fluid
 from repro.tcp.fluid import FluidNetwork
 from repro.util.units import mb, mbps_to_bytes_per_s
-from repro.workloads.failures import FAILURES_RESILIENCE
+from repro.workloads.faulted import RESILIENT_SESSION_CONFIG
 
 FAST_TCP = TcpParams(max_window=262_144.0)
 
@@ -141,10 +141,10 @@ class TestFailover:
 
 
 class TestStudyResilience:
-    """The availability study's protocol (``FAILURES_RESILIENCE``): default
+    """The availability study's protocol (``RESILIENT_SESSION_CONFIG``): default
     watchdog timing, so stalls are judged over 4 s windows after a 3 s grace."""
 
-    CONFIG = SessionConfig(tcp=FAST_TCP, resilience=FAILURES_RESILIENCE)
+    CONFIG = SessionConfig(tcp=FAST_TCP, resilience=RESILIENT_SESSION_CONFIG.resilience)
 
     def test_mild_dip_is_not_a_stall(self, mini_world):
         dip = CapacityTrace(
@@ -166,7 +166,7 @@ class TestStudyResilience:
 
     def test_planetlab_scenario_delivers_whole_file(self, section2_scenario):
         config = SessionConfig(
-            tcp=TcpParams(max_window=131_072.0), resilience=FAILURES_RESILIENCE
+            tcp=TcpParams(max_window=131_072.0), resilience=RESILIENT_SESSION_CONFIG.resilience
         )
         session = section2_scenario.universe(0.0, config=config).session
         relay = section2_scenario.good_static_relay("Italy")

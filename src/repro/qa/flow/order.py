@@ -13,9 +13,13 @@ return value feeds an artefact sink in some caller (transitively) is
 function are flagged.  ``sorted(...)`` wrapping the iterable (possibly
 under ``list``/``tuple``/``enumerate``/``reversed``) discharges the hazard.
 
-Both hazard kinds are gated on artefact relevance: iteration feeding pure
-computation (sums, max, membership) is order-insensitive and not worth a
-finding.
+Both hazard kinds are gated on artefact relevance.  A comprehension whose
+products all go into one order-free builtin (``any``, ``all``, ``min``,
+``max``, ``len``, ``set``, ``frozenset``, ``sorted``) is never a hazard,
+even inside an artefact-relevant function; one feeding ``sum`` is, since
+float addition depends on the order of its terms.  Nor does a call inside
+the arguments of ``any``, ``all`` or ``len`` make its callee
+artefact-relevant: only a bool or a count reaches the sink.
 """
 
 from __future__ import annotations
@@ -43,6 +47,16 @@ _ORDER_WRAPPERS: Set[str] = {"list", "tuple", "enumerate", "reversed", "iter"}
 #: Annotation heads that mark a parameter as a mapping / set.
 _DICT_ANNOTATIONS: Set[str] = {"dict", "Dict", "Mapping", "MutableMapping", "defaultdict", "OrderedDict", "Counter"}
 _SET_ANNOTATIONS: Set[str] = {"set", "Set", "AbstractSet", "MutableSet", "FrozenSet", "frozenset"}
+
+#: Builtins whose result does not depend on the order they consume.  Not
+#: ``sum``: float addition depends on the order of its terms.
+_ORDER_FREE: Set[str] = {"any", "all", "min", "max", "len", "set", "frozenset", "sorted"}
+
+#: The order-free builtins whose result carries none of the values they
+#: consume, so nothing inside their arguments reaches an artefact.
+_COUNTED: Set[str] = {"any", "all", "len"}
+
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 #: Call basenames that construct dicts / sets.
 _DICT_CTORS: Set[str] = {"dict", "defaultdict", "OrderedDict", "Counter", "group_by"}
@@ -150,12 +164,34 @@ class _Typer:
         return None
 
 
+def _order_free_arg(call: ast.Call) -> Optional[ast.expr]:
+    """The comprehension ``call`` reduces without regard to order, if any:
+    the one argument of a builtin in :data:`_ORDER_FREE` (a keyed
+    ``min``/``max`` breaks ties by order, so it does not count)."""
+    if not (
+        isinstance(call.func, ast.Name)
+        and call.func.id in _ORDER_FREE
+        and len(call.args) == 1
+        and isinstance(call.args[0], _COMPREHENSIONS)
+    ):
+        return None
+    if any(kw.arg == "key" for kw in call.keywords):
+        return None
+    return call.args[0]
+
+
 def _iter_iterables(func: FunctionInfo) -> Iterator[ast.expr]:
-    """Every expression a loop or comprehension iterates over."""
-    for node in iter_own_nodes(func):
-        if isinstance(node, (ast.For, ast.AsyncFor)):
+    """Every expression a loop or comprehension iterates over, except those
+    of a comprehension whose products all go into one order-free reducer."""
+    free: Set[int] = set()
+    for node in iter_own_nodes(func):  # a call comes before its arguments
+        if isinstance(node, ast.Call):
+            arg = _order_free_arg(node)
+            if arg is not None:
+                free.add(id(arg))
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
             yield node.iter
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        elif isinstance(node, _COMPREHENSIONS) and id(node) not in free:
             for gen in node.generators:
                 yield gen.iter
 
@@ -201,6 +237,23 @@ def _hazard_kind(
     if kind == "dict":
         return "dict", basename(inner) or "mapping"
     return None
+
+
+def _walk_sunk(expr: ast.expr) -> Iterator[ast.AST]:
+    """The nodes of a sink expression whose values can reach the sink:
+    ``ast.walk`` minus the arguments of ``any``, ``all`` and ``len``, whose
+    result is a bool or a count whatever order they consume."""
+    stack: List[ast.AST] = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in _COUNTED
+        ):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
 
 
 def _artefact_relevant(project: Project) -> Set[str]:
@@ -255,18 +308,12 @@ def _artefact_relevant(project: Project) -> Set[str]:
             if not sink_exprs:
                 continue
             # Names referenced by sink expressions (one aliasing hop).
-            sunk_names: Set[str] = set()
-            for expr in sink_exprs:
-                for sub in ast.walk(expr):
-                    if isinstance(sub, ast.Name):
-                        sunk_names.add(sub.id)
+            sunk = [sub for expr in sink_exprs for sub in _walk_sunk(expr)]
+            sunk_names = {sub.id for sub in sunk if isinstance(sub, ast.Name)}
             for site in sites:
                 if not site.callees:
                     continue
-                in_sink = any(
-                    any(sub is site.node for sub in ast.walk(expr))
-                    for expr in sink_exprs
-                )
+                in_sink = any(sub is site.node for sub in sunk)
                 if not in_sink:
                     # assigned to a name later used in a sink expression?
                     for name, value in assignments.items():

@@ -223,7 +223,11 @@ def check_unseeded_flow(project: Project) -> List[FlowFinding]:
 #: Record/plan constructors whose fields end up in saved artefacts.
 ARTEFACT_CTORS: Set[str] = {
     "TransferRecord",
+    "FaultedRecord",
     "FailureRecord",
+    "StripeRecord",
+    "ChaosRecord",
+    "ScaleRecord",
     "ObsRecord",
     "WorkUnit",
     "CampaignPlan",

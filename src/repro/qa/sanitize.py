@@ -195,7 +195,7 @@ class Sanitizer:
         """Drop progress tracking for a finished flow."""
         self._last_delivered.pop(flow_id, None)
 
-    def check_rows_progress(
+    def check_groups_progress(
         self,
         now: float,
         delivered: np.ndarray,
@@ -204,11 +204,12 @@ class Sanitizer:
         rate: np.ndarray,
         alive: np.ndarray,
     ) -> None:
-        """:meth:`check_flow_progress` over a vector core's columns.
+        """:meth:`check_flow_progress` over a vector core's group columns.
 
-        Row ``i`` is checked when ``alive[i]``: its ``delivered`` bytes
-        against the previous tick's ``previous`` snapshot and its ``size``,
-        and its ``rate`` (the one chosen at the previous tick).
+        Group ``i`` is checked when ``alive[i]`` (it has a live row): its
+        ``delivered`` bytes against the previous tick's ``previous``
+        snapshot and its ``size``, and its ``rate`` (the one chosen at the
+        previous tick).  Every live row of a group holds these bits.
         """
         self.checks_run += 1
         shrunk = delivered < previous - BYTE_CONSERVATION_SLACK
@@ -226,12 +227,12 @@ class Sanitizer:
             (wild, "flow rate {measured!r} is negative or non-finite",
              rate, np.zeros_like(rate)),
         ):
-            rows = np.flatnonzero(mask & alive)
-            if rows.size:
-                r = int(rows[0])
+            groups = np.flatnonzero(mask & alive)
+            if groups.size:
+                r = int(groups[0])
                 m, lim = float(measured[r]), float(limit[r])
                 self._report(
-                    "QA-R002", now, f"vector row {r} ({rows.size} row(s) total)",
+                    "QA-R002", now, f"vector group {r} ({groups.size} group(s) total)",
                     detail.format(measured=m, limit=lim), measured=m, limit=lim,
                 )
 

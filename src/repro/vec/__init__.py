@@ -1,11 +1,12 @@
 """repro.vec — batched struct-of-arrays fluid transport engine.
 
-The vector engine holds the whole flow population in numpy arrays (rates
-and remaining bytes per row; links, ramp and multiplicity per cohort of
+The vector engine holds the whole flow population in numpy arrays (an
+alive mask and a group per row; bytes and rate per group of rows that
+share a cohort and a size; links, ramp and multiplicity per cohort of
 identical rows; per-link capacities), solves max-min fairness for the
 entire population per epoch, one solver flow per cohort, and replaces
 per-flow Python bookkeeping with vectorized next-completion /
-next-breakpoint scans.
+next-breakpoint scans over the groups.
 
 Probe races run on it: :meth:`repro.tcp.fluid.FluidNetwork.start_races`
 hands a population's direct/relay race (:mod:`repro.vec.race`) to a

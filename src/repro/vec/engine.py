@@ -6,8 +6,11 @@ to a :class:`VectorCore`; object flows never run here (the per-object tick
 is faster on the handful of flows a session runs, DESIGN.md §12).  The
 core keeps the *entire* active population in numpy arrays:
 
-* per-row: total/delivered bytes, current rate, an alive mask, the row's
-  cohort, and the race's client and row kind;
+* per-row: an alive mask, the row's group, and the race's client and row
+  kind;
+* per-group: the rows of one cohort with one size class.  A group holds
+  their total and delivered bytes, their current rate, their cohort, its
+  live multiplicity and a segment of a group-sorted row list;
 * per-cohort: the rows of one admission batch that share a route, and so
   a ramp and an activation instant.  A cohort holds its links (a small
   CSR, ``indptr``/``link_idx``, over a persistent global link table), its
@@ -17,60 +20,74 @@ core keeps the *entire* active population in numpy arrays:
   :class:`~repro.net.trace.TraceCursor` for the (few) time-varying ones,
   and an active-row refcount.
 
-One tick then mirrors the per-object tick's steps with array ops: accrue bytes for
-the whole population with one fused ``delivered = min(size, delivered +
-rate*dt)`` (valid because every row's last accrual time is the previous
-tick — new rows carry rate 0), detect completions with one vectorized scan,
-re-solve max-min fairness for everyone at once, and compute the next wake-up
-from the next completion, one fused ramp pass over the live cohorts (caps
-and next increase from one doubling-round computation) and the dynamic
-trace cursors.  The simulator's event queue is only touched at epoch
-boundaries — exactly one pending ``fluid-tick`` event, as in the per-object
-tick.
+The group invariant: the rows of a group enter in one flush with nothing
+delivered and rate 0, share their links and their ramp (one cohort) and
+their size (one size class), and every solve gives them one rate.  So at
+every tick they hold the same delivered bytes and the same rate, bit for
+bit, and they complete at the same tick; an aborted row leaving a live
+group changes nothing for the others.  The tick therefore keeps those
+bits once per group.
 
-Every population-sized step of a tick runs over the first ``n`` rows of the
-columns, dead rows included, and writes into two work columns sized with
-the row capacity (``_work`` and ``_flag``; they hold nothing between ticks),
-so a tick that leaves the rows as they were allocates nothing the size of
-the population.  That rests on one invariant: a dead row reads rate 0.
-``_release_rows`` zeroes it, and the rate column is rewritten by one
-``take`` of the per-cohort rates with a 0 appended, which every dead row
-reads.  So a dead row accrues nothing, and in the next-completion scan its
+One tick then mirrors the per-object tick's steps with array ops over the
+groups: accrue bytes with one fused ``delivered = min(size, delivered +
+rate*dt)`` (valid because every group's last accrual time is the previous
+tick — new groups carry rate 0), detect the completed groups with one
+scan and expand them to their live rows, re-solve max-min fairness for
+everyone at once, and compute the next wake-up from the next completion,
+one fused ramp pass over the live cohorts (caps and next increase from
+one doubling-round computation) and the dynamic trace cursors.  The
+simulator's event queue is only touched at epoch boundaries — exactly
+one pending ``fluid-tick`` event, as in the per-object tick.
+
+Every per-tick step runs over the groups ``[_g0, _ng)``, from the first
+that may still be live to the last, empty groups included, and writes
+into two work columns sized with the group capacity (``_work`` and
+``_flag``; they hold nothing between ticks), so a steady tick reads and
+allocates nothing the size of the population.  That rests on one rule: a
+group with no live row reads rate 0.  ``_release_rows`` zeroes a group it
+empties, and the rate column is rewritten by one ``take`` of the
+per-cohort rates with a 0 appended, which every empty group reads.  So an
+empty group accrues nothing, and in the next-completion scan its
 ``remaining / rate`` is ``inf`` (or NaN with nothing remaining), which
-``fmin`` passes over.  Only a rows solve, when the cohort solve cannot give
-its bits, scatters rates into the live rows.
+``fmin`` passes over.  Groups die roughly in the order they came, and
+``_release_rows`` moves ``_g0`` past the empty ones, so the window stays
+near the live groups even where every group is one row.
 
 Rows enter and leave by the column.  The race
 (:class:`repro.vec.race.ProbeRace`) buffers its activations and flushes
 them at the next tick through :meth:`VectorCore._append_rows`; it settles
 each tick's completed rows by the column and returns them with the probes
-they beat, and ``_release_rows`` tombstones them all at once (per-cohort
-multiplicities and link refcounts drop by one ``bincount`` each).  The
-solver's gather of the live population is kept until the rows change, so
-ticks that only move a ramp or a trace reuse it.
+they beat, and ``_release_rows`` tombstones them all at once (group and
+cohort multiplicities and link refcounts drop by one ``bincount`` each).
+Rows are append-only, at most three per client, and are only read at
+their flush, their completion and their release.  The solver's gather of
+the live population is kept until the rows change, so ticks that only
+move a ramp or a trace reuse it.
 
-Byte-identity contract: rows are append-only in activation order (dead rows
-are tombstoned and compacted without reordering), so the race settles
-completions in the order per-flow callbacks would run.  When no link
-carries two live rows (no link refcount above 1) each row gets
+Byte-identity contract: rows are append-only in activation order, and a
+tick's completed rows are sorted before the race settles them, so the race
+settles completions in the order per-flow callbacks would run.  When no
+link carries two live rows (no link refcount above 1) each row gets
 ``min(bottleneck, cap)``, the per-object tick's rule for disjoint flows.
 Otherwise the sparse water-filling of :mod:`repro.vec.solver` solves one
 flow per live cohort, weighted by its multiplicity, and returns the rates
 the row-by-row solve would (see that module for why).  When it cannot (a
 cap round freezing two cap values on one link), the tick re-solves the
-expanded rows and counts ``vec.cohort_fallbacks``.  The per-object tick's
-shared solvers sum frozen caps in the same order as the rows solve, so a
-race equals its per-object reference (``tests/scale_oracle.py``) at any
-population.
+expanded rows and counts ``vec.cohort_fallbacks``; the rows' rates are
+written back per group, and two rows of one group with different bits
+raise.  The per-object tick's shared solvers sum frozen caps in the same
+order as the rows solve, so a race equals its per-object reference
+(``tests/scale_oracle.py``) at any population.
 
 Under a sanitizer the core checks its columns on every tick: QA-R002 on
-``delivered``/``size``/``rate`` against the previous tick's snapshot, and
-QA-R006, QA-R004 and QA-R003 on the solve's row coordinates, caps and rates
-through :func:`repro.vec.solver.certify_maxmin`, so the cohort solve is
-certified row by row.  The snapshot column ``_snap`` exists only when the
+the groups' ``delivered``/``size``/``rate`` against the previous tick's
+snapshot, and QA-R006, QA-R004 and QA-R003 on the solve's row coordinates,
+caps and the group rates expanded to rows through
+:func:`repro.vec.solver.certify_maxmin`, so the cohort solve is certified
+row by row.  The snapshot column ``_g_snap`` exists only when the
 simulator has a sanitizer, which is fixed when the simulator is built, so
-a plain run neither writes, grows nor compacts it.  The checks only read,
-so a sanitized race solves exactly like a plain one.
+a plain run neither writes nor grows it.  The checks only read, so a
+sanitized race solves exactly like a plain one.
 """
 
 from __future__ import annotations
@@ -112,38 +129,64 @@ def _grow(arr: np.ndarray, need: int) -> np.ndarray:
     return out
 
 
+def _stable_order(labels: np.ndarray, k: int) -> np.ndarray:
+    """The stable sort order of ``labels`` (each in ``0..k-1``).
+
+    numpy sorts 8- and 16-bit keys stably with a radix sort, one counting
+    pass per byte, so the usual few hundred labels of a flush sort in
+    O(rows).
+    """
+    if k <= 1 << 8:
+        labels = labels.astype(np.uint8)
+    elif k <= 1 << 16:
+        labels = labels.astype(np.uint16)
+    return np.argsort(labels, kind="stable")
+
+
 class _Gather:
     """The live population's solver problem, kept until the rows change.
 
-    ``rows`` (a slice or index array, ``n`` of them) are the live rows in
-    activation order and ``cohorts`` the live cohorts in table order.  Row
-    ``i`` of the core's columns belongs to live cohort ``of_all[i]`` (an
-    index into ``cohorts``); a dead row reads ``cohorts.size``, one past
-    the last, so a rate per cohort with a 0 appended expands to the whole
-    rate column by one ``take``.  Entry ``j`` of ``lids``/``frow`` says live
-    cohort ``frow[j]`` crosses link ``lids[j]``; ``deg`` and ``mult`` are
-    each live cohort's link count and multiplicity.  ``disjoint`` says no
-    link carries two rows.  ``of`` (the live rows' cohorts) and ``coords``
-    (the rows' own coordinate lists) are built on first use: only a row
-    solve and the sanitizer read them.
+    ``cohorts`` are the live cohorts in table order, ``n`` the live rows
+    and ``n_groups`` the live groups.  Group ``g0 + i`` of the core's
+    columns belongs to live cohort ``of_all[i]`` (an index into
+    ``cohorts``); a group with no live row reads ``cohorts.size``, one past
+    the last, so a rate per cohort with a 0 appended expands to the group
+    rate column's window by one ``take``.  Entry ``j`` of ``lids``/``frow``
+    says live cohort ``frow[j]`` crosses link ``lids[j]``; ``deg`` and
+    ``mult`` are each live cohort's link count and multiplicity.
+    ``disjoint`` says no link carries two rows.  ``alive`` and ``group``
+    are the core's row columns as of the gather.  The live rows in
+    activation order, their cohorts and their coordinate lists are built
+    on first use: only a rows solve and the sanitizer read them.
     """
 
     __slots__ = (
-        "rows", "n", "cohorts", "of_all", "lids", "frow", "deg", "mult",
-        "disjoint", "of", "coords",
+        "n", "n_groups", "cohorts", "g0", "of_all", "lids", "frow", "deg", "mult",
+        "disjoint", "alive", "group", "live", "of", "coords",
     )
 
-    def __init__(self, rows, n, cohorts, of_all, lids, frow, deg, mult, disjoint) -> None:
-        self.rows, self.n, self.cohorts, self.of_all = rows, n, cohorts, of_all
+    def __init__(
+        self, n, n_groups, cohorts, g0, of_all, lids, frow, deg, mult, disjoint,
+        alive, group,
+    ) -> None:
+        self.n, self.n_groups = n, n_groups
+        self.cohorts, self.g0, self.of_all = cohorts, g0, of_all
         self.lids, self.frow, self.deg, self.mult = lids, frow, deg, mult
-        self.disjoint = disjoint
+        self.disjoint, self.alive, self.group = disjoint, alive, group
+        self.live: Optional[np.ndarray] = None
         self.of: Optional[np.ndarray] = None
         self.coords: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def rows(self) -> np.ndarray:
+        """The live rows, in activation order."""
+        if self.live is None:
+            self.live = np.flatnonzero(self.alive)
+        return self.live
 
     def live_of(self) -> np.ndarray:
         """Each live row's cohort, an index into ``cohorts``."""
         if self.of is None:
-            self.of = self.of_all[self.rows]
+            self.of = self.of_all[self.group[self.rows()] - self.g0]
         return self.of
 
     def row_coords(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -164,33 +207,45 @@ class VectorCore:
 
     def __init__(self, net) -> None:  # net: repro.tcp.fluid.FluidNetwork
         self._net = net
-        # --- per-row SoA (capacity-doubling arrays, first _n rows live) ---
-        self._size = np.empty(_GROW_MIN)
-        self._deliv = np.empty(_GROW_MIN)
-        self._rate = np.empty(_GROW_MIN)
+        # --- per-row columns (capacity-doubling, first _n rows used) ---
         self._alive = np.empty(_GROW_MIN, dtype=bool)
-        self._cohort = np.empty(_GROW_MIN, dtype=np.int64)
+        self._group = np.empty(_GROW_MIN, dtype=np.int64)
+        #: A race row's client and kind (see repro.vec.race).
+        self._client = np.empty(_GROW_MIN, dtype=np.int64)
+        self._kind = np.empty(_GROW_MIN, dtype=np.int8)
+        #: The rows sorted by group: group g's rows, ascending, are
+        #: ``_g_rows[_g_indptr[g]:_g_indptr[g + 1]]``.
+        self._g_rows = np.empty(_GROW_MIN, dtype=np.int64)
+        #: The probe race these rows belong to (set by start_races).
+        self._race = None
+        self._n = 0
+        #: Shared capacity of the per-row columns (they grow in lockstep,
+        #: so one comparison per flush covers every column).
+        self._row_cap = _GROW_MIN
+        # --- group table (first _ng groups; append-only) ---
+        self._g_size = np.empty(_GROW_MIN)
+        self._g_deliv = np.empty(_GROW_MIN)
+        self._g_rate = np.empty(_GROW_MIN)
+        self._g_cohort = np.empty(_GROW_MIN, dtype=np.int64)
+        #: Live rows of each group, and whether there are any.
+        self._g_mult = np.empty(_GROW_MIN, dtype=np.int64)
+        self._g_live = np.empty(_GROW_MIN, dtype=bool)
+        self._g_indptr = np.zeros(_GROW_MIN + 1, dtype=np.int64)
         #: Delivered bytes at the previous tick: the sanitizer's QA-R002
         #: baseline.  A simulator's sanitizer is fixed at its construction,
         #: so a plain run never keeps one.
-        self._snap = None if net._sim.sanitizer is None else np.empty(_GROW_MIN)
+        self._g_snap = None if net._sim.sanitizer is None else np.empty(_GROW_MIN)
         #: Work columns for the tick's column arithmetic: they hold nothing
         #: between ticks, so a step writes into them instead of allocating.
         self._work = np.empty(_GROW_MIN)
         self._flag = np.empty(_GROW_MIN, dtype=bool)
-        #: A race row's client and kind (see repro.vec.race).
-        self._client = np.empty(_GROW_MIN, dtype=np.int64)
-        self._kind = np.empty(_GROW_MIN, dtype=np.int8)
-        #: The probe race these rows belong to (set by start_races).
-        self._race = None
-        self._n = 0
-        self._dead = 0
+        self._ng = 0
+        #: Every group before ``_g0`` is empty: the tick's steps run over
+        #: ``[_g0, _ng)`` only.
+        self._g0 = 0
         #: The solve's gather of the live population; None when stale.
         self._gathered: Optional[_Gather] = None
-        #: Shared capacity of all per-row arrays (they grow in lockstep,
-        #: so one comparison per flush covers every array).
-        self._row_cap = _GROW_MIN
-        # --- cohort table (first _nc cohorts; empty ones go at compaction) ---
+        # --- cohort table (first _nc cohorts; append-only) ---
         self._c_act = np.empty(_GROW_MIN)
         self._c_rtt = np.empty(_GROW_MIN)
         self._c_w0 = np.empty(_GROW_MIN)
@@ -209,23 +264,31 @@ class VectorCore:
         self._link_cap = np.empty(_GROW_MIN)
         self._link_refs = np.zeros(_GROW_MIN, dtype=np.int64)
         self._dyn: Dict[int, TraceCursor] = {}
-        #: Simulation time the delivered array was last accrued to.
+        #: Simulation time the delivered column was last accrued to.
         self._accrued_at = float(net._sim.now)
 
     # ------------------------------------------------------------------ #
     # population maintenance (called by the race)
     # ------------------------------------------------------------------ #
     def _grow_rows(self, need: int) -> None:
-        self._size = _grow(self._size, need)
-        self._deliv = _grow(self._deliv, need)
-        self._rate = _grow(self._rate, need)
         self._alive = _grow(self._alive, need)
-        self._cohort = _grow(self._cohort, need)
-        if self._snap is not None:
-            self._snap = _grow(self._snap, need)
+        self._group = _grow(self._group, need)
         self._client = _grow(self._client, need)
         self._kind = _grow(self._kind, need)
-        self._row_cap = cap = int(self._size.shape[0])
+        self._g_rows = _grow(self._g_rows, need)
+        self._row_cap = int(self._alive.shape[0])
+
+    def _grow_groups(self, need: int) -> None:
+        self._g_size = _grow(self._g_size, need)
+        self._g_deliv = _grow(self._g_deliv, need)
+        self._g_rate = _grow(self._g_rate, need)
+        self._g_cohort = _grow(self._g_cohort, need)
+        self._g_mult = _grow(self._g_mult, need)
+        self._g_live = _grow(self._g_live, need)
+        if self._g_snap is not None:
+            self._g_snap = _grow(self._g_snap, need)
+        cap = int(self._g_size.shape[0])
+        self._g_indptr = _grow(self._g_indptr, cap + 1)
         self._work = np.empty(cap)
         self._flag = np.empty(cap, dtype=bool)
 
@@ -238,15 +301,18 @@ class VectorCore:
         self._c_mult = _grow(self._c_mult, need)
         self._indptr = _grow(self._indptr, int(self._c_act.shape[0]) + 1)
 
-    def _append_rows(self, cohort, rl, rd, route, ramp, act, size) -> int:
-        """Append one row per entry of ``cohort``; return the first new row.
+    def _append_rows(self, group, g_cohort, g_size, rl, rd, route, ramp, act) -> int:
+        """Append one row per entry of ``group``; return the first new row.
 
-        Row ``i`` belongs to new cohort ``cohort[i]`` (labels ``0..k-1``,
-        each used) and has ``size[i]`` bytes to deliver.  New cohort ``j``
-        uses the links of route ``route[j]``, whose ``rd[r]`` interned link
-        ids lie concatenated in ``rl``; ``ramp[j]`` holds its (rtt, initial
-        window, max window, rounds to peak) and ``act[j]`` its activation
-        instant.  Link refcounts are the caller's to bump.
+        Row ``i`` belongs to new group ``group[i]`` (labels ``0..kg-1``,
+        each used).  New group ``j`` belongs to new cohort ``g_cohort[j]``
+        (labels ``0..k-1``, each used, non-decreasing: groups come in
+        cohort order, so every cohort before the first live group's is
+        empty) and its rows each have ``g_size[j]`` bytes to deliver.  New
+        cohort ``c`` uses the links of route ``route[c]``, whose ``rd[r]``
+        interned link ids lie concatenated in ``rl``; ``ramp[c]`` holds its
+        (rtt, initial window, max window, rounds to peak) and ``act[c]``
+        its activation instant.  Link refcounts are the caller's to bump.
         """
         k = route.size
         c0 = self._nc
@@ -266,40 +332,67 @@ class VectorCore:
         self._c_wmax[c0:c1] = ramp[:, 2]
         self._c_rtp[c0:c1] = ramp[:, 3]
         self._c_act[c0:c1] = act
-        self._c_mult[c0:c1] = np.bincount(cohort, minlength=k)
+        kg = g_cohort.size
+        g_mult = np.bincount(group, minlength=kg)
+        self._c_mult[c0:c1] = np.bincount(g_cohort, weights=g_mult, minlength=k)
         self._nc = c1
 
+        g0 = self._ng
+        g1 = g0 + kg
+        if g1 > self._g_size.shape[0]:
+            self._grow_groups(g1)
         row0 = self._n
-        row = row0 + cohort.size
+        row = row0 + group.size
         if row > self._row_cap:
             self._grow_rows(row)
-        self._cohort[row0:row] = cohort + c0
-        self._size[row0:row] = size
-        self._deliv[row0:row] = 0.0
-        if self._snap is not None:
-            self._snap[row0:row] = 0.0
-        self._rate[row0:row] = 0.0
+        self._g_cohort[g0:g1] = g_cohort + c0
+        self._g_size[g0:g1] = g_size
+        self._g_deliv[g0:g1] = 0.0
+        if self._g_snap is not None:
+            self._g_snap[g0:g1] = 0.0
+        self._g_rate[g0:g1] = 0.0
+        self._g_mult[g0:g1] = g_mult
+        self._g_live[g0:g1] = True
+        self._g_indptr[g0 + 1 : g1 + 1] = row0 + np.cumsum(g_mult)
+        self._g_rows[row0:row] = row0 + _stable_order(group, kg)
+        self._ng = g1
+
+        self._group[row0:row] = group + g0
         self._alive[row0:row] = True
         self._n = row
         self._gathered = None
         return row0
 
     def _release_rows(self, rows: np.ndarray) -> None:
-        """Tombstone ``rows`` and drop their cohorts' multiplicities and
-        link references at once."""
-        gone = np.bincount(self._cohort[rows])
-        cohorts = np.flatnonzero(gone)
-        gone = gone[cohorts]
-        self._c_mult[cohorts] -= gone
+        """Tombstone ``rows`` and drop their groups' and cohorts'
+        multiplicities and their link references at once."""
+        g0 = self._g0
+        gone = np.bincount(self._group[rows] - g0)
+        groups = np.flatnonzero(gone)
+        gone = gone[groups]
+        groups += g0
+        mult = self._g_mult[groups] - gone
+        self._g_mult[groups] = mult
+        emptied = groups[mult == 0]
+        self._g_live[emptied] = False
+        self._g_rate[emptied] = 0.0
+        c0 = int(self._g_cohort[g0])
+        c_gone = np.bincount(self._g_cohort[groups] - c0, weights=gone)
+        cohorts = np.flatnonzero(c_gone)
+        c_gone = c_gone[cohorts].astype(np.int64)
+        cohorts += c0
+        self._c_mult[cohorts] -= c_gone
         starts = self._indptr[cohorts]
         deg = self._indptr[cohorts + 1] - starts
         lids = self._link_idx[_segments(starts, deg)]
-        counts = np.bincount(lids, weights=np.repeat(gone, deg)).astype(np.int64)
+        counts = np.bincount(lids, weights=np.repeat(c_gone, deg)).astype(np.int64)
         self._link_refs[: counts.size] -= counts
         self._alive[rows] = False
-        self._rate[rows] = 0.0
-        self._dead += rows.size
         self._gathered = None
+        if not self._g_live[g0]:
+            live = self._g_live[g0 : self._ng]
+            first = int(np.argmax(live))
+            self._g0 = g0 + first if live[first] else self._ng
 
     # ------------------------------------------------------------------ #
     # link table
@@ -342,32 +435,32 @@ class VectorCore:
             obs.count("engine.ticks")
 
         # 1. Accrue bytes at the rates chosen at the previous tick.  Every
-        # live row's rate was assigned at the previous tick (rows added since
-        # carry rate 0), so one global dt is exact.  Buffered activations
-        # flush afterwards — their rows also enter at rate 0, before the
-        # completion scan, exactly where the per-object tick would see them.
-        n = self._n
-        if n and now > self._accrued_at:
-            self._accrue(n, now - self._accrued_at)
+        # live group's rate was assigned at the previous tick (groups added
+        # since carry rate 0), so one global dt is exact.  Buffered
+        # activations flush afterwards — their rows also enter at rate 0,
+        # before the completion scan, exactly where the per-object tick
+        # would see them.
+        if self._ng > self._g0 and now > self._accrued_at:
+            self._accrue(now - self._accrued_at)
         self._accrued_at = now
         race = self._race
         if race.pending:
             race.flush()
-        n = self._n
+        g0, ng = self._g0, self._ng
         sanitizer = sim.sanitizer
-        if sanitizer is not None and n:
-            snap = self._snap[:n]
-            sanitizer.check_rows_progress(
-                now, self._deliv[:n], snap, self._size[:n], self._rate[:n],
-                self._alive[:n],
+        if sanitizer is not None and ng > g0:
+            snap = self._g_snap[g0:ng]
+            sanitizer.check_groups_progress(
+                now, self._g_deliv[g0:ng], snap, self._g_size[g0:ng],
+                self._g_rate[g0:ng], self._g_live[g0:ng],
             )
-            snap[:] = self._deliv[:n]
+            snap[:] = self._g_deliv[g0:ng]
 
         # 2. Detect completions in activation (row) order; the race settles
         # them by the column (repro.vec.race) and they are released with the
         # probes they beat.
-        if n:
-            done = self._completed(n)
+        if ng > g0:
+            done = self._completed()
             net.completed_count += done.size
             if done.size:
                 self._release_rows(race.complete(done, now))
@@ -375,17 +468,11 @@ class VectorCore:
         if not race.live:
             return
 
-        if self._dead > _GROW_MIN and self._dead * 2 > n:
-            self._compact()
-            n = self._n
-            if obs is not None:
-                obs.count("vec.compactions")
-
         # 3. Re-solve the allocation over the whole population.
         if self._gathered is None:
             self._gathered = self._gather()
         g = self._gathered
-        rows, n_flows = g.rows, g.n
+        n_flows = g.n
         c_caps, ramp_next = self._ramp(g.cohorts, now)
 
         # Refresh time-varying link capacities through their cursors.
@@ -395,6 +482,7 @@ class VectorCore:
 
         if obs is not None:
             obs.gauge("vec.population", float(n_flows))
+            obs.gauge("vec.groups", float(g.n_groups))
             n_used = int(np.count_nonzero(self._link_refs[: len(self._links)] > 0))
             obs.span("alloc", "solve", now, now, flows=n_flows, links=n_used)
 
@@ -423,7 +511,7 @@ class VectorCore:
                     self._link_cap[:m], lids, frow, n_flows, c_caps[g.live_of()],
                     observer=obs,
                 )
-                self._rate[rows] = rates
+                self._group_rates_from_rows(g, rates)
             if obs is not None:
                 obs.count("vec.solve_sparse")
         if c_rates is not None:
@@ -432,12 +520,12 @@ class VectorCore:
             lids, frow = g.row_coords()
             sanitizer.check_allocation(
                 now, self._link_cap[:m], lids, frow, c_caps[g.live_of()],
-                self._rate[rows], [link.name for link in self._links],
+                self._g_rate[g.group[g.rows()]], [link.name for link in self._links],
             )
 
         # 4. Next wake-up: first completion, ramp increase or trace change.
         next_time = ramp_next
-        first = self._first_completion(n)
+        first = self._first_completion()
         if math.isfinite(first):
             next_time = min(now + first, next_time)
         for lid, cursor in sorted(self._dyn.items()):
@@ -457,73 +545,88 @@ class VectorCore:
         )
 
     # ------------------------------------------------------------------ #
-    # column steps over the first ``n`` rows, through the work columns
+    # column steps over the groups ``[_g0, _ng)``, through the work columns
     # ------------------------------------------------------------------ #
-    def _accrue(self, n: int, dt: float) -> None:
+    def _accrue(self, dt: float) -> None:
         """``delivered = min(size, delivered + rate*dt)`` in place."""
-        w = self._work[:n]
-        np.multiply(self._rate[:n], dt, out=w)
-        np.add(self._deliv[:n], w, out=w)
-        np.minimum(self._size[:n], w, out=self._deliv[:n])
+        g0, ng = self._g0, self._ng
+        w = self._work[g0:ng]
+        np.multiply(self._g_rate[g0:ng], dt, out=w)
+        np.add(self._g_deliv[g0:ng], w, out=w)
+        np.minimum(self._g_size[g0:ng], w, out=self._g_deliv[g0:ng])
 
-    def _completed(self, n: int) -> np.ndarray:
-        """The live rows within the completion slack, ascending."""
-        w = self._work[:n]
-        flag = self._flag[:n]
-        np.subtract(self._size[:n], self._deliv[:n], out=w)
+    def _completed(self) -> np.ndarray:
+        """The live rows of the groups within the completion slack, ascending."""
+        g0, ng = self._g0, self._ng
+        w = self._work[g0:ng]
+        flag = self._flag[g0:ng]
+        np.subtract(self._g_size[g0:ng], self._g_deliv[g0:ng], out=w)
         np.less_equal(w, _COMPLETION_SLACK, out=flag)
-        np.logical_and(self._alive[:n], flag, out=flag)
-        return np.flatnonzero(flag)
+        np.logical_and(self._g_live[g0:ng], flag, out=flag)
+        done = np.flatnonzero(flag)
+        if not done.size:
+            return done
+        done += g0
+        starts = self._g_indptr[done]
+        rows = self._g_rows[_segments(starts, self._g_indptr[done + 1] - starts)]
+        rows = rows[self._alive[rows]]
+        rows.sort()
+        return rows
 
     def _expand_rates(self, g: _Gather, c_rates: np.ndarray) -> None:
-        """Give every row its cohort's rate and every dead row 0."""
-        n = g.of_all.size
-        np.take(np.append(c_rates, 0.0), g.of_all, out=self._rate[:n], mode="clip")
+        """Give every group its cohort's rate and every empty group 0."""
+        rate = self._g_rate[g.g0 : g.g0 + g.of_all.size]
+        np.take(np.append(c_rates, 0.0), g.of_all, out=rate, mode="clip")
 
-    def _first_completion(self, n: int) -> float:
-        """The least time to completion over the rows at their rates.
+    def _group_rates_from_rows(self, g: _Gather, rates: np.ndarray) -> None:
+        """Give every live group the rate the rows solve gave its live rows
+        (empty groups keep rate 0); raise if two rows of one group differ."""
+        group = g.group[g.rows()]
+        self._g_rate[group] = rates
+        if g.n_groups < g.n and self._g_rate[group].tobytes() != rates.tobytes():
+            raise RuntimeError("the rows solve gave two rows of one group different rates")
 
-        A row at rate 0 gives ``inf``, or NaN when nothing remains, and
-        ``fmin`` skips NaN, so no mask is needed: dead rows hold rate 0.
-        The result is NaN or ``inf`` when no row completes.  ``x / r`` and
-        ``now + x`` both round monotonically, so ``now`` plus this equals
-        the least of ``now + remaining / rate`` bit for bit.
+    def _first_completion(self) -> float:
+        """The least time to completion over the groups at their rates.
+
+        A group at rate 0 gives ``inf``, or NaN when nothing remains, and
+        ``fmin`` skips NaN, so no mask is needed: empty groups hold rate 0.
+        The result is NaN or ``inf`` when no group completes.  The live
+        rows hold their group's bits, so this is the least over the rows.
+        ``x / r`` and ``now + x`` both round monotonically, so ``now`` plus
+        this equals the least of ``now + remaining / rate`` bit for bit.
         """
-        w = self._work[:n]
-        np.subtract(self._size[:n], self._deliv[:n], out=w)
+        g0, ng = self._g0, self._ng
+        w = self._work[g0:ng]
+        np.subtract(self._g_size[g0:ng], self._g_deliv[g0:ng], out=w)
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(w, self._rate[:n], out=w)
+            np.divide(w, self._g_rate[g0:ng], out=w)
         return float(np.fmin.reduce(w))
 
     def _gather(self) -> _Gather:
-        """The live population's solver problem, in activation order.
+        """The live population's solver problem, in table order.
 
-        With no tombstones every row column is read through a slice.  The
-        result holds until the rows change (flush, release or compaction),
-        so ticks that only move a ramp or a trace reuse it.
+        The result holds until the rows change (flush or release), so
+        ticks that only move a ramp or a trace reuse it.
         """
-        n = self._n
-        nc = self._nc
-        cohorts = np.flatnonzero(self._c_mult[:nc])
+        n, nc, g0, ng = self._n, self._nc, self._g0, self._ng
+        # The cohorts before the first live group's are all empty.
+        c0 = int(self._g_cohort[g0])
+        cohorts = np.flatnonzero(self._c_mult[c0:nc])
+        local = np.empty(nc - c0, dtype=np.int64)
+        local[cohorts] = np.arange(cohorts.size)
+        live = self._g_live[g0:ng]
+        of_all = np.where(live, local[self._g_cohort[g0:ng] - c0], cohorts.size)
+        cohorts += c0
         starts = self._indptr[cohorts]
         deg = self._indptr[cohorts + 1] - starts
         lids = self._link_idx[_segments(starts, deg)]
         frow = np.repeat(np.arange(cohorts.size, dtype=np.int64), deg)
-        local = np.empty(nc, dtype=np.int64)
-        local[cohorts] = np.arange(cohorts.size)
-        of_all = local[self._cohort[:n]]
-        if self._dead == 0:
-            rows = slice(0, n)
-            n_rows = n
-        else:
-            dead = ~self._alive[:n]
-            of_all[dead] = cohorts.size
-            rows = np.flatnonzero(~dead)
-            n_rows = int(rows.size)
+        mult = self._c_mult[cohorts]
         disjoint = int(self._link_refs[: len(self._links)].max(initial=0)) <= 1
         return _Gather(
-            rows, n_rows, cohorts, of_all, lids, frow, deg, self._c_mult[cohorts],
-            disjoint,
+            int(mult.sum()), int(np.count_nonzero(live)), cohorts, g0, of_all, lids,
+            frow, deg, mult, disjoint, self._alive[:n], self._group[:n],
         )
 
     # ------------------------------------------------------------------ #
@@ -547,39 +650,3 @@ class VectorCore:
         nxt = act + k * rtt
         nxt[k > rtp] = np.inf
         return caps, float(nxt.min())
-
-    # ------------------------------------------------------------------ #
-    # compaction
-    # ------------------------------------------------------------------ #
-    def _compact(self) -> None:
-        """Drop tombstoned rows and empty cohorts, preserving order."""
-        n = self._n
-        keep = self._alive[:n]
-        k = int(np.count_nonzero(keep))
-        for arr in (
-            self._size, self._deliv, self._rate, self._snap,
-            self._cohort, self._client, self._kind,
-        ):
-            if arr is not None:
-                arr[:k] = arr[:n][keep]
-        self._race.renumber(keep)  # before ``keep``, a view, is overwritten
-        self._alive[:k] = True
-        self._n = k
-        self._dead = 0
-
-        nc = self._nc
-        ckeep = self._c_mult[:nc] > 0
-        kc = int(np.count_nonzero(ckeep))
-        self._cohort[:k] = (np.cumsum(ckeep) - 1)[self._cohort[:k]]
-        deg = self._indptr[1 : nc + 1] - self._indptr[:nc]
-        link_idx = self._link_idx[: self._nnz][np.repeat(ckeep, deg)]
-        self._indptr[1 : kc + 1] = np.cumsum(deg[ckeep])
-        self._nnz = int(link_idx.size)
-        self._link_idx[: self._nnz] = link_idx
-        for arr in (
-            self._c_act, self._c_rtt, self._c_w0, self._c_wmax, self._c_rtp,
-            self._c_mult,
-        ):
-            arr[:kc] = arr[:nc][ckeep]
-        self._nc = kc
-        self._gathered = None

@@ -19,7 +19,8 @@ does the race's three columnar steps for the core:
   uses, so they share each instant's one ``activate-batch`` event;
 * **flush** - an activated batch becomes rows, one cohort per route it
   uses, whose links and ramp are gathered from per-route tables built
-  once;
+  once, and one group per (cohort, size class) present, a probe being one
+  more class past the transfer sizes;
 * **completion** - in each tick the first probe of a client to complete
   wins (a same-tick tie goes to the earlier row), its partner is aborted
   (skipped at activation if still pending, released with the tick's
@@ -53,6 +54,14 @@ __all__ = ["ProbeRace"]
 
 #: Row kinds: the two probes of a client, then its transfer.
 DIRECT, RELAY, TRANSFER = 0, 1, 2
+
+
+def _labels(key: np.ndarray, n_keys: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense labels of ``key`` (each in ``0..n_keys-1``) in ascending key
+    order, and the keys present, ascending."""
+    present = np.zeros(n_keys, dtype=bool)
+    present[key] = True
+    return (np.cumsum(present) - 1)[key], np.flatnonzero(present)
 
 
 def _column(values: Sequence[int], n: int, name: str) -> np.ndarray:
@@ -100,14 +109,17 @@ class ProbeRace:
         self._net = net
         self._direct = _column(direct, n, "direct")
         self._relay = _column(relay, n, "relay")
-        self._size_of = np.asarray(sizes, dtype=np.float64)[_column(size, n, "size")]
+        self._size_class = _column(size, n, "size")
+        if n and (self._size_class.min() < 0 or self._size_class.max() >= len(sizes)):
+            raise ValueError("size index out of range")
         slot = _column(slot, n, "slot")
         for col in (self._direct, self._relay):
             if n and (col.min() < 0 or col.max() >= len(routes)):
                 raise ValueError("route index out of range")
         if n and (slot.min() < 0 or slot.max() >= len(slot_times)):
             raise ValueError("slot index out of range")
-        self._probe_bytes = float(probe_bytes)
+        #: Bytes of each size class: the transfer sizes, then the probe.
+        self._class_bytes = np.append(np.asarray(sizes, dtype=np.float64), probe_bytes)
 
         # Per-route tables: activation delay, ramp parameters and links.
         self._delay = np.array(
@@ -212,7 +224,8 @@ class ProbeRace:
         """Materialise the activated batches as rows, in activation order.
 
         A batch's rows on one route share its links, ramp and activation
-        instant, so each (batch, route) pair present is one cohort.
+        instant, so each (batch, route) pair present is one cohort, and
+        each (cohort, size class) pair present is one group.
         """
         core = self._core
         batches, self.pending = self.pending, []
@@ -223,17 +236,17 @@ class ProbeRace:
         key = routes + np.repeat(
             np.arange(len(batches), dtype=np.int64) * n_routes, [b[0].size for b in batches]
         )
-        present = np.zeros(len(batches) * n_routes, dtype=bool)
-        present[key] = True
-        keys = np.flatnonzero(present)  # the cohorts, in (batch, route) order
+        cohort, keys = _labels(key, len(batches) * n_routes)  # (batch, route) order
         c_route = keys % n_routes
         c_act = np.array([b[3] for b in batches])[keys // n_routes]
+        n_cls = self._class_bytes.size
+        cls = np.where(kinds == TRANSFER, self._size_class[clients], n_cls - 1)
+        group, g_keys = _labels(cohort * n_cls + cls, keys.size * n_cls)
         uses = np.bincount(routes, minlength=n_routes)
         np.add.at(core._link_refs, self._lids, np.repeat(uses, self._deg))
         row0 = core._append_rows(
-            (np.cumsum(present) - 1)[key], self._lids, self._deg, c_route,
-            self._ramp[c_route], c_act,
-            np.where(kinds == TRANSFER, self._size_of[clients], self._probe_bytes),
+            group, g_keys // n_cls, self._class_bytes[g_keys % n_cls], self._lids,
+            self._deg, c_route, self._ramp[c_route], c_act,
         )
         core._client[row0 : core._n] = clients
         core._kind[row0 : core._n] = kinds
@@ -253,7 +266,7 @@ class ProbeRace:
             c = clients[fetched]
             elapsed = now - self.t0[c]
             self.latency[c] = elapsed
-            self.throughput[c] = self._size_of[c] / elapsed
+            self.throughput[c] = self._class_bytes[self._size_class[c]] / elapsed
             self.n_completed += int(c.size)
 
         probes = np.flatnonzero(~fetched)
@@ -275,9 +288,8 @@ class ProbeRace:
         partner = self._probe_row[winners, 1 - won]
         partner = partner[partner >= 0]
         partner = partner[core._alive[partner]]
-        partner = partner[
-            core._size[partner] - core._deliv[partner] > _COMPLETION_SLACK
-        ]
+        group = core._group[partner]
+        partner = partner[core._g_size[group] - core._g_deliv[group] > _COMPLETION_SLACK]
         self.live -= int(partner.size)
 
         overhead = np.empty(winners.size + 1)
@@ -291,9 +303,3 @@ class ProbeRace:
             np.where(won == DIRECT, self._direct[winners], self._relay[winners]),
         )
         return np.concatenate((rows, partner)) if partner.size else rows
-
-    def renumber(self, keep: np.ndarray) -> None:
-        """Follow a compaction that kept the rows where ``keep`` is True."""
-        new = np.full(keep.size + 1, -1, dtype=np.int64)  # new[-1]: unflushed
-        new[:-1][keep] = np.arange(int(np.count_nonzero(keep)))
-        self._probe_row = new[self._probe_row]

@@ -16,6 +16,8 @@ from repro.qa.flow import analyze_paths
 from repro.qa.flow.baseline import Baseline, BaselineEntry, write_baseline
 from repro.qa.flow.callgraph import build_project
 from repro.qa.flow.report import to_sarif, validate_sarif
+from repro.qa.flow.taint import ARTEFACT_CTORS
+from repro.trace import records as records_module
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -151,6 +153,35 @@ DEFAULTS_PY = """\
 def extend(items=[]):
     items.append(1)
     return items
+"""
+
+
+WALL_RECORD_PY = """\
+import time
+from repro.trace.records import ChaosRecord
+
+
+def build(**kw):
+    return ChaosRecord(start_time=time.perf_counter(), **kw)
+"""
+
+REDUCED_DICT_PY = """\
+def save(store, plan: dict, t):
+    hit = {reducer}(
+        o > t
+        for outages in plan.values()
+        for o in outages
+    )
+    store.save_jsonl([hit])
+"""
+
+REDUCED_CALLEE_PY = """\
+def outages(table: dict):
+    return [o for o in table.values()]
+
+
+def save(store, table, t):
+    store.save_jsonl([{reducer}(o > t for o in outages(table))])
 """
 
 
@@ -425,6 +456,22 @@ class TestWallClockFlow:
         assert any("fixpkg.sink.record" in hop for hop in hits[0].trace)
 
 
+    def test_every_transfer_record_class_is_an_artefact_sink(self):
+        records = {
+            name
+            for name, obj in vars(records_module).items()
+            if isinstance(obj, type) and issubclass(obj, records_module.TransferRecord)
+        }
+        assert {"FaultedRecord", "ChaosRecord", "ScaleRecord"} <= records
+        assert records <= ARTEFACT_CTORS
+
+    def test_wall_clock_start_time_in_a_chaos_record(self, tmp_path):
+        pkg = make_pkg(tmp_path, {"rows.py": WALL_RECORD_PY})
+        hits = by_code(analyze_paths([pkg]), "QA-F002")
+        assert [(f.symbol, f.line) for f in hits] == [("fixpkg.rows.build", 6)]
+        assert "ChaosRecord" in hits[0].message
+
+
 class TestIterationOrder:
     def test_dict_returning_callee_iterated_into_sink(self, full_fixture):
         _, findings = full_fixture
@@ -439,6 +486,27 @@ class TestIterationOrder:
         symbols = {f.symbol for f in by_code(findings, "QA-F003")}
         assert "fixpkg.out.save_sorted" not in symbols
         assert "fixpkg.out.just_count" not in symbols
+
+    def test_any_over_dict_values_is_clean(self, tmp_path):
+        pkg = make_pkg(tmp_path, {"plan.py": REDUCED_DICT_PY.format(reducer="any")})
+        assert by_code(analyze_paths([pkg]), "QA-F003") == []
+
+    def test_sum_over_dict_values_is_flagged(self, tmp_path):
+        pkg = make_pkg(tmp_path, {"plan.py": REDUCED_DICT_PY.format(reducer="sum")})
+        hits = by_code(analyze_paths([pkg]), "QA-F003")
+        assert [(f.symbol, f.line) for f in hits] == [("fixpkg.plan.save", 4)]
+
+    @pytest.mark.parametrize("reducer, flagged", [("any", False), ("sum", True)])
+    def test_callee_read_only_through_any_is_off_the_artefact_path(
+        self, tmp_path, reducer, flagged
+    ):
+        """A callee whose result only feeds ``any`` in a sink call cannot
+        order the artefact, so its own dict iteration is no finding; one
+        whose result feeds ``sum`` can."""
+        pkg = make_pkg(tmp_path, {"plan.py": REDUCED_CALLEE_PY.format(reducer=reducer)})
+        hits = by_code(analyze_paths([pkg]), "QA-F003")
+        expected = [("fixpkg.plan.outages", 2)] if flagged else []
+        assert [(f.symbol, f.line) for f in hits] == expected
 
 
 class TestSpawnSafety:

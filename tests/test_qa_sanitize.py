@@ -504,7 +504,7 @@ class TestVectorCoreChecks:
 
         def rewind():
             core = race._core
-            core._deliv[: core._n] = 0.0
+            core._g_deliv[: core._ng] = 0.0
 
         sim.schedule_at(0.2, rewind, name="rewind")
         with pytest.raises(InvariantViolation) as exc:

@@ -6,12 +6,12 @@ A race must write exactly what the same population of
 :class:`~repro.tcp.flow.FluidFlow` objects and callbacks writes
 (``tests/scale_oracle.py``), so these tests race random topologies and
 populations (constant and time-varying capacity, slow-start ramps,
-staggered and coalesced activations, aborted losers, compaction) on both
-and compare every result column bit for bit.  Both ticks solve shared
-populations with the sparse water-filling solver's summation order: the
-per-object tick is pinned to the digest the vector core wrote for a
-growing object-flow population, and agrees with the dense reference loop
-(``tests/maxmin_oracle.py``) to round-off.
+staggered and coalesced activations, aborted losers, one start slot per
+client) on both and compare every result column bit for bit.  Both ticks
+solve shared populations with the sparse water-filling solver's summation
+order: the per-object tick is pinned to the digest the vector core wrote
+for a growing object-flow population, and agrees with the dense reference
+loop (``tests/maxmin_oracle.py``) to round-off.
 """
 
 import hashlib
@@ -33,6 +33,7 @@ from repro.sim.simulator import Simulator
 from repro.tcp import fluid
 from repro.tcp.fluid import _COMPLETION_SLACK, FluidNetwork
 from repro.tcp.model import SlowStartRamp
+from repro.vec import engine
 from repro.vec.engine import VectorCore
 from tests.maxmin_oracle import maxmin_allocate
 from tests.scale_oracle import start_oracle_races
@@ -139,16 +140,19 @@ def _assert_race_matches_oracle(args):
 
 @contextmanager
 def _refcount_checked():
-    """Check after every vector tick that each link's refcount equals the
-    number of live rows crossing it.  Yields a counter of compactions
-    seen."""
-    tick, compact = VectorCore.tick, VectorCore._compact
-    seen = {"compactions": 0}
+    """Check after every vector tick that each group's and each cohort's
+    multiplicity equals a recount of its live rows, and each link's
+    refcount the number of live rows crossing it."""
+    tick = VectorCore.tick
 
     def checked_tick(core):
         tick(core)
-        n, m, nc = core._n, len(core._links), core._nc
-        rows = np.bincount(core._cohort[:n][core._alive[:n]], minlength=nc)
+        n, m, ng, nc = core._n, len(core._links), core._ng, core._nc
+        groups = np.bincount(core._group[:n][core._alive[:n]], minlength=ng)
+        assert np.array_equal(core._g_mult[:ng], groups)
+        assert np.array_equal(core._g_live[:ng], groups > 0)
+        assert not core._g_live[: core._g0].any()
+        rows = np.bincount(core._g_cohort[:ng], weights=groups, minlength=nc)
         assert np.array_equal(core._c_mult[:nc], rows)
         live = np.repeat(rows, np.diff(core._indptr[: nc + 1]))
         expected = np.bincount(
@@ -156,14 +160,8 @@ def _refcount_checked():
         ).astype(np.int64)
         assert np.array_equal(core._link_refs[:m], expected)
 
-    def counted_compact(core):
-        seen["compactions"] += 1
-        compact(core)
-
-    with mock.patch.object(VectorCore, "tick", checked_tick), mock.patch.object(
-        VectorCore, "_compact", counted_compact
-    ):
-        yield seen
+    with mock.patch.object(VectorCore, "tick", checked_tick):
+        yield
 
 
 def _run(specs, *, sample_times=(), sanitize=False):
@@ -305,16 +303,65 @@ class TestVectorOracleIdentity:
         assert columnar == _race(args, oracle=True)
 
     def test_shared_population_refcounts_across_compaction(self):
-        """150 clients on 4 shared routes, 300 probe rows at most, with
-        enough retirements to compact: still bit-identical, and the
-        refcount recount holds after every tick."""
+        """150 clients on 4 shared routes, 300 probe rows at most, most of
+        them retired while the rest run on (the case row compaction once
+        served): still bit-identical, and the multiplicity and refcount
+        recounts hold after every tick."""
         args = _race_problem(
             np.random.default_rng(5), n_clients=150, dynamic=True,
             shared_ramps=True,
         )
-        with _refcount_checked() as seen:
+        with _refcount_checked():
             columnar = _race(args)
-        assert seen["compactions"] > 0
+        assert columnar == _race(args, oracle=True)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_start_slot_per_client(self, seed):
+        """Every client starts at its own instant, so nearly every group is
+        one row: the group tick still writes the oracle's bits."""
+        rng = np.random.default_rng(400 + seed)
+        n_clients = 60
+        args = _race_problem(
+            rng, n_clients=n_clients, dynamic=bool(seed % 2),
+            slot_times=sorted(rng.uniform(0.0, 3.0, size=n_clients).tolist()),
+        )
+        args["slot"] = np.arange(n_clients)
+        nets = []
+        with _refcount_checked():
+            columnar = _race(args, nets=nets)
+        core = nets[0]._vec
+        assert core._n > 2 * n_clients
+        assert core._ng > 0.8 * core._n
+        assert columnar == _race(args, oracle=True)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_solve_gives_each_group_one_rate(self, monkeypatch, seed):
+        """With every cohort solve given up, each tick solves the rows: the
+        live rows of every group get the same rate bits, and the race
+        still writes the oracle's bits."""
+        real = engine.waterfill_sparse
+
+        def rows_only(*args, mult=None, **kw):
+            return (None, 0) if mult is not None else real(*args, **kw)
+
+        write = VectorCore._group_rates_from_rows
+        solves = []
+
+        def checked(core, g, rates):
+            group = g.group[g.rows()]
+            first = np.full(core._ng, np.nan)
+            first[group[::-1]] = rates[::-1]
+            assert first[group].tobytes() == rates.tobytes()
+            solves.append(np.unique(group).size < group.size)  # a group of rows
+            write(core, g, rates)
+
+        monkeypatch.setattr(engine, "waterfill_sparse", rows_only)
+        monkeypatch.setattr(VectorCore, "_group_rates_from_rows", checked)
+        args = _race_problem(
+            np.random.default_rng(500 + seed), n_clients=80, shared_ramps=True,
+        )
+        columnar = _race(args)
+        assert any(solves)
         assert columnar == _race(args, oracle=True)
 
     def test_abort_between_activation_and_first_tick(self):
@@ -534,12 +581,27 @@ class TestLinkNameConflicts:
         assert columnar == _race(args, oracle=True)
 
 
+class TestRaceArguments:
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_size_index_out_of_range_raises(self, bad):
+        """A size index names one of ``sizes``; -1 would otherwise read as
+        the probe's class."""
+        link = Link("l0", "a", "b", CapacityTrace.constant(1e6), delay=0.01)
+        ramp = SlowStartRamp(rtt=0.04, max_window=65_536.0)
+        with pytest.raises(ValueError, match="size index out of range"):
+            FluidNetwork(Simulator()).start_races(
+                routes=[Route([link])], ramps=[ramp], sizes=[1e5, 2e5],
+                probe_bytes=1e4, direct=[0, 0], relay=[0, 0], size=[0, bad],
+                slot=[0, 0], slot_times=[0.0],
+            )
+
+
 def _column_core(rng, *, n_rows=400, n_links=5, n_routes=4):
-    """A vector core holding two batches of random rows on random routes,
-    with delivered bytes, tombstones and rates drawn to cover every case
-    the tick's column steps meet: live rows at rate 0 (just flushed),
-    completed rows released with nothing left, aborted partners released
-    with bytes left, and rates over many magnitudes."""
+    """A vector core holding two flushes of random groups on random routes,
+    with delivered bytes, releases and rates drawn to cover every case the
+    tick's column steps meet: live groups at rate 0 (just flushed), groups
+    emptied with nothing left, groups emptied with bytes left, aborted rows
+    of live groups, and rates over many magnitudes."""
     core = VectorCore(FluidNetwork(Simulator(sanitize=False)))
     links = [
         Link(f"l{i}", f"a{i}", f"b{i}", CapacityTrace.constant(1e6), delay=0.01)
@@ -555,80 +617,115 @@ def _column_core(rng, *, n_rows=400, n_links=5, n_routes=4):
     for batch in range(2):
         k = int(rng.integers(1, 2 * n_routes))
         rows = n_rows // 2
-        cohort = rng.permutation(
-            np.concatenate([np.arange(k), rng.integers(0, k, size=rows - k)])
+        kg = int(rng.integers(max(k, 2), min(3 * k, rows // 2) + 1))
+        g_cohort = np.sort(
+            np.concatenate([np.arange(k), rng.integers(0, k, size=kg - k)])
+        )
+        group = rng.permutation(
+            np.concatenate([np.arange(kg), rng.integers(0, kg, size=rows - kg)])
         )
         route = rng.integers(0, n_routes, size=k)
         ramp = np.tile([0.05, 4096.0, 65536.0, 4.0], (k, 1))
         core._append_rows(
-            cohort, rl, rd, route, ramp, np.full(k, float(batch)),
-            rng.uniform(1e3, 1e6, size=rows),
+            group, g_cohort, rng.uniform(1e3, 1e6, size=kg), rl, rd, route, ramp,
+            np.full(k, float(batch)),
         )
-    n, nc = core._n, core._nc
-    mult = np.bincount(core._cohort[:n], minlength=nc)
+    n, ng, nc = core._n, core._ng, core._nc
+    mult = np.bincount(core._g_cohort[:ng], weights=core._g_mult[:ng], minlength=nc)
     core._link_refs[: lid.size] = np.bincount(
         core._link_idx[: core._nnz],
         weights=np.repeat(mult, np.diff(core._indptr[: nc + 1])),
         minlength=lid.size,
     ).astype(np.int64)
-    size = core._size[:n]
-    frac = rng.uniform(0.0, 1.0, size=n)
-    frac[rng.random(n) < 0.2] = 1.0  # nothing left
-    core._deliv[:n] = np.minimum(size, size * frac)
-    core._rate[:n] = 10.0 ** rng.uniform(-3.0, 9.0, size=n)
-    core._rate[:n][rng.random(n) < 0.1] = 0.0
-    dead = np.flatnonzero(rng.random(n) < 0.3)
-    core._release_rows(dead)
+    size = core._g_size[:ng]
+    frac = rng.uniform(0.0, 1.0, size=ng)
+    frac[rng.random(ng) < 0.25] = 1.0  # nothing left
+    core._g_rate[:ng] = 10.0 ** rng.uniform(-3.0, 9.0, size=ng)
+    core._g_rate[:ng][rng.random(ng) < 0.15] = 0.0
+    # Whole groups completed or aborted, and single aborted rows.  The
+    # second flush's largest group (two rows at least) runs on with one
+    # row aborted; groups 0 and 1 are emptied, one with nothing left and
+    # one with bytes left, so the tick's window starts past them.
+    big = 2 + int(np.argmax(core._g_mult[2:ng]))
+    emptied = [0, 1]
+    gone = rng.random(ng) < 0.3
+    gone[emptied], gone[big] = True, False
+    frac[emptied] = (1.0, 0.5)
+    core._g_deliv[:ng] = np.minimum(size, size * frac)
+    group = core._group[:n]
+    dead = gone[group] | (rng.random(n) < 0.1)
+    of_big = np.flatnonzero(group == big)
+    dead[of_big] = False
+    dead[of_big[0]] = True
+    core._release_rows(np.flatnonzero(dead))
     return core
 
 
+def _rows_of(core):
+    """The rows the tick once kept, expanded from the group table: size,
+    delivered and rate per row, a dead row reading rate 0."""
+    n = core._n
+    alive = core._alive[:n]
+    group = core._group[:n]
+    rate = np.where(alive, core._g_rate[group], 0.0)
+    return core._g_size[group], core._g_deliv[group].copy(), rate, alive
+
+
 def _old_expanded_rates(core, g, c_rates):
-    """The rate column as the tick once wrote it: the live rows' cohort
-    rates gathered, then scattered into the live rows."""
-    rate = core._rate[: core._n].copy()
-    rate[g.rows] = c_rates[g.live_of()]
-    return rate
+    """The live rows' rates as the tick once wrote them: the live rows'
+    cohort rates gathered in activation order."""
+    return c_rates[g.live_of()]
 
 
-def _old_next_completion(core, rows, now):
+def _old_next_completion(size, deliv, rate, rows, now):
     """The first completion as the tick once computed it: over the live
     rows with a positive rate, ``now + remaining / rate``; None if none."""
-    rates = core._rate[rows]
+    rates = rate[rows]
     pos = rates > 0.0
     if not pos.any():
         return None
-    t_done = now + (core._size[rows][pos] - core._deliv[rows][pos]) / rates[pos]
+    t_done = now + (size[rows][pos] - deliv[rows][pos]) / rates[pos]
     return float(t_done.min())
 
 
 class TestColumnSteps:
-    """The tick's column steps, run over every row through work columns,
-    equal the masked and gathered expressions they replace bit for bit."""
+    """The tick's steps over the group table equal, bit for bit, the masked
+    per-row expressions of the row tick they replace, on rows expanded
+    from random group states."""
 
     @pytest.mark.parametrize("seed", range(24))
     def test_steps_equal_the_masked_expressions(self, seed):
         rng = np.random.default_rng(3000 + seed)
-        core = _column_core(rng, n_rows=int(rng.integers(8, 600)))
-        n = core._n
-        alive = core._alive[:n]
+        core = _column_core(rng, n_rows=int(rng.integers(40, 600)))
+        n, ng = core._n, core._ng
+        live = core._g_live[:ng]
+        assert not live.all() and live.any()
+        rem = core._g_size[:ng] - core._g_deliv[:ng]
+        assert (~live & (rem == 0.0)).any() and (~live & (rem > 0.0)).any()
+        assert (core._g_rate[:ng][~live] == 0.0).all()
+        assert np.array_equal(live, core._g_mult[:ng] > 0)
+        assert 0 < core._g0 < ng and not live[: core._g0].any()
+        size, deliv, rate, alive = _rows_of(core)
+        rows = np.flatnonzero(alive)
         assert not alive.all() and alive.any()
-        dead = ~alive
-        rem = core._size[:n] - core._deliv[:n]
-        assert (dead & (rem == 0.0)).any() and (dead & (rem > 0.0)).any()
-        assert (core._rate[:n][dead] == 0.0).all()
+        assert (~alive & live[core._group[:n]]).any()  # aborted, group runs on
 
-        # Rates: one take over the whole column against gather + scatter.
+        # Rates: one take over the group column against the rows' gather.
         g = core._gather()
+        assert g.n == rows.size
+        assert np.array_equal(g.rows(), rows)
         c_rates = 10.0 ** rng.uniform(-3.0, 9.0, size=g.cohorts.size)
         c_rates[rng.random(c_rates.size) < 0.2] = 0.0
         expected = _old_expanded_rates(core, g, c_rates)
         core._expand_rates(g, c_rates)
-        assert core._rate[:n].tobytes() == expected.tobytes()
+        assert core._g_rate[core._group[rows]].tobytes() == expected.tobytes()
+        assert (core._g_rate[:ng][~live] == 0.0).all()
+        size, deliv, rate, alive = _rows_of(core)
 
         # Next wake-up, at several instants.
         for now in (0.0, 1.0, float(rng.uniform(0.0, 1e4)), 123456.789):
-            old = _old_next_completion(core, g.rows, now)
-            first = core._first_completion(n)
+            old = _old_next_completion(size, deliv, rate, rows, now)
+            first = core._first_completion()
             new = now + first if math.isfinite(first) else None
             assert new == old
             if new is not None:
@@ -636,20 +733,35 @@ class TestColumnSteps:
 
         # Accrual, then the completion scan.
         dt = float(rng.uniform(1e-6, 5.0))
-        expected = np.minimum(core._size[:n], core._deliv[:n] + core._rate[:n] * dt)
-        core._accrue(n, dt)
-        assert core._deliv[:n].tobytes() == expected.tobytes()
-        expected = np.flatnonzero(
-            core._alive[:n] & (core._size[:n] - core._deliv[:n] <= _COMPLETION_SLACK)
-        )
-        assert np.array_equal(core._completed(n), expected)
+        expected = np.minimum(size, deliv + rate * dt)
+        core._accrue(dt)
+        assert core._g_deliv[core._group[rows]].tobytes() == expected[rows].tobytes()
+        expected = np.flatnonzero(alive & (size - expected <= _COMPLETION_SLACK))
+        assert np.array_equal(core._completed(), expected)
 
     def test_no_row_at_a_positive_rate_gives_no_completion(self):
         core = _column_core(np.random.default_rng(1), n_rows=100)
-        n = core._n
-        core._rate[:n] = 0.0
-        assert not math.isfinite(core._first_completion(n))
-        assert _old_next_completion(core, np.flatnonzero(core._alive[:n]), 1.0) is None
+        core._g_rate[: core._ng] = 0.0
+        assert not math.isfinite(core._first_completion())
+        size, deliv, rate, alive = _rows_of(core)
+        assert _old_next_completion(size, deliv, rate, np.flatnonzero(alive), 1.0) is None
+
+    def test_rows_solve_rates_are_written_per_group(self):
+        """A rows solve's rates go back to the groups, empty groups read 0,
+        and two rows of one group with different bits raise."""
+        core = _column_core(np.random.default_rng(2), n_rows=300)
+        g = core._gather()
+        group = core._group[g.rows()]
+        per_group = 10.0 ** np.random.default_rng(3).uniform(-3.0, 9.0, size=core._ng)
+        core._group_rates_from_rows(g, per_group[group])
+        assert core._g_rate[group].tobytes() == per_group[group].tobytes()
+        assert (core._g_rate[: core._ng][~core._g_live[: core._ng]] == 0.0).all()
+        counts = np.bincount(group)
+        twin = int(np.flatnonzero(counts[group] > 1)[0])
+        rates = per_group[group]
+        rates[twin] = np.nextafter(rates[twin], np.inf)
+        with pytest.raises(RuntimeError, match="different rates"):
+            core._group_rates_from_rows(g, rates)
 
     def test_deadlock_still_raises_with_every_live_rate_zero(self):
         """One client races two routes over a dead link while another
@@ -674,11 +786,14 @@ class TestColumnSteps:
 
 
 class TestSteadyTickAllocation:
-    """A tick that neither flushes, releases, compacts nor re-gathers
-    writes through the core's work columns: it allocates nothing the size
-    of the population."""
+    """A tick that neither flushes, releases nor re-gathers reads the group
+    table through the core's work columns: its allocations do not grow
+    with the population."""
 
-    def test_steady_tick_allocates_no_row_column(self):
+    @staticmethod
+    def _steady_peaks(n_clients):
+        """The ``tracemalloc`` peak of every steady tick of a race of
+        ``n_clients`` on one shared link, with the live rows then."""
         shared = Link("x", "s", "m", CapacityTrace.constant(1e6), delay=0.01)
         routes = [
             Route([shared, Link(f"y{i}", "m", f"c{i}", CapacityTrace.constant(1e7),
@@ -686,7 +801,6 @@ class TestSteadyTickAllocation:
             for i in range(2)
         ]
         ramp = SlowStartRamp(rtt=0.05, max_window=262_144.0)
-        n_clients = 25_000
         sim = Simulator(sanitize=False)
         net = FluidNetwork(sim)
         net.start_races(
@@ -698,20 +812,27 @@ class TestSteadyTickAllocation:
         steady = []
 
         def traced_tick(core):
-            before = (core._gathered, core._n, core._dead, bool(core._race.pending))
+            before = (core._gathered, core._n, core._ng, bool(core._race.pending))
             tracemalloc.start()
             try:
                 tick(core)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            after = (core._gathered, core._n, core._dead, False)
+            after = (core._gathered, core._n, core._ng, False)
             if before[0] is not None and before == after:
-                steady.append((core._n, peak))
+                steady.append((core._gathered.n, peak))
 
         with mock.patch.object(VectorCore, "tick", traced_tick):
             sim.run(until=0.5)
-        assert steady
-        for n, peak in steady:
-            assert n >= 50_000
-            assert peak < n * 8
+        return steady
+
+    def test_steady_tick_allocates_no_row_column(self):
+        small, large = self._steady_peaks(25_000), self._steady_peaks(50_000)
+        assert small and large
+        assert all(n == 50_000 for n, _ in small)
+        assert all(n == 100_000 for n, _ in large)
+        # Far below one row column of the smaller race (400 KB), and no
+        # larger for twice the rows.
+        assert max(peak for _, peak in small) < 16_384
+        assert max(peak for _, peak in large) <= max(peak for _, peak in small) + 1024
